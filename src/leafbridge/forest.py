@@ -308,16 +308,8 @@ def predict_many(forest: Forest, records) -> np.ndarray:
                 mask = node.goes_left(X[idx, node.attribute])
                 stack.append((node.left, idx[mask]))
                 stack.append((node.right, idx[~mask]))
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        top = votes[i].max()
-        tied = np.flatnonzero(votes[i] == top)
-        if tied.size == 1:
-            out[i] = tied[0]
-        else:
-            masses = dist_sums[i, tied]
-            out[i] = tied[int(np.argmax(masses))]
-    return out
+    tied = votes == votes.max(axis=1, keepdims=True)
+    return np.argmax(np.where(tied, dist_sums, -np.inf), axis=1).astype(np.int64)
 
 
 # Forest JSON serialization (version 1).

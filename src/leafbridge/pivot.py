@@ -7,10 +7,38 @@ omitted for single-member leaves and zero spread), per categorical attribute
 the mode. Signatures are deduplicated per domain and then matched one-to-one
 across domains by Jensen-Shannon divergence; the matched rows are the pivots
 that bridge the two feature spaces.
+
+The stage runs as array code, without a Python loop per leaf or per pair:
+
+- extract_distributions flattens every leaf's members into one index array
+  with a segment id per leaf. Label distributions and categorical modes are
+  bincounts over (leaf, label) and (leaf, category).
+- dedup groups rows with np.unique over the rounded distributions,
+  renumbered in order of first appearance.
+- match_pivots renormalizes the shared-class rows once and evaluates the
+  divergence matrix by broadcasting, block by block of source rows. The
+  candidates below the threshold are ordered by (divergence, source row,
+  target row) and matched greedily.
+
+The results are bit-identical to evaluating each leaf, group and pair on its
+own (the scalar jsd, col.mean(), col.std(ddof=1)); tests keep those loops
+as the reference. Two rules keep them so. Means and spreads are summed per
+bucket of segments with equal member counts, along a contiguous last axis,
+so that every sum groups its terms as np.sum does for one segment;
+np.add.reduceat would group them differently. Logarithms of the spreads use
+math.log, which can differ from np.log in the last bit. The divergence sums
+run the same way over each row's compressed support.
+
+A temporary of the array code holds about BLOCK_ELEMENTS values at most
+(more only when a single leaf's members times the attributes, or a single
+source row of the divergence matrix, exceed that). Leaf members are gathered
+from the records block by block, never all members times all attributes at
+once, so that the stage adds little to the peak memory of a fit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +50,9 @@ from .forest import LeafRef
 
 #: Rows whose distributions agree to this many decimals count as duplicates.
 DEDUP_DECIMALS = 6
+#: Elements in one temporary block of the array code (a gather of leaf
+#: members, or a block of the divergence matrix); bounds its working memory.
+BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,22 +131,47 @@ class PivotSet:
         }
 
 
-def _centroid_row(ds: Dataset, members: np.ndarray) -> np.ndarray:
-    row = np.empty(ds.d)
-    sub = ds.records[members]
-    for j, attr in enumerate(ds.schema):
-        col = sub[:, j]
-        if attr.kind == CATEGORICAL:
-            counts = np.bincount(col.astype(np.int64), minlength=len(attr.categories))
-            row[j] = float(np.argmax(counts))
-        else:
-            mean = col.mean()
-            if col.shape[0] < 2:
-                row[j] = mean
-                continue
-            std = col.std(ddof=1)
-            row[j] = mean if std == 0.0 else mean + math.log(std)
-    return row
+def _segment_stats(X: np.ndarray, flat: np.ndarray, sizes: np.ndarray,
+                   spread: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Column means, and with `spread` the ddof=1 standard deviations, of
+    the X rows of every segment.
+
+    Segment s holds the rows flat[start_s : start_s + sizes[s]], where the
+    segments are laid out one after another. Segments are bucketed by size
+    and gathered in blocks of at most BLOCK_ELEMENTS cells into an
+    [attribute, segment, member] array, so every sum runs along a contiguous
+    last axis exactly as np.sum runs over one segment's column. The spread
+    of a single-member segment is 0.
+    """
+    n_seg, d = sizes.shape[0], X.shape[1]
+    starts = np.cumsum(sizes) - sizes
+    mean = np.empty((n_seg, d))
+    std = np.zeros((n_seg, d)) if spread else None
+    by_size = np.argsort(sizes, kind="stable")
+    bounds = np.flatnonzero(np.diff(sizes[by_size])) + 1
+    for segs in np.split(by_size, bounds):
+        n = int(sizes[segs[0]])
+        step = max(1, BLOCK_ELEMENTS // max(1, n * d))
+        for lo in range(0, segs.shape[0], step):
+            part = segs[lo:lo + step]
+            rows = flat[starts[part, None] + np.arange(n)]
+            block = np.ascontiguousarray(X[rows].transpose(2, 0, 1))
+            block_mean = block.sum(axis=-1, keepdims=True) / n
+            mean[part] = block_mean[..., 0].T
+            if spread and n > 1:
+                block -= block_mean
+                np.square(block, out=block)
+                std[part] = np.sqrt(block.sum(axis=-1) / (n - 1)).T
+    return mean, std
+
+
+def _modes(codes: np.ndarray, seg: np.ndarray, n_seg: int, n_categories: int) -> np.ndarray:
+    """Most frequent category code per segment (ties -> lowest code)."""
+    codes = codes.astype(np.int64)
+    if codes.size:
+        n_categories = max(n_categories, int(codes.max()) + 1)
+    counts = np.bincount(seg * n_categories + codes, minlength=n_seg * n_categories)
+    return np.argmax(counts.reshape(n_seg, n_categories), axis=1).astype(np.float64)
 
 
 def extract_distributions(ds: Dataset, leaves: list[LeafRef]) -> DistributionBundle:
@@ -126,18 +182,27 @@ def extract_distributions(ds: Dataset, leaves: list[LeafRef]) -> DistributionBun
     """
     if not leaves:
         raise EmptyDatasetError("no leaves to extract distributions from")
-    C = len(ds.class_names)
-    V = np.empty((len(leaves), C))
-    W = np.empty((len(leaves), ds.d))
-    for i, leaf in enumerate(leaves):
-        members = np.asarray(leaf.members, dtype=np.int64)
-        if members.size == 0:
-            raise EmptyDatasetError(
-                f"leaf {leaf.leaf_id} of tree {leaf.tree_index} has no members"
-            )
-        counts = np.bincount(ds.labels[members], minlength=C)
-        V[i] = counts / counts.sum()
-        W[i] = _centroid_row(ds, members)
+    L, C = len(leaves), len(ds.class_names)
+    sizes = np.fromiter((len(leaf.members) for leaf in leaves), dtype=np.int64, count=L)
+    if not sizes.all():
+        leaf = leaves[int(np.argmin(sizes))]
+        raise EmptyDatasetError(
+            f"leaf {leaf.leaf_id} of tree {leaf.tree_index} has no members"
+        )
+    flat = np.fromiter(
+        itertools.chain.from_iterable(leaf.members for leaf in leaves),
+        dtype=np.int64, count=int(sizes.sum()),
+    )
+    seg = np.repeat(np.arange(L), sizes)
+    counts = np.bincount(seg * C + ds.labels[flat], minlength=L * C).reshape(L, C)
+    V = counts / counts.sum(axis=1, keepdims=True)
+    W, std = _segment_stats(ds.records, flat, sizes, spread=True)
+    for j, attr in enumerate(ds.schema):
+        if attr.kind == CATEGORICAL:
+            W[:, j] = _modes(ds.records[flat, j], seg, L, len(attr.categories))
+            continue
+        spread = std[:, j] != 0.0
+        W[spread, j] += [math.log(s) for s in std[spread, j].tolist()]
     R = np.argmax(V, axis=1)
     return DistributionBundle(V, W, R, ds.schema, ds.class_names, ds.domain_tag)
 
@@ -145,37 +210,27 @@ def extract_distributions(ds: Dataset, leaves: list[LeafRef]) -> DistributionBun
 def dedup(bundle: DistributionBundle) -> tuple[DistributionBundle, np.ndarray]:
     """Merge rows whose distributions agree after 6-decimal rounding.
 
-    Merged centroids average numeric attributes and take the mode of modes
-    for categorical ones (ties -> lowest category index). Returns the merged
-    bundle plus a row map from each input row to its merged row.
+    Merged rows are numbered in order of first appearance. Merged centroids
+    average numeric attributes and take the mode of modes for categorical
+    ones (ties -> lowest category index). Returns the merged bundle plus a
+    row map from each input row to its merged row.
     """
     keys = np.round(bundle.V, DEDUP_DECIMALS)
-    groups: dict[tuple, list[int]] = {}
-    order = []
-    for i in range(bundle.n_rows):
-        key = tuple(keys[i])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(i)
-    row_map = np.empty(bundle.n_rows, dtype=np.int64)
-    V_rows, W_rows = [], []
-    for new_row, key in enumerate(order):
-        rows = groups[key]
-        row_map[rows] = new_row
-        V_rows.append(bundle.V[rows[0]])
-        merged = np.empty(len(bundle.schema))
-        for j, attr in enumerate(bundle.schema):
-            cells = bundle.W[rows, j]
-            if attr.kind == CATEGORICAL:
-                counts = np.bincount(cells.astype(np.int64), minlength=len(attr.categories))
-                merged[j] = float(np.argmax(counts))
-            else:
-                merged[j] = cells.mean()
-        W_rows.append(merged)
-    V = np.array(V_rows)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    renumber = np.empty_like(order)
+    renumber[order] = np.arange(order.shape[0])
+    row_map = renumber[inverse.reshape(-1)]
+    n_groups = order.shape[0]
+    members = np.argsort(row_map, kind="stable")
+    W, _ = _segment_stats(bundle.W, members, np.bincount(row_map, minlength=n_groups),
+                          spread=False)
+    for j, attr in enumerate(bundle.schema):
+        if attr.kind == CATEGORICAL:
+            W[:, j] = _modes(bundle.W[:, j], row_map, n_groups, len(attr.categories))
+    V = bundle.V[first[order]]
     merged_bundle = DistributionBundle(
-        V, np.array(W_rows), np.argmax(V, axis=1),
+        V, W, np.argmax(V, axis=1),
         bundle.schema, bundle.class_names, bundle.domain_tag,
     )
     return merged_bundle, row_map
@@ -202,9 +257,47 @@ def jsd(p, q) -> float:
     return min(max(total, 0.0), 1.0)
 
 
-def _shared_projection(bundle: DistributionBundle, shared: tuple[str, ...]) -> np.ndarray:
+def _shared_rows(bundle: DistributionBundle,
+                 shared: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the rows with mass on the shared classes, and those rows
+    restricted to the shared classes and renormalized."""
     idx = [bundle.class_names.index(name) for name in shared]
-    return bundle.V[:, idx]
+    p = bundle.V[:, idx]
+    total = p.sum(axis=1)
+    rows = np.flatnonzero(total > 0)
+    return rows, p[rows] / total[rows, None]
+
+
+def _check_distributions(p: np.ndarray):
+    """The check jsd makes on each input, for every row of p at once."""
+    if (p < 0).any() or (np.abs(p.sum(axis=1) - 1.0) > 1e-9).any():
+        raise DataError("jsd inputs must be probability distributions")
+
+
+def _support_sums(terms: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Sum terms [r, t, C] over the last axis, taking for each row r only
+    the columns of its support [r, C], in order: the same grouping as
+    np.sum over the compressed vector."""
+    out = np.empty(terms.shape[:2])
+    counts = support.sum(axis=1)
+    first = np.argsort(~support, axis=1, kind="stable")
+    by_count = np.argsort(counts, kind="stable")
+    for rows in np.split(by_count, np.flatnonzero(np.diff(counts[by_count])) + 1):
+        cols = first[rows, None, :counts[rows[0]]]
+        out[rows] = np.take_along_axis(terms[rows], cols, axis=2).sum(axis=-1)
+    return out
+
+
+def _jsd_block(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """jsd(p[i], q[k]) for every row pair, with the operations jsd uses."""
+    pb, qb = p[:, None, :], q[None, :, :]
+    m = (pb + qb) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sp = np.where(pb > 0, pb * np.log2(pb / m), 0.0)
+        sq = np.where(qb > 0, qb * np.log2(qb / m), 0.0)
+    kl_p = _support_sums(sp, p > 0)
+    kl_q = _support_sums(sq.transpose(1, 0, 2), q > 0).T
+    return np.clip(0.5 * kl_p + 0.5 * kl_q, 0.0, 1.0)
 
 
 def match_pivots(src: DistributionBundle, tgt: DistributionBundle,
@@ -214,35 +307,36 @@ def match_pivots(src: DistributionBundle, tgt: DistributionBundle,
     Distributions are compared over the intersection of the two class sets
     (renormalized); rows with no mass on shared classes cannot match. Only
     pairs with divergence strictly below the threshold are kept, and each
-    source and target row is used at most once.
+    source and target row is used at most once. Candidates are taken in
+    order of (divergence, source row, target row).
     """
     shared = tuple(name for name in src.class_names if name in tgt.class_names)
     if not shared:
         raise MatchingError("source and target share no class labels")
-    ps = _shared_projection(src, shared)
-    pt = _shared_projection(tgt, shared)
-    ssum = ps.sum(axis=1)
-    tsum = pt.sum(axis=1)
-    candidates = []
-    for i in range(src.n_rows):
-        if ssum[i] <= 0:
-            continue
-        pi = ps[i] / ssum[i]
-        for k in range(tgt.n_rows):
-            if tsum[k] <= 0:
-                continue
-            div = jsd(pi, pt[k] / tsum[k])
-            if div < threshold:
-                candidates.append((div, i, k))
-    candidates.sort()
+    rows_s, ps = _shared_rows(src, shared)
+    rows_t, pt = _shared_rows(tgt, shared)
+    found = [(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))]
+    if rows_s.size and rows_t.size:
+        _check_distributions(ps)
+        _check_distributions(pt)
+        step = max(1, BLOCK_ELEMENTS // pt.size)
+        for lo in range(0, ps.shape[0], step):
+            div = _jsd_block(ps[lo:lo + step], pt)
+            i, k = np.nonzero(div < threshold)
+            found.append((div[i, k], rows_s[lo + i], rows_t[k]))
+    div, i, k = (np.concatenate(parts) for parts in zip(*found))
+    order = np.lexsort((k, i, div))
+    limit = min(np.unique(i).size, np.unique(k).size)
     used_src, used_tgt = set(), set()
     pairs = []
-    for div, i, k in candidates:
-        if i in used_src or k in used_tgt:
+    for s, t, d in zip(i[order].tolist(), k[order].tolist(), div[order].tolist()):
+        if len(pairs) == limit:
+            break
+        if s in used_src or t in used_tgt:
             continue
-        used_src.add(i)
-        used_tgt.add(k)
-        pairs.append((i, k, div))
+        used_src.add(s)
+        used_tgt.add(t)
+        pairs.append((s, t, d))
     src_rows = [p[0] for p in pairs]
     tgt_rows = [p[1] for p in pairs]
     return PivotSet(

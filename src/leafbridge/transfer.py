@@ -62,6 +62,8 @@ class TransferConfig:
             raise DataError(f"unknown kernel {self.kernel!r}")
         if self.alpha_mode not in ("literal", "inverse"):
             raise DataError(f"unknown alpha_mode {self.alpha_mode!r}")
+        if self.mmd_cross_term not in ("product", "squared"):
+            raise DataError(f"unknown mmd_cross_term {self.mmd_cross_term!r}")
 
     def min_leaf_for(self, n: int) -> int:
         """Minimum leaf size by dataset size: large datasets get the large

@@ -53,6 +53,20 @@ class TestRun:
         )
         assert main(["run", "--spec", str(spec)]) == EXIT_DATA
 
+    def test_bad_mmd_cross_term_stops_at_config_parse(self, tmp_path, pair_files,
+                                                       monkeypatch, capsys):
+        spec = spec_file(tmp_path, pair_files, tmp_path / "report")
+        spec.write_text(spec.read_text() + "[adapt]\nmmd_cross_term = cubed\n",
+                        encoding="utf-8")
+
+        def no_pairs(*args):
+            raise AssertionError("run_experiment must not start")
+
+        monkeypatch.setattr("leafbridge.cli.run_experiment", no_pairs)
+        assert main(["run", "--spec", str(spec)]) == EXIT_DATA
+        assert "mmd_cross_term" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestTransfer:
     def test_transfer_writes_model(self, tmp_path, pair_files, capsys):

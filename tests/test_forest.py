@@ -25,6 +25,28 @@ def two_class_dataset(n=200, seed=0):
     return numeric_dataset(X, y)
 
 
+def loop_predict(forest, X):
+    """Reference predict: one record and one tree at a time, with the
+    per-record tie-break loop; also returns how many records tied."""
+    n_classes = len(forest.class_names)
+    out, n_tied = [], 0
+    for record in X:
+        votes = np.zeros(n_classes)
+        dist_sums = np.zeros(n_classes)
+        for node in forest.trees:
+            while not node.is_leaf:
+                node = node.left if node.goes_left(record[node.attribute]) else node.right
+            votes[int(np.argmax(node.class_counts))] += 1
+            dist_sums += node.class_counts / node.class_counts.sum()
+        tied = np.flatnonzero(votes == votes.max())
+        if tied.size == 1:
+            out.append(int(tied[0]))
+        else:
+            n_tied += 1
+            out.append(int(tied[int(np.argmax(dist_sums[tied]))]))
+    return np.array(out, dtype=np.int64), n_tied
+
+
 class TestTraining:
     def test_tree_count(self):
         forest = train_forest(two_class_dataset(), n_trees=10, min_leaf_size=5, seed=1)
@@ -143,6 +165,19 @@ class TestPredict:
         X = np.random.default_rng(8).normal(size=(25, 3))
         singles = [predict(forest, row) for row in X]
         np.testing.assert_array_equal(singles, predict_many(forest, X))
+
+
+    def test_predict_many_matches_loop(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(400, 4))
+        y = np.digitize(X[:, 0] + rng.normal(size=400), [-0.5, 0.5])
+        forest = train_forest(numeric_dataset(X, y), n_trees=4, min_leaf_size=3, seed=2)
+        X_test = rng.normal(size=(2000, 4))
+        want, n_tied = loop_predict(forest, X_test)
+        got = predict_many(forest, X_test)
+        assert n_tied > 100
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
 
 
 class TestSerialization:

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from leafbridge import pivot
 from leafbridge.dataset import CATEGORICAL, NUMERIC, AttributeSchema, Dataset
 from leafbridge.errors import DataError, EmptyDatasetError, MatchingError
-from leafbridge.forest import LeafRef
+from leafbridge.forest import LeafRef, collect_leaves, train_forest
 from leafbridge.pivot import (
     DistributionBundle,
     dedup,
@@ -22,6 +24,152 @@ def brute_force_jsd(p, q):
     def kl(a, b):
         return sum(x * math.log2(x / y) for x, y in zip(a, b) if x > 0)
     return 0.5 * kl(p, m) + 0.5 * kl(q, m)
+
+
+# Reference implementations: one leaf, group or pair at a time. The array
+# code in leafbridge.pivot must reproduce them bit for bit.
+
+def _centroid_row(ds, members):
+    row = np.empty(ds.d)
+    sub = ds.records[members]
+    for j, attr in enumerate(ds.schema):
+        col = sub[:, j]
+        if attr.kind == CATEGORICAL:
+            counts = np.bincount(col.astype(np.int64), minlength=len(attr.categories))
+            row[j] = float(np.argmax(counts))
+        else:
+            mean = col.mean()
+            if col.shape[0] < 2:
+                row[j] = mean
+                continue
+            std = col.std(ddof=1)
+            row[j] = mean if std == 0.0 else mean + math.log(std)
+    return row
+
+
+def loop_extract_distributions(ds, leaves):
+    C = len(ds.class_names)
+    V = np.empty((len(leaves), C))
+    W = np.empty((len(leaves), ds.d))
+    for i, leaf in enumerate(leaves):
+        members = np.asarray(leaf.members, dtype=np.int64)
+        counts = np.bincount(ds.labels[members], minlength=C)
+        V[i] = counts / counts.sum()
+        W[i] = _centroid_row(ds, members)
+    R = np.argmax(V, axis=1)
+    return DistributionBundle(V, W, R, ds.schema, ds.class_names, ds.domain_tag)
+
+
+def loop_dedup(bundle):
+    keys = np.round(bundle.V, pivot.DEDUP_DECIMALS)
+    groups, order = {}, []
+    for i in range(bundle.n_rows):
+        key = tuple(keys[i])
+        if key not in groups:
+            groups[key] = []
+            order.append(key)
+        groups[key].append(i)
+    row_map = np.empty(bundle.n_rows, dtype=np.int64)
+    V_rows, W_rows = [], []
+    for new_row, key in enumerate(order):
+        rows = groups[key]
+        row_map[rows] = new_row
+        V_rows.append(bundle.V[rows[0]])
+        merged = np.empty(len(bundle.schema))
+        for j, attr in enumerate(bundle.schema):
+            cells = bundle.W[rows, j]
+            if attr.kind == CATEGORICAL:
+                counts = np.bincount(cells.astype(np.int64), minlength=len(attr.categories))
+                merged[j] = float(np.argmax(counts))
+            else:
+                merged[j] = cells.mean()
+        W_rows.append(merged)
+    V = np.array(V_rows)
+    merged_bundle = DistributionBundle(
+        V, np.array(W_rows), np.argmax(V, axis=1),
+        bundle.schema, bundle.class_names, bundle.domain_tag,
+    )
+    return merged_bundle, row_map
+
+
+def loop_match_pairs(src, tgt, threshold):
+    shared = tuple(name for name in src.class_names if name in tgt.class_names)
+    ps = src.V[:, [src.class_names.index(name) for name in shared]]
+    pt = tgt.V[:, [tgt.class_names.index(name) for name in shared]]
+    ssum = ps.sum(axis=1)
+    tsum = pt.sum(axis=1)
+    candidates = []
+    for i in range(src.n_rows):
+        if ssum[i] <= 0:
+            continue
+        pi = ps[i] / ssum[i]
+        for k in range(tgt.n_rows):
+            if tsum[k] <= 0:
+                continue
+            div = jsd(pi, pt[k] / tsum[k])
+            if div < threshold:
+                candidates.append((div, i, k))
+    candidates.sort()
+    used_src, used_tgt = set(), set()
+    pairs = []
+    for div, i, k in candidates:
+        if i in used_src or k in used_tgt:
+            continue
+        used_src.add(i)
+        used_tgt.add(k)
+        pairs.append((i, k, div))
+    return tuple(pairs)
+
+
+def assert_same_bundle(got, want):
+    for name in ("V", "W", "R"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and np.array_equal(a, b), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def assert_matches_loops(ds, leaves, tgt_bundle=None, threshold=0.1):
+    """extract -> dedup -> match equal the loop versions bit for bit."""
+    got = extract_distributions(ds, leaves)
+    want = loop_extract_distributions(ds, leaves)
+    assert_same_bundle(got, want)
+    merged, row_map = dedup(got)
+    want_merged, want_map = loop_dedup(want)
+    assert_same_bundle(merged, want_merged)
+    assert row_map.dtype == want_map.dtype and np.array_equal(row_map, want_map)
+    if tgt_bundle is not None:
+        assert_same_pairs(merged, tgt_bundle, threshold)
+    return merged
+
+
+def assert_same_pairs(src, tgt, threshold):
+    got = match_pivots(src, tgt, threshold).pairs
+    want = loop_match_pairs(src, tgt, threshold)
+    assert got == want
+    for (i, k, d), (_, _, w) in zip(got, want):
+        assert type(i) is int and type(k) is int and type(d) is float
+        assert math.copysign(1.0, d) == math.copysign(1.0, w)
+    return got
+
+
+def random_leaves(rng, n, n_leaves, sizes):
+    """Leaves of random members (drawn without repeats), one size each."""
+    return [
+        LeafRef(0, j, tuple(int(i) for i in rng.choice(n, size=int(s), replace=False)))
+        for j, s in enumerate(rng.choice(sizes, size=n_leaves))
+    ]
+
+
+def mixed_dataset(rng, n, d_num, n_cat, n_classes, n_levels=3):
+    """Numeric columns of mixed scale, categorical codes, random labels."""
+    numeric = rng.normal(size=(n, d_num)) * 10.0 ** rng.integers(-3, 4, size=d_num)
+    cats = rng.integers(0, n_levels, size=(n, n_cat)).astype(float)
+    schema = tuple(AttributeSchema(f"f{j}", NUMERIC) for j in range(d_num)) + tuple(
+        AttributeSchema(f"g{j}", CATEGORICAL, tuple(f"v{v}" for v in range(n_levels)))
+        for j in range(n_cat)
+    )
+    return Dataset(schema, np.hstack([numeric, cats]), rng.integers(0, n_classes, size=n),
+                   tuple(f"c{c}" for c in range(n_classes)))
 
 
 def make_bundle(V, W=None, domain_tag="source", class_names=None, kinds=None):
@@ -226,3 +374,156 @@ class TestMatchPivots:
         tgt = make_bundle([[1.0]], class_names=("shared",), domain_tag="target")
         pivots = match_pivots(src, tgt, 0.5)
         assert [p[0] for p in pivots.pairs] == [1]
+
+
+class TestArrayMatchesLoops:
+    """The array code against the loop references, bit for bit."""
+
+    def test_random_bundles(self):
+        rng = np.random.default_rng(10)
+        for trial in range(30):
+            n_classes = int(rng.integers(2, 12))
+            ds = mixed_dataset(rng, 200, int(rng.integers(1, 5)), int(rng.integers(0, 3)),
+                               n_classes)
+            leaves = random_leaves(rng, ds.n, int(rng.integers(1, 60)), np.arange(1, 30))
+            tgt = make_bundle(rng.dirichlet(np.ones(n_classes) * 0.5, size=25),
+                              domain_tag="target",
+                              class_names=ds.class_names)
+            assert_matches_loops(ds, leaves, tgt, threshold=float(rng.uniform(0.05, 0.6)))
+
+    def test_forest_leaves(self):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(600, 5))
+        y = (X[:, 0] + rng.normal(size=600) > 0).astype(int) + (X[:, 1] > 1)
+        src = numeric_dataset(X, y)
+        tgt = numeric_dataset(X[:300] * 2.0 + 1.0, y[:300], domain_tag="target")
+        tgt_bundle = assert_matches_loops(tgt, collect_leaves(train_forest(tgt, 4, 5, 1)))
+        merged = assert_matches_loops(src, collect_leaves(train_forest(src, 4, 5, 0)),
+                                      tgt_bundle)
+        assert merged.n_rows > 1
+
+    def test_leaves_of_many_sizes(self):
+        rng = np.random.default_rng(12)
+        ds = mixed_dataset(rng, 400, 3, 1, 3)
+        leaves = random_leaves(rng, ds.n, 300, np.arange(1, 120))
+        assert len({len(leaf.members) for leaf in leaves}) > 80
+        assert_matches_loops(ds, leaves)
+
+    def test_single_member_and_zero_spread(self):
+        records = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0], [7.0, -2.0], [0.0, 0.0]])
+        ds = numeric_dataset(records, [0, 1, 0, 1, 0])
+        leaves = [LeafRef(0, 0, (3,)), LeafRef(0, 1, (0, 1, 2)), LeafRef(0, 2, (4,)),
+                  LeafRef(0, 3, (1, 1)), LeafRef(0, 4, (0, 4))]
+        bundle = extract_distributions(ds, leaves)
+        assert bundle.W[0].tolist() == [7.0, -2.0]
+        assert bundle.W[3].tolist() == [2.0, 5.0]
+        assert_matches_loops(ds, leaves)
+
+    def test_categorical_mode_ties(self):
+        schema = (AttributeSchema("b", CATEGORICAL, ("x", "y", "z")),)
+        ds = Dataset(schema, [[2.0], [1.0], [1.0], [2.0], [0.0]], [0, 0, 1, 1, 0], ("p", "q"))
+        leaves = [LeafRef(0, 0, (0, 1)), LeafRef(0, 1, (2, 3)), LeafRef(0, 2, (0, 4)),
+                  LeafRef(0, 3, (0, 1, 2, 3))]
+        bundle = extract_distributions(ds, leaves)
+        assert bundle.W[:, 0].tolist() == [1.0, 1.0, 0.0, 1.0]
+        merged = assert_matches_loops(ds, leaves)
+        # rows 1 and 3 share the distribution (0.5, 0.5) and tie on modes 1 vs 1
+        assert merged.n_rows == 3
+
+    def test_dedup_mode_of_modes_tie(self):
+        bundle = make_bundle([[0.5, 0.5]] * 4, W=[[2.0], [0.0], [0.0], [2.0]],
+                             kinds=[CATEGORICAL])
+        merged, _ = dedup(bundle)
+        want, _ = loop_dedup(bundle)
+        assert merged.W[0, 0] == want.W[0, 0] == 0.0
+
+    def test_dedup_groups_renumbered_by_first_appearance(self):
+        rng = np.random.default_rng(13)
+        rows = np.array([[0.2, 0.8], [0.9, 0.1], [0.5, 0.5], [0.0, 1.0]])
+        pick = rng.integers(0, 4, size=200)
+        bundle = make_bundle(rows[pick], W=rng.normal(size=(200, 3)) * 1e3)
+        merged, row_map = dedup(bundle)
+        want, want_map = loop_dedup(bundle)
+        assert_same_bundle(merged, want)
+        np.testing.assert_array_equal(row_map, want_map)
+        assert row_map[0] == 0
+
+    def test_no_shared_mass_and_partial_overlap(self):
+        rng = np.random.default_rng(14)
+        V_s = rng.dirichlet(np.ones(5), size=40)
+        V_s[::4] = [0.0, 0.0, 0.0, 0.3, 0.7]  # no mass on the shared classes
+        V_t = rng.dirichlet(np.ones(4), size=30)
+        V_t[::5] = [0.0, 0.0, 0.0, 1.0]
+        src = make_bundle(V_s, class_names=("a", "b", "c", "s1", "s2"))
+        tgt = make_bundle(V_t, class_names=("c", "b", "a", "t1"), domain_tag="target")
+        pairs = assert_same_pairs(src, tgt, 0.3)
+        assert pairs and all(i % 4 and k % 5 for i, k, _ in pairs)
+
+    def test_many_shared_classes(self):
+        # supports of 8+ classes exercise the grouped sums of np.sum
+        rng = np.random.default_rng(15)
+        V_s, V_t = (rng.dirichlet(np.ones(13), size=size) for size in (60, 50))
+        for V in (V_s, V_t):
+            V[rng.random(V.shape) < 0.3] = 0.0
+            V[:, 0] += 1e-3
+            V /= V.sum(axis=1, keepdims=True)
+        pairs = assert_same_pairs(make_bundle(V_s), make_bundle(V_t, domain_tag="target"), 0.2)
+        assert pairs
+
+    def test_duplicate_divergences_tie_order(self):
+        # every divergence appears many times; ties go to (source, target) order
+        V_s = np.array([[0.5, 0.5], [0.25, 0.75], [0.5, 0.5], [0.75, 0.25]] * 3)
+        V_t = np.array([[0.75, 0.25], [0.5, 0.5], [0.25, 0.75], [0.5, 0.5]] * 2)
+        src = make_bundle(V_s)
+        tgt = make_bundle(V_t, domain_tag="target")
+        pairs = assert_same_pairs(src, tgt, 0.5)
+        assert pairs[0][:2] == (0, 1)
+        assert len({d for _, _, d in pairs}) < len(pairs)
+
+    def test_divergence_at_threshold_excluded(self):
+        src = make_bundle([[0.5, 0.5], [1.0, 0.0]])
+        tgt = make_bundle([[0.25, 0.75], [0.5, 0.5]], domain_tag="target")
+        at = jsd((0.5, 0.5), (0.25, 0.75))
+        pairs = assert_same_pairs(src, tgt, at)
+        assert [p[:2] for p in pairs] == [(0, 1)]
+        pairs = assert_same_pairs(src, tgt, np.nextafter(at, 1.0))
+        assert len(pairs) == 1
+
+    def test_block_boundaries(self, monkeypatch):
+        monkeypatch.setattr(pivot, "BLOCK_ELEMENTS", 7)
+        rng = np.random.default_rng(16)
+        ds = mixed_dataset(rng, 300, 4, 1, 4)
+        leaves = random_leaves(rng, ds.n, 120, [1, 2, 3, 5, 9, 17])
+        tgt = make_bundle(rng.dirichlet(np.ones(4), size=23), domain_tag="target",
+                          class_names=ds.class_names)
+        assert_matches_loops(ds, leaves, tgt, threshold=0.4)
+
+
+class TestMemory:
+    """Working memory stays bounded by the block size, not the input."""
+
+    BOUND = 5 * 2**20
+
+    @staticmethod
+    def peak_bytes(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_match_pivots_peak(self):
+        rng = np.random.default_rng(17)
+        src = make_bundle(rng.dirichlet(np.ones(3), size=3000))
+        tgt = make_bundle(rng.dirichlet(np.ones(3), size=800), domain_tag="target")
+        peak = self.peak_bytes(match_pivots, src, tgt, 0.002)
+        assert peak < self.BOUND
+
+    def test_extract_distributions_peak(self):
+        rng = np.random.default_rng(18)
+        X = rng.normal(size=(12000, 40))
+        ds = numeric_dataset(X, (X[:, :3].sum(axis=1) > 0).astype(int))
+        leaves = collect_leaves(train_forest(ds, 10, 50, 0))
+        peak = self.peak_bytes(extract_distributions, ds, leaves)
+        assert peak < self.BOUND

@@ -283,6 +283,8 @@ class TestConfig:
             TransferConfig(pivot_threshold=1.5)
         with pytest.raises(DataError):
             TransferConfig(ridge=-0.1)
+        with pytest.raises(DataError, match="mmd_cross_term"):
+            TransferConfig(mmd_cross_term="cubed")
 
 
 class TestMerge:
