@@ -174,6 +174,8 @@ def load_csv(
     number, otherwise categorical with categories in first-appearance order.
     schema_hint (a list of AttributeSchema, or a name->kind mapping) pins the
     kind of listed columns; hinted categories seed the category order.
+    A numeric cell must be finite: `nan`, `inf` and `infinity` tokens (any
+    case or sign) raise ParseError unless listed in missing_tokens.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -238,13 +240,21 @@ def load_csv(
             for i, cell in enumerate(col):
                 if cell is None:
                     records[i, j] = np.nan
-                elif _is_number(cell):
-                    records[i, j] = float(cell)
-                else:
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
                     raise ParseError(
                         f"{path}: line {linenos[i]}: non-numeric value {cell!r} in "
                         f"numeric column {name!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"{path}: line {linenos[i]}: non-finite value {cell!r} in "
+                        f"numeric column {name!r} (list it in missing_tokens to read "
+                        f"it as a missing cell)"
                     )
+                records[i, j] = value
             schema.append(AttributeSchema(name, NUMERIC))
         else:
             cats = list(hint.categories) if hint is not None and hint.categories != ("_",) else []
@@ -361,15 +371,21 @@ def split_target(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     return ds.subset(target_idx), ds.subset(test_idx)
 
 
-def repair_missing(ds: Dataset, mode: str) -> Dataset:
+def repair_missing(ds: Dataset, mode: str, reference: Dataset | None = None) -> Dataset:
     """Remove or fill missing cells.
 
     mode="srd" drops every record that has at least one missing cell;
     mode="impute" fills numeric cells with the attribute mean over observed
     values and categorical cells with the mode (ties -> lowest category index).
+    The statistics come from the observed cells of `reference` (same schema)
+    when given, else of ds itself.
     """
     if mode not in ("srd", "impute"):
         raise DataError(f"unknown repair mode {mode!r}")
+    if reference is None:
+        reference = ds
+    elif reference.schema != ds.schema:
+        raise SchemaError("the impute reference must share the dataset's schema")
     mask = ds.missing_mask()
     if not mask.any():
         return ds
@@ -383,7 +399,8 @@ def repair_missing(ds: Dataset, mode: str) -> Dataset:
         col_mask = mask[:, j]
         if not col_mask.any():
             continue
-        observed = records[~col_mask, j]
+        observed = reference.records[:, j]
+        observed = observed[~np.isnan(observed)]
         if observed.size == 0:
             raise DataError(f"attribute {attr.name!r} is entirely missing, cannot impute")
         if attr.kind == NUMERIC:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import Dataset, SplitSpec, encode_records, inject_missing, load_csv, \
     one_hot_encode, repair_missing, split_target
-from .errors import DataError, LeafBridgeError
+from .errors import DataError, LeafBridgeError, MissingValueError
 from .forest import Forest, predict_many, train_forest
 from .metrics import SIGN_TEST_Z_REF, evaluate, mean_ranks, nemenyi_cd, sign_test
 from .transfer import TransferConfig, run_transfer
@@ -83,28 +83,26 @@ class _ForestPredictor:
         if tuple(a.name for a in ds.schema) != tuple(a.name for a in self.raw_schema) or \
            tuple(a.kind for a in ds.schema) != tuple(a.kind for a in self.raw_schema):
             raise DataError("dataset schema does not match the forest's training schema")
-        raw = ds.records
-        if any(a.kind == "categorical" and a.categories != b.categories
-               for a, b in zip(ds.schema, self.raw_schema)):
+        if ds.has_missing():
+            raise MissingValueError("cannot predict records with missing cells")
+        raw = np.array(ds.records)
+        for j, (a, b) in enumerate(zip(ds.schema, self.raw_schema)):
+            if a.kind != "categorical" or a.categories == b.categories:
+                continue
             # re-index categories through the training schema's category order
-            raw = np.array(raw)
-            for j, (a, b) in enumerate(zip(ds.schema, self.raw_schema)):
-                if a.kind != "categorical":
-                    continue
-                lookup = {name: i for i, name in enumerate(b.categories)}
-                col = np.empty(ds.n)
-                for i in range(ds.n):
-                    name = a.categories[int(ds.records[i, j])]
-                    if name not in lookup:
-                        raise DataError(
-                            f"category {name!r} of column {a.name!r} unknown to the model"
-                        )
-                    col[i] = lookup[name]
-                raw[:, j] = col
-        encoded = encode_records(raw, self.raw_schema)
-        preds = predict_many(self.forest, encoded)
-        mapping = {name: i for i, name in enumerate(ds.class_names)}
-        return np.array([mapping.get(self.forest_classes[p], -1) for p in preds])
+            index = {name: i for i, name in enumerate(b.categories)}
+            lookup = np.array([index.get(name, -1) for name in a.categories])
+            col = lookup[raw[:, j].astype(np.int64)]
+            unknown = np.flatnonzero(col < 0)
+            if unknown.size:
+                name = a.categories[int(raw[unknown[0], j])]
+                raise DataError(f"category {name!r} of column {a.name!r} unknown to the model")
+            raw[:, j] = col
+        preds = predict_many(self.forest, encode_records(raw, self.raw_schema))
+        class_index = {name: i for i, name in enumerate(ds.class_names)}
+        mapping = np.array([class_index.get(name, -1) for name in self.forest_classes],
+                           dtype=np.int64)
+        return mapping[preds]
 
 
 def _train_method(method: str, src: Dataset, tgt: Dataset, cfg: TransferConfig):
@@ -145,14 +143,16 @@ def run_experiment(spec: ExperimentSpec, cfg: TransferConfig) -> "EvaluationRepo
     return EvaluationReport.assemble(spec, cfg, pair_results)
 
 
-def _prepare_missing(ds: Dataset, ratio, mode: str, seed: int) -> Dataset:
-    if ratio is not None:
-        ds = inject_missing(ds, ratio, seed)
+def _repair(ds: Dataset, mode: str, reference: Dataset | None = None) -> Dataset:
     if mode != "none":
-        ds = repair_missing(ds, mode)
-    elif ds.has_missing():
+        return repair_missing(ds, mode, reference)
+    if ds.has_missing():
         raise DataError("dataset has missing cells; set missing_mode to srd or impute")
     return ds
+
+
+def _inject(ds: Dataset, ratio, seed: int) -> Dataset:
+    return ds if ratio is None else inject_missing(ds, ratio, seed)
 
 
 def _run_pair(pair: PairSpec, spec: ExperimentSpec, cfg: TransferConfig, ratios):
@@ -166,8 +166,12 @@ def _run_pair(pair: PairSpec, spec: ExperimentSpec, cfg: TransferConfig, ratios)
         for r in range(spec.repeats):
             split = SplitSpec(spec.split.target_fraction, spec.split.seed + r)
             target_train, test = split_target(target_full, split)
-            src = _prepare_missing(source_full, ratio, spec.missing_mode, 2 * (cfg.seed + r))
-            tgt = _prepare_missing(target_train, ratio, spec.missing_mode, 2 * (cfg.seed + r) + 1)
+            src = _repair(_inject(source_full, ratio, 2 * (cfg.seed + r)), spec.missing_mode)
+            target_train = _inject(target_train, ratio, 2 * (cfg.seed + r) + 1)
+            tgt = _repair(target_train, spec.missing_mode)
+            # the test part is repaired by the same rule; impute fills its
+            # cells from the labeled target part, never from itself
+            test = _repair(test, spec.missing_mode, reference=target_train)
             run_cfg = replace(cfg, seed=cfg.seed + r)
             for method in spec.methods:
                 try:

@@ -6,6 +6,17 @@ scored on the multiplicities (exactly the Gini of the bootstrap rows), while
 leaf membership, class counts and the minimum-leaf-size rule use each record
 once. Leaves therefore carry the label statistics of the data, not of the
 resampling.
+
+Numeric split search is presorted. train_forest sorts every column once per
+call (`_presort`): the order of the records by value and its inverse, the
+rank of each record, both int32 (d, n) tables. A node sorts the integer
+ranks of its records for each sampled attribute, which orders the node's
+values without a float sort, and scores every boundary of every sampled
+numeric attribute in one class-major pass over cumulative sums of the
+integer bootstrap multiplicities. The chosen split, leaf numbering and
+random draws are those of scoring each attribute on its own with a stable
+float sort; tests/test_forest.py keeps that per-attribute search as the
+oracle. Categorical (one-vs-rest) attributes are still scored one at a time.
 """
 
 from __future__ import annotations
@@ -82,45 +93,64 @@ def _gini(weighted_counts: np.ndarray) -> float:
     return float(1.0 - (p * p).sum())
 
 
-def _best_numeric_split(values, labels, weights, n_classes, min_leaf):
-    """Best midpoint threshold for one attribute, or None.
+def _class_sums(q: np.ndarray) -> np.ndarray:
+    """Column sums of a class-major (C, K) array, rounded as numpy rounds
+    `q.T.sum(axis=1)` on a C-contiguous (K, C) array.
 
-    Returns (gain, threshold). Candidate thresholds are midpoints between
-    consecutive distinct sorted values; each side must keep at least
-    min_leaf distinct records.
+    numpy adds fewer than 8 values in sequence and 8 or more pairwise; a
+    reduction over axis 0 is always sequential, so only the short case takes
+    it.
     """
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    sy = labels[order]
-    sw = weights[order]
-    m = sv.shape[0]
-    onehot = np.zeros((m, n_classes))
-    onehot[np.arange(m), sy] = sw
-    left_counts = np.cumsum(onehot, axis=0)
-    total = left_counts[-1]
-    boundaries = np.flatnonzero(sv[:-1] < sv[1:])
-    if boundaries.size == 0:
+    if q.shape[0] < 8:
+        return q.sum(axis=0)
+    return np.ascontiguousarray(q.T).sum(axis=1)
+
+
+def _best_numeric_splits(X, order, rank, class_weights, idx, attrs, min_leaf):
+    """Best midpoint threshold over several numeric attributes of one node.
+
+    idx holds the node's distinct records, attrs the sampled numeric
+    attributes in ascending order. `order`/`rank` are the forest's presort
+    tables (see `_presort`) and class_weights[c][r] the tree's bootstrap
+    multiplicity of record r if its label is c, else 0. Returns (gain,
+    attribute, threshold) or None.
+
+    Candidate thresholds are midpoints between consecutive distinct sorted
+    values; each side must keep at least min_leaf distinct records. The
+    winner is the first maximal gain over attributes in ascending order,
+    then over boundaries in ascending order. Class counts are cumulative
+    sums of integer multiplicities, hence exact, and the Gini arithmetic is
+    that of one attribute scored on its own.
+    """
+    n_classes, n = class_weights.shape
+    m = idx.shape[0]
+    ranks = np.take(rank, attrs[:, None] * n + idx)
+    ranks.sort(axis=1)  # ranks are unique: this sorts each attribute by value
+    rec = np.take(order, attrs[:, None] * n + ranks).astype(np.intp)
+    values = np.take(X, rec * X.shape[1] + attrs[:, None])
+    # boundary i lies after sorted row i and leaves i + 1 records on the left
+    lo, hi = min_leaf - 1, m - min_leaf
+    cuts = np.zeros((attrs.size, m), dtype=bool)
+    cuts[:, lo:hi] = values[:, lo:hi] < values[:, lo + 1:hi + 1]
+    flat = np.flatnonzero(cuts)
+    if flat.size == 0:
         return None
-    left_n = boundaries + 1
-    right_n = m - left_n
-    valid = (left_n >= min_leaf) & (right_n >= min_leaf)
-    boundaries = boundaries[valid]
-    if boundaries.size == 0:
-        return None
-    lc = left_counts[boundaries]
-    rc = total[None, :] - lc
-    wl = lc.sum(axis=1)
-    wr = rc.sum(axis=1)
+    counts = np.cumsum(np.take(class_weights, rec, axis=1), axis=2, dtype=np.int32)
+    total = counts[:, 0, -1].astype(np.float64)
+    lc = np.take(counts.reshape(n_classes, -1), flat, axis=1).astype(np.float64)
+    wl = lc.sum(axis=0)
+    rc = total[:, None] - lc
+    wr = total.sum() - wl
     w = wl + wr
-    gini_l = 1.0 - ((lc / wl[:, None]) ** 2).sum(axis=1)
-    gini_r = 1.0 - ((rc / wr[:, None]) ** 2).sum(axis=1)
-    parent = _gini(total)
-    gains = parent - (wl * gini_l + wr * gini_r) / w
+    # in place: these (C, K) arrays span every boundary of every attribute
+    gini_l = 1.0 - _class_sums(np.square(np.divide(lc, wl, out=lc), out=lc))
+    gini_r = 1.0 - _class_sums(np.square(np.divide(rc, wr, out=rc), out=rc))
+    gains = _gini(total) - (wl * gini_l + wr * gini_r) / w
     best = int(np.argmax(gains))
     if gains[best] <= _GAIN_EPS:
         return None
-    i = boundaries[best]
-    return float(gains[best]), float((sv[i] + sv[i + 1]) / 2.0)
+    a, i = divmod(int(flat[best]), m)
+    return float(gains[best]), int(attrs[a]), float((values[a, i] + values[a, i + 1]) / 2.0)
 
 
 def _best_categorical_split(values, labels, weights, n_classes, min_leaf, n_categories):
@@ -147,30 +177,57 @@ def _best_categorical_split(values, labels, weights, n_classes, min_leaf, n_cate
     return best
 
 
+def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column order of the records by value and its inverse, int32 (d, n).
+
+    order[j] lists the records by ascending value of column j and rank[j][r]
+    is the position of record r in order[j], so sorting the ranks of any
+    record subset sorts the subset by value. Equal values may come in any
+    order: a split only sees the class counts of all records up to a value
+    and the values either side of a boundary, never the order of ties.
+    """
+    n, d = X.shape
+    if n > np.iinfo(np.int32).max:
+        raise DataError(f"train_forest supports at most {np.iinfo(np.int32).max} records")
+    order = np.empty((d, n), dtype=np.int32)
+    rank = np.empty((d, n), dtype=np.int32)
+    positions = np.arange(n, dtype=np.int32)
+    for j in range(d):
+        order[j] = np.argsort(X[:, j])
+        rank[j, order[j]] = positions
+    return order, rank
+
+
 class _TreeBuilder:
-    def __init__(self, X, y, n_classes, kinds, n_categories, min_leaf, rng):
+    """Grows one tree from the forest's `_presort` tables and the tree's
+    (n_classes, n) table of bootstrap multiplicities per record and label
+    (see `_best_numeric_splits`)."""
+
+    def __init__(self, X, y, kinds, n_categories, min_leaf, presorted, class_weights, rng):
         self.X = X
         self.y = y
-        self.n_classes = n_classes
+        self.n_classes = class_weights.shape[0]
         self.kinds = kinds
         self.n_categories = n_categories
         self.min_leaf = min_leaf
+        self.order, self.rank = presorted
+        self.class_weights = class_weights
         self.rng = rng
         self.n_attr_sample = max(1, math.ceil(math.sqrt(X.shape[1])))
         self.next_leaf_id = 0
 
-    def build(self, idx, weights) -> TreeNode:
+    def build(self, idx) -> TreeNode:
         labels = self.y[idx]
         if idx.shape[0] < 2 * self.min_leaf or np.all(labels == labels[0]):
             return self._leaf(idx, labels)
-        split = self._best_split(idx, weights, labels)
+        split = self._best_split(idx, labels)
         if split is None:
             return self._leaf(idx, labels)
         attr, threshold, category = split
         values = self.X[idx, attr]
         mask = values == category if category >= 0 else values <= threshold
-        left = self.build(idx[mask], weights[mask])
-        right = self.build(idx[~mask], weights[~mask])
+        left = self.build(idx[mask])
+        right = self.build(idx[~mask])
         return TreeNode(attribute=attr, threshold=threshold, category=category,
                         left=left, right=right)
 
@@ -183,28 +240,35 @@ class _TreeBuilder:
         self.next_leaf_id += 1
         return node
 
-    def _best_split(self, idx, weights, labels):
+    def _best_split(self, idx, labels):
+        """(attribute, threshold, category) of the best sampled split, or None.
+
+        Candidates are (gain, attribute, threshold, category); the highest
+        gain wins and a tie goes to the lowest attribute.
+        """
         d = self.X.shape[1]
-        sampled = self.rng.choice(d, size=min(self.n_attr_sample, d), replace=False)
-        best = None
-        for attr in sorted(int(a) for a in sampled):
-            values = self.X[idx, attr]
-            if self.kinds[attr] == 1:
-                found = _best_categorical_split(
-                    values, labels, weights, self.n_classes, self.min_leaf,
-                    self.n_categories[attr],
-                )
-                if found is not None and (best is None or found[0] > best[0]):
-                    best = (found[0], attr, math.nan, found[1])
-            else:
-                found = _best_numeric_split(
-                    values, labels, weights, self.n_classes, self.min_leaf,
-                )
-                if found is not None and (best is None or found[0] > best[0]):
-                    best = (found[0], attr, found[1], -1)
-        if best is None:
+        sampled = np.sort(self.rng.choice(d, size=min(self.n_attr_sample, d), replace=False))
+        candidates = []
+        numeric = sampled[self.kinds[sampled] == 0]
+        if numeric.size:
+            found = _best_numeric_splits(
+                self.X, self.order, self.rank, self.class_weights, idx, numeric,
+                self.min_leaf,
+            )
+            if found is not None:
+                candidates.append((*found, -1))
+        for attr in sampled[self.kinds[sampled] == 1]:
+            found = _best_categorical_split(
+                self.X[idx, attr], labels,
+                self.class_weights[labels, idx].astype(np.float64), self.n_classes,
+                self.min_leaf, self.n_categories[attr],
+            )
+            if found is not None:
+                candidates.append((found[0], int(attr), math.nan, found[1]))
+        if not candidates:
             return None
-        return best[1], best[2], best[3]
+        _, attr, threshold, category = max(candidates, key=lambda c: (c[0], -c[1]))
+        return attr, threshold, category
 
 
 def train_forest(ds: Dataset, n_trees: int = 10, min_leaf_size: int = 20,
@@ -229,16 +293,19 @@ def train_forest(ds: Dataset, n_trees: int = 10, min_leaf_size: int = 20,
     n_categories = np.array(
         [len(a.categories) if a.kind == CATEGORICAL else 0 for a in ds.schema]
     )
+    presorted = _presort(ds.records)
     trees = []
     for t in range(n_trees):
         rng = np.random.default_rng([seed, t])
         draws = rng.integers(0, ds.n, size=ds.n)
         idx, counts = np.unique(draws, return_counts=True)
+        class_weights = np.zeros((len(ds.class_names), ds.n), dtype=np.int32)
+        class_weights[ds.labels[idx], idx] = counts
         builder = _TreeBuilder(
-            ds.records, ds.labels, len(ds.class_names), kinds, n_categories,
-            min_leaf_size, rng,
+            ds.records, ds.labels, kinds, n_categories, min_leaf_size, presorted,
+            class_weights, rng,
         )
-        trees.append(builder.build(idx, counts.astype(np.float64)))
+        trees.append(builder.build(idx))
     return Forest(trees, ds.schema, ds.class_names, min_leaf_size, seed)
 
 

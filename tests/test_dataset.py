@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,36 @@ class TestLoadCsv:
         out = tmp_path / "copy.csv"
         write_csv(ds, out)
         assert ds.equals(load_csv(out, "label"))
+
+    @pytest.mark.parametrize("token", ["nan", "NaN", "-nan", "inf", "-inf", "+INF",
+                                       "Infinity", "-infinity"])
+    def test_non_finite_token_rejected(self, tmp_path, token):
+        path = tmp_path / "nf.csv"
+        path.write_text(f"a,b,label\n1,2,p\n3,{token},q\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"nf.csv: line 3: .*{re.escape(repr(token))}.*column 'b'"):
+            load_csv(path, "label")
+
+    def test_non_finite_token_listed_as_missing(self, tmp_path):
+        path = tmp_path / "nf.csv"
+        path.write_text("a,label\n1,p\nnan,q\n?,q\n", encoding="utf-8")
+        ds = load_csv(path, "label", missing_tokens=("?", "nan"))
+        assert ds.schema[0].kind == NUMERIC
+        assert np.isnan(ds.records[1:, 0]).all()
+
+    def test_non_finite_token_in_hinted_numeric_column(self, tmp_path):
+        path = tmp_path / "nf.csv"
+        path.write_text("a,label\nx,p\ninf,q\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2: non-numeric"):
+            load_csv(path, "label", schema_hint={"a": NUMERIC})
+        path.write_text("a,label\n1,p\ninf,q\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 3: non-finite"):
+            load_csv(path, "label", schema_hint={"a": NUMERIC})
+
+    def test_nan_word_in_text_column_is_a_category(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("a,label\nx,p\nnan,q\n", encoding="utf-8")
+        ds = load_csv(path, "label")
+        assert ds.schema[0] == AttributeSchema("a", CATEGORICAL, ("x", "nan"))
 
     def test_sidecar(self, tmp_path):
         side = tmp_path / "schema.txt"
@@ -197,6 +229,25 @@ class TestRepairMissing:
         ds = numeric_dataset([[np.nan], [np.nan]], [0, 0])
         with pytest.raises(EmptyDatasetError):
             repair_missing(ds, "srd")
+
+    def test_impute_from_reference(self):
+        schema = (AttributeSchema("a", NUMERIC), AttributeSchema("b", CATEGORICAL, ("x", "y")))
+        ds = Dataset(schema, [[np.nan, 0.0], [100.0, np.nan]], [0, 0], ("p",))
+        reference = Dataset(schema, [[1.0, 1.0], [np.nan, 1.0], [4.0, 0.0]], [0] * 3, ("p",))
+        out = repair_missing(ds, "impute", reference=reference)
+        np.testing.assert_array_equal(out.records, [[2.5, 0.0], [100.0, 1.0]])
+
+    def test_impute_reference_schema_must_match(self):
+        ds = numeric_dataset([[np.nan]], [0])
+        other = numeric_dataset([[1.0, 2.0]], [0])
+        with pytest.raises(SchemaError):
+            repair_missing(ds, "impute", reference=other)
+
+    def test_impute_reference_column_entirely_missing(self):
+        ds = numeric_dataset([[np.nan, 1.0]], [0])
+        reference = numeric_dataset([[np.nan, 1.0], [np.nan, 2.0]], [0, 0])
+        with pytest.raises(DataError, match="entirely missing"):
+            repair_missing(ds, "impute", reference=reference)
 
     def test_impute_entirely_missing_column(self):
         ds = numeric_dataset([[np.nan, 1.0], [np.nan, 2.0]], [0, 0])

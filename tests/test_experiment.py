@@ -4,15 +4,27 @@ import json
 import numpy as np
 import pytest
 
-from leafbridge.dataset import SplitSpec, write_csv
+from leafbridge.dataset import (
+    CATEGORICAL,
+    NUMERIC,
+    AttributeSchema,
+    Dataset,
+    SplitSpec,
+    encode_records,
+    inject_missing,
+    load_csv,
+    write_csv,
+)
 from leafbridge.errors import DataError
 from leafbridge.experiment import (
     EvaluationReport,
     ExperimentSpec,
     PairSpec,
+    _ForestPredictor,
     parse_config,
     run_experiment,
 )
+from leafbridge.forest import predict_many, train_forest
 from leafbridge.synthetic import rotated_pair
 from leafbridge.transfer import TransferConfig
 
@@ -117,6 +129,104 @@ class TestRunExperiment:
         diag = report.pairs[0]["diagnostics"]
         assert diag["n_pivots"] is not None
         assert "fallback_runs" in diag
+
+
+@pytest.fixture(scope="module")
+def native_missing_files(tmp_path_factory):
+    """A 400-row pair whose target CSV carries native `?` cells."""
+    root = tmp_path_factory.mktemp("native")
+    src, tgt = rotated_pair(n_source=400, n_target=400, center_spread=2.0,
+                            cluster_std=2.0, seed=1)
+    src_path, tgt_path = root / "src.csv", root / "tgt_missing.csv"
+    # shared column names, so that source_only can score the target too
+    write_csv(Dataset(tgt.schema, src.records, src.labels, src.class_names), src_path)
+    write_csv(inject_missing(tgt, 0.3, seed=2), tgt_path)
+    assert "?" in tgt_path.read_text(encoding="utf-8")
+    return str(src_path), str(tgt_path)
+
+
+class TestNativeMissingTarget:
+    @pytest.mark.parametrize("mode", ["srd", "impute"])
+    def test_every_method_scores(self, native_missing_files, mode):
+        spec = ExperimentSpec(
+            pairs=(PairSpec(*native_missing_files),),
+            split=SplitSpec(0.1, 0),
+            missing_mode=mode,
+        )
+        report = run_experiment(spec, small_cfg())
+        methods = report.pairs[0]["methods"]
+        for method in spec.methods:
+            assert "accuracy" in methods[method], methods[method]
+            assert "failed_runs" not in methods[method]
+
+    def test_mode_none_fails_the_pair_early(self, native_missing_files):
+        spec = ExperimentSpec(pairs=(PairSpec(*native_missing_files),),
+                              split=SplitSpec(0.1, 0))
+        report = run_experiment(spec, small_cfg())
+        assert "set missing_mode" in report.pairs[0]["error"]
+
+
+def loop_forest_predict(predictor, ds):
+    """Reference: remap categories and class names one record at a time."""
+    raw = np.array(ds.records)
+    for j, (a, b) in enumerate(zip(ds.schema, predictor.raw_schema)):
+        if a.kind != CATEGORICAL:
+            continue
+        lookup = {name: i for i, name in enumerate(b.categories)}
+        for i in range(ds.n):
+            name = a.categories[int(ds.records[i, j])]
+            if name not in lookup:
+                raise DataError(f"category {name!r} of column {a.name!r} unknown to the model")
+            raw[i, j] = lookup[name]
+    preds = predict_many(predictor.forest, encode_records(raw, predictor.raw_schema))
+    mapping = {name: i for i, name in enumerate(ds.class_names)}
+    return np.array([mapping.get(predictor.forest_classes[p], -1) for p in preds])
+
+
+class TestForestPredictor:
+    @staticmethod
+    def predictor(rng):
+        schema = (AttributeSchema("a", NUMERIC), AttributeSchema("b", CATEGORICAL, ("x", "y", "z")),
+                  AttributeSchema("c", CATEGORICAL, ("u", "v")))
+        X = np.column_stack([rng.normal(size=300), rng.integers(0, 3, 300),
+                             rng.integers(0, 2, 300)])
+        y = (X[:, 0] + (X[:, 1] == 1) - (X[:, 2] == 0) > 0).astype(int) + (X[:, 1] == 2)
+        train = Dataset(schema, X, y, ("lo", "mid", "hi"))
+        encoded = Dataset(
+            tuple(AttributeSchema(f"e{k}", NUMERIC) for k in range(6)),
+            encode_records(X, schema), y, train.class_names,
+        )
+        forest = train_forest(encoded, n_trees=5, min_leaf_size=5, seed=0)
+        return _ForestPredictor(forest, schema, train.class_names)
+
+    def test_matches_loop_on_reordered_categories(self):
+        rng = np.random.default_rng(6)
+        predictor = self.predictor(rng)
+        # another file: categories and classes in another order, one class unknown
+        schema = (AttributeSchema("a", NUMERIC), AttributeSchema("b", CATEGORICAL, ("z", "x", "y")),
+                  AttributeSchema("c", CATEGORICAL, ("v", "u")))
+        X = np.column_stack([rng.normal(size=500), rng.integers(0, 3, 500),
+                             rng.integers(0, 2, 500)])
+        ds = Dataset(schema, X, rng.integers(0, 3, 500), ("hi", "other", "lo"))
+        got = predictor.predict_many(ds)
+        want = loop_forest_predict(predictor, ds)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        assert set(np.unique(got)) >= {-1, 0, 2}
+
+    def test_unknown_category_message_unchanged(self):
+        rng = np.random.default_rng(7)
+        predictor = self.predictor(rng)
+        schema = (AttributeSchema("a", NUMERIC), AttributeSchema("b", CATEGORICAL, ("x", "q", "w")),
+                  AttributeSchema("c", CATEGORICAL, ("u", "v")))
+        ds = Dataset(schema, [[0.0, 0.0, 0.0], [1.0, 2.0, 1.0], [1.0, 1.0, 1.0]],
+                     [0, 0, 0], ("lo",))
+        with pytest.raises(DataError) as got:
+            predictor.predict_many(ds)
+        with pytest.raises(DataError) as want:
+            loop_forest_predict(predictor, ds)
+        assert str(got.value) == str(want.value) == \
+            "category 'w' of column 'b' unknown to the model"
 
 
 class TestReports:

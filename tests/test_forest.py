@@ -1,13 +1,21 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from leafbridge.dataset import CATEGORICAL, NUMERIC, AttributeSchema, Dataset
+from leafbridge import forest as forest_module
+from leafbridge.dataset import CATEGORICAL, NUMERIC, AttributeSchema, Dataset, one_hot_encode
 from leafbridge.errors import EmptyDatasetError, MissingValueError, SchemaError
 from leafbridge.forest import (
     Forest,
     TreeNode,
+    _best_categorical_split,
+    _best_numeric_splits,
+    _class_sums,
+    _gini,
+    _presort,
     collect_leaves,
     forest_from_json,
     forest_to_json,
@@ -16,6 +24,89 @@ from leafbridge.forest import (
     train_forest,
 )
 from conftest import numeric_dataset
+
+_GAIN_EPS = forest_module._GAIN_EPS
+
+
+# Reference split search: one attribute at a time, each with its own float
+# argsort, one-hot cumulative counts and row-wise class sums. The presorted,
+# node-batched search in leafbridge.forest must reproduce it bit for bit.
+
+def oracle_numeric_split(values, labels, weights, n_classes, min_leaf):
+    """Best midpoint threshold for one attribute, or None.
+
+    Returns (gain, threshold). Candidate thresholds are midpoints between
+    consecutive distinct sorted values; each side must keep at least
+    min_leaf distinct records.
+    """
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    sy = labels[order]
+    sw = weights[order]
+    m = sv.shape[0]
+    onehot = np.zeros((m, n_classes))
+    onehot[np.arange(m), sy] = sw
+    left_counts = np.cumsum(onehot, axis=0)
+    total = left_counts[-1]
+    boundaries = np.flatnonzero(sv[:-1] < sv[1:])
+    if boundaries.size == 0:
+        return None
+    left_n = boundaries + 1
+    right_n = m - left_n
+    valid = (left_n >= min_leaf) & (right_n >= min_leaf)
+    boundaries = boundaries[valid]
+    if boundaries.size == 0:
+        return None
+    lc = left_counts[boundaries]
+    rc = total[None, :] - lc
+    wl = lc.sum(axis=1)
+    wr = rc.sum(axis=1)
+    w = wl + wr
+    gini_l = 1.0 - ((lc / wl[:, None]) ** 2).sum(axis=1)
+    gini_r = 1.0 - ((rc / wr[:, None]) ** 2).sum(axis=1)
+    parent = _gini(total)
+    gains = parent - (wl * gini_l + wr * gini_r) / w
+    best = int(np.argmax(gains))
+    if gains[best] <= _GAIN_EPS:
+        return None
+    i = boundaries[best]
+    return float(gains[best]), float((sv[i] + sv[i + 1]) / 2.0)
+
+
+def oracle_numeric_splits(X, labels, weights, idx, attrs, n_classes, min_leaf):
+    """The per-attribute loop: the first strictly better gain wins."""
+    best = None
+    for attr in attrs:
+        found = oracle_numeric_split(X[idx, attr], labels[idx], weights[idx],
+                                     n_classes, min_leaf)
+        if found is not None and (best is None or found[0] > best[0]):
+            best = (found[0], int(attr), found[1])
+    return best
+
+
+class OracleBuilder(forest_module._TreeBuilder):
+    """The tree builder with the reference split search swapped in."""
+
+    def _best_split(self, idx, labels):
+        d = self.X.shape[1]
+        sampled = self.rng.choice(d, size=min(self.n_attr_sample, d), replace=False)
+        weights = self.class_weights[labels, idx].astype(np.float64)
+        best = None
+        for attr in sorted(int(a) for a in sampled):
+            values = self.X[idx, attr]
+            if self.kinds[attr] == 1:
+                found = _best_categorical_split(values, labels, weights, self.n_classes,
+                                                self.min_leaf, self.n_categories[attr])
+                if found is not None and (best is None or found[0] > best[0]):
+                    best = (found[0], attr, math.nan, found[1])
+            else:
+                found = oracle_numeric_split(values, labels, weights, self.n_classes,
+                                             self.min_leaf)
+                if found is not None and (best is None or found[0] > best[0]):
+                    best = (found[0], attr, found[1], -1)
+        if best is None:
+            return None
+        return best[1], best[2], best[3]
 
 
 def two_class_dataset(n=200, seed=0):
@@ -90,6 +181,162 @@ class TestTraining:
         ds = Dataset(schema, cats[:, None], labels, ("p", "q"))
         forest = train_forest(ds, n_trees=5, min_leaf_size=5, seed=0)
         np.testing.assert_array_equal(predict_many(forest, cats[:, None]), labels)
+
+
+class TestSplitSearch:
+    @pytest.mark.parametrize("n_classes", [2, 3, 7, 8, 9, 12])
+    def test_class_sums_match_row_sums(self, n_classes):
+        q = np.random.default_rng(n_classes).random((n_classes, 5000)) ** 2
+        got = _class_sums(q)
+        want = np.ascontiguousarray(q.T).sum(axis=1)
+        assert got.tobytes() == want.tobytes()
+
+    def test_sequential_sum_differs_from_numpy_from_eight_classes(self):
+        # why _class_sums has two cases: numpy adds 8+ values pairwise
+        q = np.random.default_rng(0).random((8, 5000)) ** 2
+        sequential = q.sum(axis=0)
+        assert not np.array_equal(sequential, np.ascontiguousarray(q.T).sum(axis=1))
+
+    @staticmethod
+    def random_data(rng, n, d, n_classes):
+        """Columns with continuous values, heavy ties, 0/1 cells, one constant."""
+        X = rng.normal(size=(n, d))
+        X[:, 1] = np.round(X[:, 1] * 2) / 2
+        X[:, 2] = rng.integers(0, 2, n)
+        X[:, 3] = 7.25
+        X[:, 4] = -X[:, 4] * 0.0  # signed zeros compare equal
+        y = rng.integers(0, n_classes, n)
+        draws = rng.integers(0, n, n)
+        return X, y, draws
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 7, 8, 9, 12])
+    def test_matches_oracle_on_random_nodes(self, n_classes):
+        rng = np.random.default_rng(100 + n_classes)
+        n, d = 400, 8
+        X, y, draws = self.random_data(rng, n, d, n_classes)
+        order, rank = _presort(X)
+        in_bag, counts = np.unique(draws, return_counts=True)
+        class_weights = np.zeros((n_classes, n), dtype=np.int32)
+        class_weights[y[in_bag], in_bag] = counts
+        weights = class_weights.sum(axis=0).astype(np.float64)
+        outcomes = {"split": 0, "none": 0}
+        for trial in range(60):
+            # every third node is pure, every fifth sees only flat columns
+            pool = in_bag[y[in_bag] == 0] if trial % 3 == 0 else in_bag
+            m = int(rng.integers(2, pool.size + 1))
+            idx = np.sort(rng.choice(pool, size=m, replace=False))
+            columns = np.array([3, 4]) if trial % 5 == 0 else np.arange(d)
+            attrs = np.sort(rng.choice(columns, size=int(rng.integers(1, columns.size + 1)),
+                                       replace=False))
+            for min_leaf in sorted({1, max(1, m // 2), int(rng.integers(1, m // 2 + 1))}):
+                got = _best_numeric_splits(X, order, rank, class_weights, idx, attrs, min_leaf)
+                want = oracle_numeric_splits(X, y, weights, idx, attrs, n_classes, min_leaf)
+                assert got == want, (trial, min_leaf)
+                if got is not None:
+                    assert isinstance(got[1], int)
+                    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+                outcomes["none" if got is None else "split"] += 1
+        assert min(outcomes.values()) > 10
+
+    def test_constant_node_has_no_split(self):
+        X = np.full((30, 2), 3.0)
+        order, rank = _presort(X)
+        class_weights = np.ones((2, 30), dtype=np.int32)
+        class_weights[0, ::2] = 0
+        class_weights[1, 1::2] = 0
+        got = _best_numeric_splits(X, order, rank, class_weights, np.arange(30),
+                                   np.array([0, 1]), 1)
+        assert got is None
+
+    @staticmethod
+    def mixed_dataset(rng, n=300):
+        schema = (
+            AttributeSchema("a", NUMERIC),
+            AttributeSchema("b", CATEGORICAL, ("x", "y", "z", "w")),
+            AttributeSchema("c", NUMERIC),
+            AttributeSchema("d", CATEGORICAL, ("p", "q")),
+            AttributeSchema("e", NUMERIC),
+        )
+        X = np.column_stack([
+            rng.normal(size=n),
+            rng.integers(0, 4, n),
+            np.round(rng.normal(size=n), 1),
+            rng.integers(0, 2, n),
+            rng.normal(size=n),
+        ])
+        y = (X[:, 0] + (X[:, 1] == 2) + 0.5 * X[:, 3] + rng.normal(size=n) > 0.6).astype(int)
+        y[rng.random(n) < 0.2] = 2
+        return Dataset(schema, X, y, ("p", "q", "r"))
+
+    def datasets(self):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(500, 6))
+        X[:, 5] = np.round(X[:, 5])
+        y = np.digitize(X[:, 0] + 0.5 * X[:, 1] + rng.normal(size=500), [-1, 0, 1])
+        numeric = numeric_dataset(X, y)
+        mixed = self.mixed_dataset(rng)
+        categorical = Dataset(
+            mixed.schema[1:2] + mixed.schema[3:4], mixed.records[:, [1, 3]],
+            mixed.labels, mixed.class_names,
+        )
+        many_classes = numeric_dataset(rng.normal(size=(600, 5)), rng.integers(0, 9, 600))
+        return {"numeric": numeric, "one_hot": one_hot_encode(mixed),
+                "categorical": categorical, "mixed": mixed, "nine_classes": many_classes}
+
+    @pytest.mark.parametrize("min_leaf", [1, 5, 40])
+    def test_forest_json_matches_oracle_builder(self, monkeypatch, min_leaf):
+        for name, ds in self.datasets().items():
+            got = forest_to_json(train_forest(ds, n_trees=4, min_leaf_size=min_leaf, seed=3))
+            with monkeypatch.context() as patch:
+                patch.setattr(forest_module, "_TreeBuilder", OracleBuilder)
+                want = forest_to_json(
+                    train_forest(ds, n_trees=4, min_leaf_size=min_leaf, seed=3))
+            assert got == want, name
+
+    def test_presort_tables(self):
+        X = np.array([[2.0, 0.0], [1.0, -0.0], [2.0, 0.0], [0.5, 1.0]])
+        order, rank = _presort(X)
+        assert order.dtype == rank.dtype == np.int32
+        for j in range(2):
+            assert (np.diff(X[order[j], j]) >= 0).all()
+            np.testing.assert_array_equal(order[j][rank[j]], np.arange(4))
+
+    def test_tie_order_does_not_matter(self):
+        # presort tables with ties by ascending and by descending record id
+        rng = np.random.default_rng(8)
+        n, d, n_classes = 300, 5, 3
+        X, y, draws = self.random_data(rng, n, d, n_classes)
+        tables = []
+        for sign in (1, -1):
+            order = np.array([np.lexsort((sign * np.arange(n), X[:, j])) for j in range(d)],
+                             dtype=np.int32)
+            rank = np.empty_like(order)
+            for j in range(d):
+                rank[j, order[j]] = np.arange(n, dtype=np.int32)
+            tables.append((order, rank))
+        in_bag, counts = np.unique(draws, return_counts=True)
+        class_weights = np.zeros((n_classes, n), dtype=np.int32)
+        class_weights[y[in_bag], in_bag] = counts
+        attrs = np.arange(d)
+        for m in (10, 60, in_bag.size):
+            idx = np.sort(rng.choice(in_bag, size=m, replace=False))
+            for min_leaf in (1, 3):
+                a, b = (_best_numeric_splits(X, order, rank, class_weights, idx, attrs,
+                                             min_leaf) for order, rank in tables)
+                assert a is not None and a == b
+
+    def test_presort_tables_memory(self):
+        n, d = 12000, 40
+        X = np.random.default_rng(4).normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            _presort(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the two int32 tables plus per-column temporaries, not a (d, n)
+        # int64 argsort of the whole matrix
+        assert peak <= 8 * d * n + 32 * n + 65536
 
 
 class TestLeaves:
