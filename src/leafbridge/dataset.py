@@ -131,12 +131,27 @@ class Dataset:
         return bool(np.array_equal(self.records, other.records, equal_nan=True))
 
 
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
+def _parse_numeric(col):
+    """Parse a column's cells (None for a missing cell) with float().
+
+    Returns (values, bad, nonfinite): the floats so far (NaN for missing
+    cells), the position of the first cell float() rejects (parsing stops
+    there) or None, and the position of the first present cell that parsed
+    to a non-finite value or None.
+    """
+    values = np.full(len(col), np.nan)
+    nonfinite = None
+    for i, cell in enumerate(col):
+        if cell is None:
+            continue
+        try:
+            value = float(cell)
+        except ValueError:
+            return values, i, nonfinite
+        if nonfinite is None and not math.isfinite(value):
+            nonfinite = i
+        values[i] = value
+    return values, None, nonfinite
 
 
 def read_schema_sidecar(path) -> dict[str, str]:
@@ -231,30 +246,24 @@ def load_csv(
     for j, name in enumerate(attr_names):
         col = columns[name]
         hint = hints.get(name)
-        if hint is not None:
-            kind = hint.kind
+        if hint is not None and hint.kind == CATEGORICAL:
+            kind = CATEGORICAL
         else:
-            present = [c for c in col if c is not None]
-            kind = NUMERIC if all(_is_number(c) for c in present) else CATEGORICAL
+            values, bad, nonfinite = _parse_numeric(col)
+            kind = NUMERIC if hint is not None or bad is None else CATEGORICAL
         if kind == NUMERIC:
-            for i, cell in enumerate(col):
-                if cell is None:
-                    records[i, j] = np.nan
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: line {linenos[i]}: non-numeric value {cell!r} in "
-                        f"numeric column {name!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"{path}: line {linenos[i]}: non-finite value {cell!r} in "
-                        f"numeric column {name!r} (list it in missing_tokens to read "
-                        f"it as a missing cell)"
-                    )
-                records[i, j] = value
+            if nonfinite is not None:
+                raise ParseError(
+                    f"{path}: line {linenos[nonfinite]}: non-finite value "
+                    f"{col[nonfinite]!r} in numeric column {name!r} (list it in "
+                    f"missing_tokens to read it as a missing cell)"
+                )
+            if bad is not None:
+                raise ParseError(
+                    f"{path}: line {linenos[bad]}: non-numeric value {col[bad]!r} in "
+                    f"numeric column {name!r}"
+                )
+            records[:, j] = values
             schema.append(AttributeSchema(name, NUMERIC))
         else:
             cats = list(hint.categories) if hint is not None and hint.categories != ("_",) else []
@@ -282,7 +291,17 @@ def load_csv(
 
 
 def write_csv(ds: Dataset, path, label_column: str = "label", missing_token: str = "?"):
-    """Write a Dataset to CSV so that load_csv reads back an identical dataset."""
+    """Write a Dataset to CSV so that load_csv reads back an identical dataset.
+
+    Raises DataError on an infinite cell, which load_csv would not read back.
+    """
+    infinite = np.argwhere(np.isinf(ds.records))
+    if infinite.size:
+        i, j = (int(v) for v in infinite[0])
+        raise DataError(
+            f"cannot write record {i}: attribute {ds.schema[j].name!r} is "
+            f"{ds.records[i, j]!r}, which load_csv rejects"
+        )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([a.name for a in ds.schema] + [label_column])

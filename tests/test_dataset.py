@@ -101,6 +101,18 @@ class TestLoadCsv:
         path.write_text("a,label\n1,p\ninf,q\n", encoding="utf-8")
         with pytest.raises(ParseError, match="line 3: non-finite"):
             load_csv(path, "label", schema_hint={"a": NUMERIC})
+        # the first offending cell is reported, whichever kind of fault it has
+        path.write_text("a,label\n1,p\ninf,q\nx,q\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 3: non-finite"):
+            load_csv(path, "label", schema_hint={"a": NUMERIC})
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_write_rejects_infinite_cell(self, tmp_path, value):
+        ds = numeric_dataset([[1.0, 2.0], [3.0, value]], [0, 1])
+        out = tmp_path / "inf.csv"
+        with pytest.raises(DataError, match=r"record 1: attribute .*inf"):
+            write_csv(ds, out)
+        assert not out.exists()
 
     def test_nan_word_in_text_column_is_a_category(self, tmp_path):
         path = tmp_path / "c.csv"

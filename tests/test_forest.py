@@ -209,8 +209,13 @@ class TestSplitSearch:
         draws = rng.integers(0, n, n)
         return X, y, draws
 
+    @pytest.mark.parametrize("block", [None, 1, 2000])
     @pytest.mark.parametrize("n_classes", [2, 3, 7, 8, 9, 12])
-    def test_matches_oracle_on_random_nodes(self, n_classes):
+    def test_matches_oracle_on_random_nodes(self, monkeypatch, n_classes, block):
+        # block: None keeps SPLIT_BLOCK_ELEMENTS, 1 scores one attribute per
+        # block, 2000 a few attributes per block on the smaller nodes
+        if block is not None:
+            monkeypatch.setattr(forest_module, "SPLIT_BLOCK_ELEMENTS", block)
         rng = np.random.default_rng(100 + n_classes)
         n, d = 400, 8
         X, y, draws = self.random_data(rng, n, d, n_classes)
@@ -283,10 +288,15 @@ class TestSplitSearch:
         return {"numeric": numeric, "one_hot": one_hot_encode(mixed),
                 "categorical": categorical, "mixed": mixed, "nine_classes": many_classes}
 
+    @pytest.mark.parametrize("block", [None, 1])
     @pytest.mark.parametrize("min_leaf", [1, 5, 40])
-    def test_forest_json_matches_oracle_builder(self, monkeypatch, min_leaf):
+    def test_forest_json_matches_oracle_builder(self, monkeypatch, min_leaf, block):
         for name, ds in self.datasets().items():
-            got = forest_to_json(train_forest(ds, n_trees=4, min_leaf_size=min_leaf, seed=3))
+            with monkeypatch.context() as patch:
+                if block is not None:
+                    patch.setattr(forest_module, "SPLIT_BLOCK_ELEMENTS", block)
+                got = forest_to_json(
+                    train_forest(ds, n_trees=4, min_leaf_size=min_leaf, seed=3))
             with monkeypatch.context() as patch:
                 patch.setattr(forest_module, "_TreeBuilder", OracleBuilder)
                 want = forest_to_json(
@@ -337,6 +347,30 @@ class TestSplitSearch:
         # the two int32 tables plus per-column temporaries, not a (d, n)
         # int64 argsort of the whole matrix
         assert peak <= 8 * d * n + 32 * n + 65536
+
+    @pytest.mark.parametrize("n_classes", [2, 12])
+    def test_split_search_memory(self, n_classes):
+        # a wide node: 20 sampled attributes of 4000 records are 320k
+        # (2 classes) or 1.1M (12 classes) cells, scored in blocks
+        n, d = 4000, 400
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(n, d))
+        order, rank = _presort(X)
+        class_weights = np.zeros((n_classes, n), dtype=np.int32)
+        class_weights[rng.integers(0, n_classes, n), np.arange(n)] = 1
+        idx = np.arange(n)
+        attrs = np.arange(0, d, 20)
+        tracemalloc.start()
+        try:
+            found = _best_numeric_splits(X, order, rank, class_weights, idx, attrs, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found is not None
+        # one block of 2^16 cells (or one attribute) at about 32 bytes a
+        # cell, not the whole node (about 31 MiB at 12 classes)
+        block = max(1 << 16, (n_classes + 2) * n)
+        assert peak <= 40 * block + 65536
 
 
 class TestLeaves:
