@@ -9,12 +9,12 @@ from leafbridge import (
     SplitSpec,
     TransferConfig,
     evaluate,
+    fit_forest,
     one_hot_encode,
     predict_many,
     rotated_pair,
     run_transfer,
     split_target,
-    train_forest,
 )
 
 # One blob task, two feature spaces: the source records are an invertible
@@ -35,8 +35,7 @@ transfer_metrics = evaluate(model, test)
 
 # Baseline: a forest trained on the 30 target records alone. With the
 # protocol's minimum leaf size it cannot even split, so it is near chance.
-baseline = train_forest(one_hot_encode(target), cfg.n_trees,
-                        cfg.min_leaf_for(target.n), cfg.seed)
+baseline = fit_forest(one_hot_encode(target), cfg)
 base_acc = float(np.mean(predict_many(baseline, test.records) == test.labels))
 
 print(f"\ntest accuracy with transfer: {transfer_metrics.accuracy:.3f} "

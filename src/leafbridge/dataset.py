@@ -134,10 +134,14 @@ class Dataset:
 def _parse_numeric(col):
     """Parse a column's cells (None for a missing cell) with float().
 
+    float() also reads digit-group underscores (`1_000` as 1000.0), which a
+    CSV cell never means, so a cell holding `_` counts as rejected; it keeps
+    float()'s acceptance of surrounding spaces (` 2 ` is 2.0).
+
     Returns (values, bad, nonfinite): the floats so far (NaN for missing
-    cells), the position of the first cell float() rejects (parsing stops
-    there) or None, and the position of the first present cell that parsed
-    to a non-finite value or None.
+    cells), the position of the first rejected cell (parsing stops there)
+    or None, and the position of the first present cell that parsed to a
+    non-finite value or None.
     """
     values = np.full(len(col), np.nan)
     nonfinite = None
@@ -147,6 +151,8 @@ def _parse_numeric(col):
         try:
             value = float(cell)
         except ValueError:
+            value = None
+        if value is None or "_" in cell:
             return values, i, nonfinite
         if nonfinite is None and not math.isfinite(value):
             nonfinite = i
@@ -190,7 +196,10 @@ def load_csv(
     schema_hint (a list of AttributeSchema, or a name->kind mapping) pins the
     kind of listed columns; hinted categories seed the category order.
     A numeric cell must be finite: `nan`, `inf` and `infinity` tokens (any
-    case or sign) raise ParseError unless listed in missing_tokens.
+    case or sign) raise ParseError unless listed in missing_tokens. A cell
+    holding an underscore (`1_000`) is not a number, so its column is
+    categorical, or a ParseError under a numeric hint; spaces around a
+    number are accepted (` 2 ` reads as 2.0).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

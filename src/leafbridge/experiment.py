@@ -6,6 +6,12 @@ by default), every requested method is trained and scored on the test part,
 and cells are averaged over repeats. Reports are written as JSON plus a flat
 CSV accuracy table, and the per-pair accuracies feed a right-tailed sign
 test and a Nemenyi critical-difference analysis at pair and group level.
+
+A cell (one inject ratio and one repeat) trains its source and target
+forests at most once, when the first method asks for them: `tlf`'s domain
+forests are the `source_only` and `target_only` baselines, so a cell trains
+at most three forests (the third is tlf's final forest) and holds the two
+domain forests until it ends.
 """
 
 from __future__ import annotations
@@ -21,9 +27,9 @@ import numpy as np
 from .dataset import Dataset, SplitSpec, encode_records, inject_missing, load_csv, \
     one_hot_encode, repair_missing, split_target
 from .errors import DataError, LeafBridgeError, MissingValueError
-from .forest import Forest, predict_many, train_forest
+from .forest import Forest, predict_many
 from .metrics import SIGN_TEST_Z_REF, evaluate, mean_ranks, nemenyi_cd, sign_test
-from .transfer import TransferConfig, run_transfer
+from .transfer import DomainForests, TransferConfig, run_transfer
 
 logger = logging.getLogger("leafbridge")
 
@@ -60,6 +66,9 @@ class ExperimentSpec:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise DataError(f"unknown methods {unknown}; choose from {METHODS}")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise DataError(f"methods {repeated} listed more than once")
         if self.missing_mode not in ("none", "srd", "impute"):
             raise DataError(f"unknown missing mode {self.missing_mode!r}")
         if self.missing_mode == "none" and self.inject_ratios:
@@ -105,16 +114,16 @@ class _ForestPredictor:
         return mapping[preds]
 
 
-def _train_method(method: str, src: Dataset, tgt: Dataset, cfg: TransferConfig):
+def _train_method(method: str, src: Dataset, tgt: Dataset, cfg: TransferConfig,
+                  forests: DomainForests):
+    """Model of one method; the domain forests come from the cell's holder."""
     if method == "tlf":
-        return run_transfer(src, tgt, cfg)
+        return run_transfer(src, tgt, cfg, forests)
     if method == "target_only":
-        encoded = one_hot_encode(tgt)
-        forest = train_forest(encoded, cfg.n_trees, cfg.min_leaf_for(encoded.n), cfg.seed)
+        forest = forests.get("target", one_hot_encode(tgt), cfg)
         return _ForestPredictor(forest, tgt.schema, tgt.class_names)
     if method == "source_only":
-        encoded = one_hot_encode(src)
-        forest = train_forest(encoded, cfg.n_trees, cfg.min_leaf_for(encoded.n), cfg.seed)
+        forest = forests.get("source", one_hot_encode(src), cfg)
         return _ForestPredictor(forest, src.schema, src.class_names)
     raise DataError(f"unknown method {method!r}")
 
@@ -173,9 +182,10 @@ def _run_pair(pair: PairSpec, spec: ExperimentSpec, cfg: TransferConfig, ratios)
             # cells from the labeled target part, never from itself
             test = _repair(test, spec.missing_mode, reference=target_train)
             run_cfg = replace(cfg, seed=cfg.seed + r)
+            forests = DomainForests()
             for method in spec.methods:
                 try:
-                    model = _train_method(method, src, tgt, run_cfg)
+                    model = _train_method(method, src, tgt, run_cfg, forests)
                     method_metrics[method].append(evaluate(model, test))
                 except LeafBridgeError as exc:
                     method_errors[method].append(f"{type(exc).__name__}: {exc}")

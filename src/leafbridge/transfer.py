@@ -6,13 +6,19 @@ projection matrix, projects the source records that belong to matched source
 pivots into the target feature space, merges them with the target data and
 trains the final forest. If no pivots match (or nothing survives selection)
 the model falls back to the target-only forest.
+
+Every forest of the pipeline is trained by `fit_forest`, the one place that
+turns a TransferConfig into training parameters. A caller that scores other
+methods on the same data passes a `DomainForests` holder: run_transfer fills
+its empty slots with the domain forests it trains and reuses filled ones, so
+the caller's source-only and target-only baselines share them.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -108,20 +114,7 @@ class TransferModel:
                 {"name": a.name, "kind": a.kind, "categories": list(a.categories)}
                 for a in self.raw_schema
             ],
-            "config": {
-                "n_trees": self.config.n_trees,
-                "min_leaf_small": self.config.min_leaf_small,
-                "min_leaf_large": self.config.min_leaf_large,
-                "large_threshold": self.config.large_threshold,
-                "pivot_threshold": self.config.pivot_threshold,
-                "ridge": self.config.ridge,
-                "mmd": self.config.mmd,
-                "manifold": self.config.manifold,
-                "kernel": self.config.kernel,
-                "alpha_mode": self.config.alpha_mode,
-                "mmd_cross_term": self.config.mmd_cross_term,
-                "seed": self.config.seed,
-            },
+            "config": asdict(self.config),
         }
 
     def save(self, path):
@@ -155,6 +148,42 @@ class TransferModel:
             class_names=tuple(obj["class_names"]),
             config=TransferConfig(**obj["config"]),
         )
+
+
+def fit_forest(encoded: Dataset, cfg: TransferConfig) -> Forest:
+    """The pipeline's forest on an encoded dataset: cfg's tree count and
+    seed, and cfg's minimum leaf size for the dataset's size."""
+    return train_forest(encoded, cfg.n_trees, cfg.min_leaf_for(encoded.n), cfg.seed)
+
+
+@dataclass(eq=False)
+class DomainForests:
+    """The source and target forests of one pair of datasets.
+
+    `get` trains an empty slot's forest and fills the slot; later requests
+    return the same object. Keep a holder for one pair of datasets and one
+    config only (the experiment runner keeps one per cell): a filled slot is
+    checked against the schema and classes of the encoded data, not against
+    its records or the config.
+    """
+
+    source: Forest | None = None
+    target: Forest | None = None
+
+    def get(self, domain: str, encoded: Dataset, cfg: TransferConfig) -> Forest:
+        """The forest of `domain` ("source" or "target"), trained by
+        fit_forest on first request; DataError if a filled slot does not fit
+        the encoded data."""
+        forest = getattr(self, domain)
+        if forest is None:
+            forest = fit_forest(encoded, cfg)
+            setattr(self, domain, forest)
+        elif forest.schema != encoded.schema or forest.class_names != encoded.class_names:
+            raise DataError(
+                f"the {domain} forest was trained on another schema or class set "
+                f"than the {domain} data"
+            )
+        return forest
 
 
 def select_transferable(ds_src: Dataset, leaves, pivots: pivot.PivotSet,
@@ -221,8 +250,15 @@ def merge_datasets(projected: Dataset, target: Dataset) -> Dataset:
     )
 
 
-def run_transfer(ds_src: Dataset, ds_tgt: Dataset, cfg: TransferConfig) -> TransferModel:
-    """Full pipeline from two labeled datasets to a target-domain model."""
+def run_transfer(ds_src: Dataset, ds_tgt: Dataset, cfg: TransferConfig,
+                 forests: DomainForests | None = None) -> TransferModel:
+    """Full pipeline from two labeled datasets to a target-domain model.
+
+    `forests` supplies domain forests already trained on these datasets
+    under cfg and receives the ones trained here; without it both are
+    trained and dropped. The missing-cell and shared-class checks run before
+    any training.
+    """
     if ds_src.has_missing() or ds_tgt.has_missing():
         raise MissingValueError("run_transfer requires repaired datasets (no missing cells)")
     shared = tuple(name for name in ds_src.class_names if name in ds_tgt.class_names)
@@ -231,8 +267,10 @@ def run_transfer(ds_src: Dataset, ds_tgt: Dataset, cfg: TransferConfig) -> Trans
 
     src = one_hot_encode(ds_src)
     tgt = one_hot_encode(ds_tgt)
-    forest_src = train_forest(src, cfg.n_trees, cfg.min_leaf_for(src.n), cfg.seed)
-    forest_tgt = train_forest(tgt, cfg.n_trees, cfg.min_leaf_for(tgt.n), cfg.seed)
+    if forests is None:
+        forests = DomainForests()
+    forest_src = forests.get("source", src, cfg)
+    forest_tgt = forests.get("target", tgt, cfg)
 
     leaves_src = collect_leaves(forest_src)
     leaves_tgt = collect_leaves(forest_tgt)
@@ -283,7 +321,7 @@ def run_transfer(ds_src: Dataset, ds_tgt: Dataset, cfg: TransferConfig) -> Trans
     diagnostics["n_dropped_labels"] = selected.n - projected.n
 
     merged = merge_datasets(projected, tgt)
-    final = train_forest(merged, cfg.n_trees, cfg.min_leaf_for(merged.n), cfg.seed)
+    final = fit_forest(merged, cfg)
     return TransferModel(
         forest=final, projection=projection, fallback=False,
         diagnostics=diagnostics, raw_schema=ds_tgt.schema,

@@ -67,6 +67,21 @@ class TestRun:
         assert "mmd_cross_term" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    def test_duplicate_method_stops_at_config_parse(self, tmp_path, pair_files,
+                                                    monkeypatch, capsys):
+        spec = spec_file(tmp_path, pair_files, tmp_path / "report")
+        spec.write_text(spec.read_text().replace("methods = tlf, target_only",
+                                                 "methods = tlf, tlf"),
+                        encoding="utf-8")
+
+        def no_pairs(*args):
+            raise AssertionError("run_experiment must not start")
+
+        monkeypatch.setattr("leafbridge.cli.run_experiment", no_pairs)
+        assert main(["run", "--spec", str(spec)]) == EXIT_DATA
+        assert "['tlf'] listed more than once" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestTransfer:
     def test_transfer_writes_model(self, tmp_path, pair_files, capsys):

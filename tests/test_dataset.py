@@ -106,6 +106,28 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="line 3: non-finite"):
             load_csv(path, "label", schema_hint={"a": NUMERIC})
 
+    def test_underscore_cell_is_not_a_number(self, tmp_path):
+        # float() reads "1_000" as 1000.0; a CSV column holding it is text
+        path = tmp_path / "u.csv"
+        path.write_text("a,b,label\n1_000,1,p\n 2 ,2,q\n3,3,p\n", encoding="utf-8")
+        ds = load_csv(path, "label")
+        assert ds.schema[0] == AttributeSchema("a", CATEGORICAL, ("1_000", " 2 ", "3"))
+        assert ds.schema[1].kind == NUMERIC
+
+    def test_underscore_cell_in_hinted_numeric_column(self, tmp_path):
+        path = tmp_path / "u.csv"
+        path.write_text("a,label\n1,p\n2_5,q\n", encoding="utf-8")
+        with pytest.raises(ParseError,
+                           match=r"u.csv: line 3: non-numeric value '2_5' in numeric column 'a'"):
+            load_csv(path, "label", schema_hint={"a": NUMERIC})
+
+    def test_spaces_around_a_number_are_accepted(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("a,label\n 2 ,p\n3,q\n", encoding="utf-8")
+        ds = load_csv(path, "label")
+        assert ds.schema[0].kind == NUMERIC
+        np.testing.assert_array_equal(ds.records[:, 0], [2.0, 3.0])
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_write_rejects_infinite_cell(self, tmp_path, value):
         ds = numeric_dataset([[1.0, 2.0], [3.0, value]], [0, 1])

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from leafbridge import experiment, transfer
 from leafbridge.dataset import (
     CATEGORICAL,
     NUMERIC,
@@ -13,10 +14,12 @@ from leafbridge.dataset import (
     encode_records,
     inject_missing,
     load_csv,
+    one_hot_encode,
     write_csv,
 )
 from leafbridge.errors import DataError
 from leafbridge.experiment import (
+    METHODS,
     EvaluationReport,
     ExperimentSpec,
     PairSpec,
@@ -26,7 +29,7 @@ from leafbridge.experiment import (
 )
 from leafbridge.forest import predict_many, train_forest
 from leafbridge.synthetic import rotated_pair
-from leafbridge.transfer import TransferConfig
+from leafbridge.transfer import TransferConfig, run_transfer
 
 
 @pytest.fixture(scope="module")
@@ -131,18 +134,24 @@ class TestRunExperiment:
         assert "fallback_runs" in diag
 
 
+def _pair_files(root, src, tgt):
+    """Write a source/target CSV pair; the source takes the target's column
+    names, so that source_only can score the target's test part."""
+    src_path, tgt_path = root / "src.csv", root / "tgt.csv"
+    write_csv(Dataset(tgt.schema, src.records, src.labels, src.class_names), src_path)
+    write_csv(tgt, tgt_path)
+    return str(src_path), str(tgt_path)
+
+
 @pytest.fixture(scope="module")
 def native_missing_files(tmp_path_factory):
     """A 400-row pair whose target CSV carries native `?` cells."""
-    root = tmp_path_factory.mktemp("native")
     src, tgt = rotated_pair(n_source=400, n_target=400, center_spread=2.0,
                             cluster_std=2.0, seed=1)
-    src_path, tgt_path = root / "src.csv", root / "tgt_missing.csv"
-    # shared column names, so that source_only can score the target too
-    write_csv(Dataset(tgt.schema, src.records, src.labels, src.class_names), src_path)
-    write_csv(inject_missing(tgt, 0.3, seed=2), tgt_path)
-    assert "?" in tgt_path.read_text(encoding="utf-8")
-    return str(src_path), str(tgt_path)
+    root = tmp_path_factory.mktemp("native")
+    files = _pair_files(root, src, inject_missing(tgt, 0.3, seed=2))
+    assert "?" in (root / "tgt.csv").read_text(encoding="utf-8")
+    return files
 
 
 class TestNativeMissingTarget:
@@ -164,6 +173,118 @@ class TestNativeMissingTarget:
                               split=SplitSpec(0.1, 0))
         report = run_experiment(spec, small_cfg())
         assert "set missing_mode" in report.pairs[0]["error"]
+
+
+def _binned(ds, n_categorical):
+    """ds with its last n_categorical columns binned into three string levels."""
+    X = np.array(ds.records)
+    schema = list(ds.schema)
+    for j in range(ds.d - n_categorical, ds.d):
+        X[:, j] = np.digitize(X[:, j], np.quantile(X[:, j], [1 / 3, 2 / 3]))
+        schema[j] = AttributeSchema(ds.schema[j].name, CATEGORICAL, ("lo", "mid", "hi"))
+    return Dataset(tuple(schema), X, ds.labels, ds.class_names, ds.domain_tag)
+
+
+@pytest.fixture(scope="module")
+def numeric_pair(tmp_path_factory):
+    src, tgt = rotated_pair(n_source=300, n_target=300, center_spread=2.0,
+                            cluster_std=2.0, seed=4)
+    return _pair_files(tmp_path_factory.mktemp("numeric"), src, tgt)
+
+
+@pytest.fixture(scope="module")
+def categorical_pair(tmp_path_factory):
+    src, tgt = rotated_pair(n_source=300, n_target=300, n_features=6, center_spread=2.0,
+                            cluster_std=1.5, seed=5)
+    files = _pair_files(tmp_path_factory.mktemp("categorical"),
+                        _binned(src, 3), _binned(tgt, 3))
+    schemas = [load_csv(path, "label").schema for path in files]
+    assert schemas[0][-1].kind == CATEGORICAL and schemas[0] != schemas[1]
+    return files
+
+
+@pytest.fixture(scope="module")
+def no_shared_class_pair(tmp_path_factory):
+    src, tgt = rotated_pair(n_source=200, n_target=200, center_spread=2.0,
+                            cluster_std=2.0, seed=6)
+    src = Dataset(src.schema, src.records, src.labels, ("s0", "s1", "s2"))
+    return _pair_files(tmp_path_factory.mktemp("disjoint"), src, tgt)
+
+
+def per_method_train(method, src, tgt, cfg):
+    """Reference: every method trains its own forests, five in a cell with
+    all three methods."""
+    if method == "tlf":
+        return run_transfer(src, tgt, cfg)
+    if method == "target_only":
+        encoded = one_hot_encode(tgt)
+        forest = train_forest(encoded, cfg.n_trees, cfg.min_leaf_for(encoded.n), cfg.seed)
+        return _ForestPredictor(forest, tgt.schema, tgt.class_names)
+    if method == "source_only":
+        encoded = one_hot_encode(src)
+        forest = train_forest(encoded, cfg.n_trees, cfg.min_leaf_for(encoded.n), cfg.seed)
+        return _ForestPredictor(forest, src.schema, src.class_names)
+    raise DataError(f"unknown method {method!r}")
+
+
+@pytest.fixture
+def trained(monkeypatch):
+    """Domain tags of the datasets the pipeline trains forests on, in order."""
+    tags = []
+    real = transfer.train_forest
+
+    def counting(ds, *args, **kwargs):
+        tags.append(ds.domain_tag)
+        return real(ds, *args, **kwargs)
+
+    monkeypatch.setattr(transfer, "train_forest", counting)
+    return tags
+
+
+class TestSharedDomainForests:
+    @staticmethod
+    def spec(files, methods, **kwargs):
+        return ExperimentSpec(pairs=(PairSpec(*files),), split=SplitSpec(0.2, 0),
+                              methods=methods, **kwargs)
+
+    @pytest.mark.parametrize("methods, forests", [
+        (METHODS, ["source", "target", "target"]),
+        (METHODS[::-1], ["target", "source", "target"]),
+        (("source_only", "target_only"), ["source", "target"]),
+        (("tlf",), ["source", "target", "target"]),
+    ])
+    def test_forests_trained_per_cell(self, numeric_pair, trained, methods, forests):
+        report = run_experiment(self.spec(numeric_pair, methods), small_cfg())
+        cells = report.pairs[0]["methods"]
+        assert all("accuracy" in cells[m] for m in methods), cells
+        if "tlf" in methods:
+            assert report.pairs[0]["diagnostics"]["fallback_runs"] == 0
+        # the final forest is trained on merged records, tagged "target"
+        assert trained == forests
+
+    @pytest.mark.parametrize("pair", ["numeric_pair", "categorical_pair"])
+    @pytest.mark.parametrize("methods", [METHODS, METHODS[::-1]])
+    def test_report_matches_per_method_training(self, request, monkeypatch, pair, methods):
+        spec = self.spec(request.getfixturevalue(pair), methods, repeats=2,
+                         missing_mode="impute", inject_ratios=(0.1, 0.3))
+        shared = run_experiment(spec, small_cfg())
+        for block in shared.pairs[0]["by_ratio"]:
+            assert all(block["methods"][m]["runs"] == 2 for m in methods), block
+        monkeypatch.setattr(experiment, "_train_method",
+                            lambda method, src, tgt, cfg, forests:
+                            per_method_train(method, src, tgt, cfg))
+        reference = run_experiment(spec, small_cfg())
+        assert json.dumps(shared.to_dict()) == json.dumps(reference.to_dict())
+        assert shared.to_csv() == reference.to_csv()
+
+    def test_no_shared_class_fails_tlf_only(self, no_shared_class_pair, trained):
+        report = run_experiment(self.spec(no_shared_class_pair, METHODS), small_cfg())
+        cells = report.pairs[0]["methods"]
+        assert cells["tlf"] == {"error": "MatchingError: pivot matching: "
+                                         "source and target share no class labels"}
+        assert cells["source_only"]["accuracy"] == 0.0
+        assert cells["target_only"]["runs"] == 1
+        assert trained == ["source", "target"]
 
 
 def loop_forest_predict(predictor, ds):
@@ -276,6 +397,11 @@ class TestSpecValidation:
     def test_unknown_method(self):
         with pytest.raises(DataError):
             ExperimentSpec(pairs=(PairSpec("a", "b"),), methods=("nope",))
+
+    def test_duplicate_method(self):
+        with pytest.raises(DataError, match=r"\['target_only'\] listed more than once"):
+            ExperimentSpec(pairs=(PairSpec("a", "b"),),
+                           methods=("target_only", "target_only"), repeats=2)
 
     def test_inject_needs_repair_mode(self):
         with pytest.raises(DataError):

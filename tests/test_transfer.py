@@ -1,15 +1,20 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from leafbridge.adaptation import ProjectionMatrix
 from leafbridge.dataset import NUMERIC, AttributeSchema, Dataset, SplitSpec, one_hot_encode, split_target
 from leafbridge.errors import DataError, MatchingError, MissingValueError
-from leafbridge.forest import LeafRef, predict_many, train_forest
+from leafbridge.forest import LeafRef, forest_to_json, predict_many
 from leafbridge.pivot import PivotSet
 from leafbridge.synthetic import rotated_pair
 from leafbridge.transfer import (
+    DomainForests,
     TransferConfig,
     TransferModel,
+    fit_forest,
     merge_datasets,
     project_records,
     run_transfer,
@@ -125,8 +130,7 @@ class TestRunTransfer:
         cfg = TransferConfig(min_leaf_small=5, seed=0)
         model = run_transfer(ds, tgt, cfg)
         assert model.diagnostics["n_pivots"] >= 1
-        target_forest = train_forest(one_hot_encode(tgt), cfg.n_trees,
-                                     cfg.min_leaf_for(tgt.n), cfg.seed)
+        target_forest = fit_forest(one_hot_encode(tgt), cfg)
         acc_model = np.mean(model.predict_many(tgt) == y)
         acc_base = np.mean(predict_many(target_forest, X) == y)
         assert acc_model >= acc_base
@@ -223,13 +227,57 @@ class TestRunTransfer:
         model = run_transfer(src, tgt, cfg)
         assert model.fallback
         assert model.projection is None
-        baseline = train_forest(one_hot_encode(tgt), cfg.n_trees,
-                                cfg.min_leaf_for(tgt.n), cfg.seed)
+        baseline = fit_forest(one_hot_encode(tgt), cfg)
         probe = rng.normal(size=(100, 1))
         probe_ds = Dataset(src.schema, probe, np.zeros(100, dtype=int),
                            src.class_names, "target")
         np.testing.assert_array_equal(model.predict_many(probe_ds),
                                       predict_many(baseline, probe))
+
+
+class TestDomainForests:
+    @staticmethod
+    def pair():
+        src, tgt = rotated_pair(n_source=300, n_target=300, center_spread=2.0,
+                                cluster_std=2.0, seed=7)
+        tgt_train, _ = split_target(tgt, SplitSpec(0.2, 7))
+        return src, tgt_train, TransferConfig(min_leaf_small=5, seed=7)
+
+    def test_holder_filled_and_reused(self):
+        src, tgt, cfg = self.pair()
+        forests = DomainForests()
+        fresh = run_transfer(src, tgt, cfg)
+        shared = run_transfer(src, tgt, cfg, forests)
+        assert forests.source is not None and forests.target is not None
+        held = (forests.source, forests.target)
+        again = run_transfer(src, tgt, cfg, forests)
+        assert (forests.source, forests.target) == held
+        for model in (shared, again):
+            assert json.dumps(model.to_dict()) == json.dumps(fresh.to_dict())
+        assert forest_to_json(forests.source) == forest_to_json(fit_forest(one_hot_encode(src), cfg))
+        assert forest_to_json(forests.target) == forest_to_json(fit_forest(one_hot_encode(tgt), cfg))
+
+    def test_forest_of_another_schema_rejected(self):
+        src, tgt, cfg = self.pair()
+        # a target forest in the source slot: same width, other column names
+        wrong = fit_forest(one_hot_encode(tgt), cfg)
+        with pytest.raises(DataError, match="source forest .* schema"):
+            run_transfer(src, tgt, cfg, DomainForests(source=wrong))
+
+    def test_forest_of_other_classes_rejected(self):
+        src, tgt, cfg = self.pair()
+        relabeled = Dataset(tgt.schema, tgt.records, tgt.labels, ("x", "y", "z"), "target")
+        wrong = fit_forest(one_hot_encode(relabeled), cfg)
+        with pytest.raises(DataError, match="target forest .* class"):
+            run_transfer(src, tgt, cfg, DomainForests(target=wrong))
+
+    def test_checks_run_before_training(self):
+        src = numeric_dataset([[0.0], [1.0]], [0, 1])
+        tgt = Dataset(src.schema, [[0.0], [1.0]], [0, 1], ("x", "y"), "target")
+        forests = DomainForests()
+        with pytest.raises(MatchingError, match="share no class labels"):
+            run_transfer(src, tgt, TransferConfig(), forests)
+        assert forests.source is None and forests.target is None
 
 
 class TestModelSerialization:
@@ -256,6 +304,32 @@ class TestModelSerialization:
         model.save(path)
         again = TransferModel.load(path)
         assert again.projection is None and again.fallback
+
+    def test_config_keys_are_the_dataclass_fields(self, tmp_path):
+        src, tgt = rotated_pair(n_source=200, n_target=200, center_spread=2.0,
+                                cluster_std=2.0, seed=8)
+        model = run_transfer(src, tgt, TransferConfig(min_leaf_small=5, seed=8))
+        path = tmp_path / "model.json"
+        model.save(path)
+        saved = json.loads(path.read_text(encoding="utf-8"))["config"]
+        assert list(saved) == [f.name for f in fields(TransferConfig)]
+
+    def test_non_default_config_round_trips(self, tmp_path):
+        cfg = TransferConfig(n_trees=3, min_leaf_small=4, min_leaf_large=30,
+                             large_threshold=5000, pivot_threshold=0.25, ridge=0.5,
+                             mmd=2.0, manifold=0.125, kernel="linear",
+                             alpha_mode="inverse", mmd_cross_term="squared", seed=11)
+        assert all(getattr(cfg, f.name) != f.default for f in fields(TransferConfig))
+        tgt = numeric_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1], domain_tag="target")
+        model = TransferModel(
+            forest=fit_forest(one_hot_encode(tgt), cfg), projection=None, fallback=True,
+            diagnostics={}, raw_schema=tgt.schema, class_names=tgt.class_names, config=cfg,
+        )
+        path = tmp_path / "model.json"
+        model.save(path)
+        again = TransferModel.load(path)
+        assert again.config == cfg
+        assert json.dumps(again.to_dict()) == json.dumps(model.to_dict())
 
 
 class TestConfig:
