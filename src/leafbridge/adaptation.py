@@ -12,11 +12,10 @@ P = Gs^T alpha Gt maps encoded source records into the target feature space.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.spatial.distance import pdist, squareform
 
 from .errors import BandwidthError, DataError, NumericalError, SolveError
 from .pivot import PivotSet
@@ -99,18 +98,31 @@ def stack_pivots(pivots: PivotSet) -> StackedPivots:
 
 def build_kernel(pivots: StackedPivots, kind: str = "linear") -> np.ndarray:
     """Kernel matrix on the stacked rows: plain inner products or a median-
-    bandwidth Gaussian."""
+    bandwidth Gaussian.
+
+    The rbf kernel's Euclidean distances equal scipy's pdist bit for bit:
+    each pair's squared differences are summed column by column in
+    ascending column order, as pdist does, then square-rooted; the
+    bandwidth is the median of the non-zero distances over the upper
+    triangle; the exponent uses the square of the square root, as
+    squareform(pdist) ** 2 does. Working memory is a few z x z matrices.
+    """
     rows = pivots.rows
     if kind == "linear":
         return rows @ rows.T
     if kind == "rbf":
-        dist = pdist(rows)
-        nonzero = dist[dist > 0]
+        z = rows.shape[0]
+        sq_sum = np.zeros((z, z))
+        for column in rows.T:
+            diff = column[:, None] - column[None, :]
+            sq_sum += diff * diff
+        dist = np.sqrt(sq_sum)
+        condensed = dist[np.triu_indices(z, 1)]
+        nonzero = condensed[condensed > 0]
         if nonzero.size == 0:
             raise BandwidthError("all stacked rows identical, rbf bandwidth undefined")
         h = float(np.median(nonzero))
-        sq = squareform(dist) ** 2
-        return np.exp(-sq / (2.0 * h * h))
+        return np.exp(-dist ** 2 / (2.0 * h * h))
     raise DataError(f"unknown kernel kind {kind!r}")
 
 
@@ -275,7 +287,8 @@ def compute_alpha(K: np.ndarray, M: np.ndarray, Lap: np.ndarray,
 
     A = ridge * I + (mmd * M + manifold * Lap) @ K. mode="literal" returns A
     itself; mode="inverse" returns A^(-1) via an LU solve with partial
-    pivoting and enforces ||A @ alpha - I||_F <= 1e-6 * z.
+    pivoting and enforces ||A @ alpha - I||_F <= 1e-6 * z. An exactly zero
+    pivot (a singular A) raises SolveError.
     """
     K = np.asarray(K, dtype=np.float64)
     z = K.shape[0]
@@ -290,10 +303,16 @@ def compute_alpha(K: np.ndarray, M: np.ndarray, Lap: np.ndarray,
         return A
     if mode != "inverse":
         raise DataError(f"unknown alpha mode {mode!r}")
+    # scipy is loaded for this mode only, so default runs need numpy alone
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+
     try:
-        lu, piv = lu_factor(A)
+        with warnings.catch_warnings():
+            # lu_factor warns on an exactly zero pivot: the system is singular
+            warnings.simplefilter("error", LinAlgWarning)
+            lu, piv = lu_factor(A)
         alpha = lu_solve((lu, piv), np.eye(z))
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, LinAlgWarning) as exc:
         raise SolveError(f"singular system, condition estimate {np.linalg.cond(A):.3e}") from exc
     residual = float(np.linalg.norm(A @ alpha - np.eye(z)))
     if not np.isfinite(residual) or residual > 1e-6 * z:

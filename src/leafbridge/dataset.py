@@ -364,6 +364,37 @@ def encode_records(records: np.ndarray, schema) -> np.ndarray:
     return np.hstack(blocks)
 
 
+def align_categories(ds: Dataset, schema) -> np.ndarray:
+    """ds's records with each categorical cell re-indexed, by category name,
+    into `schema`'s category order.
+
+    ds must have the names and kinds of `schema`'s columns (DataError
+    otherwise); a category unknown to `schema` raises DataError naming it
+    and its column. Missing cells stay NaN. When every category order
+    already matches, ds.records itself is returned, not a copy.
+    """
+    if [(a.name, a.kind) for a in ds.schema] != [(a.name, a.kind) for a in schema]:
+        raise DataError("dataset column names or kinds do not match the model's training schema")
+    records = ds.records
+    for j, (attr, trained) in enumerate(zip(ds.schema, schema)):
+        if attr.kind != CATEGORICAL or attr.categories == trained.categories:
+            continue
+        if records is ds.records:
+            records = records.copy()
+        index = {name: i for i, name in enumerate(trained.categories)}
+        lookup = np.array([index.get(name, -1) for name in attr.categories])
+        col = records[:, j]
+        present = ~np.isnan(col)
+        cells = col[present].astype(np.int64)
+        mapped = lookup[cells]
+        unknown = np.flatnonzero(mapped < 0)
+        if unknown.size:
+            name = attr.categories[cells[unknown[0]]]
+            raise DataError(f"category {name!r} of column {attr.name!r} unknown to the model")
+        col[present] = mapped
+    return records
+
+
 def one_hot_encode(ds: Dataset) -> Dataset:
     """Expand categorical attributes into 0/1 columns; numeric data unchanged.
 

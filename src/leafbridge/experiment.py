@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, SplitSpec, encode_records, inject_missing, load_csv, \
-    one_hot_encode, repair_missing, split_target
+from .dataset import Dataset, SplitSpec, align_categories, encode_records, inject_missing, \
+    load_csv, repair_missing, split_target
 from .errors import DataError, LeafBridgeError, MissingValueError
 from .forest import Forest, predict_many
 from .metrics import SIGN_TEST_Z_REF, evaluate, mean_ranks, nemenyi_cd, sign_test
@@ -78,9 +78,10 @@ class ExperimentSpec:
 class _ForestPredictor:
     """Adapter: a plain forest evaluated on a dataset in another schema.
 
-    Records are encoded with the forest's own raw training schema and the
-    predicted class indices are mapped into the evaluation dataset's class
-    space by name (classes unknown to it become -1, always wrong).
+    Records are aligned to the forest's own raw training schema by category
+    name and encoded with it, and the predicted class indices are mapped
+    into the evaluation dataset's class space by name (classes unknown to
+    it become -1, always wrong).
     """
 
     def __init__(self, forest: Forest, raw_schema, forest_classes):
@@ -89,24 +90,9 @@ class _ForestPredictor:
         self.forest_classes = forest_classes
 
     def predict_many(self, ds: Dataset) -> np.ndarray:
-        if tuple(a.name for a in ds.schema) != tuple(a.name for a in self.raw_schema) or \
-           tuple(a.kind for a in ds.schema) != tuple(a.kind for a in self.raw_schema):
-            raise DataError("dataset schema does not match the forest's training schema")
         if ds.has_missing():
             raise MissingValueError("cannot predict records with missing cells")
-        raw = np.array(ds.records)
-        for j, (a, b) in enumerate(zip(ds.schema, self.raw_schema)):
-            if a.kind != "categorical" or a.categories == b.categories:
-                continue
-            # re-index categories through the training schema's category order
-            index = {name: i for i, name in enumerate(b.categories)}
-            lookup = np.array([index.get(name, -1) for name in a.categories])
-            col = lookup[raw[:, j].astype(np.int64)]
-            unknown = np.flatnonzero(col < 0)
-            if unknown.size:
-                name = a.categories[int(raw[unknown[0], j])]
-                raise DataError(f"category {name!r} of column {a.name!r} unknown to the model")
-            raw[:, j] = col
+        raw = align_categories(ds, self.raw_schema)
         preds = predict_many(self.forest, encode_records(raw, self.raw_schema))
         class_index = {name: i for i, name in enumerate(ds.class_names)}
         mapping = np.array([class_index.get(name, -1) for name in self.forest_classes],
@@ -120,11 +106,9 @@ def _train_method(method: str, src: Dataset, tgt: Dataset, cfg: TransferConfig,
     if method == "tlf":
         return run_transfer(src, tgt, cfg, forests)
     if method == "target_only":
-        forest = forests.get("target", one_hot_encode(tgt), cfg)
-        return _ForestPredictor(forest, tgt.schema, tgt.class_names)
+        return _ForestPredictor(forests.get("target", tgt, cfg), tgt.schema, tgt.class_names)
     if method == "source_only":
-        forest = forests.get("source", one_hot_encode(src), cfg)
-        return _ForestPredictor(forest, src.schema, src.class_names)
+        return _ForestPredictor(forests.get("source", src, cfg), src.schema, src.class_names)
     raise DataError(f"unknown method {method!r}")
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import adaptation, pivot
 from .adaptation import ProjectionMatrix
-from .dataset import Dataset, encode_records, one_hot_encode
+from .dataset import Dataset, align_categories, encode_records, encoded_schema, one_hot_encode
 from .errors import DataError, MatchingError, MissingValueError
 from .forest import (
     Forest,
@@ -90,11 +90,10 @@ class TransferModel:
     config: TransferConfig
 
     def predict_many(self, ds: Dataset) -> np.ndarray:
-        """Predict class indices for records in the raw target schema."""
-        if ds.schema != self.raw_schema:
-            raise DataError("dataset schema does not match the model's target schema")
-        encoded = encode_records(ds.records, ds.schema)
-        return predict_many(self.forest, encoded)
+        """Predict class indices for records in the raw target schema; a
+        categorical column may list its categories in another order."""
+        records = align_categories(ds, self.raw_schema)
+        return predict_many(self.forest, encode_records(records, self.raw_schema))
 
     def to_dict(self) -> dict:
         proj_csv = None
@@ -163,22 +162,27 @@ class DomainForests:
     `get` trains an empty slot's forest and fills the slot; later requests
     return the same object. Keep a holder for one pair of datasets and one
     config only (the experiment runner keeps one per cell): a filled slot is
-    checked against the schema and classes of the encoded data, not against
-    its records or the config.
+    checked against the schema and classes of the data, not against its
+    records or the config.
     """
 
     source: Forest | None = None
     target: Forest | None = None
 
-    def get(self, domain: str, encoded: Dataset, cfg: TransferConfig) -> Forest:
-        """The forest of `domain` ("source" or "target"), trained by
-        fit_forest on first request; DataError if a filled slot does not fit
-        the encoded data."""
+    def get(self, domain: str, ds: Dataset, cfg: TransferConfig,
+            encoded: Dataset | None = None) -> Forest:
+        """The forest of `domain` ("source" or "target") for dataset `ds`.
+
+        An empty slot is filled by fit_forest on `encoded`, ds's one-hot
+        encoding (computed here when not given). A filled slot is checked
+        against ds's encoded schema and classes, DataError if they differ,
+        and ds is not encoded.
+        """
         forest = getattr(self, domain)
         if forest is None:
-            forest = fit_forest(encoded, cfg)
+            forest = fit_forest(one_hot_encode(ds) if encoded is None else encoded, cfg)
             setattr(self, domain, forest)
-        elif forest.schema != encoded.schema or forest.class_names != encoded.class_names:
+        elif forest.schema != encoded_schema(ds.schema) or forest.class_names != ds.class_names:
             raise DataError(
                 f"the {domain} forest was trained on another schema or class set "
                 f"than the {domain} data"
@@ -269,8 +273,8 @@ def run_transfer(ds_src: Dataset, ds_tgt: Dataset, cfg: TransferConfig,
     tgt = one_hot_encode(ds_tgt)
     if forests is None:
         forests = DomainForests()
-    forest_src = forests.get("source", src, cfg)
-    forest_tgt = forests.get("target", tgt, cfg)
+    forest_src = forests.get("source", ds_src, cfg, src)
+    forest_tgt = forests.get("target", ds_tgt, cfg, tgt)
 
     leaves_src = collect_leaves(forest_src)
     leaves_tgt = collect_leaves(forest_tgt)

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from leafbridge.adaptation import (
     StackedPivots,
@@ -60,6 +63,43 @@ class TestKernel:
     def test_rbf_identical_rows_bandwidth_error(self):
         sp = stacked([[1.0, 0.0], [1.0, 0.0]], [0, 0])
         with pytest.raises(BandwidthError):
+            build_kernel(sp, "rbf")
+
+    @staticmethod
+    def pdist_rbf(rows):
+        """Reference: the scipy distance computation the rbf kernel replaced."""
+        dist = pdist(rows)
+        nonzero = dist[dist > 0]
+        if nonzero.size == 0:
+            raise BandwidthError("all stacked rows identical, rbf bandwidth undefined")
+        h = float(np.median(nonzero))
+        return np.exp(-squareform(dist) ** 2 / (2.0 * h * h))
+
+    @pytest.mark.parametrize("d_low, d_high", [(1, 8), (8, 61)])
+    def test_rbf_equals_pdist_oracle(self, d_low, d_high):
+        rng = np.random.default_rng(d_low)
+        for case in range(60):
+            z = 2 if case < 5 else 2 * int(rng.integers(1, 60))
+            d = int(rng.integers(d_low, d_high))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            rows = rng.normal(size=(z, d)) * scale
+            if case % 3 == 0:
+                rows = np.round(rows / scale, 1) * scale  # tied distances
+            if case % 4 == 0 and z > 2:
+                rows[z // 2] = rows[0]  # a duplicated row, distance 0
+            if case % 5 == 0:
+                rows[:, 0] += 1e6 * scale  # large magnitudes
+            sp = stacked(rows, np.zeros(z, dtype=int), d // 2, ("c0",))
+            want = self.pdist_rbf(rows)
+            got = build_kernel(sp, "rbf")
+            assert got.tobytes() == want.tobytes(), (case, z, d)
+
+    def test_rbf_identical_rows_error_matches_oracle(self):
+        rows = np.tile([[3.0, -1.0, 0.5]], (6, 1))
+        sp = stacked(rows, np.zeros(6, dtype=int), 1, ("c0",))
+        with pytest.raises(BandwidthError):
+            self.pdist_rbf(rows)
+        with pytest.raises(BandwidthError, match="all stacked rows identical"):
             build_kernel(sp, "rbf")
 
     def test_kernels_positive_semidefinite(self):
@@ -278,9 +318,12 @@ class TestAlpha:
 
     def test_singular_system(self):
         z = 3
-        with pytest.raises(SolveError):
-            compute_alpha(np.zeros((z, z)), np.zeros((z, z)), np.zeros((z, z)),
-                          ridge=0.0, mmd=1.0, manifold=1.0, mode="inverse")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SolveError, match="singular system"):
+                compute_alpha(np.zeros((z, z)), np.zeros((z, z)), np.zeros((z, z)),
+                              ridge=0.0, mmd=1.0, manifold=1.0, mode="inverse")
+        assert [str(w.message) for w in caught] == []
 
     def test_negative_coefficient_rejected(self):
         z = 2

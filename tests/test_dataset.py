@@ -9,6 +9,7 @@ from leafbridge.dataset import (
     AttributeSchema,
     Dataset,
     SplitSpec,
+    align_categories,
     encode_records,
     inject_missing,
     load_csv,
@@ -190,6 +191,32 @@ class TestOneHot:
         ds = Dataset(schema, [[np.nan]], [0], ("p",))
         with pytest.raises(MissingValueError):
             one_hot_encode(ds)
+
+
+class TestAlignCategories:
+    SCHEMA = (AttributeSchema("x", NUMERIC), AttributeSchema("k", CATEGORICAL, ("a", "b", "c")))
+
+    def test_same_order_returns_records_uncopied(self):
+        ds = Dataset(self.SCHEMA, [[0.5, 2.0], [1.5, 0.0]], [0, 1], ("n", "y"))
+        assert align_categories(ds, self.SCHEMA) is ds.records
+
+    def test_reindexes_by_name_and_keeps_missing(self):
+        schema = (AttributeSchema("x", NUMERIC), AttributeSchema("k", CATEGORICAL, ("c", "a")))
+        ds = Dataset(schema, [[0.5, 0.0], [1.5, 1.0], [2.5, np.nan]], [0, 1, 0], ("n", "y"))
+        aligned = align_categories(ds, self.SCHEMA)
+        np.testing.assert_array_equal(aligned, [[0.5, 2.0], [1.5, 0.0], [2.5, np.nan]])
+        np.testing.assert_array_equal(ds.records[:, 1], [0.0, 1.0, np.nan])
+
+    def test_unknown_category_and_schema_mismatch(self):
+        schema = (AttributeSchema("x", NUMERIC), AttributeSchema("k", CATEGORICAL, ("a", "z")))
+        ds = Dataset(schema, [[0.5, 0.0], [1.5, 1.0]], [0, 1], ("n", "y"))
+        with pytest.raises(DataError, match="category 'z' of column 'k' unknown to the model"):
+            align_categories(ds, self.SCHEMA)
+        for other in ((AttributeSchema("x", NUMERIC), AttributeSchema("j", CATEGORICAL, ("a",))),
+                      (AttributeSchema("x", NUMERIC), AttributeSchema("k", NUMERIC)),
+                      (AttributeSchema("x", NUMERIC),)):
+            with pytest.raises(DataError, match="names or kinds"):
+                align_categories(ds, other)
 
 
 class TestSplit:

@@ -277,6 +277,30 @@ class TestSharedDomainForests:
         assert json.dumps(shared.to_dict()) == json.dumps(reference.to_dict())
         assert shared.to_csv() == reference.to_csv()
 
+    @pytest.mark.parametrize("methods, encodings", [
+        (METHODS, 2),
+        # the baselines train (and encode) first; run_transfer encodes again
+        (METHODS[::-1], 4),
+        (("source_only", "target_only"), 2),
+        (("tlf",), 2),
+        (("target_only",), 1),
+    ])
+    def test_one_hot_encodings_per_cell(self, categorical_pair, monkeypatch,
+                                        methods, encodings):
+        # a baseline whose forest the cell already holds encodes nothing
+        calls = []
+        real = transfer.one_hot_encode
+
+        def counting(ds):
+            calls.append(ds.domain_tag)
+            return real(ds)
+
+        for module in (transfer, experiment):
+            monkeypatch.setattr(module, "one_hot_encode", counting, raising=False)
+        report = run_experiment(self.spec(categorical_pair, methods), small_cfg())
+        assert all("accuracy" in cell for cell in report.pairs[0]["methods"].values())
+        assert len(calls) == encodings
+
     def test_no_shared_class_fails_tlf_only(self, no_shared_class_pair, trained):
         report = run_experiment(self.spec(no_shared_class_pair, METHODS), small_cfg())
         cells = report.pairs[0]["methods"]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from leafbridge.errors import DataError
 from leafbridge.metrics import (
@@ -95,6 +96,30 @@ class TestNemenyi:
         acc = np.array([[0.9, 0.8, 0.8], [0.7, 0.9, 0.8]])
         ranks = mean_ranks(acc)
         np.testing.assert_allclose(ranks, [(1 + 3) / 2, (2.5 + 1) / 2, (2.5 + 2) / 2])
+
+    def test_mean_ranks_equal_rankdata(self):
+        """Reference: scipy's average ranks, which mean_ranks replaced."""
+        rng = np.random.default_rng(11)
+        levels = np.array([0.0, -0.0, 0.25, 0.5, 0.9, 1.0, np.inf, -np.inf])
+        for case in range(300):
+            n, k = int(rng.integers(1, 9)), int(rng.integers(1, 12))
+            if case % 2:
+                acc = rng.choice(levels, size=(n, k))
+            else:
+                acc = rng.integers(0, 5, size=(n, k)) / 4.0
+            if case % 5 == 0:
+                acc[rng.integers(n), rng.integers(k)] = np.nan
+            ranks = np.vstack([rankdata(-row, method="average") for row in acc])
+            assert mean_ranks(acc).tobytes() == ranks.mean(axis=0).tobytes(), acc
+            for row, want in zip(acc, ranks):
+                assert mean_ranks(row[None, :]).tobytes() == want.tobytes(), row
+
+    def test_mean_ranks_special_values(self):
+        np.testing.assert_array_equal(mean_ranks([[0.0, -0.0, 1.0]]), [2.5, 2.5, 1.0])
+        np.testing.assert_array_equal(mean_ranks([[np.inf, 0.5, np.inf, -np.inf]]),
+                                      [1.5, 3.0, 1.5, 4.0])
+        ranks = mean_ranks([[0.9, np.nan, 0.1], [0.9, 0.5, 0.1]])
+        assert np.isnan(ranks).all()
 
     def test_input_validation(self):
         with pytest.raises(DataError):

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 from leafbridge.adaptation import ProjectionMatrix
-from leafbridge.dataset import NUMERIC, AttributeSchema, Dataset, SplitSpec, one_hot_encode, split_target
+from leafbridge.dataset import (
+    NUMERIC,
+    AttributeSchema,
+    Dataset,
+    SplitSpec,
+    encode_records,
+    load_csv,
+    one_hot_encode,
+    split_target,
+)
 from leafbridge.errors import DataError, MatchingError, MissingValueError
 from leafbridge.forest import LeafRef, forest_to_json, predict_many
 from leafbridge.pivot import PivotSet
@@ -278,6 +287,64 @@ class TestDomainForests:
         with pytest.raises(MatchingError, match="share no class labels"):
             run_transfer(src, tgt, TransferConfig(), forests)
         assert forests.source is None and forests.target is None
+
+
+class TestCategoryAlignment:
+    """A model scores CSVs whose categorical columns list their categories in
+    another order than the training file."""
+
+    @staticmethod
+    def write(path, x, k, header="x,k,label"):
+        # the label is k XOR (x > 0), so a misread category flips predictions
+        labels = np.where((x > 0) != (k == "b"), "yes", "no")
+        lines = [header] + [f"{float(v)!r},{c},{y}" for v, c, y in zip(x, k, labels)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.fixture
+    def model(self, tmp_path):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=300)
+        k = np.where(rng.random(300) < 0.5, "a", "b")
+        k[0] = "a"
+        tgt = load_csv(self.write(tmp_path / "train.csv", x, k), "label", domain_tag="target")
+        assert tgt.schema[1].categories == ("a", "b")
+        src = Dataset(tuple(AttributeSchema(f"s{j}", NUMERIC) for j in range(2)),
+                      one_hot_encode(tgt).records[:, :2], tgt.labels, tgt.class_names)
+        return run_transfer(src, tgt, TransferConfig(min_leaf_small=5, seed=1))
+
+    def test_reordered_csv_predicts_like_training_order(self, model, tmp_path):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=200)
+        k = np.where(rng.random(200) < 0.5, "a", "b")
+        k[0] = "b"
+        path = self.write(tmp_path / "score.csv", x, k)
+        fresh = load_csv(path, "label", domain_tag="target")
+        in_order = load_csv(path, "label", schema_hint=list(model.raw_schema),
+                            domain_tag="target")
+        assert fresh.schema[1].categories == ("b", "a")
+        assert in_order.schema == model.raw_schema
+        got = model.predict_many(fresh)
+        np.testing.assert_array_equal(got, model.predict_many(in_order))
+        # reading the reordered indices as training indices predicts otherwise
+        misread = predict_many(model.forest, encode_records(fresh.records, model.raw_schema))
+        assert not np.array_equal(got, misread)
+
+    def test_unknown_category_named(self, model, tmp_path):
+        path = self.write(tmp_path / "score.csv", np.array([0.5, -0.5]), np.array(["b", "c"]))
+        with pytest.raises(DataError, match="category 'c' of column 'k' unknown to the model"):
+            model.predict_many(load_csv(path, "label", domain_tag="target"))
+
+    def test_name_or_kind_mismatch(self, model, tmp_path):
+        x, k = np.array([0.5, -0.5]), np.array(["a", "b"])
+        renamed = self.write(tmp_path / "renamed.csv", x, k, header="x,kk,label")
+        with pytest.raises(DataError, match="names or kinds"):
+            model.predict_many(load_csv(renamed, "label", domain_tag="target"))
+        path = self.write(tmp_path / "score.csv", x, k)
+        as_category = load_csv(path, "label", schema_hint={"x": "categorical"},
+                               domain_tag="target")
+        with pytest.raises(DataError, match="names or kinds"):
+            model.predict_many(as_category)
 
 
 class TestModelSerialization:
