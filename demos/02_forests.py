@@ -16,10 +16,12 @@ forest = train_forest(ds, n_trees=10, min_leaf_size=15, seed=1)
 print("forest has", forest.n_trees, "trees")
 
 # Every leaf keeps the distinct in-bag records routed to it, so the leaf
-# label distributions reflect data rather than bootstrap multiplicity.
+# label distributions reflect data rather than bootstrap multiplicity. The
+# members sit in one table per forest (flat ids plus offsets per leaf),
+# which only the pivot stage reads; a saved forest leaves them out.
 leaves = collect_leaves(forest)
-sizes = [len(leaf.members) for leaf in leaves]
-print(f"{len(leaves)} leaves, member counts from {min(sizes)} to {max(sizes)}")
+sizes = leaves.sizes
+print(f"{len(leaves)} leaves, member counts from {sizes.min()} to {sizes.max()}")
 
 train_acc = np.mean(predict_many(forest, ds.records) == ds.labels)
 print(f"training accuracy: {train_acc:.3f}")

@@ -29,8 +29,9 @@ source, target = rotated_pair(n_source=400, n_target=200, center_spread=2.0,
 f_src = train_forest(source, n_trees=10, min_leaf_size=20, seed=3)
 f_tgt = train_forest(target, n_trees=10, min_leaf_size=20, seed=3)
 
-# Each leaf contributes one label distribution row plus a centroid row
-# (numeric: mean + ln of the sample std; categorical: mode).
+# Each leaf contributes one label distribution row plus a centroid row: per
+# attribute the mean + ln of the sample std. Categorical columns are one-hot
+# encoded first, so each 0/1 indicator gets a mean + ln(std) as well.
 bundle_src = extract_distributions(source, collect_leaves(f_src))
 bundle_tgt = extract_distributions(target, collect_leaves(f_tgt))
 print("\nsource leaves:", bundle_src.n_rows, "| target leaves:", bundle_tgt.n_rows)

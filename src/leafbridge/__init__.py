@@ -45,7 +45,7 @@ from .errors import (
     SolveError,
 )
 from .experiment import EvaluationReport, ExperimentSpec, PairSpec, parse_config, run_experiment
-from .forest import Forest, LeafRef, TreeNode, collect_leaves, predict, predict_many, train_forest
+from .forest import Forest, LeafTable, Tree, collect_leaves, predict, predict_many, train_forest
 from .metrics import EvalMetrics, evaluate, mean_ranks, nemenyi_cd, sign_test
 from .pivot import DistributionBundle, PivotSet, dedup, extract_distributions, jsd, match_pivots
 from .synthetic import gaussian_blobs, random_rotation, rotated_pair

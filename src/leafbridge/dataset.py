@@ -395,6 +395,14 @@ def align_categories(ds: Dataset, schema) -> np.ndarray:
     return records
 
 
+def require_numeric(schema, user: str):
+    """SchemaError naming the first categorical column of schema, if any."""
+    for attr in schema:
+        if attr.kind == CATEGORICAL:
+            raise SchemaError(f"{user} takes numeric columns only, but {attr.name!r} is "
+                              f"categorical; encode the dataset with one_hot_encode first")
+
+
 def one_hot_encode(ds: Dataset) -> Dataset:
     """Expand categorical attributes into 0/1 columns; numeric data unchanged.
 

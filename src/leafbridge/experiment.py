@@ -11,7 +11,9 @@ A cell (one inject ratio and one repeat) trains its source and target
 forests at most once, when the first method asks for them: `tlf`'s domain
 forests are the `source_only` and `target_only` baselines, so a cell trains
 at most three forests (the third is tlf's final forest) and holds the two
-domain forests until it ends.
+domain forests until it ends. Each domain is one-hot encoded once per cell,
+and the test part once per raw schema (the target's, and the source's for
+`source_only`).
 """
 
 from __future__ import annotations
@@ -81,28 +83,37 @@ class _ForestPredictor:
     Records are aligned to the forest's own raw training schema by category
     name and encoded with it, and the predicted class indices are mapped
     into the evaluation dataset's class space by name (classes unknown to
-    it become -1, always wrong).
+    it become -1, always wrong). Predictors that share an `encodings` dict
+    (raw schema -> (dataset, encoded records)) encode a dataset once per
+    raw schema.
     """
 
-    def __init__(self, forest: Forest, raw_schema, forest_classes):
+    def __init__(self, forest: Forest, raw_schema, class_names, encodings=None):
         self.forest = forest
         self.raw_schema = raw_schema
-        self.forest_classes = forest_classes
+        self.class_names = class_names
+        self.encodings = {} if encodings is None else encodings
 
     def predict_many(self, ds: Dataset) -> np.ndarray:
         if ds.has_missing():
             raise MissingValueError("cannot predict records with missing cells")
-        raw = align_categories(ds, self.raw_schema)
-        preds = predict_many(self.forest, encode_records(raw, self.raw_schema))
+        held = self.encodings.get(self.raw_schema)
+        if held is None or held[0] is not ds:
+            raw = align_categories(ds, self.raw_schema)
+            held = self.encodings[self.raw_schema] = (ds, encode_records(raw, self.raw_schema))
+        preds = predict_many(self.forest, held[1])
         class_index = {name: i for i, name in enumerate(ds.class_names)}
-        mapping = np.array([class_index.get(name, -1) for name in self.forest_classes],
+        mapping = np.array([class_index.get(name, -1) for name in self.class_names],
                            dtype=np.int64)
         return mapping[preds]
 
 
 def _train_method(method: str, src: Dataset, tgt: Dataset, cfg: TransferConfig,
                   forests: DomainForests):
-    """Model of one method; the domain forests come from the cell's holder."""
+    """Model of one method; the domain forests come from the cell's holder.
+
+    Every model has a forest, its raw training schema and its class names.
+    """
     if method == "tlf":
         return run_transfer(src, tgt, cfg, forests)
     if method == "target_only":
@@ -167,10 +178,13 @@ def _run_pair(pair: PairSpec, spec: ExperimentSpec, cfg: TransferConfig, ratios)
             test = _repair(test, spec.missing_mode, reference=target_train)
             run_cfg = replace(cfg, seed=cfg.seed + r)
             forests = DomainForests()
+            encodings = {}  # the test part's encoding per raw schema, for every method
             for method in spec.methods:
                 try:
                     model = _train_method(method, src, tgt, run_cfg, forests)
-                    method_metrics[method].append(evaluate(model, test))
+                    scorer = _ForestPredictor(model.forest, model.raw_schema,
+                                              model.class_names, encodings)
+                    method_metrics[method].append(evaluate(scorer, test))
                 except LeafBridgeError as exc:
                     method_errors[method].append(f"{type(exc).__name__}: {exc}")
                     continue

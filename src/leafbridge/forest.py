@@ -7,17 +7,26 @@ leaf membership, class counts and the minimum-leaf-size rule use each record
 once. Leaves therefore carry the label statistics of the data, not of the
 resampling.
 
+Forests are numeric only: every attribute is split at a midpoint threshold,
+and a raw categorical column is a SchemaError (one-hot encode it first).
+
+A tree is a set of parallel arrays over its split nodes (`Tree`); an explicit
+stack grows it depth first and left first, the order of a recursive build,
+so no tree is too deep to grow, predict or serialize. The records routed to
+each leaf are needed only to train the pivot stage, so they live apart from
+the trees, in one CSR table per forest (`LeafTable`), and are not saved.
+
 Numeric split search is presorted. train_forest sorts every column once per
 call (`_presort`): the order of the records by value and its inverse, the
 rank of each record, both int32 (d, n) tables. A node sorts the integer
 ranks of its records for each sampled attribute, which orders the node's
 values without a float sort, and scores every boundary of every sampled
-numeric attribute in class-major passes over cumulative sums of the integer
+attribute in class-major passes over cumulative sums of the integer
 bootstrap multiplicities, one pass per block of attributes of at most
 SPLIT_BLOCK_ELEMENTS cells. The chosen split, leaf numbering and
 random draws are those of scoring each attribute on its own with a stable
-float sort; tests/test_forest.py keeps that per-attribute search as the
-oracle. Categorical (one-vs-rest) attributes are still scored one at a time.
+float sort and growing the tree recursively; tests/test_forest.py keeps that
+search and that builder as the oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CATEGORICAL, AttributeSchema, Dataset
+from .dataset import NUMERIC, AttributeSchema, Dataset, require_numeric
 from .errors import DataError, EmptyDatasetError, MissingValueError, SchemaError
 
 _GAIN_EPS = 1e-12
@@ -37,58 +46,98 @@ _GAIN_EPS = 1e-12
 # per-boundary arrays (sorted ranks, records, values, weights, gains). A
 # cell takes about 32 bytes, so a block about 2 MiB.
 SPLIT_BLOCK_ELEMENTS = 1 << 16
+#: Version of the forest and model JSON documents.
+FORMAT_VERSION = 2
+#: dtype of each `Tree` array, in field and document order.
+_TREE_ARRAYS = {"feature": np.intp, "threshold": np.float64, "left": np.intp,
+                "right": np.intp, "counts": np.int64}
 
 
-@dataclass
-class TreeNode:
-    """Internal split or leaf.
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """One tree: parallel arrays over its split nodes, and its leaves'
+    class counts.
 
-    Internal nodes hold the split (attribute plus a numeric threshold or a
-    one-vs-rest category) and two children; leaves hold an id, the distinct
-    in-bag records routed to them, and the label counts of those records.
+    Split node i sends a record whose cell feature[i] is <= threshold[i] to
+    child left[i], any other record to right[i]. A child c >= 0 is split
+    node c, a child c < 0 is leaf ~c. Split nodes and leaves are each
+    numbered depth first, left first, so split node 0 is the root, and a
+    tree without splits is the single leaf 0. counts[k] holds the class
+    counts of the distinct in-bag records of leaf k.
     """
 
-    attribute: int = -1
-    threshold: float = math.nan
-    category: int = -1
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    leaf_id: int = -1
-    members: np.ndarray | None = None
-    class_counts: np.ndarray | None = None
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
 
     @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    def n_leaves(self) -> int:
+        return self.counts.shape[0]
 
-    def goes_left(self, values: np.ndarray) -> np.ndarray:
-        if self.category >= 0:
-            return values == self.category
-        return values <= self.threshold
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Leaf id of every row of X: each node partitions the rows that
+        reach it."""
+        feature, threshold = self.feature.tolist(), self.threshold.tolist()
+        left, right = self.left.tolist(), self.right.tolist()
+        leaf = np.empty(X.shape[0], dtype=np.intp)
+        stack = [(0 if feature else -1, np.arange(X.shape[0]))]
+        while stack:
+            node, idx = stack.pop()
+            if node < 0:
+                leaf[idx] = ~node
+            elif idx.size:
+                goes_left = X[idx, feature[node]] <= threshold[node]
+                stack.append((right[node], idx[~goes_left]))
+                stack.append((left[node], idx[goes_left]))
+        return leaf
+
+
+@dataclass(frozen=True, eq=False)
+class LeafTable:
+    """The training records routed to each leaf of a forest, as one CSR
+    table.
+
+    Leaves come tree by tree, each tree's in leaf-id order; leaf k holds the
+    distinct in-bag records members[offsets[k]:offsets[k + 1]], ascending.
+    """
+
+    members: np.ndarray
+    offsets: np.ndarray
+
+    def __post_init__(self):
+        offsets = self.offsets
+        if (offsets.ndim != 1 or offsets.size < 1 or offsets[0] != 0
+                or offsets[-1] != self.members.size or (np.diff(offsets) < 0).any()):
+            raise DataError("leaf offsets must rise from 0 to the member count")
+
+    def __len__(self) -> int:
+        return self.offsets.shape[0] - 1
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.offsets)
 
 
 @dataclass
 class Forest:
-    """Trained ensemble plus the metadata needed to use and serialize it."""
+    """Trained ensemble plus the metadata needed to use and serialize it.
 
-    trees: list[TreeNode]
+    `leaves` is the leaf table of the training records; a forest read back
+    from JSON has none.
+    """
+
+    trees: list[Tree]
     schema: tuple
     class_names: tuple[str, ...]
     min_leaf_size: int
     seed: int
+    leaves: LeafTable | None = None
 
     @property
     def n_trees(self) -> int:
         return len(self.trees)
-
-
-@dataclass(frozen=True)
-class LeafRef:
-    """One leaf of one tree, with the training records routed to it."""
-
-    tree_index: int
-    leaf_id: int
-    members: tuple[int, ...]
 
 
 def _gini(weighted_counts: np.ndarray) -> float:
@@ -115,13 +164,13 @@ def _class_sums(q: np.ndarray) -> np.ndarray:
 
 
 def _best_numeric_splits(X, order, rank, class_weights, idx, attrs, min_leaf):
-    """Best midpoint threshold over several numeric attributes of one node.
+    """Best midpoint threshold over several attributes of one node.
 
-    idx holds the node's distinct records, attrs the sampled numeric
-    attributes in ascending order. `order`/`rank` are the forest's presort
-    tables (see `_presort`) and class_weights[c][r] the tree's bootstrap
-    multiplicity of record r if its label is c, else 0. Returns (gain,
-    attribute, threshold) or None.
+    idx holds the node's distinct records, attrs the sampled attributes in
+    ascending order. `order`/`rank` are the forest's presort tables (see
+    `_presort`) and class_weights[c][r] the tree's bootstrap multiplicity of
+    record r if its label is c, else 0. Returns (gain, attribute,
+    threshold) or None.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
     values; each side must keep at least min_leaf distinct records. The
@@ -180,30 +229,6 @@ def _best_block_split(X, order, rank, class_weights, idx, attrs, min_leaf):
     return float(gains[best]), int(attrs[a]), float((values[a, i] + values[a, i + 1]) / 2.0)
 
 
-def _best_categorical_split(values, labels, weights, n_classes, min_leaf, n_categories):
-    """Best one-vs-rest category split for one attribute, or None."""
-    m = values.shape[0]
-    parent_counts = np.zeros(n_classes)
-    np.add.at(parent_counts, labels, weights)
-    parent = _gini(parent_counts)
-    w_total = weights.sum()
-    best = None
-    for cat in range(n_categories):
-        mask = values == cat
-        nl = int(mask.sum())
-        if nl < min_leaf or m - nl < min_leaf:
-            continue
-        lc = np.zeros(n_classes)
-        np.add.at(lc, labels[mask], weights[mask])
-        rc = parent_counts - lc
-        wl = lc.sum()
-        wr = rc.sum()
-        gain = parent - (wl * _gini(lc) + wr * _gini(rc)) / w_total
-        if gain > _GAIN_EPS and (best is None or gain > best[0]):
-            best = (float(gain), cat)
-    return best
-
-
 def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column order of the records by value and its inverse, int32 (d, n).
 
@@ -225,82 +250,61 @@ def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, rank
 
 
-class _TreeBuilder:
-    """Grows one tree from the forest's `_presort` tables and the tree's
-    (n_classes, n) table of bootstrap multiplicities per record and label
-    (see `_best_numeric_splits`)."""
+def _as_tree(arrays) -> Tree:
+    """A Tree from a mapping of each array's name to its values."""
+    return Tree(**{name: np.array(arrays[name], dtype=dtype)
+                   for name, dtype in _TREE_ARRAYS.items()})
 
-    def __init__(self, X, y, kinds, n_categories, min_leaf, presorted, class_weights, rng):
-        self.X = X
-        self.y = y
-        self.n_classes = class_weights.shape[0]
-        self.kinds = kinds
-        self.n_categories = n_categories
-        self.min_leaf = min_leaf
-        self.order, self.rank = presorted
-        self.class_weights = class_weights
-        self.rng = rng
-        self.n_attr_sample = max(1, math.ceil(math.sqrt(X.shape[1])))
-        self.next_leaf_id = 0
 
-    def build(self, idx) -> TreeNode:
-        labels = self.y[idx]
-        if idx.shape[0] < 2 * self.min_leaf or np.all(labels == labels[0]):
-            return self._leaf(idx, labels)
-        split = self._best_split(idx, labels)
+def _grow_tree(X, y, n_classes, min_leaf, presorted, class_weights, rng, idx):
+    """One tree grown from the distinct in-bag records idx, plus the
+    members of its leaves in leaf order.
+
+    class_weights is the tree's (n_classes, n) table of bootstrap
+    multiplicities per record and label (see `_best_numeric_splits`). A
+    node becomes a leaf when it is pure, holds fewer than 2 * min_leaf
+    records, or no sampled split improves the Gini; otherwise it draws
+    ceil(sqrt(d)) attributes from rng. The stack pops the left child first,
+    so nodes are visited, numbered and draw in depth-first, left-first
+    order.
+    """
+    d = X.shape[1]
+    n_sample = min(d, max(1, math.ceil(math.sqrt(d))))
+    order, rank = presorted
+    feature, threshold, left, right = [], [], [], []
+    counts, members = [], []
+    stack = [(idx, None, 0)]  # records, child list of the parent, parent
+    while stack:
+        idx, side, parent = stack.pop()
+        labels = y[idx]
+        split = None
+        if idx.shape[0] >= 2 * min_leaf and not np.all(labels == labels[0]):
+            sampled = np.sort(rng.choice(d, size=n_sample, replace=False))
+            split = _best_numeric_splits(X, order, rank, class_weights, idx, sampled, min_leaf)
         if split is None:
-            return self._leaf(idx, labels)
-        attr, threshold, category = split
-        values = self.X[idx, attr]
-        mask = values == category if category >= 0 else values <= threshold
-        left = self.build(idx[mask])
-        right = self.build(idx[~mask])
-        return TreeNode(attribute=attr, threshold=threshold, category=category,
-                        left=left, right=right)
-
-    def _leaf(self, idx, labels) -> TreeNode:
-        node = TreeNode(
-            leaf_id=self.next_leaf_id,
-            members=np.array(idx),
-            class_counts=np.bincount(labels, minlength=self.n_classes).astype(np.float64),
-        )
-        self.next_leaf_id += 1
-        return node
-
-    def _best_split(self, idx, labels):
-        """(attribute, threshold, category) of the best sampled split, or None.
-
-        Candidates are (gain, attribute, threshold, category); the highest
-        gain wins and a tie goes to the lowest attribute.
-        """
-        d = self.X.shape[1]
-        sampled = np.sort(self.rng.choice(d, size=min(self.n_attr_sample, d), replace=False))
-        candidates = []
-        numeric = sampled[self.kinds[sampled] == 0]
-        if numeric.size:
-            found = _best_numeric_splits(
-                self.X, self.order, self.rank, self.class_weights, idx, numeric,
-                self.min_leaf,
-            )
-            if found is not None:
-                candidates.append((*found, -1))
-        for attr in sampled[self.kinds[sampled] == 1]:
-            found = _best_categorical_split(
-                self.X[idx, attr], labels,
-                self.class_weights[labels, idx].astype(np.float64), self.n_classes,
-                self.min_leaf, self.n_categories[attr],
-            )
-            if found is not None:
-                candidates.append((found[0], int(attr), math.nan, found[1]))
-        if not candidates:
-            return None
-        _, attr, threshold, category = max(candidates, key=lambda c: (c[0], -c[1]))
-        return attr, threshold, category
+            node = ~len(counts)
+            counts.append(np.bincount(labels, minlength=n_classes))
+            members.append(idx)
+        else:
+            node = len(feature)
+            _, attr, cut = split
+            feature.append(attr)
+            threshold.append(cut)
+            left.append(0)
+            right.append(0)
+            goes_left = X[idx, attr] <= cut
+            stack.append((idx[~goes_left], right, node))
+            stack.append((idx[goes_left], left, node))
+        if side is not None:
+            side[parent] = node
+    tree = _as_tree({"feature": feature, "threshold": threshold, "left": left,
+                     "right": right, "counts": counts})
+    return tree, members
 
 
 def train_forest(ds: Dataset, n_trees: int = 10, min_leaf_size: int = 20,
                  seed: int = 0) -> Forest:
-    """Grow a random forest on a complete (no missing cells) dataset.
+    """Grow a random forest on a complete (no missing cells), numeric dataset.
 
     Per tree: a bootstrap sample of n draws with replacement, and at each
     node a fresh random subset of ceil(sqrt(d)) attributes scored by Gini
@@ -314,46 +318,32 @@ def train_forest(ds: Dataset, n_trees: int = 10, min_leaf_size: int = 20,
         raise DataError("min_leaf_size must be >= 1")
     if ds.n < 1:
         raise EmptyDatasetError("cannot train on an empty dataset")
+    require_numeric(ds.schema, "train_forest")
     if ds.has_missing():
         raise MissingValueError("train_forest requires a dataset without missing cells")
-    kinds = np.array([1 if a.kind == CATEGORICAL else 0 for a in ds.schema])
-    n_categories = np.array(
-        [len(a.categories) if a.kind == CATEGORICAL else 0 for a in ds.schema]
-    )
     presorted = _presort(ds.records)
-    trees = []
+    trees, members = [], []
     for t in range(n_trees):
         rng = np.random.default_rng([seed, t])
         draws = rng.integers(0, ds.n, size=ds.n)
         idx, counts = np.unique(draws, return_counts=True)
         class_weights = np.zeros((len(ds.class_names), ds.n), dtype=np.int32)
         class_weights[ds.labels[idx], idx] = counts
-        builder = _TreeBuilder(
-            ds.records, ds.labels, kinds, n_categories, min_leaf_size, presorted,
-            class_weights, rng,
-        )
-        trees.append(builder.build(idx))
-    return Forest(trees, ds.schema, ds.class_names, min_leaf_size, seed)
+        tree, leaf_members = _grow_tree(ds.records, ds.labels, len(ds.class_names),
+                                        min_leaf_size, presorted, class_weights, rng, idx)
+        trees.append(tree)
+        members.extend(leaf_members)
+    offsets = np.zeros(len(members) + 1, dtype=np.int64)
+    np.cumsum([m.shape[0] for m in members], out=offsets[1:])
+    leaves = LeafTable(np.concatenate(members), offsets)
+    return Forest(trees, ds.schema, ds.class_names, min_leaf_size, seed, leaves)
 
 
-def collect_leaves(forest: Forest) -> list[LeafRef]:
+def collect_leaves(forest: Forest) -> LeafTable:
     """Every leaf of every tree, each exactly once, in tree/leaf-id order."""
-    refs = []
-    for t, root in enumerate(forest.trees):
-        stack = [root]
-        leaves = []
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                leaves.append(node)
-            else:
-                stack.extend((node.right, node.left))
-        leaves.sort(key=lambda nd: nd.leaf_id)
-        refs.extend(
-            LeafRef(t, leaf.leaf_id, tuple(int(i) for i in leaf.members))
-            for leaf in leaves
-        )
-    return refs
+    if forest.leaves is None:
+        raise DataError("the forest keeps no leaf members (a loaded forest only predicts)")
+    return forest.leaves
 
 
 def _check_record(forest: Forest, record: np.ndarray):
@@ -386,86 +376,76 @@ def predict_many(forest: Forest, records) -> np.ndarray:
         raise MissingValueError("cannot predict records with missing cells")
     n = X.shape[0]
     n_classes = len(forest.class_names)
+    rows = np.arange(n)
     votes = np.zeros((n, n_classes))
     dist_sums = np.zeros((n, n_classes))
-    for root in forest.trees:
-        stack = [(root, np.arange(n))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            if node.is_leaf:
-                dist = node.class_counts / node.class_counts.sum()
-                votes[idx, int(np.argmax(node.class_counts))] += 1
-                dist_sums[idx] += dist
-            else:
-                mask = node.goes_left(X[idx, node.attribute])
-                stack.append((node.left, idx[mask]))
-                stack.append((node.right, idx[~mask]))
+    for tree in forest.trees:
+        leaf = tree.apply(X)
+        counts = tree.counts.astype(np.float64)
+        votes[rows, np.argmax(counts, axis=1)[leaf]] += 1
+        dist_sums += (counts / counts.sum(axis=1, keepdims=True))[leaf]
     tied = votes == votes.max(axis=1, keepdims=True)
     return np.argmax(np.where(tied, dist_sums, -np.inf), axis=1).astype(np.int64)
 
 
-# Forest JSON serialization (version 1).
+# Forest JSON serialization (version 2): the tree arrays, no leaf members.
 
-def _node_to_obj(node: TreeNode):
-    if node.is_leaf:
-        return {
-            "leaf": node.leaf_id,
-            "members": [int(i) for i in node.members],
-            "counts": [float(c) for c in node.class_counts],
-        }
-    obj = {"attr": node.attribute}
-    if node.category >= 0:
-        obj["category"] = node.category
-    else:
-        obj["threshold"] = node.threshold
-    obj["left"] = _node_to_obj(node.left)
-    obj["right"] = _node_to_obj(node.right)
-    return obj
+def check_format(obj, fmt: str):
+    """DataError unless obj is a `fmt` document of FORMAT_VERSION."""
+    if not isinstance(obj, dict) or obj.get("format") != fmt:
+        raise DataError(f"not a {fmt} document")
+    version = obj.get("version")
+    if version == 1:
+        raise DataError(f"{fmt} version 1 is no longer read (its leaves carried the "
+                        f"training records); train and save it again")
+    if version != FORMAT_VERSION:
+        raise DataError(f"{fmt} version {version!r} is not version {FORMAT_VERSION}")
 
 
-def _node_from_obj(obj) -> TreeNode:
-    if "leaf" in obj:
-        return TreeNode(
-            leaf_id=obj["leaf"],
-            members=np.array(obj["members"], dtype=np.int64),
-            class_counts=np.array(obj["counts"], dtype=np.float64),
-        )
-    return TreeNode(
-        attribute=obj["attr"],
-        threshold=obj.get("threshold", math.nan),
-        category=obj.get("category", -1),
-        left=_node_from_obj(obj["left"]),
-        right=_node_from_obj(obj["right"]),
+def _tree_from_obj(obj, n_classes: int, d: int) -> Tree:
+    """A Tree from its document, DataError unless the arrays form one tree."""
+    tree = _as_tree(obj)
+    s = tree.feature.shape[0]
+    children = np.concatenate([tree.left, tree.right])
+    parents = np.tile(np.arange(s), 2)
+    splits = children >= 0
+    valid = (
+        all(getattr(tree, name).shape == (s,) for name in ("threshold", "left", "right"))
+        and tree.counts.shape == (s + 1, n_classes)
+        and ((tree.feature >= 0) & (tree.feature < d)).all()
+        and (tree.counts >= 0).all() and (tree.counts.sum(axis=1) > 0).all()
+        # every node but the root has one parent, numbered before it (a
+        # tree without splits is its root leaf alone)
+        and np.array_equal(np.sort(children[splits]), np.arange(1, s))
+        and (children[splits] > parents[splits]).all()
+        and np.array_equal(np.sort(~children[~splits]), np.arange(s + 1 if s else 0))
     )
+    if not valid:
+        raise DataError("forest document holds a malformed tree")
+    return tree
 
 
 def forest_to_dict(forest: Forest) -> dict:
     return {
         "format": "leafbridge-forest",
-        "version": 1,
+        "version": FORMAT_VERSION,
         "min_leaf_size": forest.min_leaf_size,
         "seed": forest.seed,
         "class_names": list(forest.class_names),
-        "schema": [
-            {"name": a.name, "kind": a.kind, "categories": list(a.categories)}
-            for a in forest.schema
-        ],
-        "trees": [_node_to_obj(root) for root in forest.trees],
+        "attributes": [a.name for a in forest.schema],
+        "trees": [{name: getattr(tree, name).tolist() for name in _TREE_ARRAYS}
+                  for tree in forest.trees],
     }
 
 
 def forest_from_dict(obj) -> Forest:
-    if obj.get("format") != "leafbridge-forest" or obj.get("version") != 1:
-        raise DataError("not a version-1 forest document")
-    schema = tuple(
-        AttributeSchema(a["name"], a["kind"], tuple(a["categories"])) for a in obj["schema"]
-    )
+    check_format(obj, "leafbridge-forest")
+    schema = tuple(AttributeSchema(name, NUMERIC) for name in obj["attributes"])
+    class_names = tuple(obj["class_names"])
     return Forest(
-        [_node_from_obj(t) for t in obj["trees"]],
+        [_tree_from_obj(t, len(class_names), len(schema)) for t in obj["trees"]],
         schema,
-        tuple(obj["class_names"]),
+        class_names,
         obj["min_leaf_size"],
         obj["seed"],
     )

@@ -1,18 +1,20 @@
 """Leaf label distributions, centroids, and cross-domain pivot matching.
 
 A leaf's signature is its label distribution (class frequencies of the
-records in the leaf) plus a centroid row: per numeric attribute the member
-mean plus the natural log of the sample standard deviation (the log term is
-omitted for single-member leaves and zero spread), per categorical attribute
-the mode. Signatures are deduplicated per domain and then matched one-to-one
-across domains by Jensen-Shannon divergence; the matched rows are the pivots
-that bridge the two feature spaces.
+records in the leaf) plus a centroid row: per attribute the member mean plus
+the natural log of the sample standard deviation (the log term is omitted
+for single-member leaves and zero spread). Attributes are numeric: the
+pipeline one-hot encodes each categorical column first, so every 0/1
+indicator gets a mean plus ln(std) too. Signatures are deduplicated per
+domain and then matched one-to-one across domains by Jensen-Shannon
+divergence; the matched rows are the pivots that bridge the two feature
+spaces.
 
 The stage runs as array code, without a Python loop per leaf or per pair:
 
-- extract_distributions flattens every leaf's members into one index array
-  with a segment id per leaf. Label distributions and categorical modes are
-  bincounts over (leaf, label) and (leaf, category).
+- extract_distributions reads the forest's leaf table, whose flat member
+  ids give a segment id per leaf. Label distributions are bincounts over
+  (leaf, label).
 - dedup groups rows with np.unique over the rounded distributions,
   renumbered in order of first appearance.
 - match_pivots renormalizes the shared-class rows once and evaluates the
@@ -38,15 +40,14 @@ once, so that the stage adds little to the peak memory of a fit.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CATEGORICAL, Dataset
+from .dataset import Dataset, require_numeric
 from .errors import DataError, EmptyDatasetError, MatchingError
-from .forest import LeafRef
+from .forest import LeafTable
 
 #: Rows whose distributions agree to this many decimals count as duplicates.
 DEDUP_DECIMALS = 6
@@ -165,44 +166,27 @@ def _segment_stats(X: np.ndarray, flat: np.ndarray, sizes: np.ndarray,
     return mean, std
 
 
-def _modes(codes: np.ndarray, seg: np.ndarray, n_seg: int, n_categories: int) -> np.ndarray:
-    """Most frequent category code per segment (ties -> lowest code)."""
-    codes = codes.astype(np.int64)
-    if codes.size:
-        n_categories = max(n_categories, int(codes.max()) + 1)
-    counts = np.bincount(seg * n_categories + codes, minlength=n_seg * n_categories)
-    return np.argmax(counts.reshape(n_seg, n_categories), axis=1).astype(np.float64)
+def extract_distributions(ds: Dataset, leaves: LeafTable) -> DistributionBundle:
+    """Label distribution, centroid and majority label for every leaf of a
+    numeric dataset (SchemaError on a categorical column).
 
-
-def extract_distributions(ds: Dataset, leaves: list[LeafRef]) -> DistributionBundle:
-    """Label distribution, centroid and majority label for every leaf.
-
-    Row i of the result describes leaves[i]; argmax ties go to the lowest
-    class index.
+    Row i of the result describes leaf i of the table; argmax ties go to the
+    lowest class index.
     """
-    if not leaves:
+    require_numeric(ds.schema, "extract_distributions")
+    if not len(leaves):
         raise EmptyDatasetError("no leaves to extract distributions from")
     L, C = len(leaves), len(ds.class_names)
-    sizes = np.fromiter((len(leaf.members) for leaf in leaves), dtype=np.int64, count=L)
+    sizes = leaves.sizes
     if not sizes.all():
-        leaf = leaves[int(np.argmin(sizes))]
-        raise EmptyDatasetError(
-            f"leaf {leaf.leaf_id} of tree {leaf.tree_index} has no members"
-        )
-    flat = np.fromiter(
-        itertools.chain.from_iterable(leaf.members for leaf in leaves),
-        dtype=np.int64, count=int(sizes.sum()),
-    )
+        raise EmptyDatasetError(f"leaf {int(np.argmin(sizes))} of the table has no members")
+    flat = leaves.members
     seg = np.repeat(np.arange(L), sizes)
     counts = np.bincount(seg * C + ds.labels[flat], minlength=L * C).reshape(L, C)
     V = counts / counts.sum(axis=1, keepdims=True)
     W, std = _segment_stats(ds.records, flat, sizes, spread=True)
-    for j, attr in enumerate(ds.schema):
-        if attr.kind == CATEGORICAL:
-            W[:, j] = _modes(ds.records[flat, j], seg, L, len(attr.categories))
-            continue
-        spread = std[:, j] != 0.0
-        W[spread, j] += [math.log(s) for s in std[spread, j].tolist()]
+    spread = std != 0.0
+    W[spread] += [math.log(s) for s in std[spread].tolist()]
     R = np.argmax(V, axis=1)
     return DistributionBundle(V, W, R, ds.schema, ds.class_names, ds.domain_tag)
 
@@ -210,10 +194,9 @@ def extract_distributions(ds: Dataset, leaves: list[LeafRef]) -> DistributionBun
 def dedup(bundle: DistributionBundle) -> tuple[DistributionBundle, np.ndarray]:
     """Merge rows whose distributions agree after 6-decimal rounding.
 
-    Merged rows are numbered in order of first appearance. Merged centroids
-    average numeric attributes and take the mode of modes for categorical
-    ones (ties -> lowest category index). Returns the merged bundle plus a
-    row map from each input row to its merged row.
+    Merged rows are numbered in order of first appearance, and their
+    centroids are averaged. Returns the merged bundle plus a row map from
+    each input row to its merged row.
     """
     keys = np.round(bundle.V, DEDUP_DECIMALS)
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
@@ -225,9 +208,6 @@ def dedup(bundle: DistributionBundle) -> tuple[DistributionBundle, np.ndarray]:
     members = np.argsort(row_map, kind="stable")
     W, _ = _segment_stats(bundle.W, members, np.bincount(row_map, minlength=n_groups),
                           spread=False)
-    for j, attr in enumerate(bundle.schema):
-        if attr.kind == CATEGORICAL:
-            W[:, j] = _modes(bundle.W[:, j], row_map, n_groups, len(attr.categories))
     V = bundle.V[first[order]]
     merged_bundle = DistributionBundle(
         V, W, np.argmax(V, axis=1),

@@ -10,24 +10,35 @@ the model falls back to the target-only forest.
 Every forest of the pipeline is trained by `fit_forest`, the one place that
 turns a TransferConfig into training parameters. A caller that scores other
 methods on the same data passes a `DomainForests` holder: run_transfer fills
-its empty slots with the domain forests it trains and reuses filled ones, so
-the caller's source-only and target-only baselines share them.
+its empty slots with the domain forests (and one-hot encodings) it makes and
+reuses filled ones, so the caller's source-only and target-only baselines
+share them.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import adaptation, pivot
 from .adaptation import ProjectionMatrix
-from .dataset import Dataset, align_categories, encode_records, encoded_schema, one_hot_encode
+from .dataset import (
+    AttributeSchema,
+    Dataset,
+    align_categories,
+    encode_records,
+    encoded_schema,
+    one_hot_encode,
+)
 from .errors import DataError, MatchingError, MissingValueError
 from .forest import (
+    FORMAT_VERSION,
     Forest,
+    LeafTable,
+    check_format,
     collect_leaves,
     forest_from_dict,
     forest_to_dict,
@@ -96,17 +107,12 @@ class TransferModel:
         return predict_many(self.forest, encode_records(records, self.raw_schema))
 
     def to_dict(self) -> dict:
-        proj_csv = None
-        if self.projection is not None:
-            proj_csv = "\n".join(
-                ",".join(repr(float(v)) for v in row) for row in self.projection.matrix
-            )
         return {
             "format": "leafbridge-model",
-            "version": 1,
+            "version": FORMAT_VERSION,
             "fallback": self.fallback,
             "forest": forest_to_dict(self.forest),
-            "projection_csv": proj_csv,
+            "projection": None if self.projection is None else self.projection.matrix.tolist(),
             "diagnostics": self.diagnostics,
             "class_names": list(self.class_names),
             "raw_schema": [
@@ -122,22 +128,14 @@ class TransferModel:
 
     @staticmethod
     def load(path) -> "TransferModel":
-        from .dataset import AttributeSchema
-
+        """Read a saved model; DataError on any other document, version 1
+        models included."""
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        if obj.get("format") != "leafbridge-model" or obj.get("version") != 1:
-            raise DataError("not a version-1 model document")
-        projection = None
-        if obj["projection_csv"] is not None:
-            matrix = np.array([
-                [float(v) for v in line.split(",")]
-                for line in obj["projection_csv"].split("\n")
-            ])
-            projection = ProjectionMatrix(matrix)
+        check_format(obj, "leafbridge-model")
         return TransferModel(
             forest=forest_from_dict(obj["forest"]),
-            projection=projection,
+            projection=None if obj["projection"] is None else ProjectionMatrix(obj["projection"]),
             fallback=obj["fallback"],
             diagnostics=obj["diagnostics"],
             raw_schema=tuple(
@@ -157,30 +155,39 @@ def fit_forest(encoded: Dataset, cfg: TransferConfig) -> Forest:
 
 @dataclass(eq=False)
 class DomainForests:
-    """The source and target forests of one pair of datasets.
+    """The source and target forests of one pair of datasets, and the
+    one-hot encodings of those datasets.
 
     `get` trains an empty slot's forest and fills the slot; later requests
-    return the same object. Keep a holder for one pair of datasets and one
-    config only (the experiment runner keeps one per cell): a filled slot is
+    return the same object. `encode` encodes a domain's dataset once and
+    holds the result. Keep a holder for one pair of datasets and one config
+    only (the experiment runner keeps one per cell): a filled slot is
     checked against the schema and classes of the data, not against its
     records or the config.
     """
 
     source: Forest | None = None
     target: Forest | None = None
+    encodings: dict = field(default_factory=dict)
 
-    def get(self, domain: str, ds: Dataset, cfg: TransferConfig,
-            encoded: Dataset | None = None) -> Forest:
+    def encode(self, domain: str, ds: Dataset) -> Dataset:
+        """ds's one-hot encoding, computed on the first request for this
+        domain and dataset object and held."""
+        held = self.encodings.get(domain)
+        if held is None or held[0] is not ds:
+            held = self.encodings[domain] = (ds, one_hot_encode(ds))
+        return held[1]
+
+    def get(self, domain: str, ds: Dataset, cfg: TransferConfig) -> Forest:
         """The forest of `domain` ("source" or "target") for dataset `ds`.
 
-        An empty slot is filled by fit_forest on `encoded`, ds's one-hot
-        encoding (computed here when not given). A filled slot is checked
-        against ds's encoded schema and classes, DataError if they differ,
-        and ds is not encoded.
+        An empty slot is filled by fit_forest on ds's held encoding. A
+        filled slot is checked against ds's encoded schema and classes,
+        DataError if they differ, and ds is not encoded.
         """
         forest = getattr(self, domain)
         if forest is None:
-            forest = fit_forest(one_hot_encode(ds) if encoded is None else encoded, cfg)
+            forest = fit_forest(self.encode(domain, ds), cfg)
             setattr(self, domain, forest)
         elif forest.schema != encoded_schema(ds.schema) or forest.class_names != ds.class_names:
             raise DataError(
@@ -190,25 +197,23 @@ class DomainForests:
         return forest
 
 
-def select_transferable(ds_src: Dataset, leaves, pivots: pivot.PivotSet,
+def select_transferable(ds_src: Dataset, leaves: LeafTable, pivots: pivot.PivotSet,
                         dedup_map: np.ndarray) -> Dataset | None:
     """Source records belonging to at least one matched source pivot.
 
-    dedup_map sends each leaf (by position in `leaves`) to its deduplicated
-    distribution row; a record qualifies when any of its leaves maps to a
-    matched source row. Each record appears at most once. Returns None when
-    nothing qualifies.
+    dedup_map sends each leaf of the table to its deduplicated distribution
+    row; a record qualifies when any of its leaves maps to a matched source
+    row. Each record appears at most once, in ascending order. Returns None
+    when nothing qualifies.
     """
     if len(dedup_map) != len(leaves):
         raise DataError("dedup_map must cover every leaf")
-    matched_rows = {pair[0] for pair in pivots.pairs}
-    selected = set()
-    for leaf, row in zip(leaves, dedup_map):
-        if int(row) in matched_rows:
-            selected.update(leaf.members)
-    if not selected:
+    matched = np.isin(dedup_map, [pair[0] for pair in pivots.pairs])
+    keep = np.zeros(ds_src.n, dtype=bool)
+    keep[leaves.members[np.repeat(matched, leaves.sizes)]] = True
+    if not keep.any():
         return None
-    return ds_src.subset(np.array(sorted(selected), dtype=np.int64))
+    return ds_src.subset(np.flatnonzero(keep))
 
 
 def project_records(ds: Dataset, projection: ProjectionMatrix,
@@ -269,12 +274,12 @@ def run_transfer(ds_src: Dataset, ds_tgt: Dataset, cfg: TransferConfig,
     if not shared:
         raise MatchingError("pivot matching: source and target share no class labels")
 
-    src = one_hot_encode(ds_src)
-    tgt = one_hot_encode(ds_tgt)
     if forests is None:
         forests = DomainForests()
-    forest_src = forests.get("source", ds_src, cfg, src)
-    forest_tgt = forests.get("target", ds_tgt, cfg, tgt)
+    src = forests.encode("source", ds_src)
+    tgt = forests.encode("target", ds_tgt)
+    forest_src = forests.get("source", ds_src, cfg)
+    forest_tgt = forests.get("target", ds_tgt, cfg)
 
     leaves_src = collect_leaves(forest_src)
     leaves_tgt = collect_leaves(forest_tgt)

@@ -279,8 +279,8 @@ class TestSharedDomainForests:
 
     @pytest.mark.parametrize("methods, encodings", [
         (METHODS, 2),
-        # the baselines train (and encode) first; run_transfer encodes again
-        (METHODS[::-1], 4),
+        # the baselines train (and encode) first; run_transfer reuses that
+        (METHODS[::-1], 2),
         (("source_only", "target_only"), 2),
         (("tlf",), 2),
         (("target_only",), 1),
@@ -300,6 +300,31 @@ class TestSharedDomainForests:
         report = run_experiment(self.spec(categorical_pair, methods), small_cfg())
         assert all("accuracy" in cell for cell in report.pairs[0]["methods"].values())
         assert len(calls) == encodings
+
+    @pytest.mark.parametrize("methods, encodings", [
+        # tlf and target_only share the target schema's encoding of the test
+        # part; source_only's categories come in another order
+        (METHODS, 2),
+        (METHODS[::-1], 2),
+        (("tlf", "target_only"), 1),
+        (("source_only", "target_only"), 2),
+        (("target_only",), 1),
+    ])
+    def test_test_part_encodings_per_cell(self, categorical_pair, monkeypatch,
+                                          methods, encodings):
+        calls = []
+        real = experiment.encode_records
+
+        def counting(records, schema):
+            calls.append(schema)
+            return real(records, schema)
+
+        for module in (transfer, experiment):
+            monkeypatch.setattr(module, "encode_records", counting)
+        report = run_experiment(self.spec(categorical_pair, methods, repeats=2), small_cfg())
+        assert all(cell["runs"] == 2 for cell in report.pairs[0]["methods"].values())
+        assert len(calls) == 2 * encodings  # per cell, two repeats
+        assert len(set(calls)) == min(encodings, 2)
 
     def test_no_shared_class_fails_tlf_only(self, no_shared_class_pair, trained):
         report = run_experiment(self.spec(no_shared_class_pair, METHODS), small_cfg())
@@ -325,7 +350,7 @@ def loop_forest_predict(predictor, ds):
             raw[i, j] = lookup[name]
     preds = predict_many(predictor.forest, encode_records(raw, predictor.raw_schema))
     mapping = {name: i for i, name in enumerate(ds.class_names)}
-    return np.array([mapping.get(predictor.forest_classes[p], -1) for p in preds])
+    return np.array([mapping.get(predictor.class_names[p], -1) for p in preds])
 
 
 class TestForestPredictor:

@@ -1,28 +1,32 @@
 import json
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from leafbridge import forest as forest_module
 from leafbridge.dataset import CATEGORICAL, NUMERIC, AttributeSchema, Dataset, one_hot_encode
-from leafbridge.errors import EmptyDatasetError, MissingValueError, SchemaError
+from leafbridge.errors import DataError, EmptyDatasetError, MissingValueError, SchemaError
 from leafbridge.forest import (
     Forest,
-    TreeNode,
-    _best_categorical_split,
+    LeafTable,
+    Tree,
     _best_numeric_splits,
     _class_sums,
     _gini,
     _presort,
     collect_leaves,
+    forest_from_dict,
     forest_from_json,
+    forest_to_dict,
     forest_to_json,
     predict,
     predict_many,
     train_forest,
 )
+from leafbridge.transfer import TransferConfig, TransferModel
 from conftest import numeric_dataset
 
 _GAIN_EPS = forest_module._GAIN_EPS
@@ -84,8 +88,48 @@ def oracle_numeric_splits(X, labels, weights, idx, attrs, n_classes, min_leaf):
     return best
 
 
-class OracleBuilder(forest_module._TreeBuilder):
-    """The tree builder with the reference split search swapped in."""
+@dataclass
+class OracleNode:
+    """Internal split (attribute, threshold, children) or leaf (id, the
+    distinct in-bag records routed to it, their class counts)."""
+
+    attribute: int = -1
+    threshold: float = math.nan
+    left: "OracleNode | None" = None
+    right: "OracleNode | None" = None
+    leaf_id: int = -1
+    members: np.ndarray | None = None
+    class_counts: np.ndarray | None = None
+
+
+class OracleTreeBuilder:
+    """The recursive tree builder, with the reference split search: the flat
+    builder in leafbridge.forest must grow the same trees."""
+
+    def __init__(self, X, y, n_classes, min_leaf, class_weights, rng):
+        self.X, self.y, self.n_classes, self.min_leaf = X, y, n_classes, min_leaf
+        self.class_weights, self.rng = class_weights, rng
+        self.n_attr_sample = max(1, math.ceil(math.sqrt(X.shape[1])))
+        self.next_leaf_id = 0
+
+    def build(self, idx) -> OracleNode:
+        labels = self.y[idx]
+        if idx.shape[0] < 2 * self.min_leaf or np.all(labels == labels[0]):
+            return self._leaf(idx, labels)
+        split = self._best_split(idx, labels)
+        if split is None:
+            return self._leaf(idx, labels)
+        attr, threshold = split
+        mask = self.X[idx, attr] <= threshold
+        left = self.build(idx[mask])
+        right = self.build(idx[~mask])
+        return OracleNode(attribute=attr, threshold=threshold, left=left, right=right)
+
+    def _leaf(self, idx, labels) -> OracleNode:
+        node = OracleNode(leaf_id=self.next_leaf_id, members=np.array(idx),
+                          class_counts=np.bincount(labels, minlength=self.n_classes))
+        self.next_leaf_id += 1
+        return node
 
     def _best_split(self, idx, labels):
         d = self.X.shape[1]
@@ -93,20 +137,74 @@ class OracleBuilder(forest_module._TreeBuilder):
         weights = self.class_weights[labels, idx].astype(np.float64)
         best = None
         for attr in sorted(int(a) for a in sampled):
-            values = self.X[idx, attr]
-            if self.kinds[attr] == 1:
-                found = _best_categorical_split(values, labels, weights, self.n_classes,
-                                                self.min_leaf, self.n_categories[attr])
-                if found is not None and (best is None or found[0] > best[0]):
-                    best = (found[0], attr, math.nan, found[1])
-            else:
-                found = oracle_numeric_split(values, labels, weights, self.n_classes,
-                                             self.min_leaf)
-                if found is not None and (best is None or found[0] > best[0]):
-                    best = (found[0], attr, found[1], -1)
-        if best is None:
-            return None
-        return best[1], best[2], best[3]
+            found = oracle_numeric_split(self.X[idx, attr], labels, weights, self.n_classes,
+                                         self.min_leaf)
+            if found is not None and (best is None or found[0] > best[0]):
+                best = (found[0], attr, found[1])
+        return None if best is None else best[1:]
+
+
+def oracle_forest(ds, n_trees, min_leaf, seed):
+    """The roots of train_forest's trees, grown by the oracle builder."""
+    roots = []
+    for t in range(n_trees):
+        rng = np.random.default_rng([seed, t])
+        draws = rng.integers(0, ds.n, size=ds.n)
+        idx, counts = np.unique(draws, return_counts=True)
+        class_weights = np.zeros((len(ds.class_names), ds.n), dtype=np.int32)
+        class_weights[ds.labels[idx], idx] = counts
+        builder = OracleTreeBuilder(ds.records, ds.labels, len(ds.class_names), min_leaf,
+                                    class_weights, rng)
+        roots.append(builder.build(idx))
+    return roots
+
+
+def flatten(root):
+    """An oracle tree as the arrays of a Tree (pre-order split nodes, leaves
+    by id), plus its leaves' members in leaf order."""
+    arrays = {name: [] for name in ("feature", "threshold", "left", "right", "counts")}
+    members = []
+
+    def visit(node):
+        if node.left is None:
+            assert node.leaf_id == len(members)
+            arrays["counts"].append(node.class_counts)
+            members.append(node.members)
+            return ~node.leaf_id
+        i = len(arrays["feature"])
+        arrays["feature"].append(node.attribute)
+        arrays["threshold"].append(node.threshold)
+        arrays["left"].append(0)
+        arrays["right"].append(0)
+        arrays["left"][i] = visit(node.left)
+        arrays["right"][i] = visit(node.right)
+        return i
+
+    visit(root)
+    return arrays, members
+
+
+def assert_matches_oracle(forest, roots):
+    """Node for node and member for member, bit for bit, and the same JSON."""
+    assert forest.n_trees == len(roots)
+    table = collect_leaves(forest)
+    first, oracle_trees = 0, []
+    for tree, root in zip(forest.trees, roots):
+        arrays, members = flatten(root)
+        for name, want in arrays.items():
+            got = getattr(tree, name)
+            want = np.array(want, dtype=got.dtype).reshape(got.shape)
+            assert got.tobytes() == want.tobytes(), name
+            arrays[name] = want
+        oracle_trees.append(Tree(**arrays))
+        for k, want in enumerate(members, start=first):
+            got = table.members[table.offsets[k]:table.offsets[k + 1]]
+            np.testing.assert_array_equal(got, want)
+        first += tree.n_leaves
+    assert len(table) == first
+    oracle = Forest(oracle_trees, forest.schema, forest.class_names, forest.min_leaf_size,
+                    forest.seed)
+    assert forest_to_json(forest) == forest_to_json(oracle)
 
 
 def two_class_dataset(n=200, seed=0):
@@ -114,6 +212,15 @@ def two_class_dataset(n=200, seed=0):
     X = rng.normal(size=(n, 3))
     y = (X[:, 0] + 0.3 * X[:, 1] > 0).astype(int)
     return numeric_dataset(X, y)
+
+
+def leaf_of(tree, record):
+    """The leaf a record reaches, one node at a time."""
+    node = 0 if tree.feature.size else -1
+    while node >= 0:
+        goes_left = record[tree.feature[node]] <= tree.threshold[node]
+        node = int(tree.left[node] if goes_left else tree.right[node])
+    return ~node
 
 
 def loop_predict(forest, X):
@@ -124,11 +231,10 @@ def loop_predict(forest, X):
     for record in X:
         votes = np.zeros(n_classes)
         dist_sums = np.zeros(n_classes)
-        for node in forest.trees:
-            while not node.is_leaf:
-                node = node.left if node.goes_left(record[node.attribute]) else node.right
-            votes[int(np.argmax(node.class_counts))] += 1
-            dist_sums += node.class_counts / node.class_counts.sum()
+        for tree in forest.trees:
+            counts = tree.counts[leaf_of(tree, record)].astype(np.float64)
+            votes[int(np.argmax(counts))] += 1
+            dist_sums += counts / counts.sum()
         tied = np.flatnonzero(votes == votes.max())
         if tied.size == 1:
             out.append(int(tied[0]))
@@ -147,7 +253,7 @@ class TestTraining:
         ds = numeric_dataset(np.random.default_rng(0).normal(size=(50, 2)),
                              np.zeros(50, dtype=int), n_classes=1)
         forest = train_forest(ds, n_trees=4, min_leaf_size=5, seed=0)
-        assert all(root.is_leaf for root in forest.trees)
+        assert all(tree.feature.size == 0 and tree.n_leaves == 1 for tree in forest.trees)
 
     def test_determinism(self):
         a = train_forest(two_class_dataset(), n_trees=5, min_leaf_size=5, seed=42)
@@ -172,15 +278,13 @@ class TestTraining:
         forest = train_forest(ds, n_trees=3, min_leaf_size=5, seed=0)
         np.testing.assert_array_equal(predict_many(forest, ds.records), np.zeros(40))
 
-    def test_categorical_splits(self):
-        # label is fully determined by the category
-        schema = (AttributeSchema("b", CATEGORICAL, ("x", "y", "z")),)
-        rng = np.random.default_rng(0)
-        cats = rng.integers(0, 3, 120).astype(float)
-        labels = (cats > 0).astype(int)
-        ds = Dataset(schema, cats[:, None], labels, ("p", "q"))
-        forest = train_forest(ds, n_trees=5, min_leaf_size=5, seed=0)
-        np.testing.assert_array_equal(predict_many(forest, cats[:, None]), labels)
+    def test_raw_categorical_column_rejected(self):
+        schema = (AttributeSchema("a", NUMERIC), AttributeSchema("b", CATEGORICAL, ("x", "y")))
+        ds = Dataset(schema, [[0.0, 0.0], [1.0, 1.0]], [0, 1], ("p", "q"))
+        with pytest.raises(SchemaError, match="'b' is categorical.*one_hot_encode"):
+            train_forest(ds, n_trees=1, min_leaf_size=1, seed=0)
+        forest = train_forest(one_hot_encode(ds), n_trees=1, min_leaf_size=1, seed=0)
+        assert [a.name for a in forest.schema] == ["a", "b=x", "b=y"]
 
 
 class TestSplitSearch:
@@ -274,6 +378,8 @@ class TestSplitSearch:
         return Dataset(schema, X, y, ("p", "q", "r"))
 
     def datasets(self):
+        # raw categorical columns enter as their one-hot encoding, as in the
+        # pipeline; "one_hot" is the encoding of the mixed dataset
         rng = np.random.default_rng(21)
         X = rng.normal(size=(500, 6))
         X[:, 5] = np.round(X[:, 5])
@@ -286,7 +392,7 @@ class TestSplitSearch:
         )
         many_classes = numeric_dataset(rng.normal(size=(600, 5)), rng.integers(0, 9, 600))
         return {"numeric": numeric, "one_hot": one_hot_encode(mixed),
-                "categorical": categorical, "mixed": mixed, "nine_classes": many_classes}
+                "categorical": one_hot_encode(categorical), "nine_classes": many_classes}
 
     @pytest.mark.parametrize("block", [None, 1])
     @pytest.mark.parametrize("min_leaf", [1, 5, 40])
@@ -295,13 +401,8 @@ class TestSplitSearch:
             with monkeypatch.context() as patch:
                 if block is not None:
                     patch.setattr(forest_module, "SPLIT_BLOCK_ELEMENTS", block)
-                got = forest_to_json(
-                    train_forest(ds, n_trees=4, min_leaf_size=min_leaf, seed=3))
-            with monkeypatch.context() as patch:
-                patch.setattr(forest_module, "_TreeBuilder", OracleBuilder)
-                want = forest_to_json(
-                    train_forest(ds, n_trees=4, min_leaf_size=min_leaf, seed=3))
-            assert got == want, name
+                forest = train_forest(ds, n_trees=4, min_leaf_size=min_leaf, seed=3)
+            assert_matches_oracle(forest, oracle_forest(ds, 4, min_leaf, 3))
 
     def test_presort_tables(self):
         X = np.array([[2.0, 0.0], [1.0, -0.0], [2.0, 0.0], [0.5, 1.0]])
@@ -373,6 +474,12 @@ class TestSplitSearch:
         assert peak <= 40 * block + 65536
 
 
+def tree_leaf_ranges(forest):
+    """(first, end) leaf row of each tree in the forest's leaf table."""
+    ends = np.cumsum([tree.n_leaves for tree in forest.trees])
+    return list(zip(ends - [tree.n_leaves for tree in forest.trees], ends))
+
+
 class TestLeaves:
     def test_single_leaf_trees_yield_tau_refs(self):
         ds = numeric_dataset(np.random.default_rng(0).normal(size=(30, 2)),
@@ -383,33 +490,72 @@ class TestLeaves:
     def test_members_partition_routed_records(self):
         ds = two_class_dataset(150, seed=2)
         forest = train_forest(ds, n_trees=6, min_leaf_size=10, seed=2)
-        for t, root in enumerate(forest.trees):
-            members = [leaf.members for leaf in collect_leaves(forest) if leaf.tree_index == t]
-            flat = [i for m in members for i in m]
+        table = collect_leaves(forest)
+        for t, (first, end) in enumerate(tree_leaf_ranges(forest)):
+            flat = table.members[table.offsets[first]:table.offsets[end]].tolist()
             assert len(flat) == len(set(flat))  # disjoint
             rng = np.random.default_rng([2, t])
             in_bag = set(np.unique(rng.integers(0, ds.n, size=ds.n)))
             assert set(flat) == in_bag
 
+    def test_members_reach_their_leaf(self):
+        ds = two_class_dataset(150, seed=3)
+        forest = train_forest(ds, n_trees=4, min_leaf_size=3, seed=3)
+        table = collect_leaves(forest)
+        for tree, (first, end) in zip(forest.trees, tree_leaf_ranges(forest)):
+            reached = tree.apply(ds.records)
+            for k in range(first, end):
+                members = table.members[table.offsets[k]:table.offsets[k + 1]]
+                assert (reached[members] == k - first).all()
+                assert (np.diff(members) > 0).all()
+                np.testing.assert_array_equal(
+                    tree.counts[k - first], np.bincount(ds.labels[members], minlength=2))
+
     def test_member_count_respects_min_leaf(self):
         ds = two_class_dataset(300, seed=5)
         forest = train_forest(ds, n_trees=8, min_leaf_size=15, seed=5)
-        multi = [leaf for leaf in collect_leaves(forest)
-                 if not forest.trees[leaf.tree_index].is_leaf]
+        sizes = collect_leaves(forest).sizes
+        multi = [sizes[first:end] for tree, (first, end)
+                 in zip(forest.trees, tree_leaf_ranges(forest)) if tree.feature.size]
         assert multi, "expected at least one split tree"
-        assert min(len(leaf.members) for leaf in multi) >= 15
+        assert min(s.min() for s in multi) >= 15
+
+    def test_loaded_forest_has_no_leaf_table(self):
+        forest = train_forest(two_class_dataset(60), n_trees=2, min_leaf_size=5, seed=0)
+        with pytest.raises(DataError, match="no leaf members"):
+            collect_leaves(forest_from_json(forest_to_json(forest)))
+
+    def test_offsets_checked(self):
+        with pytest.raises(DataError, match="offsets"):
+            LeafTable(np.arange(3), np.array([0, 2]))
+        with pytest.raises(DataError, match="offsets"):
+            LeafTable(np.arange(3), np.array([0, 2, 1, 3]))
 
 
-def _leaf(counts, leaf_id=0):
-    counts = np.asarray(counts, dtype=np.float64)
-    return TreeNode(leaf_id=leaf_id, members=np.arange(int(counts.sum())),
-                    class_counts=counts)
+def _stump(counts):
+    """A tree without splits: the single leaf 0."""
+    empty = np.empty(0, dtype=np.intp)
+    return Tree(empty, np.empty(0), empty, empty, np.array([counts], dtype=np.int64))
 
 
 def _stump_forest(count_rows):
-    trees = [_leaf(c) for c in count_rows]
+    trees = [_stump(c) for c in count_rows]
     schema = (AttributeSchema("f0", NUMERIC),)
     return Forest(trees, schema, ("A", "B"), 1, 0)
+
+
+def chain_forest(depth):
+    """One hand-built tree `depth` splits deep: split i sends x <= i + 0.5
+    to leaf i (class i % 2) and the rest on to split i + 1; the last split's
+    right child is leaf `depth`."""
+    splits = np.arange(depth)
+    leaves, odd = np.arange(depth + 1), np.arange(depth + 1) % 2
+    counts = np.ones((depth + 1, 2), dtype=np.int64)
+    counts[leaves, odd] = 3
+    right = np.append(splits[1:], ~depth)
+    tree = Tree(np.zeros(depth, dtype=np.intp), splits + 0.5, ~splits, right, counts)
+    schema = (AttributeSchema("x", NUMERIC),)
+    return Forest([tree], schema, ("even", "odd"), 1, 0)
 
 
 class TestPredict:
@@ -439,6 +585,12 @@ class TestPredict:
         forest = _stump_forest([[1, 1]])
         with pytest.raises(MissingValueError):
             predict(forest, [np.nan])
+
+    def test_cell_at_threshold_goes_left(self):
+        forest = chain_forest(4)
+        X = forest.trees[0].threshold[:, None]
+        np.testing.assert_array_equal(predict_many(forest, X), [0, 1, 0, 1])
+        np.testing.assert_array_equal(loop_predict(forest, X)[0], [0, 1, 0, 1])
 
     def test_predict_matches_predict_many(self):
         ds = two_class_dataset(100, seed=7)
@@ -471,6 +623,54 @@ class TestSerialization:
         X = np.random.default_rng(10).normal(size=(40, 3))
         np.testing.assert_array_equal(predict_many(forest, X), predict_many(again, X))
         assert forest_to_json(again) == text
+
+    def test_document_holds_no_members(self):
+        forest = train_forest(two_class_dataset(120), n_trees=3, min_leaf_size=5, seed=1)
+        doc = forest_to_dict(forest)
+        assert doc["version"] == 2
+        assert set(doc["trees"][0]) == {"feature", "threshold", "left", "right", "counts"}
+
+    def test_version_1_rejected_by_name(self):
+        doc = forest_to_dict(_stump_forest([[1, 2]]))
+        doc["version"] = 1
+        with pytest.raises(DataError, match="version 1 is no longer read"):
+            forest_from_dict(doc)
+        doc["version"] = 3
+        with pytest.raises(DataError, match="version 3"):
+            forest_from_dict(doc)
+
+    @pytest.mark.parametrize("name, value", [
+        ("left", [-1, -1]),       # leaf 0 twice, leaf 1 unreachable
+        ("right", [0, -3]),       # split 0 is its own child: a cycle
+        ("feature", [0, 5]),      # no column 5
+        ("counts", [[1, 0], [0, 1]]),  # 2 leaves for 2 splits
+        ("threshold", [0.5]),
+    ])
+    def test_malformed_tree_rejected(self, name, value):
+        doc = forest_to_dict(chain_forest(2))
+        doc["trees"][0][name] = value
+        with pytest.raises(DataError, match="malformed tree"):
+            forest_from_dict(doc)
+
+    def test_deep_tree_round_trips_and_predicts(self, tmp_path):
+        # deeper than Python's recursion limit; random data only reaches
+        # depths of about 60-70, so the tree is built by hand
+        depth = 2500
+        forest = chain_forest(depth)
+        X = np.arange(-1.0, depth + 1.0)[:, None] + 0.25
+        want, _ = loop_predict(forest, X)
+        np.testing.assert_array_equal(want[1:depth + 1], np.arange(depth) % 2)
+        np.testing.assert_array_equal(predict_many(forest, X), want)
+        again = forest_from_json(forest_to_json(forest))
+        np.testing.assert_array_equal(predict_many(again, X), want)
+        ds = Dataset(forest.schema, X, np.zeros(X.shape[0], dtype=np.int64),
+                     forest.class_names, "target")
+        model = TransferModel(forest=forest, projection=None, fallback=True, diagnostics={},
+                              raw_schema=forest.schema, class_names=forest.class_names,
+                              config=TransferConfig())
+        model.save(tmp_path / "deep.json")
+        loaded = TransferModel.load(tmp_path / "deep.json")
+        np.testing.assert_array_equal(loaded.predict_many(ds), want)
 
     def test_empty_dataset_error(self):
         with pytest.raises((EmptyDatasetError, Exception)):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from leafbridge import pivot
-from leafbridge.dataset import CATEGORICAL, NUMERIC, AttributeSchema, Dataset
-from leafbridge.errors import DataError, EmptyDatasetError, MatchingError
-from leafbridge.forest import LeafRef, collect_leaves, train_forest
+from leafbridge.dataset import CATEGORICAL, NUMERIC, AttributeSchema, Dataset, one_hot_encode
+from leafbridge.errors import DataError, EmptyDatasetError, MatchingError, SchemaError
+from leafbridge.forest import LeafTable, collect_leaves, train_forest
 from leafbridge.pivot import (
     DistributionBundle,
     dedup,
@@ -29,21 +29,24 @@ def brute_force_jsd(p, q):
 # Reference implementations: one leaf, group or pair at a time. The array
 # code in leafbridge.pivot must reproduce them bit for bit.
 
+def leaf_table(member_lists):
+    """A LeafTable holding the given members per leaf."""
+    sizes = [len(m) for m in member_lists]
+    members = np.array([i for m in member_lists for i in m], dtype=np.intp)
+    return LeafTable(members, np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64))
+
+
 def _centroid_row(ds, members):
     row = np.empty(ds.d)
     sub = ds.records[members]
-    for j, attr in enumerate(ds.schema):
+    for j in range(ds.d):
         col = sub[:, j]
-        if attr.kind == CATEGORICAL:
-            counts = np.bincount(col.astype(np.int64), minlength=len(attr.categories))
-            row[j] = float(np.argmax(counts))
-        else:
-            mean = col.mean()
-            if col.shape[0] < 2:
-                row[j] = mean
-                continue
-            std = col.std(ddof=1)
-            row[j] = mean if std == 0.0 else mean + math.log(std)
+        mean = col.mean()
+        if col.shape[0] < 2:
+            row[j] = mean
+            continue
+        std = col.std(ddof=1)
+        row[j] = mean if std == 0.0 else mean + math.log(std)
     return row
 
 
@@ -51,8 +54,8 @@ def loop_extract_distributions(ds, leaves):
     C = len(ds.class_names)
     V = np.empty((len(leaves), C))
     W = np.empty((len(leaves), ds.d))
-    for i, leaf in enumerate(leaves):
-        members = np.asarray(leaf.members, dtype=np.int64)
+    for i in range(len(leaves)):
+        members = leaves.members[leaves.offsets[i]:leaves.offsets[i + 1]]
         counts = np.bincount(ds.labels[members], minlength=C)
         V[i] = counts / counts.sum()
         W[i] = _centroid_row(ds, members)
@@ -75,15 +78,7 @@ def loop_dedup(bundle):
         rows = groups[key]
         row_map[rows] = new_row
         V_rows.append(bundle.V[rows[0]])
-        merged = np.empty(len(bundle.schema))
-        for j, attr in enumerate(bundle.schema):
-            cells = bundle.W[rows, j]
-            if attr.kind == CATEGORICAL:
-                counts = np.bincount(cells.astype(np.int64), minlength=len(attr.categories))
-                merged[j] = float(np.argmax(counts))
-            else:
-                merged[j] = cells.mean()
-        W_rows.append(merged)
+        W_rows.append(np.array([bundle.W[rows, j].mean() for j in range(len(bundle.schema))]))
     V = np.array(V_rows)
     merged_bundle = DistributionBundle(
         V, np.array(W_rows), np.argmax(V, axis=1),
@@ -154,85 +149,88 @@ def assert_same_pairs(src, tgt, threshold):
 
 def random_leaves(rng, n, n_leaves, sizes):
     """Leaves of random members (drawn without repeats), one size each."""
-    return [
-        LeafRef(0, j, tuple(int(i) for i in rng.choice(n, size=int(s), replace=False)))
-        for j, s in enumerate(rng.choice(sizes, size=n_leaves))
-    ]
+    return leaf_table([rng.choice(n, size=int(s), replace=False)
+                       for s in rng.choice(sizes, size=n_leaves)])
 
 
 def mixed_dataset(rng, n, d_num, n_cat, n_classes, n_levels=3):
-    """Numeric columns of mixed scale, categorical codes, random labels."""
+    """Numeric columns of mixed scale and the one-hot encoding of
+    categorical codes, random labels."""
     numeric = rng.normal(size=(n, d_num)) * 10.0 ** rng.integers(-3, 4, size=d_num)
     cats = rng.integers(0, n_levels, size=(n, n_cat)).astype(float)
     schema = tuple(AttributeSchema(f"f{j}", NUMERIC) for j in range(d_num)) + tuple(
         AttributeSchema(f"g{j}", CATEGORICAL, tuple(f"v{v}" for v in range(n_levels)))
         for j in range(n_cat)
     )
-    return Dataset(schema, np.hstack([numeric, cats]), rng.integers(0, n_classes, size=n),
-                   tuple(f"c{c}" for c in range(n_classes)))
+    return one_hot_encode(Dataset(schema, np.hstack([numeric, cats]),
+                                  rng.integers(0, n_classes, size=n),
+                                  tuple(f"c{c}" for c in range(n_classes))))
 
 
-def make_bundle(V, W=None, domain_tag="source", class_names=None, kinds=None):
+def make_bundle(V, W=None, domain_tag="source", class_names=None):
     V = np.asarray(V, dtype=np.float64)
     if W is None:
         W = np.zeros((V.shape[0], 1))
     W = np.asarray(W, dtype=np.float64)
     class_names = class_names or tuple(f"c{j}" for j in range(V.shape[1]))
-    if kinds is None:
-        schema = tuple(AttributeSchema(f"f{j}", NUMERIC) for j in range(W.shape[1]))
-    else:
-        schema = tuple(
-            AttributeSchema(f"f{j}", k, ("a", "b", "c") if k == CATEGORICAL else ())
-            for j, k in enumerate(kinds)
-        )
+    schema = tuple(AttributeSchema(f"f{j}", NUMERIC) for j in range(W.shape[1]))
     return DistributionBundle(V, W, np.argmax(V, axis=1), schema, class_names, domain_tag)
 
 
 class TestExtract:
     def test_counting_example(self):
         ds = numeric_dataset([[0.0], [0.0], [0.0]], [0, 0, 1])
-        bundle = extract_distributions(ds, [LeafRef(0, 0, (0, 1, 2))])
+        bundle = extract_distributions(ds, leaf_table([(0, 1, 2)]))
         np.testing.assert_allclose(bundle.V[0], [2 / 3, 1 / 3])
         assert bundle.R[0] == 0
 
     def test_centroid_log_std(self):
         # mean 2, sample std 1, ln 1 = 0 -> centroid 2.0
         ds = numeric_dataset([[1.0], [2.0], [3.0]], [0, 0, 0], n_classes=1)
-        bundle = extract_distributions(ds, [LeafRef(0, 0, (0, 1, 2))])
+        bundle = extract_distributions(ds, leaf_table([(0, 1, 2)]))
         assert bundle.W[0, 0] == pytest.approx(2.0)
 
     def test_centroid_zero_std_omits_log(self):
         ds = numeric_dataset([[5.0], [5.0]], [0, 0], n_classes=1)
-        bundle = extract_distributions(ds, [LeafRef(0, 0, (0, 1))])
+        bundle = extract_distributions(ds, leaf_table([(0, 1)]))
         assert bundle.W[0, 0] == pytest.approx(5.0)
 
     def test_centroid_single_member_omits_log(self):
         ds = numeric_dataset([[7.0]], [0], n_classes=1)
-        bundle = extract_distributions(ds, [LeafRef(0, 0, (0,))])
+        bundle = extract_distributions(ds, leaf_table([(0,)]))
         assert bundle.W[0, 0] == pytest.approx(7.0)
 
     def test_centroid_general_value(self):
         values = np.array([1.0, 4.0, 4.0, 7.0])
         ds = numeric_dataset(values[:, None], [0] * 4, n_classes=1)
-        bundle = extract_distributions(ds, [LeafRef(0, 0, (0, 1, 2, 3))])
+        bundle = extract_distributions(ds, leaf_table([(0, 1, 2, 3)]))
         expected = values.mean() + math.log(values.std(ddof=1))
         assert bundle.W[0, 0] == pytest.approx(expected)
 
-    def test_categorical_centroid_mode(self):
+    def test_one_hot_indicator_centroid(self):
+        # an indicator column is numeric: its mean plus ln of its spread
         schema = (AttributeSchema("b", CATEGORICAL, ("x", "y")),)
-        ds = Dataset(schema, [[0.0], [0.0], [1.0]], [0, 0, 0], ("p",))
-        bundle = extract_distributions(ds, [LeafRef(0, 0, (0, 1, 2))])
-        assert bundle.W[0, 0] == 0.0
+        ds = one_hot_encode(Dataset(schema, [[0.0], [0.0], [1.0]], [0, 0, 0], ("p",)))
+        bundle = extract_distributions(ds, leaf_table([(0, 1, 2)]))
+        indicator = np.array([1.0, 1.0, 0.0])
+        assert bundle.W[0, 0] == pytest.approx(2 / 3 + math.log(indicator.std(ddof=1)))
+        assert bundle.W[0, 0] == pytest.approx(2 / 3 + 0.5 * math.log(1 / 3))
+
+    def test_raw_categorical_column_rejected(self):
+        schema = (AttributeSchema("a", NUMERIC), AttributeSchema("b", CATEGORICAL, ("x", "y")))
+        ds = Dataset(schema, [[0.0, 0.0], [1.0, 1.0]], [0, 0], ("p",))
+        with pytest.raises(SchemaError, match="'b' is categorical.*one_hot_encode"):
+            extract_distributions(ds, leaf_table([(0, 1)]))
 
     def test_majority_tie_lowest_class(self):
         ds = numeric_dataset([[0.0], [0.0]], [1, 0])
-        bundle = extract_distributions(ds, [LeafRef(0, 0, (0, 1))])
+        bundle = extract_distributions(ds, leaf_table([(0, 1)]))
         assert bundle.R[0] == 0
 
     def test_empty_leaf(self):
         ds = numeric_dataset([[0.0]], [0])
         with pytest.raises(EmptyDatasetError):
-            extract_distributions(ds, [LeafRef(0, 0, ())])
+            extract_distributions(ds, leaf_table([()]))
 
 
 class TestDedup:
@@ -249,13 +247,6 @@ class TestDedup:
         assert merged.n_rows == 2
         np.testing.assert_array_equal(merged.V, bundle.V)
         np.testing.assert_array_equal(row_map, [0, 1])
-
-    def test_mode_of_modes(self):
-        bundle = make_bundle(
-            [[0.5, 0.5]] * 3, W=[[0.0], [0.0], [1.0]], kinds=[CATEGORICAL],
-        )
-        merged, _ = dedup(bundle)
-        assert merged.W[0, 0] == 0.0
 
     def test_rounding_tolerance(self):
         v = 1 / 3
@@ -406,36 +397,17 @@ class TestArrayMatchesLoops:
         rng = np.random.default_rng(12)
         ds = mixed_dataset(rng, 400, 3, 1, 3)
         leaves = random_leaves(rng, ds.n, 300, np.arange(1, 120))
-        assert len({len(leaf.members) for leaf in leaves}) > 80
+        assert np.unique(leaves.sizes).size > 80
         assert_matches_loops(ds, leaves)
 
     def test_single_member_and_zero_spread(self):
         records = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0], [7.0, -2.0], [0.0, 0.0]])
         ds = numeric_dataset(records, [0, 1, 0, 1, 0])
-        leaves = [LeafRef(0, 0, (3,)), LeafRef(0, 1, (0, 1, 2)), LeafRef(0, 2, (4,)),
-                  LeafRef(0, 3, (1, 1)), LeafRef(0, 4, (0, 4))]
+        leaves = leaf_table([(3,), (0, 1, 2), (4,), (1, 1), (0, 4)])
         bundle = extract_distributions(ds, leaves)
         assert bundle.W[0].tolist() == [7.0, -2.0]
         assert bundle.W[3].tolist() == [2.0, 5.0]
         assert_matches_loops(ds, leaves)
-
-    def test_categorical_mode_ties(self):
-        schema = (AttributeSchema("b", CATEGORICAL, ("x", "y", "z")),)
-        ds = Dataset(schema, [[2.0], [1.0], [1.0], [2.0], [0.0]], [0, 0, 1, 1, 0], ("p", "q"))
-        leaves = [LeafRef(0, 0, (0, 1)), LeafRef(0, 1, (2, 3)), LeafRef(0, 2, (0, 4)),
-                  LeafRef(0, 3, (0, 1, 2, 3))]
-        bundle = extract_distributions(ds, leaves)
-        assert bundle.W[:, 0].tolist() == [1.0, 1.0, 0.0, 1.0]
-        merged = assert_matches_loops(ds, leaves)
-        # rows 1 and 3 share the distribution (0.5, 0.5) and tie on modes 1 vs 1
-        assert merged.n_rows == 3
-
-    def test_dedup_mode_of_modes_tie(self):
-        bundle = make_bundle([[0.5, 0.5]] * 4, W=[[2.0], [0.0], [0.0], [2.0]],
-                             kinds=[CATEGORICAL])
-        merged, _ = dedup(bundle)
-        want, _ = loop_dedup(bundle)
-        assert merged.W[0, 0] == want.W[0, 0] == 0.0
 
     def test_dedup_groups_renumbered_by_first_appearance(self):
         rng = np.random.default_rng(13)

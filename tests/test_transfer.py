@@ -16,7 +16,7 @@ from leafbridge.dataset import (
     split_target,
 )
 from leafbridge.errors import DataError, MatchingError, MissingValueError
-from leafbridge.forest import LeafRef, forest_to_json, predict_many
+from leafbridge.forest import LeafTable, collect_leaves, forest_to_json, predict_many
 from leafbridge.pivot import PivotSet
 from leafbridge.synthetic import rotated_pair
 from leafbridge.transfer import (
@@ -48,11 +48,8 @@ def pivot_set_with_source_rows(rows):
 class TestSelectTransferable:
     def setup_method(self):
         self.ds = numeric_dataset(np.arange(6.0)[:, None], [0] * 6, n_classes=1)
-        self.leaves = [
-            LeafRef(0, 0, (0, 1)),
-            LeafRef(0, 1, (2, 3)),
-            LeafRef(1, 0, (1, 4)),
-        ]
+        # tree 0's leaves hold records 0, 1 and 2, 3; tree 1's leaf 1, 4
+        self.leaves = LeafTable(np.array([0, 1, 2, 3, 1, 4]), np.array([0, 2, 4, 6]))
         self.dedup_map = np.array([0, 1, 2])
 
     def test_empty_pivots_empty_selection(self):
@@ -174,15 +171,7 @@ class TestRunTransfer:
         # merged forest trained on |selected| - |dropped| + |target| records
         merged_n = d["n_selected"] - d["n_dropped_labels"] + tgt_train.n
         assert d["n_selected"] >= 1
-        leaf_members = set()
-        for root in model.forest.trees:
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                if node.is_leaf:
-                    leaf_members.update(int(i) for i in node.members)
-                else:
-                    stack.extend((node.left, node.right))
+        leaf_members = set(collect_leaves(model.forest).members.tolist())
         assert max(leaf_members) < merged_n
 
     def test_categorical_pipeline(self):
@@ -354,10 +343,22 @@ class TestModelSerialization:
         model = run_transfer(src, tgt_train, TransferConfig(seed=5))
         path = tmp_path / "model.json"
         model.save(path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert doc["version"] == 2
+        assert doc["projection"] == model.projection.matrix.tolist()
+        assert set(doc["forest"]["trees"][0]) == {"feature", "threshold", "left", "right",
+                                                  "counts"}
         again = TransferModel.load(path)
         assert again.fallback == model.fallback
-        np.testing.assert_array_equal(again.projection.matrix, model.projection.matrix)
+        assert again.projection.matrix.tobytes() == model.projection.matrix.tobytes()
         np.testing.assert_array_equal(again.predict_many(test), model.predict_many(test))
+
+    def test_version_1_rejected_by_name(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"format": "leafbridge-model", "version": 1,
+                                    "projection_csv": None}), encoding="utf-8")
+        with pytest.raises(DataError, match="leafbridge-model version 1 is no longer read"):
+            TransferModel.load(path)
 
     def test_fallback_save_load(self, tmp_path):
         rng = np.random.default_rng(6)
