@@ -92,7 +92,9 @@ class Dataset:
             raise SchemaError("attribute names must be unique")
         if self.domain_tag not in ("source", "target"):
             raise DataError(f"domain_tag must be source or target, got {self.domain_tag!r}")
-        records = records.copy()
+        # row-major: the forest builder's flat gathers and the pivot sums
+        # index the records in C order
+        records = records.copy(order="C")
         labels = labels.copy()
         records.setflags(write=False)
         labels.setflags(write=False)
@@ -343,25 +345,31 @@ def encode_records(records: np.ndarray, schema) -> np.ndarray:
     """One-hot encode a record matrix given its raw schema.
 
     Numeric columns are copied, each categorical column becomes one 0/1
-    column per category. Rows must be complete (no NaN cells).
+    column per category. Rows must be complete (no NaN cells). The result
+    is one new column-major (Fortran-order) matrix, the layout in which
+    `forest.predict_many` reads a batch; `Dataset` copies it to row-major.
     """
     records = np.asarray(records, dtype=np.float64)
     if np.isnan(records).any():
         raise MissingValueError("cannot encode records with missing cells")
-    blocks = []
+    n = records.shape[0]
+    out = np.empty((n, len(encoded_schema(schema))), order="F")
+    k = 0
     for j, attr in enumerate(schema):
         col = records[:, j]
         if attr.kind == NUMERIC:
-            blocks.append(col[:, None])
+            out[:, k] = col
+            k += 1
         else:
             m = len(attr.categories)
-            onehot = np.zeros((records.shape[0], m))
             idx = col.astype(np.int64)
             if idx.min() < 0 or idx.max() >= m:
                 raise SchemaError(f"category index out of range in column {attr.name!r}")
-            onehot[np.arange(records.shape[0]), idx] = 1.0
-            blocks.append(onehot)
-    return np.hstack(blocks)
+            block = out[:, k:k + m]
+            block.fill(0.0)
+            block[np.arange(n), idx] = 1.0
+            k += m
+    return out
 
 
 def align_categories(ds: Dataset, schema) -> np.ndarray:

@@ -78,9 +78,14 @@ class Tree:
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf id of every row of X: each node partitions the rows that
-        reach it."""
+        reach it.
+
+        X is read one column at a time, which is a contiguous gather when
+        X is column-major (Fortran order).
+        """
         feature, threshold = self.feature.tolist(), self.threshold.tolist()
         left, right = self.left.tolist(), self.right.tolist()
+        columns = X.T
         leaf = np.empty(X.shape[0], dtype=np.intp)
         stack = [(0 if feature else -1, np.arange(X.shape[0]))]
         while stack:
@@ -88,10 +93,20 @@ class Tree:
             if node < 0:
                 leaf[idx] = ~node
             elif idx.size:
-                goes_left = X[idx, feature[node]] <= threshold[node]
+                goes_left = columns[feature[node]].take(idx) <= threshold[node]
                 stack.append((right[node], idx[~goes_left]))
                 stack.append((left[node], idx[goes_left]))
         return leaf
+
+    def leaf_table(self) -> np.ndarray:
+        """(leaves, 2C) table: each leaf's majority class one-hot (first
+        maximum), then its normalized class counts."""
+        counts = self.counts.astype(np.float64)
+        n_leaves, n_classes = counts.shape
+        table = np.zeros((n_leaves, 2 * n_classes))
+        table[np.arange(n_leaves), np.argmax(counts, axis=1)] = 1.0
+        np.divide(counts, counts.sum(axis=1, keepdims=True), out=table[:, n_classes:])
+        return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,9 +266,15 @@ def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _as_tree(arrays) -> Tree:
-    """A Tree from a mapping of each array's name to its values."""
-    return Tree(**{name: np.array(arrays[name], dtype=dtype)
-                   for name, dtype in _TREE_ARRAYS.items()})
+    """A Tree from a mapping of each array's name to its values; DataError
+    naming an array whose values do not convert."""
+    converted = {}
+    for name, dtype in _TREE_ARRAYS.items():
+        try:
+            converted[name] = np.array(arrays[name], dtype=dtype)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"tree array {name!r} is not numeric: {exc}") from None
+    return Tree(**converted)
 
 
 def _grow_tree(X, y, n_classes, min_leaf, presorted, class_weights, rng, idx):
@@ -342,7 +363,8 @@ def train_forest(ds: Dataset, n_trees: int = 10, min_leaf_size: int = 20,
 def collect_leaves(forest: Forest) -> LeafTable:
     """Every leaf of every tree, each exactly once, in tree/leaf-id order."""
     if forest.leaves is None:
-        raise DataError("the forest keeps no leaf members (a loaded forest only predicts)")
+        raise DataError("the forest keeps no leaf members (a loaded forest or a model's "
+                        "final forest only predicts)")
     return forest.leaves
 
 
@@ -368,22 +390,27 @@ def predict(forest: Forest, record) -> int:
 
 
 def predict_many(forest: Forest, records) -> np.ndarray:
-    """Vectorized predict over a [n, d] record matrix."""
-    X = np.asarray(records, dtype=np.float64)
+    """Vectorized predict over a [n, d] record matrix.
+
+    The trees read the records by column, so a matrix that is not
+    column-major is copied once into Fortran order; `encode_records` output
+    is used as it is. Each tree adds the rows of its `Tree.leaf_table` at
+    its records' leaves into one (n, 2C) sum: the vote counts are exact
+    small integers and the distribution sums add in tree order, as a
+    per-tree vote and distribution sum would.
+    """
+    X = np.asarray(records, dtype=np.float64, order="F")
     if X.ndim != 2 or X.shape[1] != len(forest.schema):
         raise SchemaError("record matrix does not match forest schema")
     if np.isnan(X).any():
         raise MissingValueError("cannot predict records with missing cells")
-    n = X.shape[0]
     n_classes = len(forest.class_names)
-    rows = np.arange(n)
-    votes = np.zeros((n, n_classes))
-    dist_sums = np.zeros((n, n_classes))
+    sums = np.zeros((X.shape[0], 2 * n_classes))
+    gathered = np.empty_like(sums)
     for tree in forest.trees:
-        leaf = tree.apply(X)
-        counts = tree.counts.astype(np.float64)
-        votes[rows, np.argmax(counts, axis=1)[leaf]] += 1
-        dist_sums += (counts / counts.sum(axis=1, keepdims=True))[leaf]
+        np.take(tree.leaf_table(), tree.apply(X), axis=0, out=gathered)
+        sums += gathered
+    votes, dist_sums = sums[:, :n_classes], sums[:, n_classes:]
     tied = votes == votes.max(axis=1, keepdims=True)
     return np.argmax(np.where(tied, dist_sums, -np.inf), axis=1).astype(np.int64)
 
@@ -402,9 +429,21 @@ def check_format(obj, fmt: str):
         raise DataError(f"{fmt} version {version!r} is not version {FORMAT_VERSION}")
 
 
+def read_key(obj: dict, key: str, kind, doc: str, items=None):
+    """obj[key]; DataError naming the key unless obj holds it as a `kind`
+    (a type or tuple of types), and, for a list, each item as an `items`."""
+    if key not in obj:
+        raise DataError(f"{doc} document lacks key {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or (
+            items is not None and not all(isinstance(item, items) for item in value)):
+        raise DataError(f"{doc} document key {key!r} holds a value of the wrong type")
+    return value
+
+
 def _tree_from_obj(obj, n_classes: int, d: int) -> Tree:
     """A Tree from its document, DataError unless the arrays form one tree."""
-    tree = _as_tree(obj)
+    tree = _as_tree({name: read_key(obj, name, list, "tree") for name in _TREE_ARRAYS})
     s = tree.feature.shape[0]
     children = np.concatenate([tree.left, tree.right])
     parents = np.tile(np.arange(s), 2)
@@ -439,15 +478,20 @@ def forest_to_dict(forest: Forest) -> dict:
 
 
 def forest_from_dict(obj) -> Forest:
+    """The forest of a version-2 document; DataError on any other document,
+    a missing or ill-typed key or a malformed tree."""
     check_format(obj, "leafbridge-forest")
-    schema = tuple(AttributeSchema(name, NUMERIC) for name in obj["attributes"])
-    class_names = tuple(obj["class_names"])
+    doc = "leafbridge-forest"
+    schema = tuple(AttributeSchema(name, NUMERIC)
+                   for name in read_key(obj, "attributes", list, doc, items=str))
+    class_names = tuple(read_key(obj, "class_names", list, doc, items=str))
     return Forest(
-        [_tree_from_obj(t, len(class_names), len(schema)) for t in obj["trees"]],
+        [_tree_from_obj(t, len(class_names), len(schema))
+         for t in read_key(obj, "trees", list, doc, items=dict)],
         schema,
         class_names,
-        obj["min_leaf_size"],
-        obj["seed"],
+        read_key(obj, "min_leaf_size", int, doc),
+        read_key(obj, "seed", int, doc),
     )
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .forest import (
     forest_from_dict,
     forest_to_dict,
     predict_many,
+    read_key,
     train_forest,
 )
 
@@ -129,21 +130,33 @@ class TransferModel:
     @staticmethod
     def load(path) -> "TransferModel":
         """Read a saved model; DataError on any other document, version 1
-        models included."""
+        models included, and on a missing or ill-typed key."""
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        check_format(obj, "leafbridge-model")
+        doc, column = "leafbridge-model", "raw_schema column"
+        check_format(obj, doc)
+        raw_schema = tuple(
+            AttributeSchema(read_key(a, "name", str, column), read_key(a, "kind", str, column),
+                            tuple(read_key(a, "categories", list, column, items=str)))
+            for a in read_key(obj, "raw_schema", list, doc, items=dict)
+        )
+        projection = read_key(obj, "projection", (list, type(None)), doc)
+        try:
+            projection = None if projection is None else ProjectionMatrix(projection)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{doc} document key 'projection' is not a matrix: {exc}") from None
+        try:
+            config = TransferConfig(**read_key(obj, "config", dict, doc))
+        except TypeError as exc:
+            raise DataError(f"{doc} document key 'config' is invalid: {exc}") from None
         return TransferModel(
-            forest=forest_from_dict(obj["forest"]),
-            projection=None if obj["projection"] is None else ProjectionMatrix(obj["projection"]),
-            fallback=obj["fallback"],
-            diagnostics=obj["diagnostics"],
-            raw_schema=tuple(
-                AttributeSchema(a["name"], a["kind"], tuple(a["categories"]))
-                for a in obj["raw_schema"]
-            ),
-            class_names=tuple(obj["class_names"]),
-            config=TransferConfig(**obj["config"]),
+            forest=forest_from_dict(read_key(obj, "forest", dict, doc)),
+            projection=projection,
+            fallback=read_key(obj, "fallback", bool, doc),
+            diagnostics=read_key(obj, "diagnostics", dict, doc),
+            raw_schema=raw_schema,
+            class_names=tuple(read_key(obj, "class_names", list, doc, items=str)),
+            config=config,
         )
 
 
@@ -330,7 +343,8 @@ def run_transfer(ds_src: Dataset, ds_tgt: Dataset, cfg: TransferConfig,
     diagnostics["n_dropped_labels"] = selected.n - projected.n
 
     merged = merge_datasets(projected, tgt)
-    final = fit_forest(merged, cfg)
+    # nothing reads the final forest's leaf table, and a loaded model has none
+    final = replace(fit_forest(merged, cfg), leaves=None)
     return TransferModel(
         forest=final, projection=projection, fallback=False,
         diagnostics=diagnostics, raw_schema=ds_tgt.schema,

@@ -11,6 +11,7 @@ from leafbridge.dataset import (
     SplitSpec,
     align_categories,
     encode_records,
+    encoded_schema,
     inject_missing,
     load_csv,
     one_hot_encode,
@@ -149,7 +150,63 @@ class TestLoadCsv:
         assert read_schema_sidecar(side) == {"a": CATEGORICAL}
 
 
+def hstack_encode_records(records, schema):
+    """Reference encoding: one block per raw column, stacked by np.hstack
+    into a row-major matrix."""
+    records = np.asarray(records, dtype=np.float64)
+    blocks = []
+    for j, attr in enumerate(schema):
+        col = records[:, j]
+        if attr.kind == NUMERIC:
+            blocks.append(col[:, None])
+        else:
+            onehot = np.zeros((records.shape[0], len(attr.categories)))
+            onehot[np.arange(records.shape[0]), col.astype(np.int64)] = 1.0
+            blocks.append(onehot)
+    return np.hstack(blocks)
+
+
+def mixed_records(rng, n, schema):
+    """n random complete records of a raw schema."""
+    return np.column_stack([
+        rng.normal(size=n) if a.kind == NUMERIC else rng.integers(0, len(a.categories), n)
+        for a in schema
+    ]).astype(np.float64)
+
+
 class TestOneHot:
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+    @pytest.mark.parametrize("kinds", ["n", "c", "ncn", "ccnnc"])
+    def test_encode_records_matches_hstack(self, layout, kinds):
+        rng = np.random.default_rng(len(kinds))
+        schema = tuple(
+            AttributeSchema(f"a{j}", NUMERIC) if kind == "n"
+            else AttributeSchema(f"a{j}", CATEGORICAL, tuple("uvwxyz"[:1 + j % 5]))
+            for j, kind in enumerate(kinds)
+        )
+        records = mixed_records(rng, 300, schema)
+        if layout == "F":
+            records = np.asfortranarray(records)
+        elif layout == "sliced":
+            # every other row of a matrix with extra columns: no layout
+            wide = np.column_stack([records, rng.normal(size=(300, 2))])
+            records = np.repeat(wide, 2, axis=0)[::2, :len(schema)]
+        want = hstack_encode_records(records, schema)
+        for batch in (records, records[:1]):
+            got = encode_records(batch, schema)
+            assert got.flags.f_contiguous and got.dtype == np.float64
+            assert got.shape == (batch.shape[0], len(encoded_schema(schema)))
+            assert got.tobytes() == want[:batch.shape[0]].tobytes()
+
+    def test_encoded_dataset_is_row_major(self):
+        schema = (AttributeSchema("num", NUMERIC), AttributeSchema("c", CATEGORICAL, ("a", "b")))
+        records = mixed_records(np.random.default_rng(1), 50, schema)
+        enc = one_hot_encode(Dataset(schema, records, np.zeros(50, dtype=int), ("p",)))
+        assert enc.records.flags.c_contiguous
+        assert enc.records.tobytes() == hstack_encode_records(records, schema).tobytes()
+        assert Dataset(enc.schema, np.asfortranarray(enc.records), enc.labels,
+                       enc.class_names).records.flags.c_contiguous
+
     def test_single_categorical(self):
         schema = (AttributeSchema("b", CATEGORICAL, ("x", "y")),)
         ds = Dataset(schema, [[0.0], [1.0]], [0, 1], ("p", "q"))

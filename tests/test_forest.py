@@ -244,6 +244,34 @@ def loop_predict(forest, X):
     return np.array(out, dtype=np.int64), n_tied
 
 
+def per_tree_vote_predict(forest, X):
+    """Reference vectorized predict: each tree partitions the rows of a
+    row-major matrix (`X[idx, feature]`), then scatters its votes and adds
+    its gathered leaf distributions; also returns how many records tied."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    n, n_classes = X.shape[0], len(forest.class_names)
+    rows = np.arange(n)
+    votes = np.zeros((n, n_classes))
+    dist_sums = np.zeros((n, n_classes))
+    for tree in forest.trees:
+        leaf = np.empty(n, dtype=np.intp)
+        stack = [(0 if tree.feature.size else -1, np.arange(n))]
+        while stack:
+            node, idx = stack.pop()
+            if node < 0:
+                leaf[idx] = ~node
+            elif idx.size:
+                goes_left = X[idx, tree.feature[node]] <= tree.threshold[node]
+                stack.append((tree.right[node], idx[~goes_left]))
+                stack.append((tree.left[node], idx[goes_left]))
+        counts = tree.counts.astype(np.float64)
+        votes[rows, np.argmax(counts, axis=1)[leaf]] += 1
+        dist_sums += (counts / counts.sum(axis=1, keepdims=True))[leaf]
+    tied = votes == votes.max(axis=1, keepdims=True)
+    preds = np.argmax(np.where(tied, dist_sums, -np.inf), axis=1).astype(np.int64)
+    return preds, int((tied.sum(axis=1) > 1).sum())
+
+
 class TestTraining:
     def test_tree_count(self):
         forest = train_forest(two_class_dataset(), n_trees=10, min_leaf_size=5, seed=1)
@@ -611,6 +639,60 @@ class TestPredict:
         assert n_tied > 100
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
+
+
+class TestColumnMajorPredict:
+    @staticmethod
+    def forest_and_batch(n_classes, seed=0):
+        """A 4-tree forest on coarse (tie-prone) data, one single-leaf tree
+        among them, and a 3000-record test batch."""
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(size=(600, 5)), 1)
+        y = np.digitize(X[:, 0] + X[:, 1] + rng.normal(size=600),
+                        np.linspace(-2, 2, n_classes - 1))
+        forest = train_forest(numeric_dataset(X, y, n_classes), n_trees=4,
+                              min_leaf_size=3, seed=seed)
+        forest.trees[2] = _stump(np.bincount(y, minlength=n_classes))
+        return forest, np.round(rng.normal(size=(3000, 5)), 1)
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 8, 9])
+    def test_matches_per_tree_votes_on_every_layout(self, n_classes):
+        forest, X = self.forest_and_batch(n_classes)
+        want, n_tied = per_tree_vote_predict(forest, X)
+        assert n_tied > 100
+        wide = np.column_stack([X, X])
+        for batch in (X, np.asfortranarray(X), wide[:, 5:], wide[::2][:, :5]):
+            expected = want if batch.shape[0] == X.shape[0] else want[::2]
+            got = predict_many(forest, batch)
+            assert got.dtype == np.int64
+            assert got.tobytes() == expected.tobytes()
+        for row in (X[0], np.asfortranarray(X)[7], wide[11, 5:]):
+            assert predict(forest, row) == per_tree_vote_predict(forest, row[None, :])[0][0]
+
+    def test_leaf_table(self):
+        # first maximum wins the vote; 3 / 10 is not 3 * (1 / 10) in floats
+        tree = Tree(np.array([0, 1]), np.array([0.5, 1.5]), np.array([-1, -2]),
+                    np.array([1, -3]), np.array([[1, 3, 3], [2, 0, 2], [3, 7, 0]]))
+        want = [[0, 1, 0, 1 / 7, 3 / 7, 3 / 7], [1, 0, 0, 2 / 4, 0 / 4, 2 / 4],
+                [0, 1, 0, 3 / 10, 7 / 10, 0 / 10]]
+        assert tree.leaf_table().tobytes() == np.array(want).tobytes()
+
+    def test_column_major_batch_is_not_copied(self):
+        n, d = 20000, 40
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(2000, d))
+        forest = train_forest(numeric_dataset(X, (X[:, 0] > 0).astype(int)), n_trees=3,
+                              min_leaf_size=20, seed=5)
+        batch = np.asfortranarray(rng.normal(size=(n, d)))
+        tracemalloc.start()
+        try:
+            predict_many(forest, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the isnan mask (n * d bytes), index arrays and the (n, 4) sums,
+        # not a second (n, d) float64 copy of the batch
+        assert peak < 8 * n * d // 2
 
 
 class TestSerialization:

@@ -1,11 +1,14 @@
 import json
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from leafbridge import transfer as transfer_module
 from leafbridge.adaptation import ProjectionMatrix
 from leafbridge.dataset import (
+    CATEGORICAL,
     NUMERIC,
     AttributeSchema,
     Dataset,
@@ -163,7 +166,14 @@ class TestRunTransfer:
         assert model.projection is not None
         assert model.projection.matrix.shape == (10, 10)
 
-    def test_merge_size_invariant(self):
+    def test_merge_size_invariant(self, monkeypatch):
+        trained = []
+
+        def recording_fit_forest(encoded, cfg):
+            trained.append(fit_forest(encoded, cfg))
+            return trained[-1]
+
+        monkeypatch.setattr(transfer_module, "fit_forest", recording_fit_forest)
         src, tgt = rotated_pair(center_spread=2.0, cluster_std=2.0, seed=2)
         tgt_train, _ = split_target(tgt, SplitSpec(0.05, 2))
         model = run_transfer(src, tgt_train, TransferConfig(seed=2))
@@ -171,8 +181,14 @@ class TestRunTransfer:
         # merged forest trained on |selected| - |dropped| + |target| records
         merged_n = d["n_selected"] - d["n_dropped_labels"] + tgt_train.n
         assert d["n_selected"] >= 1
-        leaf_members = set(collect_leaves(model.forest).members.tolist())
+        final = trained[-1]
+        leaf_members = set(collect_leaves(final).members.tolist())
         assert max(leaf_members) < merged_n
+        # the model keeps the final forest without its leaf table, as a
+        # loaded model does
+        assert model.forest.trees is final.trees and model.forest.leaves is None
+        with pytest.raises(DataError, match="no leaf members"):
+            collect_leaves(model.forest)
 
     def test_categorical_pipeline(self):
         # mixed categorical/numeric schemas flow through encoding,
@@ -336,6 +352,27 @@ class TestCategoryAlignment:
             model.predict_many(as_category)
 
 
+def test_model_predict_makes_one_encoded_copy():
+    n, d = 20000, 40
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(2000, d))
+    tgt = numeric_dataset(X, (X[:, 0] > 0).astype(int), domain_tag="target")
+    cfg = TransferConfig(n_trees=3)
+    model = TransferModel(forest=fit_forest(tgt, cfg), projection=None, fallback=True,
+                          diagnostics={}, raw_schema=tgt.schema, class_names=tgt.class_names,
+                          config=cfg)
+    test = numeric_dataset(rng.normal(size=(n, d)), np.zeros(n, dtype=int), n_classes=2,
+                           domain_tag="target")
+    tracemalloc.start()
+    try:
+        model.predict_many(test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # encode_records' column-major batch, which predict_many reads in place
+    assert peak < 1.5 * 8 * n * d
+
+
 class TestModelSerialization:
     def test_save_load_round_trip(self, tmp_path):
         src, tgt = rotated_pair(center_spread=2.0, cluster_std=2.0, seed=5)
@@ -358,6 +395,69 @@ class TestModelSerialization:
         path.write_text(json.dumps({"format": "leafbridge-model", "version": 1,
                                     "projection_csv": None}), encoding="utf-8")
         with pytest.raises(DataError, match="leafbridge-model version 1 is no longer read"):
+            TransferModel.load(path)
+
+    @staticmethod
+    def saved_document(tmp_path):
+        """The JSON document of a small model with a categorical column and
+        a projection."""
+        schema = (AttributeSchema("x", NUMERIC), AttributeSchema("k", CATEGORICAL, ("a", "b")))
+        tgt = Dataset(schema, [[0.0, 0], [1.0, 1], [2.0, 0], [3.0, 1]], [0, 1, 0, 1],
+                      ("p", "q"), "target")
+        cfg = TransferConfig(n_trees=2, min_leaf_small=1)
+        model = TransferModel(
+            forest=fit_forest(one_hot_encode(tgt), cfg), projection=ProjectionMatrix(np.eye(3)),
+            fallback=False, diagnostics={}, raw_schema=schema, class_names=tgt.class_names,
+            config=cfg,
+        )
+        path = tmp_path / "model.json"
+        model.save(path)
+        return path, json.loads(path.read_text(encoding="utf-8"))
+
+    def test_every_required_key(self, tmp_path):
+        path, doc = self.saved_document(tmp_path)
+        TransferModel.load(path)
+        places = [(doc, key) for key in doc if key not in ("format", "version")]
+        places += [(doc["forest"], key) for key in doc["forest"]
+                   if key not in ("format", "version")]
+        places += [(doc["forest"]["trees"][1], key) for key in doc["forest"]["trees"][1]]
+        places += [(doc["raw_schema"][1], key) for key in doc["raw_schema"][1]]
+        assert len(places) == 7 + 5 + 5 + 3
+        for holder, key in places:
+            value = holder.pop(key)
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            with pytest.raises(DataError, match=f"lacks key '{key}'"):
+                TransferModel.load(path)
+            holder[key] = value
+        path.write_text(json.dumps({"format": "leafbridge-model", "version": 2}),
+                        encoding="utf-8")
+        with pytest.raises(DataError, match="lacks key"):
+            TransferModel.load(path)
+
+    @pytest.mark.parametrize("where, key, value", [
+        ((), "forest", []),
+        (("forest",), "trees", 5),
+        (("forest",), "trees", [5]),
+        (("forest",), "attributes", ["x", 1]),
+        (("forest",), "seed", "0"),
+        (("forest", "trees", 0), "counts", "many"),
+        (("forest", "trees", 0), "feature", ["a"]),
+        (("forest", "trees", 0), "counts", [[1, 0], [2]]),
+        (("raw_schema",), 0, "x"),
+        (("raw_schema", 1), "categories", "ab"),
+        ((), "projection", [[1.0], [2.0, 3.0]]),
+        ((), "config", {"n_trees": 2, "depth": 3}),
+        ((), "config", {"n_trees": "2"}),
+        ((), "fallback", "no"),
+    ])
+    def test_ill_typed_key(self, tmp_path, where, key, value):
+        path, doc = self.saved_document(tmp_path)
+        holder = doc
+        for step in where:
+            holder = holder[step]
+        holder[key] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match=repr(key) if isinstance(key, str) else "raw_schema"):
             TransferModel.load(path)
 
     def test_fallback_save_load(self, tmp_path):
