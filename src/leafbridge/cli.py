@@ -18,12 +18,10 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from .dataset import inject_missing, load_csv, write_csv
 from .errors import DataError, LeafBridgeError, NumericalError
-from .experiment import parse_config, run_experiment
-from .metrics import SIGN_TEST_Z_REF, mean_ranks, nemenyi_cd, sign_test
+from .experiment import nemenyi, parse_config, run_experiment, sign_tests
+from .metrics import SIGN_TEST_Z_REF
 from .transfer import TransferConfig, run_transfer
 
 EXIT_OK = 0
@@ -72,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_st = sub.add_parser("stats", help="sign/Nemenyi summary for a report JSON")
     p_st.add_argument("--report", required=True)
-    p_st.add_argument("--q-alpha", type=float, help="override the Nemenyi critical value")
     return parser
 
 
@@ -86,10 +83,9 @@ def _cmd_run(args) -> int:
         shown = "n/a" if acc is None else f"{acc:.6f}"
         print(f"  {method}: mean accuracy {shown} over {agg['pairs']} pairs")
     if report.all_failed:
-        failures = [p.get("error", "") for p in report.pairs]
+        # a pair fails only while its data is loaded, split or repaired
         print("every pair failed", file=sys.stderr)
-        return EXIT_NUMERICAL if all("NumericalError" in f or "SolveError" in f
-                                     or "BandwidthError" in f for f in failures) else EXIT_DATA
+        return EXIT_DATA
     return EXIT_OK
 
 
@@ -126,56 +122,25 @@ def _cmd_stats(args) -> int:
     if report.get("format") != "leafbridge-report":
         raise DataError(f"{args.report} is not a leafbridge report")
     methods = report["spec"]["methods"]
-    rows = [p for p in report["pairs"] if "error" not in p]
-    if "tlf" in methods:
+    tests = sign_tests(methods, report["pairs"])
+    if tests:
         print(f"sign test (right-tailed, z ref {SIGN_TEST_Z_REF}):")
-        for level in ("pair", "group"):
-            cells = _stats_cells(rows, methods, level)
-            for method in methods:
-                if method == "tlf":
-                    continue
-                wins = sum(1 for row in cells if row["tlf"] is not None
-                           and row[method] is not None and row["tlf"] > row[method])
-                losses = sum(1 for row in cells if row["tlf"] is not None
-                             and row[method] is not None and row["tlf"] < row[method])
-                if wins + losses == 0:
-                    print(f"  [{level}] tlf vs {method}: no comparable cells")
-                    continue
-                z = sign_test(wins, losses)
-                verdict = "significant" if z > SIGN_TEST_Z_REF else "not significant"
-                print(f"  [{level}] tlf vs {method}: wins={wins} losses={losses} "
-                      f"z={z:.3f} ({verdict})")
-    complete = [row for row in _stats_cells(rows, methods, "pair")
-                if all(row[m] is not None for m in methods)]
-    if len(methods) >= 2 and len(complete) >= 2:
-        matrix = np.array([[row[m] for m in methods] for row in complete])
-        ranks = mean_ranks(matrix)
-        cd = nemenyi_cd(len(methods), len(complete), args.q_alpha)
-        print(f"Nemenyi critical difference: {cd:.4f} over {len(complete)} pairs")
-        for method, rank in zip(methods, ranks):
+    for level, block in tests.items():
+        for name, entry in block.items():
+            versus = name.replace("_vs_", " vs ", 1)
+            if "z" not in entry:
+                print(f"  [{level}] {versus}: no comparable cells")
+                continue
+            verdict = "significant" if entry["significant"] else "not significant"
+            print(f"  [{level}] {versus}: wins={entry['wins']} losses={entry['losses']} "
+                  f"z={entry['z']:.3f} ({verdict})")
+    ranking = nemenyi(methods, report["pairs"])
+    if ranking is not None:
+        print(f"Nemenyi critical difference: {ranking['critical_difference']:.4f} "
+              f"over {ranking['datasets']} pairs")
+        for method, rank in zip(methods, ranking["mean_ranks"]):
             print(f"  {method}: mean rank {rank:.3f}")
     return EXIT_OK
-
-
-def _stats_cells(rows, methods, level):
-    def cell(p, m):
-        entry = p.get("methods", {}).get(m)
-        return entry.get("accuracy") if entry else None
-
-    if level == "pair":
-        return [{m: cell(p, m) for m in methods} for p in rows]
-    grouped = {}
-    for p in rows:
-        key = p.get("group") or p["pair"]
-        grouped.setdefault(key, []).append(p)
-    out = []
-    for key, members in grouped.items():
-        row = {}
-        for m in methods:
-            values = [c for p in members if (c := cell(p, m)) is not None]
-            row[m] = float(np.mean(values)) if values else None
-        out.append(row)
-    return out
 
 
 def main(argv=None) -> int:

@@ -48,7 +48,7 @@ class AttributeSchema:
 class SplitSpec:
     """Target/test partition parameters."""
 
-    target_fraction: float
+    target_fraction: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
@@ -162,28 +162,6 @@ def _parse_numeric(col):
     return values, None, nonfinite
 
 
-def read_schema_sidecar(path) -> dict[str, str]:
-    """Read an optional sidecar mapping column name to numeric|categorical.
-
-    Plain text, one `column: kind` (or `column = kind`) entry per line;
-    blank lines and lines starting with # are ignored.
-    """
-    kinds = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            sep = ":" if ":" in line else "="
-            if sep not in line:
-                raise ParseError(f"sidecar line {lineno}: expected 'column: kind'")
-            name, kind = (part.strip() for part in line.split(sep, 1))
-            if kind not in (NUMERIC, CATEGORICAL):
-                raise ParseError(f"sidecar line {lineno}: unknown kind {kind!r}")
-            kinds[name] = kind
-    return kinds
-
-
 def load_csv(
     path,
     label_column: str,
@@ -207,17 +185,19 @@ def load_csv(
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(
+                        f"{path}: line {lineno} has {len(row)} cells, header has {len(header)}"
+                    )
+                rows.append((lineno, row))
         except StopIteration:
             raise ParseError(f"{path}: empty file, expected a header row") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: line {lineno} has {len(row)} cells, header has {len(header)}"
-                )
-            rows.append((lineno, row))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
     if not rows:
         raise EmptyDatasetError(f"{path}: no data rows")
     if label_column not in header:

@@ -21,14 +21,14 @@ from __future__ import annotations
 import configparser
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import Dataset, SplitSpec, align_categories, encode_records, inject_missing, \
     load_csv, repair_missing, split_target
-from .errors import DataError, LeafBridgeError, MissingValueError
+from .errors import DataError, LeafBridgeError
 from .forest import Forest, predict_many
 from .metrics import SIGN_TEST_Z_REF, evaluate, mean_ranks, nemenyi_cd, sign_test
 from .transfer import DomainForests, TransferConfig, run_transfer
@@ -51,11 +51,11 @@ class PairSpec:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    pairs: tuple[PairSpec, ...]
+    pairs: tuple[PairSpec, ...] = ()
     label_column: str = "label"
-    split: SplitSpec = field(default_factory=lambda: SplitSpec(0.05, 0))
+    split: SplitSpec = field(default_factory=SplitSpec)
     repeats: int = 1
-    methods: tuple[str, ...] = ("tlf", "source_only", "target_only")
+    methods: tuple[str, ...] = METHODS
     missing_mode: str = "none"
     inject_ratios: tuple[float, ...] = ()
     output: str = "report"
@@ -95,8 +95,6 @@ class _ForestPredictor:
         self.encodings = {} if encodings is None else encodings
 
     def predict_many(self, ds: Dataset) -> np.ndarray:
-        if ds.has_missing():
-            raise MissingValueError("cannot predict records with missing cells")
         held = self.encodings.get(self.raw_schema)
         if held is None or held[0] is not ds:
             raw = align_categories(ds, self.raw_schema)
@@ -240,6 +238,67 @@ def _accuracy_cell(entry: dict, method: str):
     return cell["accuracy"]
 
 
+def _level_rows(methods, pairs, level: str) -> list[dict]:
+    """Accuracy rows of the scored pairs (no error, no inject ratios): one
+    per pair in pair order, or one per group, whose cells are the means of
+    its pairs' cells. An ungrouped pair is a group of its own."""
+    scored = [p for p in pairs if "error" not in p and "methods" in p]
+    rows = [{m: _accuracy_cell(p, m) for m in methods} for p in scored]
+    if level == "pair":
+        return rows
+    groups: dict = {}
+    for i, (p, row) in enumerate(zip(scored, rows)):
+        groups.setdefault(p.get("group") or i, []).append(row)
+    return [{m: _column_mean(members, m) for m in methods} for members in groups.values()]
+
+
+def _column_mean(rows, method: str):
+    cells = [row[method] for row in rows if row[method] is not None]
+    return _mean(cells) if cells else None
+
+
+def sign_tests(methods, pairs) -> dict:
+    """Right-tailed sign test of tlf against each other method, at pair and
+    group level; a comparison without wins or losses has no z. Empty when
+    tlf is not among the methods."""
+    if "tlf" not in methods:
+        return {}
+    out = {}
+    for level in ("pair", "group"):
+        rows = _level_rows(methods, pairs, level)
+        block = out[level] = {}
+        for method in methods:
+            if method == "tlf":
+                continue
+            compared = [(row["tlf"], row[method]) for row in rows
+                        if row["tlf"] is not None and row[method] is not None]
+            wins = sum(ours > theirs for ours, theirs in compared)
+            losses = sum(ours < theirs for ours, theirs in compared)
+            entry = {"wins": wins, "losses": losses, "ties": len(compared) - wins - losses}
+            if wins + losses >= 1:
+                z = sign_test(wins, losses)
+                entry["z"] = z
+                entry["significant"] = bool(z > SIGN_TEST_Z_REF)
+            block[f"tlf_vs_{method}"] = entry
+    return out
+
+
+def nemenyi(methods, pairs) -> dict | None:
+    """Mean ranks and the alpha = 0.05 critical difference over the pairs
+    that score every method; None with fewer than 2 methods or such pairs."""
+    complete = [row for row in _level_rows(methods, pairs, "pair")
+                if all(row[m] is not None for m in methods)]
+    if len(methods) < 2 or len(complete) < 2:
+        return None
+    ranks = mean_ranks(np.array([[row[m] for m in methods] for row in complete]))
+    return {
+        "methods": list(methods),
+        "mean_ranks": [float(r) for r in ranks],
+        "critical_difference": nemenyi_cd(len(methods), len(complete)),
+        "datasets": len(complete),
+    }
+
+
 @dataclass(frozen=True, eq=False)
 class EvaluationReport:
     """Per-pair results, aggregate means, and significance tests."""
@@ -252,86 +311,18 @@ class EvaluationReport:
 
     @staticmethod
     def assemble(spec: ExperimentSpec, cfg: TransferConfig, pair_results) -> "EvaluationReport":
-        flat = [p for p in pair_results if "error" not in p and "methods" in p]
-        aggregates = {}
-        for method in spec.methods:
-            cells = [c for p in flat if (c := _accuracy_cell(p, method)) is not None]
-            aggregates[method] = {
-                "mean_accuracy": _mean(cells) if cells else None,
-                "pairs": len(cells),
-            }
-        significance = EvaluationReport._significance(spec, flat)
-        return EvaluationReport(spec, cfg, pair_results, aggregates, significance)
-
-    @staticmethod
-    def _significance(spec: ExperimentSpec, flat) -> dict:
-        out = {"sign_test": {}, "nemenyi": None}
-        if "tlf" not in spec.methods:
-            return out
-        for level in ("pair", "group"):
-            cells = EvaluationReport._level_cells(spec, flat, level)
-            out["sign_test"][level] = EvaluationReport._sign_block(spec, cells)
-        cells = EvaluationReport._level_cells(spec, flat, "pair")
-        complete = [row for row in cells.values()
-                    if all(row.get(m) is not None for m in spec.methods)]
-        if len(spec.methods) >= 2 and len(complete) >= 2:
-            matrix = np.array([[row[m] for m in spec.methods] for row in complete])
-            ranks = mean_ranks(matrix)
-            cd = nemenyi_cd(len(spec.methods), len(complete))
-            out["nemenyi"] = {
-                "methods": list(spec.methods),
-                "mean_ranks": [float(r) for r in ranks],
-                "critical_difference": cd,
-                "datasets": len(complete),
-            }
-        return out
-
-    @staticmethod
-    def _level_cells(spec: ExperimentSpec, flat, level: str) -> dict:
-        """Accuracy rows keyed by pair name or by group (group = mean of its
-        pairs)."""
-        if level == "pair":
-            return {
-                p["pair"]: {m: _accuracy_cell(p, m) for m in spec.methods}
-                for p in flat
-            }
-        grouped: dict[str, dict[str, list]] = {}
-        for p in flat:
-            key = p.get("group") or p["pair"]
-            bucket = grouped.setdefault(key, {m: [] for m in spec.methods})
-            for m in spec.methods:
-                cell = _accuracy_cell(p, m)
-                if cell is not None:
-                    bucket[m].append(cell)
-        return {
-            key: {m: (_mean(vals) if vals else None) for m, vals in bucket.items()}
-            for key, bucket in grouped.items()
+        rows = _level_rows(spec.methods, pair_results, "pair")
+        aggregates = {
+            m: {"mean_accuracy": _column_mean(rows, m),
+                "pairs": sum(row[m] is not None for row in rows)}
+            for m in spec.methods
         }
-
-    @staticmethod
-    def _sign_block(spec: ExperimentSpec, cells: dict) -> dict:
-        block = {}
-        for method in spec.methods:
-            if method == "tlf":
-                continue
-            wins = losses = ties = 0
-            for row in cells.values():
-                ours, theirs = row.get("tlf"), row.get(method)
-                if ours is None or theirs is None:
-                    continue
-                if ours > theirs:
-                    wins += 1
-                elif ours < theirs:
-                    losses += 1
-                else:
-                    ties += 1
-            entry = {"wins": wins, "losses": losses, "ties": ties}
-            if wins + losses >= 1:
-                z = sign_test(wins, losses)
-                entry["z"] = z
-                entry["significant"] = bool(z > SIGN_TEST_Z_REF)
-            block[f"tlf_vs_{method}"] = entry
-        return block
+        significance = {
+            "sign_test": sign_tests(spec.methods, pair_results),
+            # a report carries Nemenyi ranks only beside tlf's sign tests
+            "nemenyi": nemenyi(spec.methods, pair_results) if "tlf" in spec.methods else None,
+        }
+        return EvaluationReport(spec, cfg, pair_results, aggregates, significance)
 
     def to_dict(self) -> dict:
         return {
@@ -392,107 +383,82 @@ class EvaluationReport:
 
 # Config file parsing (key = value sections).
 
-CONFIG_TEMPLATE = """\
-# leafbridge experiment configuration
-# every key is shown with its default value
-
-[experiment]
-# one pair per line: source.csv :: target.csv [:: group]
-pairs =
-label_column = label
-split_fraction = 0.05
-seed = 0
-repeats = 1
-# any of: tlf, source_only, target_only
-methods = tlf, source_only, target_only
-# none | srd | impute  (srd deletes incomplete records, impute fills them)
-missing_mode = none
-# e.g. 0.1, 0.3, 0.5 to inject missing values before repair
-inject_ratios =
-output = report
-
-[forest]
-trees = 10
-min_leaf_small = 20
-min_leaf_large = 50
-large_threshold = 10000
-
-[pivot]
-divergence_threshold = 0.1
-
-[adapt]
-ridge = 0.001
-mmd = 5.0
-manifold = 0.01
-# linear | rbf
-kernel = rbf
-# literal | inverse
-alpha_mode = literal
-# product | squared
-mmd_cross_term = product
-"""
+def _listed(text: str) -> tuple[str, ...]:
+    return tuple(item.strip() for item in text.split(",") if item.strip())
 
 
-def default_config_text() -> str:
-    return CONFIG_TEMPLATE
+def _pairs(text: str) -> tuple[PairSpec, ...]:
+    pairs = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        parts = [p.strip() for p in line.split("::")]
+        if len(parts) not in (2, 3):
+            raise ValueError(f"bad pair line {line.strip()!r}, "
+                             f"expected 'source :: target [:: group]'")
+        pairs.append(PairSpec(*parts))
+    return tuple(pairs)
+
+
+#: How a value's text becomes a field of its annotated type (annotations
+#: are strings under `from __future__ import annotations`).
+_READERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[str, ...]": _listed,
+    "tuple[float, ...]": lambda text: tuple(float(item) for item in _listed(text)),
+    "tuple[PairSpec, ...]": _pairs,
+}
+
+#: Each `[section] key` of a config file and the dataclass field it sets;
+#: a key that is absent leaves the field at its dataclass default.
+_CONFIG_KEYS = (
+    ("experiment", "pairs", ExperimentSpec, "pairs"),
+    ("experiment", "label_column", ExperimentSpec, "label_column"),
+    ("experiment", "split_fraction", SplitSpec, "target_fraction"),
+    ("experiment", "seed", SplitSpec, "seed"),
+    ("experiment", "seed", TransferConfig, "seed"),
+    ("experiment", "repeats", ExperimentSpec, "repeats"),
+    ("experiment", "methods", ExperimentSpec, "methods"),
+    ("experiment", "missing_mode", ExperimentSpec, "missing_mode"),
+    ("experiment", "inject_ratios", ExperimentSpec, "inject_ratios"),
+    ("experiment", "output", ExperimentSpec, "output"),
+    ("forest", "trees", TransferConfig, "n_trees"),
+    ("forest", "min_leaf_small", TransferConfig, "min_leaf_small"),
+    ("forest", "min_leaf_large", TransferConfig, "min_leaf_large"),
+    ("forest", "large_threshold", TransferConfig, "large_threshold"),
+    ("pivot", "divergence_threshold", TransferConfig, "pivot_threshold"),
+    ("adapt", "ridge", TransferConfig, "ridge"),
+    ("adapt", "mmd", TransferConfig, "mmd"),
+    ("adapt", "manifold", TransferConfig, "manifold"),
+    ("adapt", "kernel", TransferConfig, "kernel"),
+    ("adapt", "alpha_mode", TransferConfig, "alpha_mode"),
+    ("adapt", "mmd_cross_term", TransferConfig, "mmd_cross_term"),
+)
 
 
 def parse_config(path) -> tuple[ExperimentSpec, TransferConfig]:
-    """Read an experiment spec plus pipeline config from a key = value file."""
+    """Read an experiment spec plus pipeline config from a key = value file.
+
+    A file that is not UTF-8 key = value text is a DataError naming it; a
+    value that does not read as its field's type names its section and key.
+    """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"config file {path}: {exc}") from exc
     if not read:
         raise DataError(f"cannot read config file {path}")
-
-    def get(section, key, fallback):
-        if parser.has_option(section, key):
-            return parser.get(section, key)
-        return fallback
-
-    pairs = []
-    for line in get("experiment", "pairs", "").splitlines():
-        line = line.strip()
-        if not line:
+    values = {ExperimentSpec: {}, SplitSpec: {}, TransferConfig: {}}
+    for section, key, owner, name in _CONFIG_KEYS:
+        if not parser.has_option(section, key):
             continue
-        parts = [p.strip() for p in line.split("::")]
-        if len(parts) == 2:
-            pairs.append(PairSpec(parts[0], parts[1]))
-        elif len(parts) == 3:
-            pairs.append(PairSpec(parts[0], parts[1], parts[2]))
-        else:
-            raise DataError(f"bad pair line {line!r}, expected 'source :: target [:: group]'")
-    methods = tuple(
-        m.strip() for m in get("experiment", "methods", "tlf, source_only, target_only").split(",")
-        if m.strip()
-    )
-    ratios = tuple(
-        float(r) for r in get("experiment", "inject_ratios", "").split(",") if r.strip()
-    )
-    spec = ExperimentSpec(
-        pairs=tuple(pairs),
-        label_column=get("experiment", "label_column", "label"),
-        split=SplitSpec(
-            float(get("experiment", "split_fraction", "0.05")),
-            int(get("experiment", "seed", "0")),
-        ),
-        repeats=int(get("experiment", "repeats", "1")),
-        methods=methods,
-        missing_mode=get("experiment", "missing_mode", "none"),
-        inject_ratios=ratios,
-        output=get("experiment", "output", "report"),
-    )
-    cfg = TransferConfig(
-        n_trees=int(get("forest", "trees", "10")),
-        min_leaf_small=int(get("forest", "min_leaf_small", "20")),
-        min_leaf_large=int(get("forest", "min_leaf_large", "50")),
-        large_threshold=int(get("forest", "large_threshold", "10000")),
-        pivot_threshold=float(get("pivot", "divergence_threshold", "0.1")),
-        ridge=float(get("adapt", "ridge", "0.001")),
-        mmd=float(get("adapt", "mmd", "5.0")),
-        manifold=float(get("adapt", "manifold", "0.01")),
-        kernel=get("adapt", "kernel", "rbf"),
-        alpha_mode=get("adapt", "alpha_mode", "literal"),
-        mmd_cross_term=get("adapt", "mmd_cross_term", "product"),
-        seed=int(get("experiment", "seed", "0")),
-    )
-    return spec, cfg
+        kind = next(f.type for f in fields(owner) if f.name == name)
+        try:
+            values[owner][name] = _READERS[kind](parser.get(section, key))
+        except (configparser.Error, ValueError) as exc:
+            raise DataError(f"config file {path}: [{section}] {key}: {exc}") from exc
+    spec = ExperimentSpec(split=SplitSpec(**values[SplitSpec]), **values[ExperimentSpec])
+    return spec, TransferConfig(**values[TransferConfig])

@@ -368,15 +368,6 @@ def collect_leaves(forest: Forest) -> LeafTable:
     return forest.leaves
 
 
-def _check_record(forest: Forest, record: np.ndarray):
-    if record.shape != (len(forest.schema),):
-        raise SchemaError(
-            f"record has {record.shape} cells, forest expects {len(forest.schema)}"
-        )
-    if np.isnan(record).any():
-        raise MissingValueError("cannot predict a record with missing cells")
-
-
 def predict(forest: Forest, record) -> int:
     """Majority vote over trees with a distribution tie-break.
 
@@ -384,9 +375,7 @@ def predict(forest: Forest, record) -> int:
     broken by summing the tied classes' per-leaf distributions across all
     trees, and any remaining tie by the lowest class index.
     """
-    record = np.asarray(record, dtype=np.float64)
-    _check_record(forest, record)
-    return int(predict_many(forest, record[None, :])[0])
+    return int(predict_many(forest, np.asarray(record, dtype=np.float64)[None, ...])[0])
 
 
 def predict_many(forest: Forest, records) -> np.ndarray:
@@ -401,7 +390,8 @@ def predict_many(forest: Forest, records) -> np.ndarray:
     """
     X = np.asarray(records, dtype=np.float64, order="F")
     if X.ndim != 2 or X.shape[1] != len(forest.schema):
-        raise SchemaError("record matrix does not match forest schema")
+        raise SchemaError(f"records of shape {X.shape} do not match the forest's "
+                          f"{len(forest.schema)} columns")
     if np.isnan(X).any():
         raise MissingValueError("cannot predict records with missing cells")
     n_classes = len(forest.class_names)

@@ -20,6 +20,10 @@ def pair_files(tmp_path_factory):
     return str(src_path), str(tgt_path)
 
 
+# a CSV whose label "café" is latin-1, not UTF-8
+LATIN1_CSV = "x,label\n1.0,caf\xe9\n2.0,b\n".encode("latin-1")
+
+
 def spec_file(tmp_path, pair_files, output):
     path = tmp_path / "spec.ini"
     path.write_text(
@@ -82,6 +86,34 @@ class TestRun:
         assert "['tlf'] listed more than once" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("content, named", [
+        (b"[experiment]\npairs = a.csv :: b.csv\n[forest]\ntrees = ten\n", "[forest] trees"),
+        (b"pairs = a.csv :: b.csv\n", "bad.ini"),
+        (b"[experiment]\npairs = caf\xe9.csv :: b.csv\n", "bad.ini"),
+    ], ids=["ill-typed value", "no section header", "not utf-8"])
+    def test_bad_config_file_is_data_error(self, tmp_path, pair_files, content, named,
+                                           capsys):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(content)
+        assert main(["run", "--spec", str(path)]) == EXIT_DATA
+        assert named in capsys.readouterr().err
+        model = tmp_path / "model.json"
+        assert main(["transfer", "--source", pair_files[0], "--target", pair_files[1],
+                     "--config", str(path), "--output", str(model)]) == EXIT_DATA
+        assert named in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_non_utf8_pair_is_recorded(self, tmp_path, pair_files, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(LATIN1_CSV)
+        spec = spec_file(tmp_path, pair_files, tmp_path / "report")
+        spec.write_text(spec.read_text().replace(
+            "pairs = ", f"pairs =\n    {bad} :: {pair_files[1]}\n    "), encoding="utf-8")
+        assert main(["run", "--spec", str(spec)]) == EXIT_OK
+        failed, scored = json.loads((tmp_path / "report.json").read_text())["pairs"]
+        assert failed["error"].startswith(f"ParseError: {bad}: not UTF-8 text")
+        assert "methods" in scored and "error" not in scored
+
 
 class TestTransfer:
     def test_transfer_writes_model(self, tmp_path, pair_files, capsys):
@@ -100,6 +132,14 @@ class TestTransfer:
             "--output", str(tmp_path / "m.json"),
         ])
         assert code == EXIT_DATA
+
+    def test_non_utf8_input_is_data_error(self, tmp_path, pair_files, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(LATIN1_CSV)
+        code = main(["transfer", "--source", str(bad), "--target", pair_files[1],
+                     "--output", str(tmp_path / "m.json")])
+        assert code == EXIT_DATA
+        assert "latin1.csv: not UTF-8 text" in capsys.readouterr().err
 
 
 class TestInjectMissing:
@@ -122,7 +162,102 @@ class TestInjectMissing:
         assert code == EXIT_DATA
 
 
+def report_pair(name, group, cells):
+    """A report's pair entry; a string cell is that method's error."""
+    methods = {m: {"accuracy": v, "runs": 1} if isinstance(v, float) else {"error": v}
+               for m, v in cells.items()}
+    return {"pair": name, "source": f"{name}_s.csv", "target": f"{name}_t.csv",
+            "group": group, "methods": methods, "diagnostics": None}
+
+
+def by_ratio_pair(name, group, tlf, target_only):
+    return {"pair": name, "source": f"{name}_s.csv", "target": f"{name}_t.csv",
+            "group": group, "by_ratio": [{"inject_ratio": 0.1, "methods": {
+                "tlf": {"accuracy": tlf}, "target_only": {"accuracy": target_only}}}]}
+
+
+SCHEMA_ERROR = "SchemaError: columns differ"
+
+# report methods and pairs -> the exact `stats` output
+STATS_GOLDEN = {
+    "tlf_two_methods_groups": (["tlf", "target_only"], [
+        report_pair("p1", "g1", {"tlf": 0.9125, "target_only": 0.8}),
+        report_pair("p2", "g1", {"tlf": 0.71, "target_only": 0.7}),
+        report_pair("p3", "g1", {"tlf": 0.6, "target_only": 0.6}),
+        report_pair("p4", "g2", {"tlf": 0.85, "target_only": 0.8333333333333334}),
+        report_pair("p5", "g2", {"tlf": 0.95, "target_only": 0.7}),
+        report_pair("p6", "", {"tlf": 0.81, "target_only": 0.8}),
+        report_pair("p7", "", {"tlf": 0.64, "target_only": 0.62}),
+        report_pair("p8", "", {"tlf": 0.77, "target_only": 0.7}),
+    ], "sign test (right-tailed, z ref 1.96):\n"
+       "  [pair] tlf vs target_only: wins=7 losses=0 z=2.268 (significant)\n"
+       "  [group] tlf vs target_only: wins=5 losses=0 z=1.789 (not significant)\n"
+       "Nemenyi critical difference: 0.6930 over 8 pairs\n"
+       "  tlf: mean rank 1.062\n"
+       "  target_only: mean rank 1.938\n"),
+    "no_tlf": (["source_only", "target_only"], [
+        report_pair("p1", "", {"source_only": 0.5, "target_only": 0.8}),
+        report_pair("p2", "g", {"source_only": 0.9, "target_only": 0.7}),
+        report_pair("p3", "g", {"source_only": 0.4, "target_only": 0.65}),
+    ], "Nemenyi critical difference: 1.1316 over 3 pairs\n"
+       "  source_only: mean rank 1.667\n"
+       "  target_only: mean rank 1.333\n"),
+    "one_failed_pair": (["tlf", "source_only", "target_only"], [
+        report_pair("p1", "", {"tlf": 0.9, "source_only": 0.8, "target_only": 0.85}),
+        {"pair": "p2", "source": "p2_s.csv", "target": "p2_t.csv", "group": "",
+         "error": "ParseError: p2_s.csv: line 3 has 2 cells, header has 3"},
+        report_pair("p3", "", {"tlf": 0.7, "source_only": 0.7, "target_only": 0.75}),
+        report_pair("p4", "", {"tlf": 0.66, "source_only": 0.6, "target_only": 0.66}),
+    ], "sign test (right-tailed, z ref 1.96):\n"
+       "  [pair] tlf vs source_only: wins=2 losses=0 z=0.707 (not significant)\n"
+       "  [pair] tlf vs target_only: wins=1 losses=1 z=-0.707 (not significant)\n"
+       "  [group] tlf vs source_only: wins=2 losses=0 z=0.707 (not significant)\n"
+       "  [group] tlf vs target_only: wins=1 losses=1 z=-0.707 (not significant)\n"
+       "Nemenyi critical difference: 1.9131 over 3 pairs\n"
+       "  tlf: mean rank 1.667\n"
+       "  source_only: mean rank 2.833\n"
+       "  target_only: mean rank 1.500\n"),
+    "by_ratio": (["tlf", "target_only"], [
+        by_ratio_pair("p1", "", 0.8, 0.7),
+        by_ratio_pair("p2", "g", 0.6, 0.65),
+    ], "sign test (right-tailed, z ref 1.96):\n"
+       "  [pair] tlf vs target_only: no comparable cells\n"
+       "  [group] tlf vs target_only: no comparable cells\n"),
+    "no_comparable_method": (["tlf", "source_only", "target_only"], [
+        report_pair("p1", "", {"tlf": 0.8, "source_only": SCHEMA_ERROR, "target_only": 0.7}),
+        report_pair("p2", "g", {"tlf": 0.75, "source_only": SCHEMA_ERROR, "target_only": 0.75}),
+        report_pair("p3", "g", {"tlf": 0.55, "source_only": SCHEMA_ERROR, "target_only": 0.6}),
+    ], "sign test (right-tailed, z ref 1.96):\n"
+       "  [pair] tlf vs source_only: no comparable cells\n"
+       "  [pair] tlf vs target_only: wins=1 losses=1 z=-0.707 (not significant)\n"
+       "  [group] tlf vs source_only: no comparable cells\n"
+       "  [group] tlf vs target_only: wins=1 losses=1 z=-0.707 (not significant)\n"),
+}
+
+
+def stats_output(tmp_path, capsys, methods, pairs):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"format": "leafbridge-report", "version": 1,
+                                "spec": {"methods": methods}, "pairs": pairs}),
+                    encoding="utf-8")
+    capsys.readouterr()
+    assert main(["stats", "--report", str(path)]) == EXIT_OK
+    return capsys.readouterr().out
+
+
 class TestStats:
+    @pytest.mark.parametrize("name", sorted(STATS_GOLDEN))
+    def test_output_unchanged(self, tmp_path, capsys, name):
+        methods, pairs, expected = STATS_GOLDEN[name]
+        assert stats_output(tmp_path, capsys, methods, pairs) == expected
+
+    def test_pairs_sharing_a_name_stay_apart(self, tmp_path, capsys):
+        pairs = [report_pair("train->test", "", {"tlf": acc, "target_only": 0.9})
+                 for acc in (0.5, 0.6)]
+        out = stats_output(tmp_path, capsys, ["tlf", "target_only"], pairs)
+        assert "[pair] tlf vs target_only: wins=0 losses=2" in out
+        assert "[group] tlf vs target_only: wins=0 losses=2" in out
+
     def test_stats_on_report(self, tmp_path, pair_files, capsys):
         spec = spec_file(tmp_path, pair_files, tmp_path / "report")
         assert main(["run", "--spec", str(spec)]) == EXIT_OK

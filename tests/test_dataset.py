@@ -15,7 +15,6 @@ from leafbridge.dataset import (
     inject_missing,
     load_csv,
     one_hot_encode,
-    read_schema_sidecar,
     repair_missing,
     split_target,
     write_csv,
@@ -138,16 +137,17 @@ class TestLoadCsv:
             write_csv(ds, out)
         assert not out.exists()
 
+    def test_non_utf8_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("a,label\n1,caf\xe9\n".encode("latin-1"))
+        with pytest.raises(ParseError, match=r"latin1.csv: not UTF-8 text"):
+            load_csv(path, "label")
+
     def test_nan_word_in_text_column_is_a_category(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("a,label\nx,p\nnan,q\n", encoding="utf-8")
         ds = load_csv(path, "label")
         assert ds.schema[0] == AttributeSchema("a", CATEGORICAL, ("x", "nan"))
-
-    def test_sidecar(self, tmp_path):
-        side = tmp_path / "schema.txt"
-        side.write_text("# kinds\na: categorical\n", encoding="utf-8")
-        assert read_schema_sidecar(side) == {"a": CATEGORICAL}
 
 
 def hstack_encode_records(records, schema):

@@ -437,6 +437,23 @@ class TestReports:
         assert r1.to_csv() == r2.to_csv()
         assert json.dumps(r1.to_dict()) == json.dumps(r2.to_dict())
 
+    def test_pairs_sharing_a_name_stay_apart(self):
+        # both pairs are named "train->test"; each is its own row and group
+        spec = ExperimentSpec(pairs=(PairSpec("a/train.csv", "a/test.csv"),
+                                     PairSpec("b/train.csv", "b/test.csv")),
+                              methods=("tlf", "target_only"))
+        results = [
+            {"pair": p.name, "source": p.source, "target": p.target, "group": p.group,
+             "methods": {"tlf": {"accuracy": acc}, "target_only": {"accuracy": 0.9}}}
+            for p, acc in zip(spec.pairs, (0.5, 0.6))
+        ]
+        report = EvaluationReport.assemble(spec, TransferConfig(), results)
+        assert report.aggregates["tlf"] == {"mean_accuracy": 0.55, "pairs": 2}
+        for level in ("pair", "group"):
+            entry = report.significance["sign_test"][level]["tlf_vs_target_only"]
+            assert (entry["wins"], entry["losses"], entry["ties"]) == (0, 2, 0)
+        assert report.significance["nemenyi"]["datasets"] == 2
+
 
 class TestSpecValidation:
     def test_needs_pairs(self):
@@ -511,6 +528,8 @@ alpha_mode = inverse
         path.write_text("[experiment]\npairs = a.csv :: b.csv\n", encoding="utf-8")
         spec, cfg = parse_config(path)
         assert spec.split == SplitSpec(0.05, 0)
+        assert spec == ExperimentSpec(pairs=(PairSpec("a.csv", "b.csv"),))
+        assert spec.methods == METHODS
         assert cfg == TransferConfig()
 
     def test_missing_file(self, tmp_path):
