@@ -30,9 +30,10 @@ dd_src, _ = dedup(extract_distributions(source, collect_leaves(f_src)))
 dd_tgt, _ = dedup(extract_distributions(target, collect_leaves(f_tgt)))
 pivots = match_pivots(dd_src, dd_tgt, 0.1)
 
-# Matched centroids are stacked into a zero-padded [z, ds+dt] matrix:
-# source rows fill the left block, target rows the right block.
-sp = stack_pivots(pivots)
+# The matched rows' centroids, read from the deduplicated bundles, are stacked
+# into a zero-padded [z, ds+dt] matrix: source rows fill the left block,
+# target rows the right block.
+sp = stack_pivots(pivots, dd_src, dd_tgt)
 print(f"stacked {sp.n_pivots} pivots: z={sp.z}, width {sp.rows.shape[1]} "
       f"(= {sp.d_source} source + {sp.d_target} target columns)")
 

@@ -1,13 +1,15 @@
 """Cross-domain projection from matched pivot centroids.
 
-The matched source and target centroid rows are stacked into a [z, ds+dt]
-matrix (z = 2 * n_pivots): source rows occupy the first ds columns, target
-rows the last dt, and the remainder is zero-padded. On that stack we build a
-kernel K, a joint MMD matrix M mixing marginal and per-class conditional
-terms through an adaptive factor mu, and a normalized graph Laplacian over an
-automatically sized nearest-neighbor affinity graph. The coefficient matrix
-alpha combines them with the ridge/MMD/manifold weights, and the projection
-P = Gs^T alpha Gt maps encoded source records into the target feature space.
+The centroid rows of the matched source and target rows, read from the two
+deduplicated bundles the pivots were matched on, are stacked into a
+[z, ds+dt] matrix (z = 2 * n_pivots): source rows occupy the first ds
+columns, target rows the last dt, and the remainder is zero-padded. On that
+stack we build a kernel K, a joint MMD matrix M mixing marginal and
+per-class conditional terms through an adaptive factor mu, and a normalized
+graph Laplacian over an automatically sized nearest-neighbor affinity
+graph. The coefficient matrix alpha combines them with the
+ridge/MMD/manifold weights, and the projection P = Gs^T alpha Gt maps
+encoded source records into the target feature space.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandwidthError, DataError, NumericalError, SolveError
-from .pivot import PivotSet
+from .pivot import DistributionBundle, PivotSet
 
 MIN_NEIGHBORS = 4
 
@@ -65,35 +67,29 @@ class StackedPivots:
         """[z, dt] transform: zeros on top, pivot target centroids below."""
         return self.rows[:, self.d_source :]
 
-    def source_half(self) -> np.ndarray:
-        return np.arange(self.n_pivots)
 
-    def target_half(self) -> np.ndarray:
-        return np.arange(self.n_pivots, self.z)
-
-
-def stack_pivots(pivots: PivotSet) -> StackedPivots:
+def stack_pivots(pivots: PivotSet, src: DistributionBundle,
+                 tgt: DistributionBundle) -> StackedPivots:
     """Embed a PivotSet into the stacked padded representation.
 
-    Each row's label is the argmax of its label distribution restricted to
-    the shared class set (this equals the bundle's centroid label whenever
-    that label is shared).
+    src and tgt are the deduplicated bundles the pivots were matched on; the
+    centroid rows come from their W. Each row's label is the argmax of its
+    label distribution restricted to the shared class set, the first
+    maximum on ties.
     """
     if pivots.n_pivots < 1:
         raise DataError("cannot stack an empty pivot set")
-    d_s = pivots.Ws.shape[1]
-    d_t = pivots.Wt.shape[1]
     n = pivots.n_pivots
+    rows_s, rows_t, _ = map(list, zip(*pivots.pairs))
+    d_s, d_t = src.W.shape[1], tgt.W.shape[1]
     rows = np.zeros((2 * n, d_s + d_t))
-    rows[:n, :d_s] = pivots.Ws
-    rows[n:, d_s:] = pivots.Wt
-    src_shared = [pivots.source_classes.index(c) for c in pivots.shared_classes]
-    tgt_shared = [pivots.target_classes.index(c) for c in pivots.shared_classes]
-    labels = np.concatenate([
-        np.argmax(pivots.Vs[:, src_shared], axis=1),
-        np.argmax(pivots.Vt[:, tgt_shared], axis=1),
-    ])
-    return StackedPivots(rows, labels, d_s, d_t, pivots.shared_classes)
+    rows[:n, :d_s] = src.W[rows_s]
+    rows[n:, d_s:] = tgt.W[rows_t]
+    labels = []
+    for bundle, idx in ((src, rows_s), (tgt, rows_t)):
+        shared = [bundle.class_names.index(c) for c in pivots.shared_classes]
+        labels.append(np.argmax(bundle.V[idx][:, shared], axis=1))
+    return StackedPivots(rows, np.concatenate(labels), d_s, d_t, pivots.shared_classes)
 
 
 def build_kernel(pivots: StackedPivots, kind: str = "linear") -> np.ndarray:
@@ -157,11 +153,10 @@ def compute_mu(pivots: StackedPivots) -> float:
     half; each per-class distance does the same restricted to that class's
     rows (classes missing from either half contribute 0).
     """
-    src = pivots.rows[pivots.source_half()]
-    tgt = pivots.rows[pivots.target_half()]
+    n = pivots.n_pivots
+    src, tgt = pivots.rows[:n], pivots.rows[n:]
     d_marginal = proxy_a_distance(src, tgt)
-    labels_s = pivots.labels[pivots.source_half()]
-    labels_t = pivots.labels[pivots.target_half()]
+    labels_s, labels_t = pivots.labels[:n], pivots.labels[n:]
     d_conditional = 0.0
     for c in range(len(pivots.shared_classes)):
         mask_s = labels_s == c

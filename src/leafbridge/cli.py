@@ -21,6 +21,7 @@ import sys
 from .dataset import inject_missing, load_csv, write_csv
 from .errors import DataError, LeafBridgeError, NumericalError
 from .experiment import nemenyi, parse_config, run_experiment, sign_tests
+from .forest import read_key
 from .metrics import SIGN_TEST_Z_REF
 from .transfer import TransferConfig, run_transfer
 
@@ -119,10 +120,13 @@ def _cmd_inject(args) -> int:
 def _cmd_stats(args) -> int:
     with open(args.report, encoding="utf-8") as fh:
         report = json.load(fh)
-    if report.get("format") != "leafbridge-report":
+    doc = "leafbridge-report"
+    if not isinstance(report, dict) or report.get("format") != doc:
         raise DataError(f"{args.report} is not a leafbridge report")
-    methods = report["spec"]["methods"]
-    tests = sign_tests(methods, report["pairs"])
+    methods = read_key(read_key(report, "spec", dict, doc), "methods", list, f"{doc} spec",
+                       items=str)
+    pairs = read_key(report, "pairs", list, doc, items=dict)
+    tests = sign_tests(methods, pairs)
     if tests:
         print(f"sign test (right-tailed, z ref {SIGN_TEST_Z_REF}):")
     for level, block in tests.items():
@@ -134,7 +138,7 @@ def _cmd_stats(args) -> int:
             verdict = "significant" if entry["significant"] else "not significant"
             print(f"  [{level}] {versus}: wins={entry['wins']} losses={entry['losses']} "
                   f"z={entry['z']:.3f} ({verdict})")
-    ranking = nemenyi(methods, report["pairs"])
+    ranking = nemenyi(methods, pairs)
     if ranking is not None:
         print(f"Nemenyi critical difference: {ranking['critical_difference']:.4f} "
               f"over {ranking['datasets']} pairs")

@@ -319,8 +319,7 @@ class EvaluationReport:
         }
         significance = {
             "sign_test": sign_tests(spec.methods, pair_results),
-            # a report carries Nemenyi ranks only beside tlf's sign tests
-            "nemenyi": nemenyi(spec.methods, pair_results) if "tlf" in spec.methods else None,
+            "nemenyi": nemenyi(spec.methods, pair_results),
         }
         return EvaluationReport(spec, cfg, pair_results, aggregates, significance)
 
@@ -442,7 +441,8 @@ def parse_config(path) -> tuple[ExperimentSpec, TransferConfig]:
     """Read an experiment spec plus pipeline config from a key = value file.
 
     A file that is not UTF-8 key = value text is a DataError naming it; a
-    value that does not read as its field's type names its section and key.
+    key that no field takes, or a value that does not read as its field's
+    type, names its section and key.
     """
     parser = configparser.ConfigParser()
     try:
@@ -451,6 +451,16 @@ def parse_config(path) -> tuple[ExperimentSpec, TransferConfig]:
         raise DataError(f"config file {path}: {exc}") from exc
     if not read:
         raise DataError(f"cannot read config file {path}")
+    # configparser copies each [DEFAULT] key into every section, so such a
+    # key is checked once, and is known when some section takes it
+    known = {(section, key) for section, key, _, _ in _CONFIG_KEYS}
+    known |= {(parser.default_section, key) for _, key in known}
+    given = [(parser.default_section, key) for key in parser.defaults()] + [
+        (section, key) for section in parser.sections()
+        for key in parser.options(section) if key not in parser.defaults()]
+    for section, key in given:
+        if (section, key) not in known:
+            raise DataError(f"config file {path}: unknown key [{section}] {key}")
     values = {ExperimentSpec: {}, SplitSpec: {}, TransferConfig: {}}
     for section, key, owner, name in _CONFIG_KEYS:
         if not parser.has_option(section, key):

@@ -32,18 +32,6 @@ class EvalMetrics:
     macro_f1: float
     class_names: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "per_class": {
-                name: {"precision": p, "recall": r, "f1": f}
-                for name, p, r, f in zip(
-                    self.class_names, self.precision, self.recall, self.f1
-                )
-            },
-        }
-
 
 def metrics_from_labels(y_true: np.ndarray, y_pred: np.ndarray,
                         class_names) -> EvalMetrics:

@@ -8,7 +8,8 @@ pipeline one-hot encodes each categorical column first, so every 0/1
 indicator gets a mean plus ln(std) too. Signatures are deduplicated per
 domain and then matched one-to-one across domains by Jensen-Shannon
 divergence; the matched rows are the pivots that bridge the two feature
-spaces.
+spaces. A PivotSet names matched rows only; the deduplicated bundles keep
+their centroids and distributions, and adaptation.stack_pivots reads them.
 
 The stage runs as array code, without a Python loop per leaf or per pair:
 
@@ -58,11 +59,10 @@ BLOCK_ELEMENTS = 1 << 16
 
 @dataclass(frozen=True, eq=False)
 class DistributionBundle:
-    """Per-leaf label distribution matrix V, centroid matrix W, labels R."""
+    """Per-leaf label distribution matrix V and centroid matrix W."""
 
     V: np.ndarray
     W: np.ndarray
-    R: np.ndarray
     schema: tuple
     class_names: tuple[str, ...]
     domain_tag: str
@@ -77,8 +77,6 @@ class DistributionBundle:
             raise DataError("V entries must be non-negative")
         if np.abs(V.sum(axis=1) - 1.0).max() > 1e-9:
             raise DataError("every V row must sum to 1")
-        if not np.array_equal(np.asarray(self.R), np.argmax(V, axis=1)):
-            raise DataError("R must be the argmax of each V row")
         if np.asarray(self.W).shape != (V.shape[0], len(self.schema)):
             raise DataError("W must be [L, d] for the bundle schema")
 
@@ -86,29 +84,13 @@ class DistributionBundle:
     def n_rows(self) -> int:
         return self.V.shape[0]
 
-    def to_dict(self) -> dict:
-        return {
-            "domain": self.domain_tag,
-            "class_names": list(self.class_names),
-            "label_distributions": self.V.tolist(),
-            "centroids": self.W.tolist(),
-            "centroid_labels": self.R.tolist(),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class PivotSet:
-    """One-to-one matched (source row, target row) pairs below the threshold."""
+    """One-to-one matched (source row, target row, divergence) triples below
+    the threshold; the rows index the two deduplicated bundles matched."""
 
     pairs: tuple[tuple[int, int, float], ...]
-    Ws: np.ndarray
-    Wt: np.ndarray
-    Rs: np.ndarray
-    Rt: np.ndarray
-    Vs: np.ndarray
-    Vt: np.ndarray
-    source_classes: tuple[str, ...]
-    target_classes: tuple[str, ...]
     shared_classes: tuple[str, ...]
     threshold: float
 
@@ -167,11 +149,10 @@ def _segment_stats(X: np.ndarray, flat: np.ndarray, sizes: np.ndarray,
 
 
 def extract_distributions(ds: Dataset, leaves: LeafTable) -> DistributionBundle:
-    """Label distribution, centroid and majority label for every leaf of a
-    numeric dataset (SchemaError on a categorical column).
+    """Label distribution and centroid for every leaf of a numeric dataset
+    (SchemaError on a categorical column).
 
-    Row i of the result describes leaf i of the table; argmax ties go to the
-    lowest class index.
+    Row i of the result describes leaf i of the table.
     """
     require_numeric(ds.schema, "extract_distributions")
     if not len(leaves):
@@ -187,8 +168,7 @@ def extract_distributions(ds: Dataset, leaves: LeafTable) -> DistributionBundle:
     W, std = _segment_stats(ds.records, flat, sizes, spread=True)
     spread = std != 0.0
     W[spread] += [math.log(s) for s in std[spread].tolist()]
-    R = np.argmax(V, axis=1)
-    return DistributionBundle(V, W, R, ds.schema, ds.class_names, ds.domain_tag)
+    return DistributionBundle(V, W, ds.schema, ds.class_names, ds.domain_tag)
 
 
 def dedup(bundle: DistributionBundle) -> tuple[DistributionBundle, np.ndarray]:
@@ -208,10 +188,8 @@ def dedup(bundle: DistributionBundle) -> tuple[DistributionBundle, np.ndarray]:
     members = np.argsort(row_map, kind="stable")
     W, _ = _segment_stats(bundle.W, members, np.bincount(row_map, minlength=n_groups),
                           spread=False)
-    V = bundle.V[first[order]]
     merged_bundle = DistributionBundle(
-        V, W, np.argmax(V, axis=1),
-        bundle.schema, bundle.class_names, bundle.domain_tag,
+        bundle.V[first[order]], W, bundle.schema, bundle.class_names, bundle.domain_tag,
     )
     return merged_bundle, row_map
 
@@ -317,18 +295,4 @@ def match_pivots(src: DistributionBundle, tgt: DistributionBundle,
         used_src.add(s)
         used_tgt.add(t)
         pairs.append((s, t, d))
-    src_rows = [p[0] for p in pairs]
-    tgt_rows = [p[1] for p in pairs]
-    return PivotSet(
-        pairs=tuple(pairs),
-        Ws=src.W[src_rows] if pairs else np.empty((0, src.W.shape[1])),
-        Wt=tgt.W[tgt_rows] if pairs else np.empty((0, tgt.W.shape[1])),
-        Rs=src.R[src_rows] if pairs else np.empty(0, dtype=np.int64),
-        Rt=tgt.R[tgt_rows] if pairs else np.empty(0, dtype=np.int64),
-        Vs=src.V[src_rows] if pairs else np.empty((0, src.V.shape[1])),
-        Vt=tgt.V[tgt_rows] if pairs else np.empty((0, tgt.V.shape[1])),
-        source_classes=src.class_names,
-        target_classes=tgt.class_names,
-        shared_classes=shared,
-        threshold=threshold,
-    )
+    return PivotSet(tuple(pairs), shared, threshold)

@@ -323,7 +323,7 @@ def run_transfer(ds_src: Dataset, ds_tgt: Dataset, cfg: TransferConfig,
     if pivots.n_pivots == 0:
         return fallback_model("no pivot pair below the divergence threshold")
 
-    stacked = adaptation.stack_pivots(pivots)
+    stacked = adaptation.stack_pivots(pivots, bundle_src, bundle_tgt)
     state, projection = adaptation.adapt(
         stacked, cfg.ridge, cfg.mmd, cfg.manifold,
         kernel_kind=cfg.kernel, alpha_mode=cfg.alpha_mode,

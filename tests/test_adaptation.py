@@ -380,8 +380,7 @@ class TestStacking:
     def _bundle(self, V, W, class_names, domain_tag):
         V = np.asarray(V, dtype=np.float64)
         schema = tuple(AttributeSchema(f"f{j}", NUMERIC) for j in range(W.shape[1]))
-        return DistributionBundle(V, W, np.argmax(V, axis=1), schema,
-                                  class_names, domain_tag)
+        return DistributionBundle(V, W, schema, class_names, domain_tag)
 
     def test_padding_layout(self):
         rng = np.random.default_rng(15)
@@ -390,12 +389,13 @@ class TestStacking:
         src = self._bundle([[0.5, 0.5], [0.25, 0.75]], Ws, ("a", "b"), "source")
         tgt = self._bundle([[0.5, 0.5], [0.25, 0.75]], Wt, ("a", "b"), "target")
         pivots = match_pivots(src, tgt, 0.1)
-        sp = stack_pivots(pivots)
-        assert sp.z == 2 * pivots.n_pivots
-        np.testing.assert_allclose(sp.g_source[:pivots.n_pivots], pivots.Ws)
-        np.testing.assert_allclose(sp.g_source[pivots.n_pivots:], 0.0)
-        np.testing.assert_allclose(sp.g_target[pivots.n_pivots:], pivots.Wt)
-        np.testing.assert_allclose(sp.g_target[:pivots.n_pivots], 0.0)
+        sp = stack_pivots(pivots, src, tgt)
+        n = pivots.n_pivots
+        assert sp.z == 2 * n
+        np.testing.assert_array_equal(sp.g_source[:n], Ws[[i for i, _, _ in pivots.pairs]])
+        np.testing.assert_allclose(sp.g_source[n:], 0.0)
+        np.testing.assert_array_equal(sp.g_target[n:], Wt[[k for _, k, _ in pivots.pairs]])
+        np.testing.assert_allclose(sp.g_target[:n], 0.0)
 
     def test_labels_restricted_to_shared_classes(self):
         # source majority label "only_src" is outside the shared set; the
@@ -405,7 +405,7 @@ class TestStacking:
         tgt = self._bundle([[0.4, 0.6]], np.ones((1, 2)), ("a", "b"), "target")
         pivots = match_pivots(src, tgt, 0.5)
         assert pivots.n_pivots == 1
-        sp = stack_pivots(pivots)
+        sp = stack_pivots(pivots, src, tgt)
         shared_b = sp.shared_classes.index("b")
         assert sp.labels[0] == shared_b
         assert sp.labels[1] == shared_b

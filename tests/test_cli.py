@@ -90,7 +90,12 @@ class TestRun:
         (b"[experiment]\npairs = a.csv :: b.csv\n[forest]\ntrees = ten\n", "[forest] trees"),
         (b"pairs = a.csv :: b.csv\n", "bad.ini"),
         (b"[experiment]\npairs = caf\xe9.csv :: b.csv\n", "bad.ini"),
-    ], ids=["ill-typed value", "no section header", "not utf-8"])
+        (b"[experiment]\npairs = a.csv :: b.csv\n[forest]\ntress = 3\n", "[forest] tress"),
+        (b"[experiment]\npairs = a.csv :: b.csv\n[forrest]\ntrees = 3\n", "[forrest] trees"),
+        (b"[DEFAULT]\ntress = 3\n[experiment]\npairs = a.csv :: b.csv\n", "[DEFAULT] tress"),
+        (b"[experiment]\npairs = a.csv :: b.csv\ntrees = 3\n", "[experiment] trees"),
+    ], ids=["ill-typed value", "no section header", "not utf-8", "unknown key",
+            "unknown section", "unknown default key", "key of another section"])
     def test_bad_config_file_is_data_error(self, tmp_path, pair_files, content, named,
                                            capsys):
         path = tmp_path / "bad.ini"
@@ -268,8 +273,46 @@ class TestStats:
 
     def test_stats_rejects_other_json(self, tmp_path, capsys):
         path = tmp_path / "other.json"
-        path.write_text("{}", encoding="utf-8")
+        for text in ("{}", "[]"):
+            path.write_text(text, encoding="utf-8")
+            assert main(["stats", "--report", str(path)]) == EXIT_DATA
+
+    @pytest.mark.parametrize("body, named", [
+        ({"pairs": []}, "lacks key 'spec'"),
+        ({"spec": ["tlf"], "pairs": []}, "key 'spec' holds a value of the wrong type"),
+        ({"spec": {}, "pairs": []}, "lacks key 'methods'"),
+        ({"spec": {"methods": "tlf"}, "pairs": []},
+         "key 'methods' holds a value of the wrong type"),
+        ({"spec": {"methods": ["tlf"]}}, "lacks key 'pairs'"),
+        ({"spec": {"methods": ["tlf"]}, "pairs": [1]},
+         "key 'pairs' holds a value of the wrong type"),
+    ], ids=["no spec", "spec not an object", "no methods", "methods not a list", "no pairs",
+            "pairs not objects"])
+    def test_missing_or_ill_typed_key_is_data_error(self, tmp_path, capsys, body, named):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"format": "leafbridge-report", **body}), encoding="utf-8")
         assert main(["stats", "--report", str(path)]) == EXIT_DATA
+        assert named in capsys.readouterr().err
+
+    def test_report_nemenyi_without_tlf_is_the_one_stats_prints(self, tmp_path, pair_files,
+                                                                 capsys):
+        # source_only scores the target only where both share one schema
+        target = pair_files[1]
+        spec = spec_file(tmp_path, (target, target), tmp_path / "report")
+        text = spec.read_text().replace("methods = tlf, target_only",
+                                        "methods = source_only, target_only")
+        spec.write_text(text.replace("pairs = ", f"pairs =\n    {target} :: {target} :: g\n    "),
+                        encoding="utf-8")
+        assert main(["run", "--spec", str(spec)]) == EXIT_OK
+        block = json.loads((tmp_path / "report.json").read_text())["significance"]["nemenyi"]
+        assert block["methods"] == ["source_only", "target_only"] and block["datasets"] == 2
+        capsys.readouterr()
+        assert main(["stats", "--report", str(tmp_path / "report.json")]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            f"Nemenyi critical difference: {block['critical_difference']:.4f} "
+            f"over {block['datasets']} pairs\n"
+            + "".join(f"  {method}: mean rank {rank:.3f}\n"
+                      for method, rank in zip(block["methods"], block["mean_ranks"])))
 
 
 class TestUsage:

@@ -532,6 +532,15 @@ alpha_mode = inverse
         assert spec.methods == METHODS
         assert cfg == TransferConfig()
 
+    def test_default_section_key_taken_by_a_section(self, tmp_path):
+        # configparser copies [DEFAULT] keys into every section; `seed` is
+        # an [experiment] key, so it is accepted and reaches the seeds
+        path = tmp_path / "defaults.ini"
+        path.write_text("[DEFAULT]\nseed = 4\n[experiment]\npairs = a.csv :: b.csv\n"
+                        "[forest]\ntrees = 3\n", encoding="utf-8")
+        spec, cfg = parse_config(path)
+        assert spec.split.seed == 4 and cfg.seed == 4 and cfg.n_trees == 3
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             parse_config(tmp_path / "absent.ini")

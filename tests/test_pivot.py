@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from leafbridge import pivot
+from leafbridge.adaptation import stack_pivots
 from leafbridge.dataset import CATEGORICAL, NUMERIC, AttributeSchema, Dataset, one_hot_encode
 from leafbridge.errors import DataError, EmptyDatasetError, MatchingError, SchemaError
 from leafbridge.forest import LeafTable, collect_leaves, train_forest
@@ -59,8 +60,7 @@ def loop_extract_distributions(ds, leaves):
         counts = np.bincount(ds.labels[members], minlength=C)
         V[i] = counts / counts.sum()
         W[i] = _centroid_row(ds, members)
-    R = np.argmax(V, axis=1)
-    return DistributionBundle(V, W, R, ds.schema, ds.class_names, ds.domain_tag)
+    return DistributionBundle(V, W, ds.schema, ds.class_names, ds.domain_tag)
 
 
 def loop_dedup(bundle):
@@ -79,10 +79,8 @@ def loop_dedup(bundle):
         row_map[rows] = new_row
         V_rows.append(bundle.V[rows[0]])
         W_rows.append(np.array([bundle.W[rows, j].mean() for j in range(len(bundle.schema))]))
-    V = np.array(V_rows)
     merged_bundle = DistributionBundle(
-        V, np.array(W_rows), np.argmax(V, axis=1),
-        bundle.schema, bundle.class_names, bundle.domain_tag,
+        np.array(V_rows), np.array(W_rows), bundle.schema, bundle.class_names, bundle.domain_tag,
     )
     return merged_bundle, row_map
 
@@ -117,7 +115,7 @@ def loop_match_pairs(src, tgt, threshold):
 
 
 def assert_same_bundle(got, want):
-    for name in ("V", "W", "R"):
+    for name in ("V", "W"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape and np.array_equal(a, b), name
         assert a.tobytes() == b.tobytes(), name
@@ -174,7 +172,7 @@ def make_bundle(V, W=None, domain_tag="source", class_names=None):
     W = np.asarray(W, dtype=np.float64)
     class_names = class_names or tuple(f"c{j}" for j in range(V.shape[1]))
     schema = tuple(AttributeSchema(f"f{j}", NUMERIC) for j in range(W.shape[1]))
-    return DistributionBundle(V, W, np.argmax(V, axis=1), schema, class_names, domain_tag)
+    return DistributionBundle(V, W, schema, class_names, domain_tag)
 
 
 class TestExtract:
@@ -182,7 +180,6 @@ class TestExtract:
         ds = numeric_dataset([[0.0], [0.0], [0.0]], [0, 0, 1])
         bundle = extract_distributions(ds, leaf_table([(0, 1, 2)]))
         np.testing.assert_allclose(bundle.V[0], [2 / 3, 1 / 3])
-        assert bundle.R[0] == 0
 
     def test_centroid_log_std(self):
         # mean 2, sample std 1, ln 1 = 0 -> centroid 2.0
@@ -223,9 +220,12 @@ class TestExtract:
             extract_distributions(ds, leaf_table([(0, 1)]))
 
     def test_majority_tie_lowest_class(self):
+        # a leaf's label is read where the pivots are stacked: the first
+        # maximum of its distribution
         ds = numeric_dataset([[0.0], [0.0]], [1, 0])
         bundle = extract_distributions(ds, leaf_table([(0, 1)]))
-        assert bundle.R[0] == 0
+        stacked = stack_pivots(match_pivots(bundle, bundle), bundle, bundle)
+        np.testing.assert_array_equal(stacked.labels, [0, 0])
 
     def test_empty_leaf(self):
         ds = numeric_dataset([[0.0]], [0])

@@ -37,15 +37,7 @@ from conftest import numeric_dataset
 
 def pivot_set_with_source_rows(rows):
     """Minimal PivotSet whose matched source rows are the given dedup rows."""
-    n = len(rows)
-    return PivotSet(
-        pairs=tuple((row, k, 0.0) for k, row in enumerate(rows)),
-        Ws=np.zeros((n, 1)), Wt=np.zeros((n, 1)),
-        Rs=np.zeros(n, dtype=np.int64), Rt=np.zeros(n, dtype=np.int64),
-        Vs=np.ones((n, 1)), Vt=np.ones((n, 1)),
-        source_classes=("c0",), target_classes=("c0",), shared_classes=("c0",),
-        threshold=0.1,
-    )
+    return PivotSet(tuple((row, k, 0.0) for k, row in enumerate(rows)), ("c0",), 0.1)
 
 
 class TestSelectTransferable:
@@ -156,6 +148,26 @@ class TestRunTransfer:
         tgt = numeric_dataset([[1.0]], [0], domain_tag="target")
         with pytest.raises(MissingValueError):
             run_transfer(src, tgt, TransferConfig())
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_partly_shared_labels_and_features(self, seed):
+        # the paper's setting: the target observes the first 6 of the 10
+        # (unrotated) features and 3 of the source's 4 classes
+        src, full = rotated_pair(1200, 1200, n_classes=4, n_features=10,
+                                 center_spread=2.0, cluster_std=2.0, seed=seed)
+        keep = full.labels > 0
+        target = Dataset(full.schema[:6], full.records[keep, :6], full.labels[keep] - 1,
+                         full.class_names[1:], "target")
+        assert target.class_names == ("c1", "c2", "c3")
+        tgt_train, test = split_target(target, SplitSpec(0.05, seed))
+        model = run_transfer(src, tgt_train, TransferConfig(seed=seed))
+        assert not model.fallback
+        assert model.diagnostics["n_pivots"] >= 1
+        assert model.diagnostics["n_dropped_labels"] > 0
+        assert model.projection.matrix.shape == (10, 6)
+        predictions = model.predict_many(test)
+        assert predictions.shape == (test.n,)
+        assert ((predictions >= 0) & (predictions < 3)).all()
 
     def test_rotated_pair_transfers(self):
         src, tgt = rotated_pair(center_spread=2.0, cluster_std=2.0, seed=1)
