@@ -119,13 +119,22 @@ def _cmd_inject(args) -> int:
 
 def _cmd_stats(args) -> int:
     with open(args.report, encoding="utf-8") as fh:
-        report = json.load(fh)
+        try:
+            report = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError(f"{args.report} is not UTF-8 JSON text: {exc}") from None
     doc = "leafbridge-report"
     if not isinstance(report, dict) or report.get("format") != doc:
         raise DataError(f"{args.report} is not a leafbridge report")
     methods = read_key(read_key(report, "spec", dict, doc), "methods", list, f"{doc} spec",
                        items=str)
     pairs = read_key(report, "pairs", list, doc, items=dict)
+    for pair in pairs:
+        if "methods" in pair:
+            cells = read_key(pair, "methods", dict, f"{doc} pair")
+            if not all(isinstance(cell, dict) for cell in cells.values()):
+                raise DataError(f"{doc} pair document key 'methods' holds a method cell "
+                                f"that is not an object")
     tests = sign_tests(methods, pairs)
     if tests:
         print(f"sign test (right-tailed, z ref {SIGN_TEST_Z_REF}):")

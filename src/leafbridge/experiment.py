@@ -99,7 +99,7 @@ class _ForestPredictor:
         if held is None or held[0] is not ds:
             raw = align_categories(ds, self.raw_schema)
             held = self.encodings[self.raw_schema] = (ds, encode_records(raw, self.raw_schema))
-        preds = predict_many(self.forest, held[1])
+        preds = predict_many(self.forest, held[1], complete=True)
         class_index = {name: i for i, name in enumerate(ds.class_names)}
         mapping = np.array([class_index.get(name, -1) for name in self.class_names],
                            dtype=np.int64)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,12 @@ _GAIN_EPS = 1e-12
 # per-boundary arrays (sorted ranks, records, values, weights, gains). A
 # cell takes about 32 bytes, so a block about 2 MiB.
 SPLIT_BLOCK_ELEMENTS = 1 << 16
+#: Trees with at most this many split nodes find leaves by table lookup
+#: (`Tree.apply`). Codes are uint16, so the cap is at most 16. The lookup
+#: beat the partition up to about 18 splits on 22 800-row batches but only
+#: up to about 6 on 800-row batches that pay for the table; the cap lies
+#: between those crossovers (CHANGES.md).
+CODED_SPLITS = 12
 #: Version of the forest and model JSON documents.
 FORMAT_VERSION = 2
 #: dtype of each `Tree` array, in field and document order.
@@ -77,12 +84,58 @@ class Tree:
         return self.counts.shape[0]
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf id of every row of X: each node partitions the rows that
-        reach it.
+        """Leaf id of every row of X.
 
-        X is read one column at a time, which is a contiguous gather when
-        X is column-major (Fortran order).
+        A tree with at most CODED_SPLITS splits reads each row's leaf from
+        its split-outcome code (`_code_table`); a larger one partitions the
+        rows node by node. X is read one column at a time, which is
+        contiguous when X is column-major (Fortran order).
         """
+        if self.feature.shape[0] <= CODED_SPLITS:
+            return self._coded_leaves(X)
+        return self._partition_leaves(X)
+
+    def _coded_leaves(self, X: np.ndarray) -> np.ndarray:
+        """`apply` by table lookup: one comparison pass per split column
+        sets bit s of a row's code when split s sends the row left."""
+        columns = X.T
+        code = np.zeros(X.shape[0], dtype=np.uint16)
+        goes_left = np.empty(X.shape[0], dtype=bool)
+        # the last split first: each shift moves the bits set so far up by one
+        for f, t in zip(reversed(self.feature.tolist()), reversed(self.threshold.tolist())):
+            np.less_equal(columns[f], t, out=goes_left)
+            code <<= 1
+            code |= goes_left
+        return self._code_table.take(code)
+
+    @cached_property
+    def _code_table(self) -> np.ndarray:
+        """Leaf id of each of the 2^S split-outcome codes of a tree with S
+        splits, built on first use and never saved.
+
+        Each leaf fills, in a (2,)*S view of the table, the block of codes
+        that agree with the outcomes on its path (axis S - 1 - s holds bit
+        s) and leaves the other splits' bits free.
+        """
+        s = self.feature.shape[0]
+        table = np.zeros(1 << s, dtype=np.intp)  # a tree without splits is leaf 0
+        view = table.reshape((2,) * s)
+        left, right = self.left.tolist(), self.right.tolist()
+        stack = [(0, [slice(None)] * s)] if s else []
+        while stack:
+            node, path = stack.pop()
+            for child, bit in ((left[node], 1), (right[node], 0)):
+                block = path.copy()
+                block[s - 1 - node] = bit
+                if child < 0:
+                    view[tuple(block)] = ~child
+                else:
+                    stack.append((child, block))
+        return table
+
+    def _partition_leaves(self, X: np.ndarray) -> np.ndarray:
+        """`apply` node by node: each node partitions the rows that reach
+        it."""
         feature, threshold = self.feature.tolist(), self.threshold.tolist()
         left, right = self.left.tolist(), self.right.tolist()
         columns = X.T
@@ -378,31 +431,46 @@ def predict(forest: Forest, record) -> int:
     return int(predict_many(forest, np.asarray(record, dtype=np.float64)[None, ...])[0])
 
 
-def predict_many(forest: Forest, records) -> np.ndarray:
+def predict_many(forest: Forest, records, *, complete: bool = False) -> np.ndarray:
     """Vectorized predict over a [n, d] record matrix.
 
     The trees read the records by column, so a matrix that is not
     column-major is copied once into Fortran order; `encode_records` output
-    is used as it is. Each tree adds the rows of its `Tree.leaf_table` at
-    its records' leaves into one (n, 2C) sum: the vote counts are exact
-    small integers and the distribution sums add in tree order, as a
-    per-tree vote and distribution sum would.
+    is used as it is. records is scanned for missing cells unless the
+    caller passes complete=True for a batch already scanned, such as an
+    `encode_records` result.
+
+    Each tree adds the rows of its `Tree.leaf_table` at its records'
+    leaves into one (n, 2C) sum: the vote counts are exact small integers
+    and the distribution sums add in tree order, as a per-tree vote and
+    distribution sum would. One pass over the classes then keeps, per
+    record, the first class with the most votes and, among those, the
+    largest distribution sum.
     """
     X = np.asarray(records, dtype=np.float64, order="F")
     if X.ndim != 2 or X.shape[1] != len(forest.schema):
         raise SchemaError(f"records of shape {X.shape} do not match the forest's "
                           f"{len(forest.schema)} columns")
-    if np.isnan(X).any():
+    if not complete and np.isnan(X).any():
         raise MissingValueError("cannot predict records with missing cells")
     n_classes = len(forest.class_names)
     sums = np.zeros((X.shape[0], 2 * n_classes))
     gathered = np.empty_like(sums)
     for tree in forest.trees:
-        np.take(tree.leaf_table(), tree.apply(X), axis=0, out=gathered)
+        # leaf ids are in range; mode "raise" would buffer the out= copy
+        np.take(tree.leaf_table(), tree.apply(X), axis=0, out=gathered, mode="clip")
         sums += gathered
-    votes, dist_sums = sums[:, :n_classes], sums[:, n_classes:]
-    tied = votes == votes.max(axis=1, keepdims=True)
-    return np.argmax(np.where(tied, dist_sums, -np.inf), axis=1).astype(np.int64)
+    votes, dist_sums = sums.T[:n_classes], sums.T[n_classes:]
+    best = np.zeros(X.shape[0], dtype=np.int64)
+    top_votes, top_dist = votes[0], dist_sums[0]  # overwritten in place
+    for c in range(1, n_classes):
+        # strictly better only, so a later class that ties keeps the first
+        better = votes[c] > top_votes
+        better |= (votes[c] == top_votes) & (dist_sums[c] > top_dist)
+        best[better] = c
+        np.copyto(top_votes, votes[c], where=better)
+        np.copyto(top_dist, dist_sums[c], where=better)
+    return best
 
 
 # Forest JSON serialization (version 2): the tree arrays, no leaf members.

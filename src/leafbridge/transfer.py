@@ -105,7 +105,8 @@ class TransferModel:
         """Predict class indices for records in the raw target schema; a
         categorical column may list its categories in another order."""
         records = align_categories(ds, self.raw_schema)
-        return predict_many(self.forest, encode_records(records, self.raw_schema))
+        return predict_many(self.forest, encode_records(records, self.raw_schema),
+                            complete=True)
 
     def to_dict(self) -> dict:
         return {

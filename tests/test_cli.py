@@ -286,13 +286,26 @@ class TestStats:
         ({"spec": {"methods": ["tlf"]}}, "lacks key 'pairs'"),
         ({"spec": {"methods": ["tlf"]}, "pairs": [1]},
          "key 'pairs' holds a value of the wrong type"),
+        ({"spec": {"methods": ["tlf"]}, "pairs": [{"methods": []}]},
+         "pair document key 'methods' holds a value of the wrong type"),
+        ({"spec": {"methods": ["tlf"]}, "pairs": [{"methods": {"tlf": 0.5}}]},
+         "pair document key 'methods' holds a method cell that is not an object"),
     ], ids=["no spec", "spec not an object", "no methods", "methods not a list", "no pairs",
-            "pairs not objects"])
+            "pairs not objects", "pair methods not an object", "method cell not an object"])
     def test_missing_or_ill_typed_key_is_data_error(self, tmp_path, capsys, body, named):
         path = tmp_path / "report.json"
         path.write_text(json.dumps({"format": "leafbridge-report", **body}), encoding="utf-8")
         assert main(["stats", "--report", str(path)]) == EXIT_DATA
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [b'{"format": "leafbridge-report", ',
+                                      b'{"format": "leafbridge-report\xff"}'],
+                             ids=["truncated", "not utf-8"])
+    def test_text_that_is_not_json_is_data_error(self, tmp_path, capsys, data):
+        path = tmp_path / "report.json"
+        path.write_bytes(data)
+        assert main(["stats", "--report", str(path)]) == EXIT_DATA
+        assert f"{path} is not UTF-8 JSON text" in capsys.readouterr().err
 
     def test_report_nemenyi_without_tlf_is_the_one_stats_prints(self, tmp_path, pair_files,
                                                                  capsys):

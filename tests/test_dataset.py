@@ -420,6 +420,7 @@ class TestDatasetInvariants:
             Dataset(schema, [[1.0, 2.0]], [0], ("p",))
 
     def test_encode_records_rejects_missing(self):
-        schema = (AttributeSchema("a", NUMERIC),)
-        with pytest.raises(MissingValueError):
-            encode_records(np.array([[np.nan]]), schema)
+        schema = (AttributeSchema("a", NUMERIC), AttributeSchema("k", CATEGORICAL, ("x", "y")))
+        for row in ([np.nan, 0.0], [1.0, np.nan]):
+            with pytest.raises(MissingValueError):
+                encode_records(np.array([row]), schema)

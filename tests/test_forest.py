@@ -614,6 +614,16 @@ class TestPredict:
         with pytest.raises(MissingValueError):
             predict(forest, [np.nan])
 
+    def test_missing_cell_in_an_unread_column_rejected(self):
+        # the tree reads column 0 only; the batch scan still finds column 1's NaN
+        tree = chain_forest(3).trees[0]
+        schema = (AttributeSchema("x", NUMERIC), AttributeSchema("y", NUMERIC))
+        forest = Forest([tree], schema, ("even", "odd"), 1, 0)
+        X = np.array([[0.0, 1.0], [1.0, np.nan]])
+        for batch in (X, np.asfortranarray(X)):
+            with pytest.raises(MissingValueError):
+                predict_many(forest, batch)
+
     def test_cell_at_threshold_goes_left(self):
         forest = chain_forest(4)
         X = forest.trees[0].threshold[:, None]
@@ -693,6 +703,86 @@ class TestColumnMajorPredict:
         # the isnan mask (n * d bytes), index arrays and the (n, 4) sums,
         # not a second (n, d) float64 copy of the batch
         assert peak < 8 * n * d // 2
+
+
+def random_tree(n_splits, d, thresholds, rng):
+    """A tree of n_splits splits of random shape, numbered depth first,
+    left first; each split draws its column from d and its threshold from
+    `thresholds`."""
+    left = np.zeros(n_splits, dtype=np.intp)
+    right = np.zeros(n_splits, dtype=np.intp)
+    numbered = {"split": 1, "leaf": 0}
+
+    def grow(node, below):
+        n_left = int(rng.integers(0, below + 1))
+        for side, size in ((left, n_left), (right, below - n_left)):
+            if size:
+                side[node] = numbered["split"]
+                numbered["split"] += 1
+                grow(side[node], size - 1)
+            else:
+                side[node] = ~numbered["leaf"]
+                numbered["leaf"] += 1
+
+    if n_splits:
+        grow(0, n_splits - 1)
+    return Tree(rng.integers(0, d, size=n_splits).astype(np.intp),
+                rng.choice(thresholds, size=n_splits), left, right,
+                np.ones((n_splits + 1, 2), dtype=np.int64))
+
+
+class TestCodedApply:
+    """Trees of at most CODED_SPLITS splits find leaves by table lookup;
+    the partition traversal is the oracle."""
+
+    CELLS = np.array([-np.inf, -1.5, -0.0, 0.0, 0.5, 1.5, np.inf, np.nan])
+    THRESHOLDS = np.array([-1.5, -0.0, 0.0, 0.5, 1.5])
+
+    @pytest.mark.parametrize("n_splits", range(forest_module.CODED_SPLITS + 2))
+    def test_matches_partition(self, n_splits):
+        rng = np.random.default_rng(n_splits)
+        X = rng.choice(self.CELLS, size=(600, 5))
+        wide = np.column_stack([X, X])
+        batches = [(X, slice(None)), (np.asfortranarray(X), slice(None)),
+                   (wide[:, 5:], slice(None)), (X[7:8], slice(7, 8)),
+                   (np.asfortranarray(X[:1]), slice(0, 1))]
+        for _ in range(4):
+            tree = random_tree(n_splits, 5, self.THRESHOLDS, rng)
+            forest_from_dict(forest_to_dict(Forest([tree], (AttributeSchema("x", NUMERIC),) * 5,
+                                                   ("a", "b"), 1, 0)))  # a well-formed tree
+            want = tree._partition_leaves(X)
+            for batch, rows in batches:
+                got = tree.apply(batch)
+                assert got.dtype == want.dtype and got.tobytes() == want[rows].tobytes()
+            assert ("_code_table" in vars(tree)) == (n_splits <= forest_module.CODED_SPLITS)
+
+    def test_code_table(self):
+        # split 0 (x <= 0.5) is bit 0 and split 1 (x <= 1.5) bit 1; a code
+        # whose bit 0 is set reaches leaf 0 whatever bit 1 holds
+        tree = chain_forest(2).trees[0]
+        assert tree._code_table.tolist() == [2, 0, 1, 0]
+        assert _stump([1, 1])._code_table.tolist() == [0]
+
+    def test_table_is_not_saved_and_rebuilt_after_load(self, tmp_path):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(1500, 4))
+        y = np.digitize(X[:, 0] + X[:, 1], [-0.5, 0.5])
+        forest = train_forest(numeric_dataset(X, y), n_trees=6, min_leaf_size=80, seed=4)
+        assert all(tree.feature.size <= forest_module.CODED_SPLITS for tree in forest.trees)
+        model = TransferModel(forest=forest, projection=None, fallback=True, diagnostics={},
+                              raw_schema=forest.schema, class_names=forest.class_names,
+                              config=TransferConfig())
+        model.save(tmp_path / "before.json")
+        test = numeric_dataset(rng.normal(size=(700, 4)), np.arange(700) % 3)
+        predictions = model.predict_many(test)
+        model.save(tmp_path / "after.json")
+        assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+        loaded = TransferModel.load(tmp_path / "after.json")
+        assert not any("_code_table" in vars(tree) for tree in loaded.forest.trees)
+        batch = np.asfortranarray(test.records)
+        for tree, again in zip(forest.trees, loaded.forest.trees):
+            assert again.apply(batch).tobytes() == tree._partition_leaves(batch).tobytes()
+        assert loaded.predict_many(test).tobytes() == predictions.tobytes()
 
 
 class TestSerialization:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
-from leafbridge.errors import DataError
+from leafbridge.errors import DataError, MissingValueError
+from leafbridge.experiment import _ForestPredictor
+from leafbridge.forest import train_forest
 from leafbridge.metrics import (
     evaluate,
     mean_ranks,
@@ -12,6 +14,7 @@ from leafbridge.metrics import (
     nemenyi_cd,
     sign_test,
 )
+from leafbridge.transfer import TransferConfig, TransferModel
 from conftest import numeric_dataset
 
 
@@ -50,6 +53,50 @@ class TestEvaluate:
         ds = numeric_dataset(np.zeros((2, 1)), [0, 1])
         metrics = evaluate(_FixedModel([-1, 1]), ds)
         assert metrics.accuracy == 0.5
+
+
+def _forest_models():
+    """A TransferModel and a plain-forest predictor over one small forest."""
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(200, 3))
+    ds = numeric_dataset(X, (X[:, 0] > 0).astype(int))
+    forest = train_forest(ds, n_trees=3, min_leaf_size=10, seed=6)
+    model = TransferModel(forest=forest, projection=None, fallback=True, diagnostics={},
+                          raw_schema=ds.schema, class_names=ds.class_names,
+                          config=TransferConfig())
+    return [model, _ForestPredictor(forest, ds.schema, ds.class_names)]
+
+
+class TestEvaluateScan:
+    """evaluate leaves the missing-cell scan to the model's predict_many,
+    which scans each batch once."""
+
+    def test_missing_cell_raises(self):
+        records = np.random.default_rng(7).normal(size=(30, 3))
+        records[4, 1] = np.nan
+        test = numeric_dataset(records, np.arange(30) % 2)
+        for model in _forest_models():
+            with pytest.raises(MissingValueError):
+                evaluate(model, test)
+
+    @pytest.mark.parametrize("pick", [0, 1], ids=["transfer model", "forest predictor"])
+    @pytest.mark.parametrize("via_evaluate", [False, True], ids=["predict_many", "evaluate"])
+    def test_batch_scanned_once(self, monkeypatch, pick, via_evaluate):
+        model = _forest_models()[pick]
+        test = numeric_dataset(np.random.default_rng(7).normal(size=(30, 3)), np.arange(30) % 2)
+        scanned = []
+        isnan = np.isnan
+
+        def recording_isnan(x, *args, **kwargs):
+            scanned.append(np.shape(x))
+            return isnan(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isnan", recording_isnan)
+        if via_evaluate:
+            evaluate(model, test)
+        else:
+            model.predict_many(test)
+        assert scanned == [test.records.shape]
 
 
 class TestSignTest:
