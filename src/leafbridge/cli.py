@@ -129,12 +129,18 @@ def _cmd_stats(args) -> int:
     methods = read_key(read_key(report, "spec", dict, doc), "methods", list, f"{doc} spec",
                        items=str)
     pairs = read_key(report, "pairs", list, doc, items=dict)
-    for pair in pairs:
-        if "methods" in pair:
-            cells = read_key(pair, "methods", dict, f"{doc} pair")
-            if not all(isinstance(cell, dict) for cell in cells.values()):
-                raise DataError(f"{doc} pair document key 'methods' holds a method cell "
-                                f"that is not an object")
+    for i, pair in enumerate(pairs):
+        if "methods" not in pair:
+            continue
+        cells = read_key(pair, "methods", dict, f"{doc} pair")
+        if not all(isinstance(cell, dict) for cell in cells.values()):
+            raise DataError(f"{doc} pair document key 'methods' holds a method cell "
+                            f"that is not an object")
+        for method, cell in cells.items():
+            accuracy = cell.get("accuracy", 0.0)
+            if isinstance(accuracy, bool) or not isinstance(accuracy, (int, float)):
+                raise DataError(f"{doc} pairs[{i}] (pair {pair.get('pair')!r}) method "
+                                f"{method!r} key 'accuracy' holds {accuracy!r}, not a number")
     tests = sign_tests(methods, pairs)
     if tests:
         print(f"sign test (right-tailed, z ref {SIGN_TEST_Z_REF}):")

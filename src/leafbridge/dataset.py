@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from itertools import compress, groupby
 
 import numpy as np
 
@@ -133,33 +134,72 @@ class Dataset:
         return bool(np.array_equal(self.records, other.records, equal_nan=True))
 
 
-def _parse_numeric(col):
-    """Parse a column's cells (None for a missing cell) with float().
+def _floats(cells):
+    """float() of every cell as a float64 array, or None when some cell is
+    rejected: float() raises on it, or it holds a digit-group underscore."""
+    if "_" in "".join(cells):
+        return None
+    try:
+        return np.array(list(map(float, cells)), dtype=np.float64)
+    except ValueError:
+        return None
+
+
+def _first_rejected(cells) -> int:
+    """Position of the first cell that `_floats` rejects."""
+    for i, cell in enumerate(cells):
+        if "_" in cell:
+            return i
+        try:
+            float(cell)
+        except ValueError:
+            return i
+    raise AssertionError("no rejected cell")
+
+
+def _parse_column(col, missing):
+    """Parse a column's cells with float(); a cell in `missing` reads as NaN.
 
     float() also reads digit-group underscores (`1_000` as 1000.0), which a
     CSV cell never means, so a cell holding `_` counts as rejected; it keeps
     float()'s acceptance of surrounding spaces (` 2 ` is 2.0).
 
-    Returns (values, bad, nonfinite): the floats so far (NaN for missing
-    cells), the position of the first rejected cell (parsing stops there)
-    or None, and the position of the first present cell that parsed to a
+    Returns (values, bad, nonfinite): the floats of the cells before the
+    first rejected one (NaN elsewhere), the position of that cell or None,
+    and the position of the first present cell before it that parsed to a
     non-finite value or None.
     """
-    values = np.full(len(col), np.nan)
-    nonfinite = None
-    for i, cell in enumerate(col):
-        if cell is None:
-            continue
-        try:
-            value = float(cell)
-        except ValueError:
-            value = None
-        if value is None or "_" in cell:
-            return values, i, nonfinite
-        if nonfinite is None and not math.isfinite(value):
-            nonfinite = i
-        values[i] = value
-    return values, None, nonfinite
+    n = len(col)
+    # an equality scan per token: a set test would hash every numeric cell
+    if not any(token in col for token in missing):
+        cells, where = col, np.arange(n)
+    else:
+        present = ~np.fromiter(map(missing.__contains__, col), bool, n)
+        cells, where = list(compress(col, present)), np.flatnonzero(present)
+    parsed = _floats(cells)
+    bad = None
+    if parsed is None:
+        first = _first_rejected(cells)
+        parsed, bad = _floats(cells[:first]), int(where[first])
+    nonfinite = np.flatnonzero(~np.isfinite(parsed))
+    nonfinite = int(where[nonfinite[0]]) if nonfinite.size else None
+    if len(parsed) == n:
+        return parsed, bad, nonfinite
+    values = np.full(n, np.nan)
+    values[where[:len(parsed)]] = parsed
+    return values, bad, nonfinite
+
+
+def _code_column(col, missing, hinted):
+    """Category codes of a column's cells as float64 (NaN for a cell in
+    `missing`), and its categories: `hinted` followed by each other present
+    cell in first-appearance order."""
+    known = set(hinted)
+    categories = list(hinted) + [c for c in dict.fromkeys(col)
+                                 if c not in missing and c not in known]
+    code = {c: float(k) for k, c in enumerate(categories)}
+    code.update(dict.fromkeys(missing, np.nan))
+    return np.array(list(map(code.__getitem__, col))), tuple(categories)
 
 
 def load_csv(
@@ -179,13 +219,14 @@ def load_csv(
     case or sign) raise ParseError unless listed in missing_tokens. A cell
     holding an underscore (`1_000`) is not a number, so its column is
     categorical, or a ParseError under a numeric hint; spaces around a
-    number are accepted (` 2 ` reads as 2.0).
+    number are accepted (` 2 ` reads as 2.0). A header that names an
+    attribute column twice raises SchemaError.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
-            rows = []
+            linenos, rows = [], []
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
@@ -193,7 +234,8 @@ def load_csv(
                     raise ParseError(
                         f"{path}: line {lineno} has {len(row)} cells, header has {len(header)}"
                     )
-                rows.append((lineno, row))
+                linenos.append(lineno)
+                rows.append(row)
         except StopIteration:
             raise ParseError(f"{path}: empty file, expected a header row") from None
         except UnicodeDecodeError as exc:
@@ -204,6 +246,9 @@ def load_csv(
         raise SchemaError(f"{path}: label column {label_column!r} not in header {header}")
     label_idx = header.index(label_column)
     attr_names = [h for i, h in enumerate(header) if i != label_idx]
+    if len(set(attr_names)) != len(attr_names):
+        twice = next(h for h in attr_names if attr_names.count(h) > 1)
+        raise SchemaError(f"{path}: header names column {twice!r} more than once")
 
     hints: dict[str, AttributeSchema] = {}
     if schema_hint:
@@ -216,31 +261,21 @@ def load_csv(
             hints = {a.name: a for a in schema_hint}
 
     missing = set(missing_tokens)
-    columns = {name: [] for name in attr_names}
-    label_tokens = []
-    linenos = []
-    for lineno, row in rows:
-        linenos.append(lineno)
-        pos = 0
-        for i, cell in enumerate(row):
-            if i == label_idx:
-                if cell in missing:
-                    raise ParseError(f"{path}: line {lineno}: missing label value")
-                label_tokens.append(cell)
-            else:
-                columns[attr_names[pos]].append(None if cell in missing else cell)
-                pos += 1
+    columns = list(zip(*rows))
+    label_col = columns.pop(label_idx)
+    if not missing.isdisjoint(label_col):
+        first = next(i for i, token in enumerate(label_col) if token in missing)
+        raise ParseError(f"{path}: line {linenos[first]}: missing label value")
 
     schema = []
-    n = len(rows)
-    records = np.empty((n, len(attr_names)), dtype=np.float64)
-    for j, name in enumerate(attr_names):
-        col = columns[name]
+    # filled a column at a time; Dataset copies it to row-major
+    records = np.empty((len(rows), len(attr_names)), dtype=np.float64, order="F")
+    for j, (name, col) in enumerate(zip(attr_names, columns)):
         hint = hints.get(name)
         if hint is not None and hint.kind == CATEGORICAL:
             kind = CATEGORICAL
         else:
-            values, bad, nonfinite = _parse_numeric(col)
+            values, bad, nonfinite = _parse_column(col, missing)
             kind = NUMERIC if hint is not None or bad is None else CATEGORICAL
         if kind == NUMERIC:
             if nonfinite is not None:
@@ -257,28 +292,14 @@ def load_csv(
             records[:, j] = values
             schema.append(AttributeSchema(name, NUMERIC))
         else:
-            cats = list(hint.categories) if hint is not None and hint.categories != ("_",) else []
-            index = {c: k for k, c in enumerate(cats)}
-            for i, cell in enumerate(col):
-                if cell is None:
-                    records[i, j] = np.nan
-                    continue
-                if cell not in index:
-                    index[cell] = len(cats)
-                    cats.append(cell)
-                records[i, j] = index[cell]
-            schema.append(AttributeSchema(name, CATEGORICAL, tuple(cats)))
+            hinted = hint.categories if hint is not None and hint.categories != ("_",) else ()
+            records[:, j], categories = _code_column(col, missing, hinted)
+            schema.append(AttributeSchema(name, CATEGORICAL, categories))
 
-    class_names = []
-    class_index = {}
-    labels = np.empty(n, dtype=np.int64)
-    for i, token in enumerate(label_tokens):
-        if token not in class_index:
-            class_index[token] = len(class_names)
-            class_names.append(token)
-        labels[i] = class_index[token]
-
-    return Dataset(tuple(schema), records, labels, tuple(class_names), domain_tag)
+    class_names = tuple(dict.fromkeys(label_col))
+    code = {token: k for k, token in enumerate(class_names)}
+    labels = np.array(list(map(code.__getitem__, label_col)), dtype=np.int64)
+    return Dataset(tuple(schema), records, labels, class_names, domain_tag)
 
 
 def write_csv(ds: Dataset, path, label_column: str = "label", missing_token: str = "?"):
@@ -310,6 +331,11 @@ def write_csv(ds: Dataset, path, label_column: str = "label", missing_token: str
             writer.writerow(row)
 
 
+#: Rows per block in which `encode_records` copies a run of numeric columns:
+#: a block of a row-major batch stays in cache while its columns are written.
+COPY_ROWS = 256
+
+
 def encoded_schema(schema) -> tuple[AttributeSchema, ...]:
     """Schema after one-hot encoding: one 0/1 numeric column per category."""
     out = []
@@ -324,30 +350,36 @@ def encoded_schema(schema) -> tuple[AttributeSchema, ...]:
 def encode_records(records: np.ndarray, schema) -> np.ndarray:
     """One-hot encode a record matrix given its raw schema.
 
-    Numeric columns are copied, each categorical column becomes one 0/1
-    column per category. Rows must be complete (no NaN cells). The result
-    is one new column-major (Fortran-order) matrix, the layout in which
-    `forest.predict_many` reads a batch; `Dataset` copies it to row-major.
+    Each run of numeric columns is copied COPY_ROWS rows at a time, each
+    categorical column becomes one 0/1 column per category. Rows must be
+    complete (no NaN cells). The result is one new column-major
+    (Fortran-order) matrix, the layout in which `forest.predict_many` reads
+    a batch; `Dataset` copies it to row-major.
     """
     records = np.asarray(records, dtype=np.float64)
     if np.isnan(records).any():
         raise MissingValueError("cannot encode records with missing cells")
     n = records.shape[0]
     out = np.empty((n, len(encoded_schema(schema))), order="F")
-    k = 0
-    for j, attr in enumerate(schema):
-        col = records[:, j]
-        if attr.kind == NUMERIC:
-            out[:, k] = col
-            k += 1
-        else:
+    j = k = 0
+    for numeric, attrs in groupby(schema, key=lambda a: a.kind == NUMERIC):
+        attrs = list(attrs)
+        if numeric:
+            w = len(attrs)
+            for r in range(0, n, COPY_ROWS):
+                out[r:r + COPY_ROWS, k:k + w] = records[r:r + COPY_ROWS, j:j + w]
+            j += w
+            k += w
+            continue
+        for attr in attrs:
             m = len(attr.categories)
-            idx = col.astype(np.int64)
+            idx = records[:, j].astype(np.int64)
             if idx.min() < 0 or idx.max() >= m:
                 raise SchemaError(f"category index out of range in column {attr.name!r}")
             block = out[:, k:k + m]
             block.fill(0.0)
             block[np.arange(n), idx] = 1.0
+            j += 1
             k += m
     return out
 

@@ -298,6 +298,29 @@ class TestStats:
         assert main(["stats", "--report", str(path)]) == EXIT_DATA
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("accuracy", ["x", "0.9", True, False, None, [0.9], {"v": 0.9}],
+                             ids=["text", "numeral text", "true", "false", "null", "list",
+                                  "object"])
+    def test_accuracy_that_is_not_a_number_is_data_error(self, tmp_path, capsys, accuracy):
+        pairs = [report_pair("p1", "", {"tlf": 0.9, "target_only": 0.8}),
+                 report_pair("p2", "", {"tlf": 0.7, "target_only": 0.8})]
+        pairs[1]["methods"]["tlf"]["accuracy"] = accuracy
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"format": "leafbridge-report",
+                                    "spec": {"methods": ["tlf", "target_only"]},
+                                    "pairs": pairs}), encoding="utf-8")
+        assert main(["stats", "--report", str(path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert (f"pairs[1] (pair 'p2') method 'tlf' key 'accuracy' holds {accuracy!r}, "
+                f"not a number") in err
+
+    def test_integer_accuracy_is_a_number(self, tmp_path, capsys):
+        pairs = [report_pair("p1", "", {"tlf": 0.9, "target_only": 0.8}),
+                 report_pair("p2", "", {"tlf": 0.7, "target_only": 0.8})]
+        pairs[0]["methods"]["tlf"]["accuracy"] = 1
+        out = stats_output(tmp_path, capsys, ["tlf", "target_only"], pairs)
+        assert "[pair] tlf vs target_only: wins=1 losses=1" in out
+
     @pytest.mark.parametrize("data", [b'{"format": "leafbridge-report", ',
                                       b'{"format": "leafbridge-report\xff"}'],
                              ids=["truncated", "not utf-8"])

@@ -5,6 +5,7 @@ import pytest
 
 from leafbridge.dataset import (
     CATEGORICAL,
+    COPY_ROWS,
     NUMERIC,
     AttributeSchema,
     Dataset,
@@ -149,6 +150,46 @@ class TestLoadCsv:
         ds = load_csv(path, "label")
         assert ds.schema[0] == AttributeSchema("a", CATEGORICAL, ("x", "nan"))
 
+    # blank rows and missing cells before the fault: the line is the file's,
+    # not the fault's position among the kept rows or the present cells
+    @pytest.mark.parametrize("text, hint, message", [
+        ("a,label\n1,p\n\n2,?\n", None, "line 4: missing label value"),
+        ("label,a\np,1\n\n\n,2\n", None, "line 5: missing label value"),
+        ("a,b,label\n1,2,p\n\n?,inf,q\n", None,
+         "line 4: non-finite value 'inf' in numeric column 'b' (list it in missing_tokens "
+         "to read it as a missing cell)"),
+        ("a,label\n?,p\n\n1,q\n\n-NaN,q\n", None,
+         "line 6: non-finite value '-NaN' in numeric column 'a' (list it in missing_tokens "
+         "to read it as a missing cell)"),
+        ("a,label\n1,p\n\nx,q\n", {"a": NUMERIC}, "line 4: non-numeric value 'x' in "
+         "numeric column 'a'"),
+        ("a,label\n?,p\n\n1,q\n\n\n2_0,q\n", {"a": NUMERIC},
+         "line 7: non-numeric value '2_0' in numeric column 'a'"),
+    ], ids=["label", "label first", "non-finite", "non-finite after missing", "non-numeric",
+            "underscore after missing"])
+    def test_error_names_the_file_line(self, tmp_path, text, hint, message):
+        path = tmp_path / "lines.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_csv(path, "label", schema_hint=hint)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_header_naming_a_column_twice(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text("a,b,a,label\n1,2,3,p\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=r"twice.csv: header names column 'a' more than once"):
+            load_csv(path, "label")
+
+    def test_hinted_categories_seed_the_order(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("a,label\nz,p\n?,q\nx,p\nw,q\n", encoding="utf-8")
+        hint = [AttributeSchema("a", CATEGORICAL, ("x", "y"))]
+        ds = load_csv(path, "label", schema_hint=hint)
+        assert ds.schema[0].categories == ("x", "y", "z", "w")
+        assert ds.records[:, 0].tobytes() == np.array([2.0, np.nan, 0.0, 3.0]).tobytes()
+        assert ds.class_names == ("p", "q")
+        assert ds.labels.tolist() == [0, 1, 0, 1]
+
 
 def hstack_encode_records(records, schema):
     """Reference encoding: one block per raw column, stacked by np.hstack
@@ -174,29 +215,51 @@ def mixed_records(rng, n, schema):
     ]).astype(np.float64)
 
 
+def schema_of(kinds):
+    """A raw schema from a kind string: `n` numeric, `c` categorical."""
+    return tuple(
+        AttributeSchema(f"a{j}", NUMERIC) if kind == "n"
+        else AttributeSchema(f"a{j}", CATEGORICAL, tuple("uvwxyz"[:1 + j % 5]))
+        for j, kind in enumerate(kinds)
+    )
+
+
+def laid_out(records, layout, rng):
+    """records as a C-ordered, F-ordered or sliced (no layout) matrix."""
+    if layout == "F":
+        return np.asfortranarray(records)
+    if layout == "sliced":
+        # every other row of a matrix with extra columns
+        wide = np.column_stack([records, rng.normal(size=(records.shape[0], 2))])
+        return np.repeat(wide, 2, axis=0)[::2, :records.shape[1]]
+    return np.ascontiguousarray(records)
+
+
 class TestOneHot:
     @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
     @pytest.mark.parametrize("kinds", ["n", "c", "ncn", "ccnnc"])
     def test_encode_records_matches_hstack(self, layout, kinds):
         rng = np.random.default_rng(len(kinds))
-        schema = tuple(
-            AttributeSchema(f"a{j}", NUMERIC) if kind == "n"
-            else AttributeSchema(f"a{j}", CATEGORICAL, tuple("uvwxyz"[:1 + j % 5]))
-            for j, kind in enumerate(kinds)
-        )
-        records = mixed_records(rng, 300, schema)
-        if layout == "F":
-            records = np.asfortranarray(records)
-        elif layout == "sliced":
-            # every other row of a matrix with extra columns: no layout
-            wide = np.column_stack([records, rng.normal(size=(300, 2))])
-            records = np.repeat(wide, 2, axis=0)[::2, :len(schema)]
+        schema = schema_of(kinds)
+        records = laid_out(mixed_records(rng, 300, schema), layout, rng)
         want = hstack_encode_records(records, schema)
         for batch in (records, records[:1]):
             got = encode_records(batch, schema)
             assert got.flags.f_contiguous and got.dtype == np.float64
             assert got.shape == (batch.shape[0], len(encoded_schema(schema)))
             assert got.tobytes() == want[:batch.shape[0]].tobytes()
+
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+    @pytest.mark.parametrize("kinds", ["n", "ncn", "ccnnc"])
+    @pytest.mark.parametrize("n", [1, COPY_ROWS - 1, COPY_ROWS, COPY_ROWS + 1,
+                                   2 * COPY_ROWS + 3])
+    def test_encode_records_at_block_edges(self, n, kinds, layout):
+        rng = np.random.default_rng(n)
+        schema = schema_of(kinds)
+        records = laid_out(mixed_records(rng, n, schema), layout, rng)
+        got = encode_records(records, schema)
+        assert got.flags.f_contiguous
+        assert got.tobytes() == hstack_encode_records(records, schema).tobytes()
 
     def test_encoded_dataset_is_row_major(self):
         schema = (AttributeSchema("num", NUMERIC), AttributeSchema("c", CATEGORICAL, ("a", "b")))
