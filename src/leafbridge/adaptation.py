@@ -392,9 +392,10 @@ class AdaptationState:
 
 
 def adapt(pivots: StackedPivots, ridge: float, mmd: float, manifold: float,
-          kernel_kind: str = "linear", alpha_mode: str = "literal",
-          cross_term: str = "product") -> tuple[AdaptationState, ProjectionMatrix]:
-    """Run the full adaptation stage on stacked pivots."""
+          kernel_kind: str, alpha_mode: str,
+          cross_term: str) -> tuple[AdaptationState, ProjectionMatrix]:
+    """Run the full adaptation stage on stacked pivots; the settings come
+    from a TransferConfig, which holds their defaults."""
     K = build_kernel(pivots, kernel_kind)
     mu = compute_mu(pivots)
     M = build_mmd_matrix(pivots, mu, cross_term)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -139,8 +140,13 @@ def _cmd_stats(args) -> int:
         for method, cell in cells.items():
             accuracy = cell.get("accuracy", 0.0)
             if isinstance(accuracy, bool) or not isinstance(accuracy, (int, float)):
-                raise DataError(f"{doc} pairs[{i}] (pair {pair.get('pair')!r}) method "
-                                f"{method!r} key 'accuracy' holds {accuracy!r}, not a number")
+                fault = "not a number"
+            elif isinstance(accuracy, float) and not math.isfinite(accuracy):
+                fault = "not a finite number"  # JSON NaN, Infinity or -Infinity
+            else:
+                continue
+            raise DataError(f"{doc} pairs[{i}] (pair {pair.get('pair')!r}) method "
+                            f"{method!r} key 'accuracy' holds {accuracy!r}, {fault}")
     tests = sign_tests(methods, pairs)
     if tests:
         print(f"sign test (right-tailed, z ref {SIGN_TEST_Z_REF}):")

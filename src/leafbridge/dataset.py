@@ -227,14 +227,14 @@ def load_csv(
         try:
             header = next(reader)
             linenos, rows = [], []
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
+                # the physical line the row ends on, past quoted line breaks
                 if len(row) != len(header):
-                    raise ParseError(
-                        f"{path}: line {lineno} has {len(row)} cells, header has {len(header)}"
-                    )
-                linenos.append(lineno)
+                    raise ParseError(f"{path}: line {reader.line_num} has {len(row)} cells, "
+                                     f"header has {len(header)}")
+                linenos.append(reader.line_num)
                 rows.append(row)
         except StopIteration:
             raise ParseError(f"{path}: empty file, expected a header row") from None

@@ -27,6 +27,10 @@ SPLIT_BLOCK_ELEMENTS cells. The chosen split, leaf numbering and
 random draws are those of scoring each attribute on its own with a stable
 float sort and growing the tree recursively; tests/test_forest.py keeps that
 search and that builder as the oracle.
+
+A forest predicts by plurality vote. Each tree's vote is one integer count
+per record; the trees' leaf class distributions are summed only for the
+records whose top vote count two or more classes share, as the tie-break.
 """
 
 from __future__ import annotations
@@ -151,15 +155,19 @@ class Tree:
                 stack.append((left[node], idx[goes_left]))
         return leaf
 
-    def leaf_table(self) -> np.ndarray:
-        """(leaves, 2C) table: each leaf's majority class one-hot (first
-        maximum), then its normalized class counts."""
+    @cached_property
+    def _majority(self) -> np.ndarray:
+        """Each leaf's majority class, the first maximum of its counts, in
+        the smallest unsigned type that holds it; built on first use and
+        never saved."""
+        return np.argmax(self.counts, axis=1).astype(np.min_scalar_type(self.counts.shape[1]))
+
+    @cached_property
+    def _distribution(self) -> np.ndarray:
+        """(leaves, C) normalized class counts of each leaf; built on first
+        use and never saved."""
         counts = self.counts.astype(np.float64)
-        n_leaves, n_classes = counts.shape
-        table = np.zeros((n_leaves, 2 * n_classes))
-        table[np.arange(n_leaves), np.argmax(counts, axis=1)] = 1.0
-        np.divide(counts, counts.sum(axis=1, keepdims=True), out=table[:, n_classes:])
-        return table
+        return counts / counts.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -440,12 +448,15 @@ def predict_many(forest: Forest, records, *, complete: bool = False) -> np.ndarr
     caller passes complete=True for a batch already scanned, such as an
     `encode_records` result.
 
-    Each tree adds the rows of its `Tree.leaf_table` at its records'
-    leaves into one (n, 2C) sum: the vote counts are exact small integers
-    and the distribution sums add in tree order, as a per-tree vote and
-    distribution sum would. One pass over the classes then keeps, per
-    record, the first class with the most votes and, among those, the
-    largest distribution sum.
+    Each tree adds one vote per record, for the majority class of the
+    record's leaf, into a (C, n) integer count. One pass over the classes
+    then gives each record the class with the most votes and marks the
+    records where two or more classes have that count. Only for those are
+    the trees' leaf distributions summed, in tree order from 0.0, and the
+    first top-vote class with the largest sum wins. Beyond the batch a
+    call holds the counts (one byte a class and record up to 255 trees)
+    and each tree's leaf ids in the smallest unsigned type that holds them
+    (one byte a record for a tree of at most 256 leaves).
     """
     X = np.asarray(records, dtype=np.float64, order="F")
     if X.ndim != 2 or X.shape[1] != len(forest.schema):
@@ -453,23 +464,30 @@ def predict_many(forest: Forest, records, *, complete: bool = False) -> np.ndarr
                           f"{len(forest.schema)} columns")
     if not complete and np.isnan(X).any():
         raise MissingValueError("cannot predict records with missing cells")
-    n_classes = len(forest.class_names)
-    sums = np.zeros((X.shape[0], 2 * n_classes))
-    gathered = np.empty_like(sums)
+    n, n_classes = X.shape[0], len(forest.class_names)
+    votes = np.zeros((n_classes, n), dtype=np.min_scalar_type(forest.n_trees))
+    is_class = np.empty(n, dtype=bool)
+    leaves = []
     for tree in forest.trees:
-        # leaf ids are in range; mode "raise" would buffer the out= copy
-        np.take(tree.leaf_table(), tree.apply(X), axis=0, out=gathered, mode="clip")
-        sums += gathered
-    votes, dist_sums = sums.T[:n_classes], sums.T[n_classes:]
-    best = np.zeros(X.shape[0], dtype=np.int64)
-    top_votes, top_dist = votes[0], dist_sums[0]  # overwritten in place
-    for c in range(1, n_classes):
-        # strictly better only, so a later class that ties keeps the first
-        better = votes[c] > top_votes
-        better |= (votes[c] == top_votes) & (dist_sums[c] > top_dist)
-        best[better] = c
-        np.copyto(top_votes, votes[c], where=better)
-        np.copyto(top_dist, dist_sums[c], where=better)
+        leaf = tree.apply(X)
+        majority = tree._majority.take(leaf)
+        for c in range(n_classes):
+            votes[c] += np.equal(majority, c, out=is_class)
+        leaves.append(leaf.astype(np.min_scalar_type(tree.n_leaves - 1)))
+    top = votes.max(axis=0)
+    best = np.zeros(n, dtype=np.int64)
+    n_top = np.zeros(n, dtype=np.min_scalar_type(n_classes))
+    for c in range(n_classes):  # a record with two classes at the top is set below
+        np.equal(votes[c], top, out=is_class)
+        best[is_class] = c
+        n_top += is_class
+    ties = np.flatnonzero(n_top > 1)
+    if ties.size:
+        dist_sums = np.zeros((ties.size, n_classes))
+        for tree, leaf in zip(forest.trees, leaves):
+            dist_sums += tree._distribution[leaf[ties]]
+        dist_sums[votes[:, ties].T < top[ties, None]] = -np.inf
+        best[ties] = np.argmax(dist_sums, axis=1)
     return best
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -313,6 +314,24 @@ class TestStats:
         err = capsys.readouterr().err
         assert (f"pairs[1] (pair 'p2') method 'tlf' key 'accuracy' holds {accuracy!r}, "
                 f"not a number") in err
+
+    @pytest.mark.parametrize("accuracy", [math.nan, math.inf, -math.inf],
+                             ids=["NaN", "Infinity", "-Infinity"])
+    def test_accuracy_that_is_not_finite_is_data_error(self, tmp_path, capsys, accuracy):
+        pairs = [report_pair("p1", "", {"tlf": 0.9, "target_only": 0.8}),
+                 report_pair("p2", "", {"tlf": 0.7, "target_only": 0.8}),
+                 report_pair("p3", "", {"tlf": 0.6, "target_only": 0.5})]
+        pairs[2]["methods"]["target_only"]["accuracy"] = accuracy
+        path = tmp_path / "report.json"
+        # json writes these floats as the tokens NaN, Infinity and -Infinity
+        path.write_text(json.dumps({"format": "leafbridge-report",
+                                    "spec": {"methods": ["tlf", "target_only"]},
+                                    "pairs": pairs}), encoding="utf-8")
+        assert main(["stats", "--report", str(path)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"pairs[2] (pair 'p3') method 'target_only' key 'accuracy' holds "
+                f"{accuracy!r}, not a finite number") in captured.err
 
     def test_integer_accuracy_is_a_number(self, tmp_path, capsys):
         pairs = [report_pair("p1", "", {"tlf": 0.9, "target_only": 0.8}),

@@ -165,8 +165,18 @@ class TestLoadCsv:
          "numeric column 'a'"),
         ("a,label\n?,p\n\n1,q\n\n\n2_0,q\n", {"a": NUMERIC},
          "line 7: non-numeric value '2_0' in numeric column 'a'"),
+        # a quoted cell that spans two lines counts both
+        ('a,label\n"x\ny",p\n1,?\n', None, "line 4: missing label value"),
+        ('a,b,label\n"x\ny",1,p\n2,z,q\n', {"b": NUMERIC},
+         "line 4: non-numeric value 'z' in numeric column 'b'"),
+        ('a,b,label\n"x\ny",1,p\n2,inf,q\n', None,
+         "line 4: non-finite value 'inf' in numeric column 'b' (list it in missing_tokens "
+         "to read it as a missing cell)"),
+        ('a,label\n"x\ny",p\n1,q,r\n', None, "line 4 has 3 cells, header has 2"),
     ], ids=["label", "label first", "non-finite", "non-finite after missing", "non-numeric",
-            "underscore after missing"])
+            "underscore after missing", "label after a two-line cell",
+            "non-numeric after a two-line cell", "non-finite after a two-line cell",
+            "cell count after a two-line cell"])
     def test_error_names_the_file_line(self, tmp_path, text, hint, message):
         path = tmp_path / "lines.csv"
         path.write_text(text, encoding="utf-8")

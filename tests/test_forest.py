@@ -1,10 +1,12 @@
 import json
 import math
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leafbridge import forest as forest_module
 from leafbridge.dataset import CATEGORICAL, NUMERIC, AttributeSchema, Dataset, one_hot_encode
@@ -679,13 +681,14 @@ class TestColumnMajorPredict:
         for row in (X[0], np.asfortranarray(X)[7], wide[11, 5:]):
             assert predict(forest, row) == per_tree_vote_predict(forest, row[None, :])[0][0]
 
-    def test_leaf_table(self):
+    def test_majority_and_distribution(self):
         # first maximum wins the vote; 3 / 10 is not 3 * (1 / 10) in floats
         tree = Tree(np.array([0, 1]), np.array([0.5, 1.5]), np.array([-1, -2]),
                     np.array([1, -3]), np.array([[1, 3, 3], [2, 0, 2], [3, 7, 0]]))
-        want = [[0, 1, 0, 1 / 7, 3 / 7, 3 / 7], [1, 0, 0, 2 / 4, 0 / 4, 2 / 4],
-                [0, 1, 0, 3 / 10, 7 / 10, 0 / 10]]
-        assert tree.leaf_table().tobytes() == np.array(want).tobytes()
+        want = np.array([[0, 1, 0, 1 / 7, 3 / 7, 3 / 7], [1, 0, 0, 2 / 4, 0 / 4, 2 / 4],
+                         [0, 1, 0, 3 / 10, 7 / 10, 0 / 10]])
+        assert np.eye(3)[tree._majority].tobytes() == want[:, :3].copy().tobytes()
+        assert tree._distribution.tobytes() == want[:, 3:].copy().tobytes()
 
     def test_column_major_batch_is_not_copied(self):
         n, d = 20000, 40
@@ -700,9 +703,44 @@ class TestColumnMajorPredict:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the isnan mask (n * d bytes), index arrays and the (n, 4) sums,
+        # the isnan mask (n * d bytes), index arrays and the vote counts,
         # not a second (n, d) float64 copy of the batch
         assert peak < 8 * n * d // 2
+
+    def test_peak_below_a_float_table_per_record(self):
+        # 10 partitioned trees, 3 classes: the votes, leaf ids and index
+        # arrays stay below two (n, 2C) float64 tables, 32 * C bytes a record
+        forest, _ = self.forest_and_batch(3)
+        forest.trees[:] = forest.trees[:2] * 5
+        assert not any(t.feature.size <= forest_module.CODED_SPLITS for t in forest.trees[:2])
+        n = 20000
+        batch = np.asfortranarray(np.random.default_rng(6).normal(size=(n, 5)))
+        predict_many(forest, batch, complete=True)  # build the trees' tables
+        tracemalloc.start()
+        try:
+            predict_many(forest, batch, complete=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 3 * n
+
+    def test_votes_beyond_255_do_not_wrap(self):
+        # 260 of 300 stumps vote B: a one-byte count would read 4
+        forest = _stump_forest([[1, 3]] * 260 + [[3, 1]] * 40)
+        # 150 votes each; A sums 150 * 0.25 + 150 * 1.0, B 150 * 0.75
+        tied = _stump_forest([[1, 3]] * 150 + [[4, 0]] * 150)
+        batch = np.zeros((10000, 1), order="F")
+        assert loop_predict(forest, batch[:1])[0].tolist() == [1]
+        assert loop_predict(tied, batch[:1])[0].tolist() == [0]
+        tracemalloc.start()
+        try:
+            got = predict_many(forest, batch, complete=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (got == 1).all() and (predict_many(tied, batch) == 0).all()
+        # a one-byte leaf id per tree and record, plus at most 64 bytes a record
+        assert peak < (forest.n_trees + 64) * batch.shape[0]
 
 
 def random_tree(n_splits, d, thresholds, rng):
@@ -778,11 +816,36 @@ class TestCodedApply:
         model.save(tmp_path / "after.json")
         assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
         loaded = TransferModel.load(tmp_path / "after.json")
-        assert not any("_code_table" in vars(tree) for tree in loaded.forest.trees)
+        assert all("_majority" in vars(tree) for tree in forest.trees)
+        assert not any(vars(tree).keys() & {"_code_table", "_majority", "_distribution"}
+                       for tree in loaded.forest.trees)
         batch = np.asfortranarray(test.records)
         for tree, again in zip(forest.trees, loaded.forest.trees):
             assert again.apply(batch).tobytes() == tree._partition_leaves(batch).tobytes()
         assert loaded.predict_many(test).tobytes() == predictions.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(n_classes=st.integers(2, 9), splits=st.lists(st.integers(0, 20), min_size=1, max_size=12),
+       n=st.integers(1, 40), max_count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_predict_many_matches_loop_on_random_forests(n_classes, splits, n, max_count, seed):
+    """Coded (at most CODED_SPLITS splits) and partitioned trees with small
+    leaf counts, so that votes and distribution sums tie; thresholds are
+    cells of the batch, so cells fall on them."""
+    rng = np.random.default_rng(seed)
+    d = 3
+    X = rng.choice(np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, np.inf]), size=(n, d))
+    trees = []
+    for n_splits in splits:
+        tree = random_tree(n_splits, d, X.ravel(), rng)
+        counts = rng.integers(0, max_count + 1, size=(n_splits + 1, n_classes))
+        counts[np.arange(n_splits + 1), rng.integers(0, n_classes, size=n_splits + 1)] += 1
+        trees.append(replace(tree, counts=counts))
+    forest = Forest(trees, (AttributeSchema("x", NUMERIC),) * d,
+                    tuple(f"c{c}" for c in range(n_classes)), 1, 0)
+    got = predict_many(forest, X)
+    assert got.dtype == np.int64
+    assert got.tobytes() == loop_predict(forest, X)[0].tobytes()
 
 
 class TestSerialization:
