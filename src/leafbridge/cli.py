@@ -122,7 +122,7 @@ def _cmd_stats(args) -> int:
     with open(args.report, encoding="utf-8") as fh:
         try:
             report = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # not UTF-8, not JSON, or an int of over 4300 digits
             raise DataError(f"{args.report} is not UTF-8 JSON text: {exc}") from None
     doc = "leafbridge-report"
     if not isinstance(report, dict) or report.get("format") != doc:
@@ -144,7 +144,12 @@ def _cmd_stats(args) -> int:
             elif isinstance(accuracy, float) and not math.isfinite(accuracy):
                 fault = "not a finite number"  # JSON NaN, Infinity or -Infinity
             else:
-                continue
+                try:
+                    float(accuracy)  # an int may lie beyond the float range
+                except OverflowError:
+                    fault = "too large for a float"
+                else:
+                    continue
             raise DataError(f"{doc} pairs[{i}] (pair {pair.get('pair')!r}) method "
                             f"{method!r} key 'accuracy' holds {accuracy!r}, {fault}")
     tests = sign_tests(methods, pairs)

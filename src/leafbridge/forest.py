@@ -7,8 +7,9 @@ leaf membership, class counts and the minimum-leaf-size rule use each record
 once. Leaves therefore carry the label statistics of the data, not of the
 resampling.
 
-Forests are numeric only: every attribute is split at a midpoint threshold,
-and a raw categorical column is a SchemaError (one-hot encode it first).
+Forests are numeric only: every attribute is split at a midpoint threshold
+(see `_cut`), cells must be finite, and a raw categorical column is a
+SchemaError (one-hot encode it first).
 
 A tree is a set of parallel arrays over its split nodes (`Tree`); an explicit
 stack grows it depth first and left first, the order of a recursive build,
@@ -27,6 +28,12 @@ SPLIT_BLOCK_ELEMENTS cells. The chosen split, leaf numbering and
 random draws are those of scoring each attribute on its own with a stable
 float sort and growing the tree recursively; tests/test_forest.py keeps that
 search and that builder as the oracle.
+
+A tree with at most CODED_SPLITS splits finds each record's leaf by table
+lookup on the outcomes of all its splits; a larger tree partitions the
+records node by node, splitting each node's ascending row indices by the
+positions of its comparison's true and false outcomes, or, at a node of
+fewer than MASK_PARTITION_ROWS rows, by the comparison's boolean mask.
 
 A forest predicts by plurality vote. Each tree's vote is one integer count
 per record; the trees' leaf class distributions are summed only for the
@@ -52,11 +59,20 @@ _GAIN_EPS = 1e-12
 # cell takes about 32 bytes, so a block about 2 MiB.
 SPLIT_BLOCK_ELEMENTS = 1 << 16
 #: Trees with at most this many split nodes find leaves by table lookup
-#: (`Tree.apply`). Codes are uint16, so the cap is at most 16. The lookup
-#: beat the partition up to about 18 splits on 22 800-row batches but only
-#: up to about 6 on 800-row batches that pay for the table; the cap lies
-#: between those crossovers (CHANGES.md).
+#: (`Tree.apply`). Codes are uint16, so the cap is at most 16. Against the
+#: partition, on fresh random trees (2.1 GHz Xeon), the lookup with its
+#: table build counted took 0.74 of the time at 16 splits on 22 800-row
+#: batches, and on 800-row batches broke even at about 10 splits (1.11 of
+#: the time at 12, 2.0 at 16); the cap lies between those crossovers.
 CODED_SPLITS = 12
+#: A partition node reached by fewer rows than this splits them with a
+#: boolean mask, a larger one by positions (`Tree._partition_leaves`).
+#: Positions take two more numpy calls a node, which outweighs their lead
+#: on small nodes. On a 10-tree forest of 63-71 splits (2.1 GHz Xeon),
+#: positions at every node took 1.10-1.19x the all-mask time on 20-300-row
+#: batches and this split 0.99-1.01x; at 3000 rows both took 0.82x and at
+#: 22 800 rows 0.53-0.54x.
+MASK_PARTITION_ROWS = 128
 #: Version of the forest and model JSON documents.
 FORMAT_VERSION = 2
 #: dtype of each `Tree` array, in field and document order.
@@ -138,8 +154,16 @@ class Tree:
         return table
 
     def _partition_leaves(self, X: np.ndarray) -> np.ndarray:
-        """`apply` node by node: each node partitions the rows that reach
-        it."""
+        """`apply` node by node: each node splits the ascending row indices
+        that reach it into those its comparison sends left and the rest.
+
+        A node of at least MASK_PARTITION_ROWS rows takes the rows at the
+        positions of the comparison's true and false entries (`nonzero`,
+        then `take`), several times faster on large nodes than indexing
+        with the boolean mask and its negation, which smaller nodes use.
+        The stack holds each pending node's rows only, at most n rows in
+        all.
+        """
         feature, threshold = self.feature.tolist(), self.threshold.tolist()
         left, right = self.left.tolist(), self.right.tolist()
         columns = X.T
@@ -151,8 +175,12 @@ class Tree:
                 leaf[idx] = ~node
             elif idx.size:
                 goes_left = columns[feature[node]].take(idx) <= threshold[node]
-                stack.append((right[node], idx[~goes_left]))
-                stack.append((left[node], idx[goes_left]))
+                if idx.size < MASK_PARTITION_ROWS:
+                    stack.append((right[node], idx[~goes_left]))
+                    stack.append((left[node], idx[goes_left]))
+                else:
+                    stack.append((right[node], idx.take((~goes_left).nonzero()[0])))
+                    stack.append((left[node], idx.take(goes_left.nonzero()[0])))
         return leaf
 
     @cached_property
@@ -249,12 +277,12 @@ def _best_numeric_splits(X, order, rank, class_weights, idx, attrs, min_leaf):
     threshold) or None.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
-    values; each side must keep at least min_leaf distinct records. The
-    winner is the first maximal gain over attributes in ascending order,
-    then over boundaries in ascending order. Attributes are scored in
-    blocks of at most SPLIT_BLOCK_ELEMENTS cells (one attribute at least),
-    which bounds a node's working set; every gain is computed on its own,
-    so the blocking does not change the result.
+    values (`_cut`); each side must keep at least min_leaf distinct
+    records. The winner is the first maximal gain over attributes in
+    ascending order, then over boundaries in ascending order. Attributes
+    are scored in blocks of at most SPLIT_BLOCK_ELEMENTS cells (one
+    attribute at least), which bounds a node's working set; every gain is
+    computed on its own, so the blocking does not change the result.
     """
     n_classes = class_weights.shape[0]
     step = max(1, SPLIT_BLOCK_ELEMENTS // ((n_classes + 2) * idx.shape[0]))
@@ -302,7 +330,17 @@ def _best_block_split(X, order, rank, class_weights, idx, attrs, min_leaf):
     if gains[best] <= _GAIN_EPS:
         return None
     a, i = divmod(int(flat[best]), m)
-    return float(gains[best]), int(attrs[a]), float((values[a, i] + values[a, i + 1]) / 2.0)
+    return float(gains[best]), int(attrs[a]), _cut(float(values[a, i]), float(values[a, i + 1]))
+
+
+def _cut(lo: float, hi: float) -> float:
+    """The threshold between consecutive distinct values lo < hi: their
+    midpoint, or lo where the midpoint rounds onto hi (adjacent floats) or
+    overflows (two values beyond half the float range), either of which
+    would send every record left. Python floats overflow without a
+    warning."""
+    mid = (lo + hi) / 2.0
+    return mid if lo <= mid < hi else lo
 
 
 def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -386,7 +424,8 @@ def _grow_tree(X, y, n_classes, min_leaf, presorted, class_weights, rng, idx):
 
 def train_forest(ds: Dataset, n_trees: int = 10, min_leaf_size: int = 20,
                  seed: int = 0) -> Forest:
-    """Grow a random forest on a complete (no missing cells), numeric dataset.
+    """Grow a random forest on a complete (no missing cells), numeric dataset
+    of finite cells.
 
     Per tree: a bootstrap sample of n draws with replacement, and at each
     node a fresh random subset of ceil(sqrt(d)) attributes scored by Gini
@@ -401,8 +440,12 @@ def train_forest(ds: Dataset, n_trees: int = 10, min_leaf_size: int = 20,
     if ds.n < 1:
         raise EmptyDatasetError("cannot train on an empty dataset")
     require_numeric(ds.schema, "train_forest")
-    if ds.has_missing():
-        raise MissingValueError("train_forest requires a dataset without missing cells")
+    if not np.isfinite(ds.records).all():
+        if ds.has_missing():
+            raise MissingValueError("train_forest requires a dataset without missing cells")
+        i, j = (int(v) for v in np.argwhere(np.isinf(ds.records))[0])
+        raise DataError(f"train_forest requires finite cells, but record {i} attribute "
+                        f"{ds.schema[j].name!r} is {float(ds.records[i, j])!r}")
     presorted = _presort(ds.records)
     trees, members = [], []
     for t in range(n_trees):
@@ -528,6 +571,7 @@ def _tree_from_obj(obj, n_classes: int, d: int) -> Tree:
         all(getattr(tree, name).shape == (s,) for name in ("threshold", "left", "right"))
         and tree.counts.shape == (s + 1, n_classes)
         and ((tree.feature >= 0) & (tree.feature < d)).all()
+        and np.isfinite(tree.threshold).all()
         and (tree.counts >= 0).all() and (tree.counts.sum(axis=1) > 0).all()
         # every node but the root has one parent, numbered before it (a
         # tree without splits is its root leaf alone)

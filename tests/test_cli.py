@@ -340,9 +340,27 @@ class TestStats:
         out = stats_output(tmp_path, capsys, ["tlf", "target_only"], pairs)
         assert "[pair] tlf vs target_only: wins=1 losses=1" in out
 
+    @pytest.mark.parametrize("integer", [10**400, -(10**400)], ids=["positive", "negative"])
+    def test_integer_accuracy_beyond_the_float_range_is_data_error(self, tmp_path, capsys,
+                                                                   integer):
+        pairs = [report_pair("p1", "", {"tlf": 0.9, "target_only": 0.8}),
+                 report_pair("p2", "", {"tlf": 0.7, "target_only": 0.8})]
+        pairs[1]["methods"]["target_only"]["accuracy"] = integer
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"format": "leafbridge-report",
+                                    "spec": {"methods": ["tlf", "target_only"]},
+                                    "pairs": pairs}), encoding="utf-8")
+        assert main(["stats", "--report", str(path)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"pairs[1] (pair 'p2') method 'target_only' key 'accuracy' holds "
+                f"{integer!r}, too large for a float") in captured.err
+
     @pytest.mark.parametrize("data", [b'{"format": "leafbridge-report", ',
-                                      b'{"format": "leafbridge-report\xff"}'],
-                             ids=["truncated", "not utf-8"])
+                                      b'{"format": "leafbridge-report\xff"}',
+                                      b'{"format": "leafbridge-report", "n": ' + b"1" * 5000
+                                      + b"}"],
+                             ids=["truncated", "not utf-8", "integer of 5000 digits"])
     def test_text_that_is_not_json_is_data_error(self, tmp_path, capsys, data):
         path = tmp_path / "report.json"
         path.write_bytes(data)

@@ -76,7 +76,10 @@ def oracle_numeric_split(values, labels, weights, n_classes, min_leaf):
     if gains[best] <= _GAIN_EPS:
         return None
     i = boundaries[best]
-    return float(gains[best]), float((sv[i] + sv[i + 1]) / 2.0)
+    lo, hi = float(sv[i]), float(sv[i + 1])
+    mid = (lo + hi) / 2.0
+    # a midpoint that rounds onto hi or overflows would send every record left
+    return float(gains[best]), mid if lo <= mid < hi else lo
 
 
 def oracle_numeric_splits(X, labels, weights, idx, attrs, n_classes, min_leaf):
@@ -246,26 +249,35 @@ def loop_predict(forest, X):
     return np.array(out, dtype=np.int64), n_tied
 
 
+def mask_partition_leaves(tree, X):
+    """Reference `Tree.apply`: each node splits the rows that reach it with
+    the boolean mask of its comparison and the mask's negation, reading the
+    cells row-wise (`X[idx, feature]`)."""
+    leaf = np.empty(X.shape[0], dtype=np.intp)
+    stack = [(0 if tree.feature.size else -1, np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if node < 0:
+            leaf[idx] = ~node
+        elif idx.size:
+            goes_left = X[idx, tree.feature[node]] <= tree.threshold[node]
+            stack.append((tree.right[node], idx[~goes_left]))
+            stack.append((tree.left[node], idx[goes_left]))
+    return leaf
+
+
 def per_tree_vote_predict(forest, X):
     """Reference vectorized predict: each tree partitions the rows of a
-    row-major matrix (`X[idx, feature]`), then scatters its votes and adds
-    its gathered leaf distributions; also returns how many records tied."""
+    row-major matrix (`mask_partition_leaves`), then scatters its votes and
+    adds its gathered leaf distributions; also returns how many records
+    tied."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     n, n_classes = X.shape[0], len(forest.class_names)
     rows = np.arange(n)
     votes = np.zeros((n, n_classes))
     dist_sums = np.zeros((n, n_classes))
     for tree in forest.trees:
-        leaf = np.empty(n, dtype=np.intp)
-        stack = [(0 if tree.feature.size else -1, np.arange(n))]
-        while stack:
-            node, idx = stack.pop()
-            if node < 0:
-                leaf[idx] = ~node
-            elif idx.size:
-                goes_left = X[idx, tree.feature[node]] <= tree.threshold[node]
-                stack.append((tree.right[node], idx[~goes_left]))
-                stack.append((tree.left[node], idx[goes_left]))
+        leaf = mask_partition_leaves(tree, X)
         counts = tree.counts.astype(np.float64)
         votes[rows, np.argmax(counts, axis=1)[leaf]] += 1
         dist_sums += (counts / counts.sum(axis=1, keepdims=True))[leaf]
@@ -300,6 +312,12 @@ class TestTraining:
     def test_missing_cells_rejected(self):
         ds = numeric_dataset([[1.0], [np.nan]], [0, 1])
         with pytest.raises(MissingValueError):
+            train_forest(ds, n_trees=1, min_leaf_size=1, seed=0)
+
+    @pytest.mark.parametrize("cell", [np.inf, -np.inf])
+    def test_infinite_cell_rejected(self, cell):
+        ds = numeric_dataset([[0.0, 1.0], [2.0, cell], [cell, 3.0]], [0, 1, 0])
+        with pytest.raises(DataError, match=f"record 1 attribute 'f1' is {cell!r}"):
             train_forest(ds, n_trees=1, min_leaf_size=1, seed=0)
 
     def test_training_set_consistency_on_pure_data(self):
@@ -386,6 +404,24 @@ class TestSplitSearch:
         got = _best_numeric_splits(X, order, rank, class_weights, np.arange(30),
                                    np.array([0, 1]), 1)
         assert got is None
+
+    @pytest.mark.parametrize("lo, hi", [(1 + 2**-52, 1 + 2**-51), (1e308, 1.6e308),
+                                        (-1.6e308, -1e308)],
+                             ids=["adjacent floats", "overflow", "negative overflow"])
+    def test_cut_at_lo_where_the_midpoint_leaves_the_gap(self, lo, hi):
+        # (lo + hi) / 2 rounds onto hi or overflows: such a cut sends every
+        # record left, so one column grows forever and four leave empty leaves
+        X = np.array([[lo]] * 20 + [[hi]] * 20)
+        forest = train_forest(numeric_dataset(X, np.repeat([0, 1], 20)), n_trees=3,
+                              min_leaf_size=1, seed=0)
+        assert [tree.threshold.tolist() for tree in forest.trees] == [[lo]] * 3
+        rng = np.random.default_rng(0)
+        X = rng.choice([lo, hi], size=(200, 4))
+        ds = numeric_dataset(X, (X[:, 0] == hi) ^ (rng.random(200) < 0.2))
+        forest = train_forest(ds, n_trees=10, min_leaf_size=1, seed=0)
+        assert all((tree.counts.sum(axis=1) > 0).all() for tree in forest.trees)
+        assert forest_to_json(forest_from_json(forest_to_json(forest))) == forest_to_json(forest)
+        assert_matches_oracle(forest, oracle_forest(ds, 10, 1, 0))
 
     @staticmethod
     def mixed_dataset(rng, n=300):
@@ -770,8 +806,8 @@ def random_tree(n_splits, d, thresholds, rng):
 
 
 class TestCodedApply:
-    """Trees of at most CODED_SPLITS splits find leaves by table lookup;
-    the partition traversal is the oracle."""
+    """Trees of at most CODED_SPLITS splits find leaves by table lookup,
+    larger ones by partition; the boolean-mask partition is the oracle."""
 
     CELLS = np.array([-np.inf, -1.5, -0.0, 0.0, 0.5, 1.5, np.inf, np.nan])
     THRESHOLDS = np.array([-1.5, -0.0, 0.0, 0.5, 1.5])
@@ -788,7 +824,7 @@ class TestCodedApply:
             tree = random_tree(n_splits, 5, self.THRESHOLDS, rng)
             forest_from_dict(forest_to_dict(Forest([tree], (AttributeSchema("x", NUMERIC),) * 5,
                                                    ("a", "b"), 1, 0)))  # a well-formed tree
-            want = tree._partition_leaves(X)
+            want = mask_partition_leaves(tree, X)
             for batch, rows in batches:
                 got = tree.apply(batch)
                 assert got.dtype == want.dtype and got.tobytes() == want[rows].tobytes()
@@ -821,8 +857,79 @@ class TestCodedApply:
                        for tree in loaded.forest.trees)
         batch = np.asfortranarray(test.records)
         for tree, again in zip(forest.trees, loaded.forest.trees):
-            assert again.apply(batch).tobytes() == tree._partition_leaves(batch).tobytes()
+            assert again.apply(batch).tobytes() == mask_partition_leaves(tree, batch).tobytes()
         assert loaded.predict_many(test).tobytes() == predictions.tobytes()
+
+
+def balanced_tree(depth):
+    """A complete tree of 2^depth leaves over x in [0, 1]: each split
+    halves its node's interval, so uniform rows spread evenly over the
+    leaves."""
+    threshold, left, right = [], [], []
+    n_leaves = 0
+
+    def grow(lo, hi, level):
+        nonlocal n_leaves
+        if level == depth:
+            n_leaves += 1
+            return ~(n_leaves - 1)
+        node, mid = len(threshold), (lo + hi) / 2
+        threshold.append(mid)
+        left.append(0)
+        right.append(0)
+        left[node] = grow(lo, mid, level + 1)
+        right[node] = grow(mid, hi, level + 1)
+        return node
+
+    grow(0.0, 1.0, 0)
+    return Tree(np.zeros(len(threshold), dtype=np.intp), np.array(threshold),
+                np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
+                np.ones((n_leaves, 2), dtype=np.int64))
+
+
+class TestPartitionApply:
+    """Trees above CODED_SPLITS splits partition the rows node by node
+    (`Tree._partition_leaves`); the per-record walk is the oracle."""
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(n_splits=st.integers(0, 40), n=st.integers(1, 50), seed=st.integers(0, 2**32 - 1),
+           thresholds=st.lists(st.floats(-4, 4), min_size=1, max_size=6))
+    def test_matches_per_record_walk(self, n_splits, n, seed, thresholds):
+        rng = np.random.default_rng(seed)
+        tree = random_tree(n_splits, 3, thresholds, rng)
+        cells = np.concatenate([thresholds, [-0.0, 0.0, -np.inf, np.inf, np.nan]])
+        X = rng.choice(cells, size=(n, 3))
+        want = np.array([leaf_of(tree, record) for record in X], dtype=np.intp)
+        # every node by positions, large nodes by positions and small ones
+        # by mask, every node by mask
+        for mask_rows in (0, 8, forest_module.MASK_PARTITION_ROWS):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(forest_module, "MASK_PARTITION_ROWS", mask_rows)
+                for got in (tree.apply(X), tree.apply(np.asfortranarray(X)),
+                            tree._partition_leaves(X)):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", ["chain", "balanced"])
+    def test_peak_memory(self, shape):
+        # about 10 rows a leaf: a chain of 2000 splits peels them off one
+        # leaf at a time, a balanced tree of 2047 splits halves them
+        n = 20000
+        rng = np.random.default_rng(9)
+        if shape == "chain":
+            tree, X = chain_forest(2000).trees[0], rng.uniform(0, 2000, size=(n, 1))
+        else:
+            tree, X = balanced_tree(11), rng.random((n, 1))
+        tracemalloc.start()
+        try:
+            leaf = tree._partition_leaves(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert leaf.tobytes() == mask_partition_leaves(tree, X).tobytes()
+        # the leaf ids, the node's rows, its comparison and, for one side
+        # at a time, the positions and rows (about 4.3 * 8n bytes), plus the
+        # tree's arrays as Python lists; not every visited node's rows
+        assert peak <= 5 * 8 * n + 128 * tree.feature.size + 65536
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -880,6 +987,8 @@ class TestSerialization:
         ("feature", [0, 5]),      # no column 5
         ("counts", [[1, 0], [0, 1]]),  # 2 leaves for 2 splits
         ("threshold", [0.5]),
+        ("threshold", [math.nan, 1.5]),
+        ("threshold", [0.5, math.inf]),
     ])
     def test_malformed_tree_rejected(self, name, value):
         doc = forest_to_dict(chain_forest(2))
