@@ -32,8 +32,7 @@ search and that builder as the oracle.
 A tree with at most CODED_SPLITS splits finds each record's leaf by table
 lookup on the outcomes of all its splits; a larger tree partitions the
 records node by node, splitting each node's ascending row indices by the
-positions of its comparison's true and false outcomes, or, at a node of
-fewer than MASK_PARTITION_ROWS rows, by the comparison's boolean mask.
+positions of its comparison's true and false outcomes.
 
 A forest predicts by plurality vote. Each tree's vote is one integer count
 per record; the trees' leaf class distributions are summed only for the
@@ -65,14 +64,6 @@ SPLIT_BLOCK_ELEMENTS = 1 << 16
 #: batches, and on 800-row batches broke even at about 10 splits (1.11 of
 #: the time at 12, 2.0 at 16); the cap lies between those crossovers.
 CODED_SPLITS = 12
-#: A partition node reached by fewer rows than this splits them with a
-#: boolean mask, a larger one by positions (`Tree._partition_leaves`).
-#: Positions take two more numpy calls a node, which outweighs their lead
-#: on small nodes. On a 10-tree forest of 63-71 splits (2.1 GHz Xeon),
-#: positions at every node took 1.10-1.19x the all-mask time on 20-300-row
-#: batches and this split 0.99-1.01x; at 3000 rows both took 0.82x and at
-#: 22 800 rows 0.53-0.54x.
-MASK_PARTITION_ROWS = 128
 #: Version of the forest and model JSON documents.
 FORMAT_VERSION = 2
 #: dtype of each `Tree` array, in field and document order.
@@ -157,10 +148,9 @@ class Tree:
         """`apply` node by node: each node splits the ascending row indices
         that reach it into those its comparison sends left and the rest.
 
-        A node of at least MASK_PARTITION_ROWS rows takes the rows at the
-        positions of the comparison's true and false entries (`nonzero`,
-        then `take`), several times faster on large nodes than indexing
-        with the boolean mask and its negation, which smaller nodes use.
+        A node takes the rows at the positions of the comparison's true
+        and false entries (`nonzero`, then `take`), several times faster on
+        large nodes than indexing with the boolean mask and its negation.
         The stack holds each pending node's rows only, at most n rows in
         all.
         """
@@ -175,12 +165,8 @@ class Tree:
                 leaf[idx] = ~node
             elif idx.size:
                 goes_left = columns[feature[node]].take(idx) <= threshold[node]
-                if idx.size < MASK_PARTITION_ROWS:
-                    stack.append((right[node], idx[~goes_left]))
-                    stack.append((left[node], idx[goes_left]))
-                else:
-                    stack.append((right[node], idx.take((~goes_left).nonzero()[0])))
-                    stack.append((left[node], idx.take(goes_left.nonzero()[0])))
+                stack.append((right[node], idx.take((~goes_left).nonzero()[0])))
+                stack.append((left[node], idx.take(goes_left.nonzero()[0])))
         return leaf
 
     @cached_property

@@ -900,14 +900,8 @@ class TestPartitionApply:
         cells = np.concatenate([thresholds, [-0.0, 0.0, -np.inf, np.inf, np.nan]])
         X = rng.choice(cells, size=(n, 3))
         want = np.array([leaf_of(tree, record) for record in X], dtype=np.intp)
-        # every node by positions, large nodes by positions and small ones
-        # by mask, every node by mask
-        for mask_rows in (0, 8, forest_module.MASK_PARTITION_ROWS):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(forest_module, "MASK_PARTITION_ROWS", mask_rows)
-                for got in (tree.apply(X), tree.apply(np.asfortranarray(X)),
-                            tree._partition_leaves(X)):
-                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for got in (tree.apply(X), tree.apply(np.asfortranarray(X)), tree._partition_leaves(X)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shape", ["chain", "balanced"])
     def test_peak_memory(self, shape):
