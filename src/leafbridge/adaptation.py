@@ -92,7 +92,7 @@ def stack_pivots(pivots: PivotSet, src: DistributionBundle,
     return StackedPivots(rows, np.concatenate(labels), d_s, d_t, pivots.shared_classes)
 
 
-def build_kernel(pivots: StackedPivots, kind: str = "linear") -> np.ndarray:
+def build_kernel(pivots: StackedPivots, kind: str) -> np.ndarray:
     """Kernel matrix on the stacked rows: plain inner products or a median-
     bandwidth Gaussian.
 
@@ -167,19 +167,15 @@ def compute_mu(pivots: StackedPivots) -> float:
     return mu_from_distances(d_marginal, d_conditional)
 
 
-def build_mmd_matrix(pivots: StackedPivots, mu: float,
-                     cross_term: str = "product") -> np.ndarray:
+def build_mmd_matrix(pivots: StackedPivots, mu: float) -> np.ndarray:
     """Joint MMD matrix M = (1 - mu) * M0 + mu * sum_c Mc.
 
     M0 has 1/n_p^2 for same-domain entries and -1/n_p^2 otherwise. Mc has
     1/n_c^2 within the source class-c block, 1/m_c^2 within the target one,
-    and a cross entry of -1/(n_c * m_c) (cross_term="product", the default,
-    which keeps Mc positive semidefinite) or -1/(n_c^2 * m_c^2)
-    (cross_term="squared", a compatibility variant). Blocks whose class
-    count is zero are skipped, as is the cross term when either count is 0.
+    and a cross entry of -1/(n_c * m_c), which keeps Mc positive
+    semidefinite. Blocks whose class count is zero are skipped, as is the
+    cross term when either count is 0.
     """
-    if cross_term not in ("product", "squared"):
-        raise DataError(f"unknown cross_term {cross_term!r}")
     z = pivots.z
     n_p = pivots.n_pivots
     sign = np.ones(z)
@@ -198,10 +194,7 @@ def build_mmd_matrix(pivots: StackedPivots, mu: float,
         if m_c > 0:
             mc_sum[np.ix_(tgt_rows, tgt_rows)] += 1.0 / (m_c * m_c)
         if n_c > 0 and m_c > 0:
-            if cross_term == "product":
-                cross = -1.0 / (n_c * m_c)
-            else:
-                cross = -1.0 / (n_c * n_c * m_c * m_c)
+            cross = -1.0 / (n_c * m_c)
             mc_sum[np.ix_(src_rows, tgt_rows)] += cross
             mc_sum[np.ix_(tgt_rows, src_rows)] += cross
     return (1.0 - mu) * m0 + mu * mc_sum
@@ -276,8 +269,7 @@ def build_laplacian(pivots: StackedPivots) -> tuple[np.ndarray, np.ndarray]:
 
 
 def compute_alpha(K: np.ndarray, M: np.ndarray, Lap: np.ndarray,
-                  ridge: float, mmd: float, manifold: float,
-                  mode: str = "literal") -> np.ndarray:
+                  ridge: float, mmd: float, manifold: float, mode: str) -> np.ndarray:
     """Coefficient matrix from the combined system.
 
     A = ridge * I + (mmd * M + manifold * Lap) @ K. mode="literal" returns A
@@ -392,13 +384,12 @@ class AdaptationState:
 
 
 def adapt(pivots: StackedPivots, ridge: float, mmd: float, manifold: float,
-          kernel_kind: str, alpha_mode: str,
-          cross_term: str) -> tuple[AdaptationState, ProjectionMatrix]:
+          kernel_kind: str, alpha_mode: str) -> tuple[AdaptationState, ProjectionMatrix]:
     """Run the full adaptation stage on stacked pivots; the settings come
     from a TransferConfig, which holds their defaults."""
     K = build_kernel(pivots, kernel_kind)
     mu = compute_mu(pivots)
-    M = build_mmd_matrix(pivots, mu, cross_term)
+    M = build_mmd_matrix(pivots, mu)
     B, Lap = build_laplacian(pivots)
     alpha = compute_alpha(K, M, Lap, ridge, mmd, manifold, alpha_mode)
     projection = build_projection(pivots, alpha)

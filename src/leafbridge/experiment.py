@@ -11,9 +11,10 @@ A cell (one inject ratio and one repeat) trains its source and target
 forests at most once, when the first method asks for them: `tlf`'s domain
 forests are the `source_only` and `target_only` baselines, so a cell trains
 at most three forests (the third is tlf's final forest) and holds the two
-domain forests until it ends. Each domain is one-hot encoded once per cell,
-and the test part once per raw schema (the target's, and the source's for
-`source_only`).
+domain forests until it ends. Each domain is one-hot encoded once per cell.
+Every method's model is a `TransferModel` (a baseline's holds its domain
+forest and no projection), and `evaluate` scores it on the test part, which
+the model aligns to its own raw schema and encodes.
 """
 
 from __future__ import annotations
@@ -26,12 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, SplitSpec, align_categories, encode_records, inject_missing, \
-    load_csv, repair_missing, split_target
+from .dataset import Dataset, SplitSpec, inject_missing, load_csv, repair_missing, split_target
 from .errors import DataError, LeafBridgeError
-from .forest import Forest, predict_many
 from .metrics import SIGN_TEST_Z_REF, evaluate, mean_ranks, nemenyi_cd, sign_test
-from .transfer import DomainForests, TransferConfig, run_transfer
+from .transfer import DomainForests, TransferConfig, TransferModel, run_transfer
 
 logger = logging.getLogger("leafbridge")
 
@@ -77,48 +76,21 @@ class ExperimentSpec:
             raise DataError("inject_ratios requires missing_mode srd or impute")
 
 
-class _ForestPredictor:
-    """Adapter: a plain forest evaluated on a dataset in another schema.
-
-    Records are aligned to the forest's own raw training schema by category
-    name and encoded with it, and the predicted class indices are mapped
-    into the evaluation dataset's class space by name (classes unknown to
-    it become -1, always wrong). Predictors that share an `encodings` dict
-    (raw schema -> (dataset, encoded records)) encode a dataset once per
-    raw schema.
-    """
-
-    def __init__(self, forest: Forest, raw_schema, class_names, encodings=None):
-        self.forest = forest
-        self.raw_schema = raw_schema
-        self.class_names = class_names
-        self.encodings = {} if encodings is None else encodings
-
-    def predict_many(self, ds: Dataset) -> np.ndarray:
-        held = self.encodings.get(self.raw_schema)
-        if held is None or held[0] is not ds:
-            raw = align_categories(ds, self.raw_schema)
-            held = self.encodings[self.raw_schema] = (ds, encode_records(raw, self.raw_schema))
-        preds = predict_many(self.forest, held[1], complete=True)
-        class_index = {name: i for i, name in enumerate(ds.class_names)}
-        mapping = np.array([class_index.get(name, -1) for name in self.class_names],
-                           dtype=np.int64)
-        return mapping[preds]
-
-
 def _train_method(method: str, src: Dataset, tgt: Dataset, cfg: TransferConfig,
-                  forests: DomainForests):
+                  forests: DomainForests) -> TransferModel:
     """Model of one method; the domain forests come from the cell's holder.
 
-    Every model has a forest, its raw training schema and its class names.
+    A baseline is its domain's forest with that domain's raw schema and
+    classes, no projection and no diagnostics.
     """
     if method == "tlf":
         return run_transfer(src, tgt, cfg, forests)
-    if method == "target_only":
-        return _ForestPredictor(forests.get("target", tgt, cfg), tgt.schema, tgt.class_names)
-    if method == "source_only":
-        return _ForestPredictor(forests.get("source", src, cfg), src.schema, src.class_names)
-    raise DataError(f"unknown method {method!r}")
+    if method not in ("target_only", "source_only"):
+        raise DataError(f"unknown method {method!r}")
+    domain, ds = ("target", tgt) if method == "target_only" else ("source", src)
+    return TransferModel(forest=forests.get(domain, ds, cfg), projection=None, fallback=False,
+                         diagnostics={}, raw_schema=ds.schema, class_names=ds.class_names,
+                         config=cfg)
 
 
 def _mean(values) -> float:
@@ -176,13 +148,10 @@ def _run_pair(pair: PairSpec, spec: ExperimentSpec, cfg: TransferConfig, ratios)
             test = _repair(test, spec.missing_mode, reference=target_train)
             run_cfg = replace(cfg, seed=cfg.seed + r)
             forests = DomainForests()
-            encodings = {}  # the test part's encoding per raw schema, for every method
             for method in spec.methods:
                 try:
                     model = _train_method(method, src, tgt, run_cfg, forests)
-                    scorer = _ForestPredictor(model.forest, model.raw_schema,
-                                              model.class_names, encodings)
-                    method_metrics[method].append(evaluate(scorer, test))
+                    method_metrics[method].append(evaluate(model, test))
                 except LeafBridgeError as exc:
                     method_errors[method].append(f"{type(exc).__name__}: {exc}")
                     continue
@@ -433,7 +402,6 @@ _CONFIG_KEYS = (
     ("adapt", "manifold", TransferConfig, "manifold"),
     ("adapt", "kernel", TransferConfig, "kernel"),
     ("adapt", "alpha_mode", TransferConfig, "alpha_mode"),
-    ("adapt", "mmd_cross_term", TransferConfig, "mmd_cross_term"),
 )
 
 

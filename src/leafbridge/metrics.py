@@ -66,8 +66,9 @@ def metrics_from_labels(y_true: np.ndarray, y_pred: np.ndarray,
 def evaluate(model, test: Dataset) -> EvalMetrics:
     """Evaluate any model exposing predict_many(Dataset) on a test dataset.
 
-    The model's predict_many scans the records, so a test part with missing
-    cells raises its MissingValueError.
+    predict_many returns indices into test.class_names, where -1 (a class
+    the test set does not list) counts as wrong. The model scans the
+    records, so a test part with missing cells raises MissingValueError.
     """
     if test.n < 1:
         raise EmptyDatasetError("cannot evaluate on an empty test dataset")

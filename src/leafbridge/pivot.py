@@ -165,9 +165,14 @@ def extract_distributions(ds: Dataset, leaves: LeafTable) -> DistributionBundle:
     seg = np.repeat(np.arange(L), sizes)
     counts = np.bincount(seg * C + ds.labels[flat], minlength=L * C).reshape(L, C)
     V = counts / counts.sum(axis=1, keepdims=True)
-    W, std = _segment_stats(ds.records, flat, sizes, spread=True)
-    spread = std != 0.0
-    W[spread] += [math.log(s) for s in std[spread].tolist()]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        W, std = _segment_stats(ds.records, flat, sizes, spread=True)
+        spread = std != 0.0
+        W[spread] += [math.log(s) for s in std[spread].tolist()]
+    finite = np.isfinite(W).all(axis=0)
+    if not finite.all():
+        raise DataError(f"{ds.domain_tag} column {ds.schema[int(np.argmin(finite))].name!r}: "
+                        f"a leaf centroid is not finite, as its cells overflow float64 sums")
     return DistributionBundle(V, W, ds.schema, ds.class_names, ds.domain_tag)
 
 

@@ -64,7 +64,6 @@ class TransferConfig:
     manifold: float = 0.01
     kernel: str = "rbf"
     alpha_mode: str = "literal"
-    mmd_cross_term: str = "product"
     seed: int = 0
 
     def __post_init__(self):
@@ -80,8 +79,6 @@ class TransferConfig:
             raise DataError(f"unknown kernel {self.kernel!r}")
         if self.alpha_mode not in ("literal", "inverse"):
             raise DataError(f"unknown alpha_mode {self.alpha_mode!r}")
-        if self.mmd_cross_term not in ("product", "squared"):
-            raise DataError(f"unknown mmd_cross_term {self.mmd_cross_term!r}")
 
     def min_leaf_for(self, n: int) -> int:
         """Minimum leaf size by dataset size: large datasets get the large
@@ -102,11 +99,18 @@ class TransferModel:
     config: TransferConfig
 
     def predict_many(self, ds: Dataset) -> np.ndarray:
-        """Predict class indices for records in the raw target schema; a
-        categorical column may list its categories in another order."""
+        """Predicted classes of records in the model's raw schema, as indices
+        into ds.class_names (-1 for a class that ds does not list); categories
+        and classes are matched by name, so ds may list them in another order."""
         records = align_categories(ds, self.raw_schema)
-        return predict_many(self.forest, encode_records(records, self.raw_schema),
-                            complete=True)
+        preds = predict_many(self.forest, encode_records(records, self.raw_schema),
+                             complete=True)
+        if ds.class_names == self.class_names:
+            return preds
+        class_index = {name: i for i, name in enumerate(ds.class_names)}
+        mapping = np.array([class_index.get(name, -1) for name in self.class_names],
+                           dtype=np.int64)
+        return mapping[preds]
 
     def to_dict(self) -> dict:
         return {
@@ -146,8 +150,10 @@ class TransferModel:
             projection = None if projection is None else ProjectionMatrix(projection)
         except (TypeError, ValueError) as exc:
             raise DataError(f"{doc} document key 'projection' is not a matrix: {exc}") from None
+        config = read_key(obj, "config", dict, doc)
+        config.pop("mmd_cross_term", None)  # a setting of older models, since removed
         try:
-            config = TransferConfig(**read_key(obj, "config", dict, doc))
+            config = TransferConfig(**config)
         except TypeError as exc:
             raise DataError(f"{doc} document key 'config' is invalid: {exc}") from None
         return TransferModel(
@@ -325,11 +331,8 @@ def run_transfer(ds_src: Dataset, ds_tgt: Dataset, cfg: TransferConfig,
         return fallback_model("no pivot pair below the divergence threshold")
 
     stacked = adaptation.stack_pivots(pivots, bundle_src, bundle_tgt)
-    state, projection = adaptation.adapt(
-        stacked, cfg.ridge, cfg.mmd, cfg.manifold,
-        kernel_kind=cfg.kernel, alpha_mode=cfg.alpha_mode,
-        cross_term=cfg.mmd_cross_term,
-    )
+    state, projection = adaptation.adapt(stacked, cfg.ridge, cfg.mmd, cfg.manifold,
+                                         kernel_kind=cfg.kernel, alpha_mode=cfg.alpha_mode)
     diagnostics["mu"] = state.mu
     diagnostics["z"] = stacked.z
     diagnostics["adaptation"] = state.diagnostics()

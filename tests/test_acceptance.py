@@ -80,10 +80,10 @@ def test_c2_mmd_matrix_invariants():
     worst_eig = np.inf
     for _ in range(100):
         sp = _random_stacked(rng, int(rng.integers(2, 21)), int(rng.integers(2, 6)))
-        m0 = build_mmd_matrix(sp, mu=0.0, cross_term="product")
+        m0 = build_mmd_matrix(sp, mu=0.0)
         worst_row_sum = max(worst_row_sum, float(np.abs(m0.sum(axis=1)).max()))
         worst_eig = min(worst_eig, float(np.linalg.eigvalsh(m0).min()))
-        M = build_mmd_matrix(sp, mu=float(rng.random()), cross_term="product")
+        M = build_mmd_matrix(sp, mu=float(rng.random()))
         worst_asym = max(worst_asym, float(np.abs(M - M.T).max()))
         worst_eig = min(worst_eig, float(np.linalg.eigvalsh(M).min()))
     elapsed = time.perf_counter() - start

@@ -173,18 +173,6 @@ class TestMmdMatrix:
         assert M[2, 0] == pytest.approx(-1.0)
         assert M[0, 1] == 0.0 and M[0, 3] == 0.0
 
-    def test_squared_cross_term_variant(self):
-        rng = np.random.default_rng(6)
-        sp = random_stacked(rng, n_pivots=3, n_classes=2)
-        labels = sp.labels
-        M = build_mmd_matrix(sp, mu=1.0, cross_term="squared")
-        c = labels[0]
-        src = np.flatnonzero(labels[:3] == c)
-        tgt = 3 + np.flatnonzero(labels[3:] == c)
-        if src.size and tgt.size:
-            expected = -1.0 / (src.size ** 2 * tgt.size ** 2)
-            assert M[src[0], tgt[0]] == pytest.approx(expected)
-
     def test_row_sums_and_psd(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
@@ -328,7 +316,7 @@ class TestAlpha:
     def test_negative_coefficient_rejected(self):
         z = 2
         with pytest.raises(DataError):
-            compute_alpha(np.eye(z), np.eye(z), np.eye(z), -1.0, 0.0, 0.0)
+            compute_alpha(np.eye(z), np.eye(z), np.eye(z), -1.0, 0.0, 0.0, mode="literal")
 
 
 class TestProjection:

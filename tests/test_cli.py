@@ -58,10 +58,10 @@ class TestRun:
         )
         assert main(["run", "--spec", str(spec)]) == EXIT_DATA
 
-    def test_bad_mmd_cross_term_stops_at_config_parse(self, tmp_path, pair_files,
-                                                       monkeypatch, capsys):
+    def test_removed_mmd_cross_term_key_stops_at_config_parse(self, tmp_path, pair_files,
+                                                               monkeypatch, capsys):
         spec = spec_file(tmp_path, pair_files, tmp_path / "report")
-        spec.write_text(spec.read_text() + "[adapt]\nmmd_cross_term = cubed\n",
+        spec.write_text(spec.read_text() + "[adapt]\nmmd_cross_term = product\n",
                         encoding="utf-8")
 
         def no_pairs(*args):
@@ -69,7 +69,7 @@ class TestRun:
 
         monkeypatch.setattr("leafbridge.cli.run_experiment", no_pairs)
         assert main(["run", "--spec", str(spec)]) == EXIT_DATA
-        assert "mmd_cross_term" in capsys.readouterr().err
+        assert "unknown key [adapt] mmd_cross_term" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     def test_duplicate_method_stops_at_config_parse(self, tmp_path, pair_files,

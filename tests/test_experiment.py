@@ -23,13 +23,12 @@ from leafbridge.experiment import (
     EvaluationReport,
     ExperimentSpec,
     PairSpec,
-    _ForestPredictor,
     parse_config,
     run_experiment,
 )
 from leafbridge.forest import predict_many, train_forest
 from leafbridge.synthetic import rotated_pair
-from leafbridge.transfer import TransferConfig, run_transfer
+from leafbridge.transfer import TransferConfig, TransferModel, run_transfer
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +210,12 @@ def no_shared_class_pair(tmp_path_factory):
     return _pair_files(tmp_path_factory.mktemp("disjoint"), src, tgt)
 
 
+def baseline_model(forest, ds, cfg=TransferConfig()):
+    """A plain forest as a model of the raw schema and classes of ds."""
+    return TransferModel(forest=forest, projection=None, fallback=False, diagnostics={},
+                         raw_schema=ds.schema, class_names=ds.class_names, config=cfg)
+
+
 def per_method_train(method, src, tgt, cfg):
     """Reference: every method trains its own forests, five in a cell with
     all three methods."""
@@ -219,11 +224,11 @@ def per_method_train(method, src, tgt, cfg):
     if method == "target_only":
         encoded = one_hot_encode(tgt)
         forest = train_forest(encoded, cfg.n_trees, cfg.min_leaf_for(encoded.n), cfg.seed)
-        return _ForestPredictor(forest, tgt.schema, tgt.class_names)
+        return baseline_model(forest, tgt, cfg)
     if method == "source_only":
         encoded = one_hot_encode(src)
         forest = train_forest(encoded, cfg.n_trees, cfg.min_leaf_for(encoded.n), cfg.seed)
-        return _ForestPredictor(forest, src.schema, src.class_names)
+        return baseline_model(forest, src, cfg)
     raise DataError(f"unknown method {method!r}")
 
 
@@ -301,31 +306,6 @@ class TestSharedDomainForests:
         assert all("accuracy" in cell for cell in report.pairs[0]["methods"].values())
         assert len(calls) == encodings
 
-    @pytest.mark.parametrize("methods, encodings", [
-        # tlf and target_only share the target schema's encoding of the test
-        # part; source_only's categories come in another order
-        (METHODS, 2),
-        (METHODS[::-1], 2),
-        (("tlf", "target_only"), 1),
-        (("source_only", "target_only"), 2),
-        (("target_only",), 1),
-    ])
-    def test_test_part_encodings_per_cell(self, categorical_pair, monkeypatch,
-                                          methods, encodings):
-        calls = []
-        real = experiment.encode_records
-
-        def counting(records, schema):
-            calls.append(schema)
-            return real(records, schema)
-
-        for module in (transfer, experiment):
-            monkeypatch.setattr(module, "encode_records", counting)
-        report = run_experiment(self.spec(categorical_pair, methods, repeats=2), small_cfg())
-        assert all(cell["runs"] == 2 for cell in report.pairs[0]["methods"].values())
-        assert len(calls) == 2 * encodings  # per cell, two repeats
-        assert len(set(calls)) == min(encodings, 2)
-
     def test_no_shared_class_fails_tlf_only(self, no_shared_class_pair, trained):
         report = run_experiment(self.spec(no_shared_class_pair, METHODS), small_cfg())
         cells = report.pairs[0]["methods"]
@@ -354,6 +334,9 @@ def loop_forest_predict(predictor, ds):
 
 
 class TestForestPredictor:
+    """A baseline model (a plain forest) scores a dataset that lists its
+    categories and classes in another order."""
+
     @staticmethod
     def predictor(rng):
         schema = (AttributeSchema("a", NUMERIC), AttributeSchema("b", CATEGORICAL, ("x", "y", "z")),
@@ -367,7 +350,7 @@ class TestForestPredictor:
             encode_records(X, schema), y, train.class_names,
         )
         forest = train_forest(encoded, n_trees=5, min_leaf_size=5, seed=0)
-        return _ForestPredictor(forest, schema, train.class_names)
+        return baseline_model(forest, train)
 
     def test_matches_loop_on_reordered_categories(self):
         rng = np.random.default_rng(6)

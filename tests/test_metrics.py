@@ -1,11 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import rankdata
 
 from leafbridge.errors import DataError, MissingValueError
-from leafbridge.experiment import _ForestPredictor
 from leafbridge.forest import train_forest
 from leafbridge.metrics import (
     evaluate,
@@ -56,7 +56,7 @@ class TestEvaluate:
 
 
 def _forest_models():
-    """A TransferModel and a plain-forest predictor over one small forest."""
+    """A fallback TransferModel and a baseline one over one small forest."""
     rng = np.random.default_rng(6)
     X = rng.normal(size=(200, 3))
     ds = numeric_dataset(X, (X[:, 0] > 0).astype(int))
@@ -64,7 +64,7 @@ def _forest_models():
     model = TransferModel(forest=forest, projection=None, fallback=True, diagnostics={},
                           raw_schema=ds.schema, class_names=ds.class_names,
                           config=TransferConfig())
-    return [model, _ForestPredictor(forest, ds.schema, ds.class_names)]
+    return [model, replace(model, fallback=False)]
 
 
 class TestEvaluateScan:
