@@ -1,7 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,6 +339,189 @@ class TestTraining:
             train_forest(ds, n_trees=1, min_leaf_size=1, seed=0)
         forest = train_forest(one_hot_encode(ds), n_trees=1, min_leaf_size=1, seed=0)
         assert [a.name for a in forest.schema] == ["a", "b=x", "b=y"]
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+class WorkerFailure(Exception):
+    pass
+
+
+def grow_in(monkeypatch, workers):
+    """Make train_forest split any forest into `workers` shares: the
+    threshold is lifted and the worker-count helper patched. Returns the
+    list that each os.fork call appends to."""
+    if workers > 1 and forest_module._threads_running():
+        pytest.skip("this process runs other threads, so training stays serial")
+    monkeypatch.setattr(forest_module, "FORK_MIN_WORK", 0)
+    monkeypatch.setattr(forest_module, "_usable_cpus", lambda: workers)
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def fail_in(monkeypatch, where, action):
+    """Make `_grow_tree` call action() in the parent ('parent') or in every
+    forked worker ('child') and grow normally elsewhere."""
+    parent = os.getpid()
+    grow_tree = forest_module._grow_tree
+
+    def grow(*args):
+        if (os.getpid() == parent) == (where == "parent"):
+            action()
+        return grow_tree(*args)
+
+    monkeypatch.setattr(forest_module, "_grow_tree", grow)
+
+
+def raise_failure():
+    raise WorkerFailure("tree failed")
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_same_forest(a, b):
+    assert a.n_trees == b.n_trees
+    for tree_a, tree_b in zip(a.trees, b.trees):
+        for name in forest_module._TREE_ARRAYS:
+            x, y = getattr(tree_a, name), getattr(tree_b, name)
+            assert x.dtype == y.dtype
+            np.testing.assert_array_equal(x, y)
+    for name in ("members", "offsets"):
+        x, y = getattr(a.leaves, name), getattr(b.leaves, name)
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+    assert forest_to_json(a) == forest_to_json(b)
+
+
+# Tree workers are forked: the child's view of the test process ends in
+# os._exit, so only the parent reports.
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="trees grow in forked workers")
+class TestForkedTraining:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_trees", [1, 2, 3, 10])
+    def test_equals_serial(self, monkeypatch, n_trees, workers):
+        ds = two_class_dataset(300, seed=4)
+        grow_in(monkeypatch, 1)
+        serial = train_forest(ds, n_trees=n_trees, min_leaf_size=3, seed=9)
+        forks = grow_in(monkeypatch, workers)
+        forest = train_forest(ds, n_trees=n_trees, min_leaf_size=3, seed=9)
+        assert len(forks) == min(n_trees, workers) - 1
+        assert_same_forest(forest, serial)
+        assert_no_children()
+
+    def test_threshold(self, monkeypatch):
+        ds = two_class_dataset(100, seed=1)
+        forks = grow_in(monkeypatch, 2)
+        monkeypatch.setattr(forest_module, "FORK_MIN_WORK", 3 * ds.n)
+        train_forest(ds, n_trees=2, min_leaf_size=5, seed=0)
+        assert forks == []
+        train_forest(ds, n_trees=3, min_leaf_size=5, seed=0)
+        assert len(forks) == 1
+
+    def test_one_usable_cpu_is_serial(self, monkeypatch):
+        monkeypatch.setattr(forest_module, "FORK_MIN_WORK", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one usable CPU"))
+        assert forest_module._usable_cpus() == 1
+        train_forest(two_class_dataset(), n_trees=4, min_leaf_size=5, seed=0)
+
+    def test_no_fork_while_another_thread_runs(self, monkeypatch):
+        ds = two_class_dataset(300, seed=4)
+        serial = train_forest(ds, n_trees=4, min_leaf_size=3, seed=2)
+        grow_in(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked while a thread ran"))
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30,))
+        thread.start()
+        try:
+            forest = train_forest(ds, n_trees=4, min_leaf_size=3, seed=2)
+        finally:
+            release.set()
+            thread.join(30)
+        assert not thread.is_alive()
+        assert_same_forest(forest, serial)
+
+    def test_child_exception_raised_in_parent(self, monkeypatch):
+        forks = grow_in(monkeypatch, 3)
+        fail_in(monkeypatch, "child", raise_failure)
+        with pytest.raises(WorkerFailure, match="tree failed"):
+            train_forest(two_class_dataset(), n_trees=6, min_leaf_size=5, seed=0)
+        assert len(forks) == 2
+        assert_no_children()
+
+    def test_child_ending_without_trees(self, monkeypatch):
+        grow_in(monkeypatch, 2)
+        fail_in(monkeypatch, "child", lambda: os._exit(3))
+        with pytest.raises(ChildProcessError, match="exit code 3 before sending its trees"):
+            train_forest(two_class_dataset(), n_trees=4, min_leaf_size=5, seed=0)
+        assert_no_children()
+
+    def test_parent_exception_kills_children(self, monkeypatch):
+        grow_in(monkeypatch, 3)
+        fail_in(monkeypatch, "child", lambda: time.sleep(60))
+        fail_in(monkeypatch, "parent", raise_failure)
+        start = time.monotonic()
+        with pytest.raises(WorkerFailure):
+            train_forest(two_class_dataset(), n_trees=6, min_leaf_size=5, seed=0)
+        assert time.monotonic() - start < 30
+        assert_no_children()
+
+    def test_pending_output_written_once(self):
+        """A forked worker never flushes the stdio buffers it inherits, so
+        text the caller has not flushed yet is written once, by the caller,
+        whether the workers succeed or fail."""
+        script = r"""
+import io, os, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from leafbridge import forest
+from leafbridge.dataset import NUMERIC, AttributeSchema, Dataset
+
+forest.FORK_MIN_WORK = 0
+forest._usable_cpus = lambda: 2
+forks = []
+fork = os.fork
+def counting_fork():
+    forks.append(None)
+    return fork()
+os.fork = counting_fork
+rng = np.random.default_rng(0)
+X = rng.normal(size=(200, 3))
+ds = Dataset(tuple(AttributeSchema(f"f{j}", NUMERIC) for j in range(3)), X,
+             (X[:, 0] > 0).astype(int), ("a", "b"))
+assert isinstance(sys.stdout.buffer, io.BufferedWriter)  # block-buffered: stdout is a pipe
+print("pending", end="")  # stays in the buffer until exit
+forest.train_forest(ds, n_trees=4, min_leaf_size=5, seed=0)
+parent = os.getpid()
+grow_tree = forest._grow_tree
+def failing(*args):
+    if os.getpid() != parent:
+        raise ValueError("worker failed")
+    return grow_tree(*args)
+forest._grow_tree = failing
+try:
+    forest.train_forest(ds, n_trees=4, min_leaf_size=5, seed=0)
+except ValueError:
+    print(" caught", end="")
+print(f" forks={len(forks)}")
+"""
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        result = subprocess.run([sys.executable, "-c", script, SRC], capture_output=True,
+                                text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "pending caught forks=2\n"
 
 
 class TestSplitSearch:
