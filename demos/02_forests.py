@@ -5,7 +5,7 @@ Run from the repository root:  python demos/02_forests.py
 
 import numpy as np
 
-from leafbridge import collect_leaves, gaussian_blobs, predict, predict_many, train_forest
+from leafbridge import collect_leaves, gaussian_blobs, predict_many, train_forest
 from leafbridge.forest import forest_from_json, forest_to_json
 
 ds = gaussian_blobs(n=300, n_classes=3, n_features=4, center_spread=3.0,
@@ -27,9 +27,9 @@ train_acc = np.mean(predict_many(forest, ds.records) == ds.labels)
 print(f"training accuracy: {train_acc:.3f}")
 
 # Prediction is a majority vote; when two classes tie in votes the summed
-# per-leaf class distributions decide.
-record = ds.records[0]
-print("one record ->", ds.class_names[predict(forest, record)],
+# per-leaf class distributions decide. A single record is a batch of one.
+record = ds.records[:1]
+print("one record ->", ds.class_names[predict_many(forest, record)[0]],
       "(true:", ds.class_names[ds.labels[0]] + ")")
 
 # Forests serialize to a versioned JSON document, e.g. for caching.

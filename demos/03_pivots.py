@@ -8,20 +8,28 @@ import json
 import numpy as np
 
 from leafbridge import (
+    DistributionBundle,
     collect_leaves,
     dedup,
     extract_distributions,
-    jsd,
     match_pivots,
     rotated_pair,
     train_forest,
 )
 
 # The Jensen-Shannon divergence (base-2 logs, so values live in [0, 1])
-# measures how close two leaf label distributions are.
-print("jsd of identical distributions:", jsd((0.5, 0.5), (0.5, 0.5)))
-print("jsd of disjoint distributions:", jsd((1.0, 0.0), (0.0, 1.0)))
-print("jsd((0.5,0.5),(0.25,0.75)) =", round(jsd((0.5, 0.5), (0.25, 0.75)), 6))
+# measures how close two leaf label distributions are. match_pivots pairs
+# rows one-to-one below a threshold: on two toy bundles of label
+# distributions (no attribute columns), (0.5, 0.5) matches (0.25, 0.75) at
+# 0.048795, and the pure row (1.0, 0.0) has no partner within 0.1.
+def toy(V, tag):
+    return DistributionBundle(np.array(V), np.zeros((len(V), 0)), (), ("a", "b"), tag)
+
+
+toy_pivots = match_pivots(toy([[0.5, 0.5], [1.0, 0.0]], "source"),
+                          toy([[0.25, 0.75], [0.0, 1.0]], "target"), threshold=0.1)
+print("toy pivots (source row, target row, divergence):",
+      [(i, k, round(d, 6)) for i, k, d in toy_pivots.pairs])
 
 # Two domains over different feature spaces but a shared label set.
 source, target = rotated_pair(n_source=400, n_target=200, center_spread=2.0,

@@ -11,7 +11,6 @@ from .adaptation import (
     ProjectionMatrix,
     StackedPivots,
     adapt,
-    auto_knn,
     build_kernel,
     build_laplacian,
     build_mmd_matrix,
@@ -45,9 +44,9 @@ from .errors import (
     SolveError,
 )
 from .experiment import EvaluationReport, ExperimentSpec, PairSpec, parse_config, run_experiment
-from .forest import Forest, LeafTable, Tree, collect_leaves, predict, predict_many, train_forest
+from .forest import Forest, LeafTable, Tree, collect_leaves, predict_many, train_forest
 from .metrics import EvalMetrics, evaluate, mean_ranks, nemenyi_cd, sign_test
-from .pivot import DistributionBundle, PivotSet, dedup, extract_distributions, jsd, match_pivots
+from .pivot import DistributionBundle, PivotSet, dedup, extract_distributions, match_pivots
 from .synthetic import gaussian_blobs, random_rotation, rotated_pair
 from .transfer import (
     DomainForests,

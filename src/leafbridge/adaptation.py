@@ -43,11 +43,17 @@ class StackedPivots:
             raise DataError("stacked pivot width must be d_source + d_target")
         if not np.isfinite(rows).all():
             raise DataError("stacked pivot rows must be finite")
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind == "f" and not (np.isfinite(labels)
+                                             & (np.floor(labels) == labels)).all():
+            raise DataError("stacked labels must be whole class indices")
+        labels = labels.astype(np.int64)
         if labels.shape != (rows.shape[0],):
             raise DataError("one label per stacked row required")
         if labels.min() < 0 or labels.max() >= len(self.shared_classes):
             raise DataError("stacked labels must index the shared class set")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def z(self) -> int:
@@ -211,6 +217,15 @@ def _cosine_matrix(rows: np.ndarray) -> np.ndarray:
 
 
 def _auto_knn_from_cos(cos: np.ndarray, labels: np.ndarray, i: int) -> np.ndarray:
+    """Automatically sized nearest-neighbor list for row i of the cosine
+    matrix.
+
+    Rows are ranked by ascending cosine distance (ties -> lower index). The
+    first four are always included; the list then grows down the ranking
+    while neighbors keep the query row's label, stopping at the first row
+    with a different label. With fewer than 5 rows every other row is
+    returned.
+    """
     z = cos.shape[0]
     dist = 1.0 - cos[i]
     others = np.concatenate([np.arange(i), np.arange(i + 1, z)])
@@ -223,20 +238,6 @@ def _auto_knn_from_cos(cos: np.ndarray, labels: np.ndarray, i: int) -> np.ndarra
             break
         neighbors.append(u)
     return np.array(neighbors, dtype=np.int64)
-
-
-def auto_knn(pivots: StackedPivots, i: int) -> np.ndarray:
-    """Automatically sized nearest-neighbor list for stacked row i.
-
-    Rows are ranked by ascending cosine distance (ties -> lower index). The
-    first four are always included; the list then grows down the ranking
-    while neighbors keep the query row's label, stopping at the first row
-    with a different label. With fewer than 5 rows every other row is
-    returned.
-    """
-    if not 0 <= i < pivots.z:
-        raise DataError(f"row index {i} out of range for z={pivots.z}")
-    return _auto_knn_from_cos(_cosine_matrix(pivots.rows), pivots.labels, i)
 
 
 def laplacian_from_affinity(B: np.ndarray) -> np.ndarray:
@@ -344,18 +345,17 @@ def build_projection(pivots: StackedPivots, alpha: np.ndarray) -> ProjectionMatr
 
 @dataclass(frozen=True, eq=False)
 class AdaptationState:
-    """Everything Step 4 computed, for inspection and diagnostics."""
+    """The matrices and settings of the adaptation stage that its
+    diagnostics read."""
 
     kernel: np.ndarray
     mmd_matrix: np.ndarray
     mu: float
-    affinity: np.ndarray
     laplacian: np.ndarray
     alpha: np.ndarray
     ridge: float
     mmd: float
     manifold: float
-    kernel_kind: str
     alpha_mode: str
 
     def diagnostics(self) -> dict:
@@ -373,9 +373,6 @@ class AdaptationState:
             "z": z,
             "n_pivots": z // 2,
             "mu": self.mu,
-            "kernel_kind": self.kernel_kind,
-            "alpha_mode": self.alpha_mode,
-            "coefficients": {"ridge": self.ridge, "mmd": self.mmd, "manifold": self.manifold},
             "kernel_spectrum": spectrum(self.kernel),
             "mmd_spectrum": spectrum(self.mmd_matrix),
             "laplacian_spectrum": spectrum(self.laplacian),
@@ -390,9 +387,8 @@ def adapt(pivots: StackedPivots, ridge: float, mmd: float, manifold: float,
     K = build_kernel(pivots, kernel_kind)
     mu = compute_mu(pivots)
     M = build_mmd_matrix(pivots, mu)
-    B, Lap = build_laplacian(pivots)
+    _, Lap = build_laplacian(pivots)
     alpha = compute_alpha(K, M, Lap, ridge, mmd, manifold, alpha_mode)
     projection = build_projection(pivots, alpha)
-    state = AdaptationState(K, M, mu, B, Lap, alpha,
-                            ridge, mmd, manifold, kernel_kind, alpha_mode)
+    state = AdaptationState(K, M, mu, Lap, alpha, ridge, mmd, manifold, alpha_mode)
     return state, projection

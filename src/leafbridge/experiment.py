@@ -22,7 +22,7 @@ from __future__ import annotations
 import configparser
 import json
 import logging
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +309,7 @@ class EvaluationReport:
                 "missing_mode": self.spec.missing_mode,
                 "inject_ratios": list(self.spec.inject_ratios),
             },
+            "config": asdict(self.config),
             "pairs": self.pairs,
             "aggregates": self.aggregates,
             "significance": self.significance,

@@ -553,8 +553,7 @@ def _child_main(grow, chunk, r, w):
         os._exit(code)
 
 
-def train_forest(ds: Dataset, n_trees: int = 10, min_leaf_size: int = 20,
-                 seed: int = 0) -> Forest:
+def train_forest(ds: Dataset, n_trees: int, min_leaf_size: int, seed: int) -> Forest:
     """Grow a random forest on a complete (no missing cells), numeric dataset
     of finite cells.
 
@@ -563,7 +562,8 @@ def train_forest(ds: Dataset, n_trees: int = 10, min_leaf_size: int = 20,
     reduction. Splitting stops at pure nodes, nodes smaller than twice the
     minimum leaf size, or when no sampled split improves the Gini.
     Deterministic for a fixed seed, however many processes grow the trees
-    (`_tree_workers`).
+    (`_tree_workers`). The pipeline's settings come from a TransferConfig,
+    which holds their defaults (`transfer.fit_forest`).
     """
     if n_trees < 1:
         raise DataError("n_trees must be >= 1")
@@ -598,18 +598,9 @@ def collect_leaves(forest: Forest) -> LeafTable:
     return forest.leaves
 
 
-def predict(forest: Forest, record) -> int:
-    """Majority vote over trees with a distribution tie-break.
-
-    Each tree votes its leaf's majority class. Plurality wins; a tie is
-    broken by summing the tied classes' per-leaf distributions across all
-    trees, and any remaining tie by the lowest class index.
-    """
-    return int(predict_many(forest, np.asarray(record, dtype=np.float64)[None, ...])[0])
-
-
 def predict_many(forest: Forest, records, *, complete: bool = False) -> np.ndarray:
-    """Vectorized predict over a [n, d] record matrix.
+    """Class index of every record of a [n, d] matrix by a majority vote of
+    the trees, ties broken by the summed leaf distributions.
 
     The trees read the records by column, so a matrix that is not
     column-major is copied once into Fortran order; `encode_records` output

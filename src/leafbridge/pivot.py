@@ -24,10 +24,10 @@ The stage runs as array code, without a Python loop per leaf or per pair:
   target row) and matched greedily.
 
 The results are bit-identical to evaluating each leaf, group and pair on its
-own (the scalar jsd, col.mean(), col.std(ddof=1)); tests keep those loops
-as the reference. Two rules keep them so. Means and spreads are summed per
-bucket of segments with equal member counts, along a contiguous last axis,
-so that every sum groups its terms as np.sum does for one segment;
+own (one pair's divergence, col.mean(), col.std(ddof=1)); tests keep those
+loops as the reference. Two rules keep them so. Means and spreads are summed
+per bucket of segments with equal member counts, along a contiguous last
+axis, so that every sum groups its terms as np.sum does for one segment;
 np.add.reduceat would group them differently. Logarithms of the spreads use
 math.log, which can differ from np.log in the last bit. The divergence sums
 run the same way over each row's compressed support.
@@ -69,6 +69,7 @@ class DistributionBundle:
 
     def __post_init__(self):
         V = np.asarray(self.V, dtype=np.float64)
+        W = np.asarray(self.W, dtype=np.float64)
         if V.ndim != 2 or V.shape[0] < 1:
             raise DataError("V must be a non-empty [L, C] matrix")
         if V.shape[1] != len(self.class_names):
@@ -77,8 +78,10 @@ class DistributionBundle:
             raise DataError("V entries must be non-negative")
         if np.abs(V.sum(axis=1) - 1.0).max() > 1e-9:
             raise DataError("every V row must sum to 1")
-        if np.asarray(self.W).shape != (V.shape[0], len(self.schema)):
+        if W.shape != (V.shape[0], len(self.schema)):
             raise DataError("W must be [L, d] for the bundle schema")
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "W", W)
 
     @property
     def n_rows(self) -> int:
@@ -199,27 +202,6 @@ def dedup(bundle: DistributionBundle) -> tuple[DistributionBundle, np.ndarray]:
     return merged_bundle, row_map
 
 
-def jsd(p, q) -> float:
-    """Jensen-Shannon divergence with base-2 logarithms, in [0, 1].
-
-    jsd(p, q) = KL(p || m)/2 + KL(q || m)/2 with m = (p + q)/2;
-    0 * log 0 terms contribute nothing.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape or p.ndim != 1:
-        raise DataError("jsd needs two equal-length probability vectors")
-    for v in (p, q):
-        if (v < 0).any() or abs(v.sum() - 1.0) > 1e-9:
-            raise DataError("jsd inputs must be probability distributions")
-    m = (p + q) / 2.0
-    total = 0.0
-    for a in (p, q):
-        nz = a > 0
-        total += 0.5 * float(np.sum(a[nz] * np.log2(a[nz] / m[nz])))
-    return min(max(total, 0.0), 1.0)
-
-
 def _shared_rows(bundle: DistributionBundle,
                  shared: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the rows with mass on the shared classes, and those rows
@@ -232,9 +214,9 @@ def _shared_rows(bundle: DistributionBundle,
 
 
 def _check_distributions(p: np.ndarray):
-    """The check jsd makes on each input, for every row of p at once."""
+    """DataError unless every row of p is a probability distribution."""
     if (p < 0).any() or (np.abs(p.sum(axis=1) - 1.0) > 1e-9).any():
-        raise DataError("jsd inputs must be probability distributions")
+        raise DataError("divergence inputs must be probability distributions")
 
 
 def _support_sums(terms: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -252,7 +234,9 @@ def _support_sums(terms: np.ndarray, support: np.ndarray) -> np.ndarray:
 
 
 def _jsd_block(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """jsd(p[i], q[k]) for every row pair, with the operations jsd uses."""
+    """Jensen-Shannon divergence of every row pair p[i], q[k], with base-2
+    logarithms, clipped to [0, 1]: KL(p || m)/2 + KL(q || m)/2 with
+    m = (p + q)/2, where 0 * log 0 terms contribute nothing."""
     pb, qb = p[:, None, :], q[None, :, :]
     m = (pb + qb) / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -264,14 +248,15 @@ def _jsd_block(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def match_pivots(src: DistributionBundle, tgt: DistributionBundle,
-                 threshold: float = 0.1) -> PivotSet:
+                 threshold: float) -> PivotSet:
     """Greedy one-to-one matching of deduplicated rows by ascending JSD.
 
     Distributions are compared over the intersection of the two class sets
     (renormalized); rows with no mass on shared classes cannot match. Only
     pairs with divergence strictly below the threshold are kept, and each
     source and target row is used at most once. Candidates are taken in
-    order of (divergence, source row, target row).
+    order of (divergence, source row, target row). The pipeline's threshold
+    is TransferConfig.pivot_threshold.
     """
     shared = tuple(name for name in src.class_names if name in tgt.class_names)
     if not shared:

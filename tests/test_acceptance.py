@@ -15,7 +15,8 @@ from scipy.stats import binom
 
 from leafbridge.adaptation import (
     StackedPivots,
-    auto_knn,
+    _auto_knn_from_cos,
+    _cosine_matrix,
     build_laplacian,
     build_mmd_matrix,
     build_projection,
@@ -25,7 +26,7 @@ from leafbridge.dataset import Dataset, SplitSpec, one_hot_encode, split_target,
 from leafbridge.experiment import ExperimentSpec, PairSpec, run_experiment
 from leafbridge.forest import predict_many, train_forest
 from leafbridge.metrics import evaluate, sign_test
-from leafbridge.pivot import jsd
+from leafbridge.pivot import _jsd_block
 from leafbridge.synthetic import rotated_pair
 from leafbridge.transfer import TransferConfig, run_transfer
 from conftest import numeric_dataset
@@ -52,6 +53,10 @@ def test_c1_jsd_oracle():
         def kl(a, b):
             return sum(x * math.log2(x / y) for x, y in zip(a, b) if x > 0)
         return 0.5 * kl(p, m) + 0.5 * kl(q, m)
+
+    def jsd(p, q):
+        # the divergence block match_pivots evaluates, for one pair
+        return float(_jsd_block(np.array([p]), np.array([q]))[0, 0])
 
     start = time.perf_counter()
     rng = np.random.default_rng(101)
@@ -111,7 +116,8 @@ def test_c3_laplacian_invariants():
         eig_low = min(eig_low, float(eig.min()))
         eig_high = max(eig_high, float(eig.max()))
         i = int(rng.integers(sp.z))
-        neighbors = auto_knn(sp, i)
+        # the neighbor rule build_laplacian applies to each row
+        neighbors = _auto_knn_from_cos(_cosine_matrix(sp.rows), sp.labels, i)
         min_neighbors = min(min_neighbors, len(neighbors))
         if any(sp.labels[u] != sp.labels[i] for u in neighbors[4:]):
             label_rule_ok = False

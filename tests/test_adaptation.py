@@ -6,7 +6,8 @@ from scipy.spatial.distance import pdist, squareform
 
 from leafbridge.adaptation import (
     StackedPivots,
-    auto_knn,
+    _auto_knn_from_cos,
+    _cosine_matrix,
     build_kernel,
     build_laplacian,
     build_mmd_matrix,
@@ -195,6 +196,12 @@ def angled_pivots(neighbor_labels, query_label=0):
     return stacked(rows, labels)
 
 
+def auto_knn(sp, i):
+    """Reference: the neighbor list of one stacked row, by the rule
+    build_laplacian applies to every row."""
+    return _auto_knn_from_cos(_cosine_matrix(sp.rows), sp.labels, i)
+
+
 class TestAutoKnn:
     def test_minimum_four(self):
         sp = angled_pivots([0, 1, 0, 0, 1, 0, 0])
@@ -239,6 +246,19 @@ class TestLaplacian:
         np.testing.assert_allclose(B, B.T)
         assert np.all(np.diag(B) == 0.0)
         assert B.min() >= 0.0
+
+    def test_affinity_joins_each_row_to_its_neighbor_list(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            sp = random_stacked(rng, n_pivots=int(rng.integers(2, 12)))
+            cos = _cosine_matrix(sp.rows)
+            want = np.zeros((sp.z, sp.z))
+            for i in range(sp.z):
+                for j in auto_knn(sp, i):
+                    want[i, j] = want[j, i] = max(cos[i, j], 0.0)
+            np.fill_diagonal(want, 0.0)
+            B, _ = build_laplacian(sp)
+            assert B.tobytes() == want.tobytes()
 
     def test_spectrum_bounds(self):
         rng = np.random.default_rng(10)
@@ -365,6 +385,22 @@ class TestProjection:
 
 
 class TestStacking:
+    def test_list_inputs_stored_as_arrays(self):
+        sp = StackedPivots([[1.0, 0.0], [0.0, 1.0]], [0, 0], 1, 1, ("a",))
+        assert sp.z == 2
+        assert sp.rows.dtype == np.float64 and sp.labels.dtype == np.int64
+        np.testing.assert_array_equal(sp.g_source, [[1.0], [0.0]])
+
+    def test_whole_float_labels_stored_as_integers(self):
+        sp = StackedPivots(np.eye(2), np.array([1.0, 0.0]), 1, 1, ("a", "b"))
+        assert sp.labels.dtype == np.int64
+        np.testing.assert_array_equal(sp.labels, [1, 0])
+
+    @pytest.mark.parametrize("labels", [[0.7, 0.2], [0.0, 1.5], [0.0, np.nan], [0.0, np.inf]])
+    def test_fractional_labels_rejected(self, labels):
+        with pytest.raises(DataError, match="whole class indices"):
+            StackedPivots(np.eye(2), np.array(labels), 1, 1, ("a", "b"))
+
     def _bundle(self, V, W, class_names, domain_tag):
         V = np.asarray(V, dtype=np.float64)
         schema = tuple(AttributeSchema(f"f{j}", NUMERIC) for j in range(W.shape[1]))

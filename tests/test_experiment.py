@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -131,6 +132,22 @@ class TestRunExperiment:
         diag = report.pairs[0]["diagnostics"]
         assert diag["n_pivots"] is not None
         assert "fallback_runs" in diag
+
+    def test_config_written_once(self, pair_files):
+        spec = ExperimentSpec(
+            pairs=(PairSpec(*pair_files),),
+            split=SplitSpec(0.2, 0),
+            methods=("tlf",),
+        )
+        cfg = small_cfg()
+        doc = json.loads(json.dumps(run_experiment(spec, cfg).to_dict()))
+        assert doc["config"] == asdict(cfg)
+        pairs = json.dumps(doc["pairs"])
+        for key in asdict(cfg):
+            assert f'"{key}"' not in pairs, key
+        adaptation = doc["pairs"][0]["diagnostics"]["adaptation"]
+        assert adaptation["z"] > 0
+        assert not {"kernel_kind", "coefficients"} & set(adaptation)
 
 
 def _pair_files(root, src, tgt):
@@ -333,7 +350,7 @@ def loop_forest_predict(predictor, ds):
     return np.array([mapping.get(predictor.class_names[p], -1) for p in preds])
 
 
-class TestForestPredictor:
+class TestBaselineModel:
     """A baseline model (a plain forest) scores a dataset that lists its
     categories and classes in another order."""
 

@@ -30,7 +30,6 @@ from leafbridge.forest import (
     forest_from_json,
     forest_to_dict,
     forest_to_json,
-    predict,
     predict_many,
     train_forest,
 )
@@ -253,6 +252,11 @@ def loop_predict(forest, X):
             n_tied += 1
             out.append(int(tied[int(np.argmax(dist_sums[tied]))]))
     return np.array(out, dtype=np.int64), n_tied
+
+
+def predict(forest, record) -> int:
+    """One record's class, as a batch of one through predict_many."""
+    return int(predict_many(forest, np.asarray(record, dtype=np.float64)[None, ...])[0])
 
 
 def mask_partition_leaves(tree, X):

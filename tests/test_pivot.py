@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leafbridge import pivot
 from leafbridge.adaptation import stack_pivots
@@ -13,7 +15,6 @@ from leafbridge.pivot import (
     DistributionBundle,
     dedup,
     extract_distributions,
-    jsd,
     match_pivots,
 )
 from conftest import numeric_dataset
@@ -29,6 +30,27 @@ def brute_force_jsd(p, q):
 
 # Reference implementations: one leaf, group or pair at a time. The array
 # code in leafbridge.pivot must reproduce them bit for bit.
+
+def jsd(p, q) -> float:
+    """Jensen-Shannon divergence of one pair, with base-2 logarithms, in
+    [0, 1]: KL(p || m)/2 + KL(q || m)/2 with m = (p + q)/2; 0 * log 0 terms
+    contribute nothing."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    m = (p + q) / 2.0
+    total = 0.0
+    for a in (p, q):
+        nz = a > 0
+        total += 0.5 * float(np.sum(a[nz] * np.log2(a[nz] / m[nz])))
+    return min(max(total, 0.0), 1.0)
+
+
+def block_jsd(p, q) -> float:
+    """The divergence match_pivots evaluates (`pivot._jsd_block`), for one
+    pair."""
+    return float(pivot._jsd_block(np.array([p], dtype=np.float64),
+                                  np.array([q], dtype=np.float64))[0, 0])
+
 
 def leaf_table(member_lists):
     """A LeafTable holding the given members per leaf."""
@@ -175,6 +197,19 @@ def make_bundle(V, W=None, domain_tag="source", class_names=None):
     return DistributionBundle(V, W, schema, class_names, domain_tag)
 
 
+class TestBundle:
+    def test_list_inputs_stored_as_arrays(self):
+        schema = (AttributeSchema("f0", NUMERIC),)
+        bundle = DistributionBundle([[0.5, 0.5], [1.0, 0.0]], [[1.0], [2.0]], schema,
+                                    ("a", "b"), "source")
+        assert bundle.V.dtype == np.float64 and bundle.W.dtype == np.float64
+        pivots = match_pivots(bundle, bundle, 0.1)
+        assert [p[:2] for p in pivots.pairs] == [(0, 0), (1, 1)]
+        merged, row_map = dedup(bundle)
+        np.testing.assert_array_equal(merged.W, [[1.0], [2.0]])
+        np.testing.assert_array_equal(row_map, [0, 1])
+
+
 class TestExtract:
     def test_counting_example(self):
         ds = numeric_dataset([[0.0], [0.0], [0.0]], [0, 0, 1])
@@ -224,7 +259,7 @@ class TestExtract:
         # maximum of its distribution
         ds = numeric_dataset([[0.0], [0.0]], [1, 0])
         bundle = extract_distributions(ds, leaf_table([(0, 1)]))
-        stacked = stack_pivots(match_pivots(bundle, bundle), bundle, bundle)
+        stacked = stack_pivots(match_pivots(bundle, bundle, 0.1), bundle, bundle)
         np.testing.assert_array_equal(stacked.labels, [0, 0])
 
     def test_empty_leaf(self):
@@ -270,17 +305,20 @@ class TestDedup:
 
 
 class TestJsd:
+    """The divergence block of match_pivots, one pair at a time, against
+    the scalar reference and the definition."""
+
     def test_identity(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             p = rng.dirichlet(np.ones(int(rng.integers(2, 6))))
-            assert jsd(p, p) == 0.0
+            assert block_jsd(p, p) == 0.0
 
     def test_disjoint_support_is_one(self):
-        assert jsd((1.0, 0.0), (0.0, 1.0)) == 1.0
+        assert block_jsd((1.0, 0.0), (0.0, 1.0)) == 1.0
 
     def test_hand_value(self):
-        assert jsd((0.5, 0.5), (0.25, 0.75)) == pytest.approx(0.048795, abs=1e-6)
+        assert block_jsd((0.5, 0.5), (0.25, 0.75)) == pytest.approx(0.048795, abs=1e-6)
 
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(2)
@@ -288,7 +326,7 @@ class TestJsd:
             c = int(rng.integers(2, 8))
             p = rng.dirichlet(np.ones(c))
             q = rng.dirichlet(np.ones(c))
-            d1, d2 = jsd(p, q), jsd(q, p)
+            d1, d2 = block_jsd(p, q), block_jsd(q, p)
             assert d1 == d2
             assert 0.0 <= d1 <= 1.0
 
@@ -299,16 +337,42 @@ class TestJsd:
             p = rng.dirichlet(np.ones(c))
             q = rng.dirichlet(np.ones(c))
             assert jsd(p, q) == pytest.approx(brute_force_jsd(p, q), abs=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DataError):
-            jsd((1.0, 0.0), (0.3, 0.3, 0.4))
+            assert block_jsd(p, q) == jsd(p, q)
 
     def test_non_distribution(self):
-        with pytest.raises(DataError):
-            jsd((0.9, 0.3), (0.5, 0.5))
-        with pytest.raises(DataError):
-            jsd((-0.1, 1.1), (0.5, 0.5))
+        with pytest.raises(DataError, match="probability distributions"):
+            pivot._check_distributions(np.array([[0.5, 0.5], [0.9, 0.3]]))
+        with pytest.raises(DataError, match="probability distributions"):
+            pivot._check_distributions(np.array([[-0.1, 1.1]]))
+
+
+def _distribution_rows(n_rows, n_classes):
+    """Rows of small counts, zero entries included, normalized; no row is
+    all zeros."""
+    counts = st.lists(st.integers(0, 3), min_size=n_classes, max_size=n_classes).filter(any)
+    return st.lists(counts, min_size=1, max_size=n_rows).map(
+        lambda rows: [[c / sum(row) for c in row] for row in rows])
+
+
+@st.composite
+def _bundle_pair(draw):
+    n_classes = draw(st.integers(2, 8))
+    V_s = draw(_distribution_rows(6, n_classes))
+    V_t = draw(_distribution_rows(6, n_classes))
+    threshold = draw(st.sampled_from([0.05, 0.2, 0.5, float(np.nextafter(1.0, 2.0))]))
+    return make_bundle(V_s), make_bundle(V_t, domain_tag="target"), threshold
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(pair=_bundle_pair())
+def test_match_pivots_divergences_match_scalar_jsd(pair):
+    """Every divergence of the block match_pivots evaluates equals the
+    scalar reference bit for bit, and so do the matched pairs."""
+    src, tgt, threshold = pair
+    div = pivot._jsd_block(src.V, tgt.V)
+    want = np.array([[jsd(p, q) for q in tgt.V] for p in src.V])
+    assert div.tobytes() == want.tobytes()
+    assert_same_pairs(src, tgt, threshold)
 
 
 class TestMatchPivots:
