@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import class_indices, name_index
 from .errors import BandwidthError, DataError, NumericalError, SolveError
 from .pivot import DistributionBundle, PivotSet
 
@@ -43,15 +44,9 @@ class StackedPivots:
             raise DataError("stacked pivot width must be d_source + d_target")
         if not np.isfinite(rows).all():
             raise DataError("stacked pivot rows must be finite")
-        labels = np.asarray(self.labels)
-        if labels.dtype.kind == "f" and not (np.isfinite(labels)
-                                             & (np.floor(labels) == labels)).all():
-            raise DataError("stacked labels must be whole class indices")
-        labels = labels.astype(np.int64)
-        if labels.shape != (rows.shape[0],):
+        if np.shape(self.labels) != (rows.shape[0],):
             raise DataError("one label per stacked row required")
-        if labels.min() < 0 or labels.max() >= len(self.shared_classes):
-            raise DataError("stacked labels must index the shared class set")
+        labels = class_indices(self.labels, len(self.shared_classes), "stacked labels")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", labels)
 
@@ -93,7 +88,9 @@ def stack_pivots(pivots: PivotSet, src: DistributionBundle,
     rows[n:, d_s:] = tgt.W[rows_t]
     labels = []
     for bundle, idx in ((src, rows_s), (tgt, rows_t)):
-        shared = [bundle.class_names.index(c) for c in pivots.shared_classes]
+        shared = name_index(pivots.shared_classes, bundle.class_names)
+        if (shared < 0).any():
+            raise DataError(f"the {bundle.domain_tag} bundle lacks a shared class of the pivots")
         labels.append(np.argmax(bundle.V[idx][:, shared], axis=1))
     return StackedPivots(rows, np.concatenate(labels), d_s, d_t, pivots.shared_classes)
 
@@ -269,14 +266,14 @@ def build_laplacian(pivots: StackedPivots) -> tuple[np.ndarray, np.ndarray]:
     return B, laplacian_from_affinity(B)
 
 
-def compute_alpha(K: np.ndarray, M: np.ndarray, Lap: np.ndarray,
-                  ridge: float, mmd: float, manifold: float, mode: str) -> np.ndarray:
-    """Coefficient matrix from the combined system.
+def compute_alpha(K: np.ndarray, M: np.ndarray, Lap: np.ndarray, ridge: float, mmd: float,
+                  manifold: float, mode: str) -> tuple[np.ndarray, float | None]:
+    """Coefficient matrix from the combined system, and its solve residual.
 
-    A = ridge * I + (mmd * M + manifold * Lap) @ K. mode="literal" returns A
-    itself; mode="inverse" returns A^(-1) via an LU solve with partial
-    pivoting and enforces ||A @ alpha - I||_F <= 1e-6 * z. An exactly zero
-    pivot (a singular A) raises SolveError.
+    A = ridge * I + (mmd * M + manifold * Lap) @ K. mode="literal" returns
+    (A, None); mode="inverse" returns A^(-1), via an LU solve with partial
+    pivoting, and the residual ||A @ alpha - I||_F, which must be at most
+    1e-6 * z. An exactly zero pivot (a singular A) raises SolveError.
     """
     K = np.asarray(K, dtype=np.float64)
     z = K.shape[0]
@@ -288,7 +285,7 @@ def compute_alpha(K: np.ndarray, M: np.ndarray, Lap: np.ndarray,
             raise DataError(f"{name} coefficient must be >= 0")
     A = ridge * np.eye(z) + (mmd * M + manifold * Lap) @ K
     if mode == "literal":
-        return A
+        return A, None
     if mode != "inverse":
         raise DataError(f"unknown alpha mode {mode!r}")
     # scipy is loaded for this mode only, so default runs need numpy alone
@@ -308,7 +305,7 @@ def compute_alpha(K: np.ndarray, M: np.ndarray, Lap: np.ndarray,
             f"solve residual {residual:.3e} exceeds {1e-6 * z:.3e}, "
             f"condition estimate {np.linalg.cond(A):.3e}"
         )
-    return alpha
+    return alpha, residual
 
 
 @dataclass(frozen=True)
@@ -345,30 +342,20 @@ def build_projection(pivots: StackedPivots, alpha: np.ndarray) -> ProjectionMatr
 
 @dataclass(frozen=True, eq=False)
 class AdaptationState:
-    """The matrices and settings of the adaptation stage that its
-    diagnostics read."""
+    """The matrices of the adaptation stage that its diagnostics read, and
+    the residual of the alpha solve (None in literal mode)."""
 
     kernel: np.ndarray
     mmd_matrix: np.ndarray
     mu: float
     laplacian: np.ndarray
-    alpha: np.ndarray
-    ridge: float
-    mmd: float
-    manifold: float
-    alpha_mode: str
+    solve_residual: float | None
 
     def diagnostics(self) -> dict:
         z = self.kernel.shape[0]
         def spectrum(mat):
             eig = np.linalg.eigvalsh((mat + mat.T) / 2.0)
             return {"min": float(eig[0]), "max": float(eig[-1])}
-        residual = None
-        if self.alpha_mode == "inverse":
-            A = self.ridge * np.eye(z) + (
-                self.mmd * self.mmd_matrix + self.manifold * self.laplacian
-            ) @ self.kernel
-            residual = float(np.linalg.norm(A @ self.alpha - np.eye(z)))
         return {
             "z": z,
             "n_pivots": z // 2,
@@ -376,7 +363,7 @@ class AdaptationState:
             "kernel_spectrum": spectrum(self.kernel),
             "mmd_spectrum": spectrum(self.mmd_matrix),
             "laplacian_spectrum": spectrum(self.laplacian),
-            "solve_residual": residual,
+            "solve_residual": self.solve_residual,
         }
 
 
@@ -388,7 +375,5 @@ def adapt(pivots: StackedPivots, ridge: float, mmd: float, manifold: float,
     mu = compute_mu(pivots)
     M = build_mmd_matrix(pivots, mu)
     _, Lap = build_laplacian(pivots)
-    alpha = compute_alpha(K, M, Lap, ridge, mmd, manifold, alpha_mode)
-    projection = build_projection(pivots, alpha)
-    state = AdaptationState(K, M, mu, Lap, alpha, ridge, mmd, manifold, alpha_mode)
-    return state, projection
+    alpha, residual = compute_alpha(K, M, Lap, ridge, mmd, manifold, alpha_mode)
+    return AdaptationState(K, M, mu, Lap, residual), build_projection(pivots, alpha)

@@ -21,7 +21,7 @@ import sys
 
 from .dataset import inject_missing, load_csv, write_csv
 from .errors import DataError, LeafBridgeError, NumericalError
-from .experiment import nemenyi, parse_config, run_experiment, sign_tests
+from .experiment import nemenyi, parse_config, parse_transfer_config, run_experiment, sign_tests
 from .forest import read_key
 from .metrics import SIGN_TEST_Z_REF
 from .transfer import TransferConfig, run_transfer
@@ -92,10 +92,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
-    if args.config:
-        _, cfg = parse_config(args.config)
-    else:
-        cfg = TransferConfig()
+    cfg = parse_transfer_config(args.config) if args.config else TransferConfig()
     if args.seed is not None:
         from dataclasses import replace
         cfg = replace(cfg, seed=args.seed)

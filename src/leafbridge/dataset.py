@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from itertools import compress, groupby
+from itertools import compress, groupby, repeat
 
 import numpy as np
 
@@ -30,9 +30,35 @@ CATEGORICAL = "categorical"
 DEFAULT_MISSING_TOKENS = ("?", "")
 
 
+def name_index(names, reference) -> np.ndarray:
+    """int64 position of each of `names` in `reference`, -1 where it is absent:
+    the one matching of categories and classes by name. A name that
+    `reference` lists twice takes its first position, as in tuple.index."""
+    position = {name: i for i, name in reversed(list(enumerate(reference)))}
+    return np.fromiter(map(position.get, names, repeat(-1)), np.int64, len(names))
+
+
+def _require_distinct(names, error, what: str):
+    """Raise error(f"{what} {name!r} more than once") for the first name listed twice."""
+    if len(set(names)) != len(names):
+        raise error(f"{what} {next(n for n in names if names.count(n) > 1)!r} more than once")
+
+
+def class_indices(labels, n_classes: int, what: str) -> np.ndarray:
+    """labels as int64, DataError unless each is a whole number in [0, n_classes)."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind == "f" and not (np.isfinite(labels)
+                                         & (np.floor(labels) == labels)).all():
+        raise DataError(f"{what} must be whole class indices")
+    labels = labels.astype(np.int64, copy=False)
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise DataError(f"{what} must be class indices below {n_classes}")
+    return labels
+
+
 @dataclass(frozen=True)
 class AttributeSchema:
-    """One column: its name, kind, and (for categorical columns) categories."""
+    """One column: its name, kind, and (for categorical columns) distinct categories."""
 
     name: str
     kind: str
@@ -43,6 +69,7 @@ class AttributeSchema:
             raise SchemaError(f"unknown attribute kind {self.kind!r} for {self.name!r}")
         if self.kind == CATEGORICAL and len(self.categories) < 1:
             raise SchemaError(f"categorical attribute {self.name!r} has no categories")
+        _require_distinct(self.categories, SchemaError, f"attribute {self.name!r} lists category")
 
 
 @dataclass(frozen=True)
@@ -62,7 +89,7 @@ class Dataset:
     """Immutable labeled table.
 
     records: float64 [n, d] matrix (NaN marks a missing cell)
-    labels:  int64 [n] class indices into class_names
+    labels:  int64 [n] class indices into class_names (distinct names)
     """
 
     schema: tuple[AttributeSchema, ...]
@@ -73,7 +100,6 @@ class Dataset:
 
     def __post_init__(self):
         records = np.asarray(self.records, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
         if records.ndim != 2:
             raise DataError("records must be a 2-D matrix")
         if records.shape[0] < 1:
@@ -82,15 +108,13 @@ class Dataset:
             raise SchemaError(
                 f"records have {records.shape[1]} cells but schema has {len(self.schema)}"
             )
-        if labels.shape != (records.shape[0],):
+        if np.shape(self.labels) != (records.shape[0],):
             raise DataError("labels must be one per record")
         if len(self.class_names) < 1:
             raise DataError("class_names must be non-empty")
-        if labels.min() < 0 or labels.max() >= len(self.class_names):
-            raise DataError("label index out of range")
-        names = [a.name for a in self.schema]
-        if len(set(names)) != len(names):
-            raise SchemaError("attribute names must be unique")
+        labels = class_indices(self.labels, len(self.class_names), "labels")
+        _require_distinct(self.class_names, DataError, "class_names lists")
+        _require_distinct([a.name for a in self.schema], SchemaError, "schema names attribute")
         if self.domain_tag not in ("source", "target"):
             raise DataError(f"domain_tag must be source or target, got {self.domain_tag!r}")
         # row-major: the forest builder's flat gathers and the pivot sums
@@ -190,16 +214,13 @@ def _parse_column(col, missing):
     return values, bad, nonfinite
 
 
-def _code_column(col, missing, hinted):
+def _code_column(col, missing):
     """Category codes of a column's cells as float64 (NaN for a cell in
-    `missing`), and its categories: `hinted` followed by each other present
-    cell in first-appearance order."""
-    known = set(hinted)
-    categories = list(hinted) + [c for c in dict.fromkeys(col)
-                                 if c not in missing and c not in known]
-    code = {c: float(k) for k, c in enumerate(categories)}
-    code.update(dict.fromkeys(missing, np.nan))
-    return np.array(list(map(code.__getitem__, col))), tuple(categories)
+    `missing`), and its categories: the present cells by first appearance."""
+    categories = tuple(c for c in dict.fromkeys(col) if c not in missing)
+    codes = name_index(col, categories).astype(np.float64)
+    codes[codes < 0] = np.nan
+    return codes, categories
 
 
 def load_csv(
@@ -213,9 +234,9 @@ def load_csv(
 
     A column is inferred numeric when every non-missing cell parses as a
     number, otherwise categorical with categories in first-appearance order.
-    schema_hint (a list of AttributeSchema, or a name->kind mapping) pins the
-    kind of listed columns; hinted categories seed the category order.
-    A numeric cell must be finite: `nan`, `inf` and `infinity` tokens (any
+    schema_hint, a {column name: "numeric" or "categorical"} mapping, pins
+    the kind of the columns it names; another kind raises SchemaError. A
+    numeric cell must be finite: `nan`, `inf` and `infinity` tokens (any
     case or sign) raise ParseError unless listed in missing_tokens. A cell
     holding an underscore (`1_000`) is not a number, so its column is
     categorical, or a ParseError under a numeric hint; spaces around a
@@ -246,19 +267,11 @@ def load_csv(
         raise SchemaError(f"{path}: label column {label_column!r} not in header {header}")
     label_idx = header.index(label_column)
     attr_names = [h for i, h in enumerate(header) if i != label_idx]
-    if len(set(attr_names)) != len(attr_names):
-        twice = next(h for h in attr_names if attr_names.count(h) > 1)
-        raise SchemaError(f"{path}: header names column {twice!r} more than once")
-
-    hints: dict[str, AttributeSchema] = {}
-    if schema_hint:
-        if isinstance(schema_hint, dict):
-            hints = {
-                name: AttributeSchema(name, kind, ("_",) if kind == CATEGORICAL else ())
-                for name, kind in schema_hint.items()
-            }
-        else:
-            hints = {a.name: a for a in schema_hint}
+    _require_distinct(attr_names, SchemaError, f"{path}: header names column")
+    hints = dict(schema_hint or {})
+    for name, kind in hints.items():
+        if kind not in (NUMERIC, CATEGORICAL):
+            raise SchemaError(f"unknown attribute kind {kind!r} for {name!r}")
 
     missing = set(missing_tokens)
     columns = list(zip(*rows))
@@ -271,12 +284,10 @@ def load_csv(
     # filled a column at a time; Dataset copies it to row-major
     records = np.empty((len(rows), len(attr_names)), dtype=np.float64, order="F")
     for j, (name, col) in enumerate(zip(attr_names, columns)):
-        hint = hints.get(name)
-        if hint is not None and hint.kind == CATEGORICAL:
-            kind = CATEGORICAL
-        else:
+        kind = hints.get(name)
+        if kind != CATEGORICAL:
             values, bad, nonfinite = _parse_column(col, missing)
-            kind = NUMERIC if hint is not None or bad is None else CATEGORICAL
+            kind = kind or (NUMERIC if bad is None else CATEGORICAL)
         if kind == NUMERIC:
             if nonfinite is not None:
                 raise ParseError(
@@ -292,14 +303,12 @@ def load_csv(
             records[:, j] = values
             schema.append(AttributeSchema(name, NUMERIC))
         else:
-            hinted = hint.categories if hint is not None and hint.categories != ("_",) else ()
-            records[:, j], categories = _code_column(col, missing, hinted)
+            records[:, j], categories = _code_column(col, missing)
             schema.append(AttributeSchema(name, CATEGORICAL, categories))
 
     class_names = tuple(dict.fromkeys(label_col))
-    code = {token: k for k, token in enumerate(class_names)}
-    labels = np.array(list(map(code.__getitem__, label_col)), dtype=np.int64)
-    return Dataset(tuple(schema), records, labels, class_names, domain_tag)
+    return Dataset(tuple(schema), records, name_index(label_col, class_names), class_names,
+                   domain_tag)
 
 
 def write_csv(ds: Dataset, path, label_column: str = "label", missing_token: str = "?"):
@@ -401,8 +410,7 @@ def align_categories(ds: Dataset, schema) -> np.ndarray:
             continue
         if records is ds.records:
             records = records.copy()
-        index = {name: i for i, name in enumerate(trained.categories)}
-        lookup = np.array([index.get(name, -1) for name in attr.categories])
+        lookup = name_index(attr.categories, trained.categories)
         col = records[:, j]
         present = ~np.isnan(col)
         cells = col[present].astype(np.int64)

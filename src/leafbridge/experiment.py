@@ -89,8 +89,7 @@ def _train_method(method: str, src: Dataset, tgt: Dataset, cfg: TransferConfig,
         raise DataError(f"unknown method {method!r}")
     domain, ds = ("target", tgt) if method == "target_only" else ("source", src)
     return TransferModel(forest=forests.get(domain, ds, cfg), projection=None, fallback=False,
-                         diagnostics={}, raw_schema=ds.schema, class_names=ds.class_names,
-                         config=cfg)
+                         diagnostics={}, raw_schema=ds.schema, config=cfg)
 
 
 def _mean(values) -> float:
@@ -406,13 +405,8 @@ _CONFIG_KEYS = (
 )
 
 
-def parse_config(path) -> tuple[ExperimentSpec, TransferConfig]:
-    """Read an experiment spec plus pipeline config from a key = value file.
-
-    A file that is not UTF-8 key = value text is a DataError naming it; a
-    key that no field takes, or a value that does not read as its field's
-    type, names its section and key.
-    """
+def _config_values(path) -> dict:
+    """The field values a config file sets, by owning dataclass (errors: see parse_config)."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path, encoding="utf-8")
@@ -439,5 +433,21 @@ def parse_config(path) -> tuple[ExperimentSpec, TransferConfig]:
             values[owner][name] = _READERS[kind](parser.get(section, key))
         except (configparser.Error, ValueError) as exc:
             raise DataError(f"config file {path}: [{section}] {key}: {exc}") from exc
+    return values
+
+
+def parse_config(path) -> tuple[ExperimentSpec, TransferConfig]:
+    """Read an experiment spec plus pipeline config from a key = value file.
+
+    A file that is not UTF-8 key = value text is a DataError naming it; a
+    key that no field takes, or a value that does not read as its field's
+    type, names its section and key.
+    """
+    values = _config_values(path)
     spec = ExperimentSpec(split=SplitSpec(**values[SplitSpec]), **values[ExperimentSpec])
     return spec, TransferConfig(**values[TransferConfig])
+
+
+def parse_transfer_config(path) -> TransferConfig:
+    """The TransferConfig of a file parse_config reads, which need not name a pair."""
+    return TransferConfig(**_config_values(path)[TransferConfig])

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, require_numeric
+from .dataset import Dataset, name_index, require_numeric
 from .errors import DataError, EmptyDatasetError, MatchingError
 from .forest import LeafTable
 
@@ -206,8 +206,7 @@ def _shared_rows(bundle: DistributionBundle,
                  shared: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the rows with mass on the shared classes, and those rows
     restricted to the shared classes and renormalized."""
-    idx = [bundle.class_names.index(name) for name in shared]
-    p = bundle.V[:, idx]
+    p = bundle.V[:, name_index(shared, bundle.class_names)]
     total = p.sum(axis=1)
     rows = np.flatnonzero(total > 0)
     return rows, p[rows] / total[rows, None]

@@ -31,6 +31,7 @@ from .dataset import (
     align_categories,
     encode_records,
     encoded_schema,
+    name_index,
     one_hot_encode,
 )
 from .errors import DataError, MatchingError, MissingValueError
@@ -88,15 +89,19 @@ class TransferConfig:
 
 @dataclass(frozen=True, eq=False)
 class TransferModel:
-    """Final classifier plus the projection and pipeline diagnostics."""
+    """Final classifier plus the projection and pipeline diagnostics; its
+    classes (`class_names`) are its forest's."""
 
     forest: Forest
     projection: ProjectionMatrix | None
     fallback: bool
     diagnostics: dict
     raw_schema: tuple
-    class_names: tuple[str, ...]
     config: TransferConfig
+
+    @property
+    def class_names(self) -> tuple[str, ...]:
+        return self.forest.class_names
 
     def predict_many(self, ds: Dataset) -> np.ndarray:
         """Predicted classes of records in the model's raw schema, as indices
@@ -107,10 +112,7 @@ class TransferModel:
                              complete=True)
         if ds.class_names == self.class_names:
             return preds
-        class_index = {name: i for i, name in enumerate(ds.class_names)}
-        mapping = np.array([class_index.get(name, -1) for name in self.class_names],
-                           dtype=np.int64)
-        return mapping[preds]
+        return name_index(self.class_names, ds.class_names)[preds]
 
     def to_dict(self) -> dict:
         return {
@@ -135,7 +137,8 @@ class TransferModel:
     @staticmethod
     def load(path) -> "TransferModel":
         """Read a saved model; DataError on any other document, version 1
-        models included, and on a missing or ill-typed key."""
+        models included, on a missing or ill-typed key, and on a
+        `class_names` list other than its forest's."""
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
         doc, column = "leafbridge-model", "raw_schema column"
@@ -156,13 +159,15 @@ class TransferModel:
             config = TransferConfig(**config)
         except TypeError as exc:
             raise DataError(f"{doc} document key 'config' is invalid: {exc}") from None
+        forest = forest_from_dict(read_key(obj, "forest", dict, doc))
+        if tuple(read_key(obj, "class_names", list, doc, items=str)) != forest.class_names:
+            raise DataError(f"{doc} document key 'class_names' differs from its forest's")
         return TransferModel(
-            forest=forest_from_dict(read_key(obj, "forest", dict, doc)),
+            forest=forest,
             projection=projection,
             fallback=read_key(obj, "fallback", bool, doc),
             diagnostics=read_key(obj, "diagnostics", dict, doc),
             raw_schema=raw_schema,
-            class_names=tuple(read_key(obj, "class_names", list, doc, items=str)),
             config=config,
         )
 
@@ -250,9 +255,7 @@ def project_records(ds: Dataset, projection: ProjectionMatrix,
         )
     if len(target_schema) != projection.d_target:
         raise DataError("target schema width does not match projection output")
-    name_to_target = {name: i for i, name in enumerate(target_class_names)}
-    mapped = np.array([name_to_target.get(name, -1) for name in ds.class_names])
-    new_labels = mapped[ds.labels]
+    new_labels = name_index(ds.class_names, target_class_names)[ds.labels]
     keep = new_labels >= 0
     dropped = int((~keep).sum())
     if dropped:
@@ -290,8 +293,7 @@ def run_transfer(ds_src: Dataset, ds_tgt: Dataset, cfg: TransferConfig,
     """
     if ds_src.has_missing() or ds_tgt.has_missing():
         raise MissingValueError("run_transfer requires repaired datasets (no missing cells)")
-    shared = tuple(name for name in ds_src.class_names if name in ds_tgt.class_names)
-    if not shared:
+    if set(ds_src.class_names).isdisjoint(ds_tgt.class_names):
         raise MatchingError("pivot matching: source and target share no class labels")
 
     if forests is None:
@@ -310,7 +312,7 @@ def run_transfer(ds_src: Dataset, ds_tgt: Dataset, cfg: TransferConfig,
     diagnostics = {
         "n_pivots": pivots.n_pivots,
         "divergences": [float(d) for d in pivots.divergences],
-        "shared_classes": list(shared),
+        "shared_classes": list(pivots.shared_classes),
         "mu": None,
         "z": None,
         "n_selected": 0,
@@ -323,8 +325,7 @@ def run_transfer(ds_src: Dataset, ds_tgt: Dataset, cfg: TransferConfig,
         diagnostics["fallback_reason"] = reason
         return TransferModel(
             forest=forest_tgt, projection=None, fallback=True,
-            diagnostics=diagnostics, raw_schema=ds_tgt.schema,
-            class_names=ds_tgt.class_names, config=cfg,
+            diagnostics=diagnostics, raw_schema=ds_tgt.schema, config=cfg,
         )
 
     if pivots.n_pivots == 0:
@@ -351,6 +352,5 @@ def run_transfer(ds_src: Dataset, ds_tgt: Dataset, cfg: TransferConfig,
     final = replace(fit_forest(merged, cfg), leaves=None)
     return TransferModel(
         forest=final, projection=projection, fallback=False,
-        diagnostics=diagnostics, raw_schema=ds_tgt.schema,
-        class_names=ds_tgt.class_names, config=cfg,
+        diagnostics=diagnostics, raw_schema=ds_tgt.schema, config=cfg,
     )

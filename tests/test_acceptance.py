@@ -145,11 +145,11 @@ def test_c4_solver_contract():
         L = rng.normal(size=(z, z))
         L = (L + L.T) / 2
         ridge, mmd, manifold = 1.0, 0.1, 0.1
-        alpha = compute_alpha(K, M, L, ridge, mmd, manifold, mode="inverse")
+        alpha, _ = compute_alpha(K, M, L, ridge, mmd, manifold, mode="inverse")
         A = ridge * np.eye(z) + (mmd * M + manifold * L) @ K
         residual = float(np.linalg.norm(A @ alpha - np.eye(z)))
         worst_residual_ratio = max(worst_residual_ratio, residual / (1e-6 * z))
-        literal = compute_alpha(K, M, L, ridge, mmd, manifold, mode="literal")
+        literal, _ = compute_alpha(K, M, L, ridge, mmd, manifold, mode="literal")
         worst_literal = max(worst_literal, float(np.abs(literal - A).max()))
     elapsed = time.perf_counter() - start
     _finish(

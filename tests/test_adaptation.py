@@ -282,20 +282,21 @@ class TestLaplacian:
 class TestAlpha:
     def test_literal_ridge_only(self):
         z = 5
-        alpha = compute_alpha(np.eye(z), np.zeros((z, z)), np.zeros((z, z)),
-                              ridge=0.7, mmd=1.0, manifold=1.0, mode="literal")
+        alpha, residual = compute_alpha(np.eye(z), np.zeros((z, z)), np.zeros((z, z)),
+                                        ridge=0.7, mmd=1.0, manifold=1.0, mode="literal")
         np.testing.assert_allclose(alpha, 0.7 * np.eye(z))
+        assert residual is None
 
     def test_literal_identity_chain(self):
         z = 4
-        alpha = compute_alpha(np.eye(z), np.eye(z), np.zeros((z, z)),
-                              ridge=0.0, mmd=1.0, manifold=0.0, mode="literal")
+        alpha, _ = compute_alpha(np.eye(z), np.eye(z), np.zeros((z, z)),
+                                 ridge=0.0, mmd=1.0, manifold=0.0, mode="literal")
         np.testing.assert_allclose(alpha, np.eye(z))
 
     def test_inverse_identity(self):
         z = 3
-        alpha = compute_alpha(np.eye(z), np.zeros((z, z)), np.zeros((z, z)),
-                              ridge=1.0, mmd=0.0, manifold=0.0, mode="inverse")
+        alpha, _ = compute_alpha(np.eye(z), np.zeros((z, z)), np.zeros((z, z)),
+                                 ridge=1.0, mmd=0.0, manifold=0.0, mode="inverse")
         np.testing.assert_allclose(alpha, np.eye(z))
 
     def test_literal_matches_direct_evaluation(self):
@@ -306,7 +307,7 @@ class TestAlpha:
             M = rng.normal(size=(z, z))
             L = rng.normal(size=(z, z))
             s, lam, gam = rng.random(3)
-            got = compute_alpha(K, M, L, s, lam, gam, mode="literal")
+            got, _ = compute_alpha(K, M, L, s, lam, gam, mode="literal")
             expected = s * np.eye(z) + (lam * M + gam * L) @ K
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -320,9 +321,9 @@ class TestAlpha:
             M = (M + M.T) / 2
             L = rng.normal(size=(z, z))
             L = (L + L.T) / 2
-            alpha = compute_alpha(K, M, L, 1.0, 0.1, 0.1, mode="inverse")
+            alpha, residual = compute_alpha(K, M, L, 1.0, 0.1, 0.1, mode="inverse")
             A = np.eye(z) + (0.1 * M + 0.1 * L) @ K
-            assert np.linalg.norm(A @ alpha - np.eye(z)) <= 1e-6 * z
+            assert residual == np.linalg.norm(A @ alpha - np.eye(z)) <= 1e-6 * z
 
     def test_singular_system(self):
         z = 3

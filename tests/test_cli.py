@@ -132,6 +132,20 @@ class TestTransfer:
         model = TransferModel.load(out)
         assert model.config.seed == 1
 
+    def test_config_without_pairs(self, tmp_path, pair_files, capsys):
+        config = tmp_path / "pipeline.ini"
+        config.write_text("[experiment]\nseed = 4\n[forest]\ntrees = 3\n", encoding="utf-8")
+        out = tmp_path / "model.json"
+        assert main(["transfer", "--source", pair_files[0], "--target", pair_files[1],
+                     "--config", str(config), "--output", str(out)]) == EXIT_OK
+        cfg = TransferModel.load(out).config
+        assert (cfg.seed, cfg.n_trees) == (4, 3)
+        # a key of the experiment is still read and checked
+        config.write_text("[experiment]\nrepeats = two\n", encoding="utf-8")
+        assert main(["transfer", "--source", pair_files[0], "--target", pair_files[1],
+                     "--config", str(config), "--output", str(out)]) == EXIT_DATA
+        assert "[experiment] repeats" in capsys.readouterr().err
+
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         code = main([
             "transfer", "--source", "none.csv", "--target", "none.csv",

@@ -94,7 +94,7 @@ K = rng.normal(size=(z, z))
 K = K @ K.T
 M = np.eye(z) - 1.0 / z
 Lap = np.eye(z)
-alpha = compute_alpha(K, M, Lap, ridge=1.0, mmd=0.5, manifold=0.1, mode="inverse")
+alpha, _ = compute_alpha(K, M, Lap, ridge=1.0, mmd=0.5, manifold=0.1, mode="inverse")
 A = np.eye(z) + (0.5 * M + 0.1 * Lap) @ K
 assert np.linalg.norm(A @ alpha - np.eye(z)) <= 1e-9, alpha
 print(json.dumps([before, "scipy.linalg" in sys.modules]))

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leafbridge.dataset import (
     CATEGORICAL,
@@ -15,6 +17,7 @@ from leafbridge.dataset import (
     encoded_schema,
     inject_missing,
     load_csv,
+    name_index,
     one_hot_encode,
     repair_missing,
     split_target,
@@ -64,6 +67,12 @@ class TestLoadCsv:
         ds = load_csv(path, "label", schema_hint={"a": CATEGORICAL})
         assert ds.schema[0].kind == CATEGORICAL
         assert ds.schema[0].categories == ("1", "2")
+
+    def test_schema_hint_of_unknown_kind(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("a,label\n1,p\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match="unknown attribute kind 'ordinal' for 'a'"):
+            load_csv(path, "label", schema_hint={"a": "ordinal"})
 
     def test_round_trip(self, tmp_path, mixed_csv):
         ds = load_csv(mixed_csv, "label")
@@ -189,16 +198,6 @@ class TestLoadCsv:
         path.write_text("a,b,a,label\n1,2,3,p\n", encoding="utf-8")
         with pytest.raises(SchemaError, match=r"twice.csv: header names column 'a' more than once"):
             load_csv(path, "label")
-
-    def test_hinted_categories_seed_the_order(self, tmp_path):
-        path = tmp_path / "h.csv"
-        path.write_text("a,label\nz,p\n?,q\nx,p\nw,q\n", encoding="utf-8")
-        hint = [AttributeSchema("a", CATEGORICAL, ("x", "y"))]
-        ds = load_csv(path, "label", schema_hint=hint)
-        assert ds.schema[0].categories == ("x", "y", "z", "w")
-        assert ds.records[:, 0].tobytes() == np.array([2.0, np.nan, 0.0, 3.0]).tobytes()
-        assert ds.class_names == ("p", "q")
-        assert ds.labels.tolist() == [0, 1, 0, 1]
 
 
 def hstack_encode_records(records, schema):
@@ -492,8 +491,38 @@ class TestDatasetInvariants:
         with pytest.raises(SchemaError):
             Dataset(schema, [[1.0, 2.0]], [0], ("p",))
 
+    @pytest.mark.parametrize("labels", [[0.7, 1.2], [0.0, 1.5], [0.0, np.nan], [np.inf, 0.0]])
+    def test_labels_that_are_not_whole_numbers(self, labels):
+        with pytest.raises(DataError, match="labels must be whole class indices"):
+            Dataset((AttributeSchema("a", NUMERIC),), [[1.0], [2.0]], labels, ("p", "q"))
+
+    def test_whole_float_labels_stored_as_integers(self):
+        ds = Dataset((AttributeSchema("a", NUMERIC),), [[1.0], [2.0]], [1.0, 0.0], ("p", "q"))
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 0]
+
+    def test_repeated_class_name(self):
+        with pytest.raises(DataError, match="class_names lists 'p' more than once"):
+            Dataset((AttributeSchema("a", NUMERIC),), [[1.0]], [0], ("p", "q", "p"))
+
+    def test_repeated_category(self):
+        with pytest.raises(SchemaError, match="attribute 'k' lists category 'x' more than once"):
+            AttributeSchema("k", CATEGORICAL, ("x", "y", "x"))
+
     def test_encode_records_rejects_missing(self):
         schema = (AttributeSchema("a", NUMERIC), AttributeSchema("k", CATEGORICAL, ("x", "y")))
         for row in ([np.nan, 0.0], [1.0, np.nan]):
             with pytest.raises(MissingValueError):
                 encode_records(np.array([row]), schema)
+
+
+NAMES = st.lists(st.sampled_from(["a", "b", "c", "", "?", "\u00e9"]), max_size=8)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(names=NAMES, reference=NAMES)
+def test_name_index_matches_tuple_index(names, reference):
+    # names absent from the reference map to -1; a repeated one to its first place
+    reference = tuple(reference)
+    got = name_index(names, reference)
+    assert got.dtype == np.int64
+    assert got.tolist() == [reference.index(n) if n in reference else -1 for n in names]

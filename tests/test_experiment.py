@@ -230,7 +230,7 @@ def no_shared_class_pair(tmp_path_factory):
 def baseline_model(forest, ds, cfg=TransferConfig()):
     """A plain forest as a model of the raw schema and classes of ds."""
     return TransferModel(forest=forest, projection=None, fallback=False, diagnostics={},
-                         raw_schema=ds.schema, class_names=ds.class_names, config=cfg)
+                         raw_schema=ds.schema, config=cfg)
 
 
 def per_method_train(method, src, tgt, cfg):

@@ -1037,8 +1037,7 @@ class TestCodedApply:
         forest = train_forest(numeric_dataset(X, y), n_trees=6, min_leaf_size=80, seed=4)
         assert all(tree.feature.size <= forest_module.CODED_SPLITS for tree in forest.trees)
         model = TransferModel(forest=forest, projection=None, fallback=True, diagnostics={},
-                              raw_schema=forest.schema, class_names=forest.class_names,
-                              config=TransferConfig())
+                              raw_schema=forest.schema, config=TransferConfig())
         model.save(tmp_path / "before.json")
         test = numeric_dataset(rng.normal(size=(700, 4)), np.arange(700) % 3)
         predictions = model.predict_many(test)
@@ -1197,8 +1196,7 @@ class TestSerialization:
         ds = Dataset(forest.schema, X, np.zeros(X.shape[0], dtype=np.int64),
                      forest.class_names, "target")
         model = TransferModel(forest=forest, projection=None, fallback=True, diagnostics={},
-                              raw_schema=forest.schema, class_names=forest.class_names,
-                              config=TransferConfig())
+                              raw_schema=forest.schema, config=TransferConfig())
         model.save(tmp_path / "deep.json")
         loaded = TransferModel.load(tmp_path / "deep.json")
         np.testing.assert_array_equal(loaded.predict_many(ds), want)

@@ -62,8 +62,7 @@ def _forest_models():
     ds = numeric_dataset(X, (X[:, 0] > 0).astype(int))
     forest = train_forest(ds, n_trees=3, min_leaf_size=10, seed=6)
     model = TransferModel(forest=forest, projection=None, fallback=True, diagnostics={},
-                          raw_schema=ds.schema, class_names=ds.class_names,
-                          config=TransferConfig())
+                          raw_schema=ds.schema, config=TransferConfig())
     return [model, replace(model, fallback=False)]
 
 

@@ -386,10 +386,13 @@ class TestCategoryAlignment:
         k[0] = "b"
         path = self.write(tmp_path / "score.csv", x, k)
         fresh = load_csv(path, "label", domain_tag="target")
-        in_order = load_csv(path, "label", schema_hint=list(model.raw_schema),
-                            domain_tag="target")
         assert fresh.schema[1].categories == ("b", "a")
-        assert in_order.schema == model.raw_schema
+        # the same records coded cell by cell in the training order
+        trained = model.raw_schema[1].categories
+        records = fresh.records.copy()
+        records[:, 1] = [trained.index(fresh.schema[1].categories[int(c)])
+                         for c in fresh.records[:, 1]]
+        in_order = Dataset(model.raw_schema, records, fresh.labels, fresh.class_names, "target")
         got = model.predict_many(fresh)
         np.testing.assert_array_equal(got, model.predict_many(in_order))
         # reading the reordered indices as training indices predicts otherwise
@@ -420,8 +423,7 @@ def test_model_predict_makes_one_encoded_copy():
     tgt = numeric_dataset(X, (X[:, 0] > 0).astype(int), domain_tag="target")
     cfg = TransferConfig(n_trees=3)
     model = TransferModel(forest=fit_forest(tgt, cfg), projection=None, fallback=True,
-                          diagnostics={}, raw_schema=tgt.schema, class_names=tgt.class_names,
-                          config=cfg)
+                          diagnostics={}, raw_schema=tgt.schema, config=cfg)
     test = numeric_dataset(rng.normal(size=(n, d)), np.zeros(n, dtype=int), n_classes=2,
                            domain_tag="target")
     tracemalloc.start()
@@ -468,12 +470,19 @@ class TestModelSerialization:
         cfg = TransferConfig(n_trees=2, min_leaf_small=1)
         model = TransferModel(
             forest=fit_forest(one_hot_encode(tgt), cfg), projection=ProjectionMatrix(np.eye(3)),
-            fallback=False, diagnostics={}, raw_schema=schema, class_names=tgt.class_names,
-            config=cfg,
+            fallback=False, diagnostics={}, raw_schema=schema, config=cfg,
         )
         path = tmp_path / "model.json"
         model.save(path)
         return path, json.loads(path.read_text(encoding="utf-8"))
+
+    def test_class_names_other_than_the_forest_s(self, tmp_path):
+        path, doc = self.saved_document(tmp_path)
+        assert TransferModel.load(path).class_names == ("p", "q")
+        doc["class_names"].reverse()
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match="key 'class_names' differs from its forest's"):
+            TransferModel.load(path)
 
     def test_every_required_key(self, tmp_path):
         path, doc = self.saved_document(tmp_path)
@@ -565,7 +574,7 @@ class TestModelSerialization:
         tgt = numeric_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1], domain_tag="target")
         model = TransferModel(
             forest=fit_forest(one_hot_encode(tgt), cfg), projection=None, fallback=True,
-            diagnostics={}, raw_schema=tgt.schema, class_names=tgt.class_names, config=cfg,
+            diagnostics={}, raw_schema=tgt.schema, config=cfg,
         )
         path = tmp_path / "model.json"
         model.save(path)
