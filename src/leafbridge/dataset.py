@@ -235,9 +235,10 @@ def load_csv(
     A column is inferred numeric when every non-missing cell parses as a
     number, otherwise categorical with categories in first-appearance order.
     schema_hint, a {column name: "numeric" or "categorical"} mapping, pins
-    the kind of the columns it names; another kind raises SchemaError. A
-    numeric cell must be finite: `nan`, `inf` and `infinity` tokens (any
-    case or sign) raise ParseError unless listed in missing_tokens. A cell
+    the kind of the columns it names; another kind, or a name that is not
+    an attribute column of the file, raises SchemaError. A numeric cell
+    must be finite: `nan`, `inf` and `infinity` tokens (any case or sign)
+    raise ParseError unless listed in missing_tokens. A cell
     holding an underscore (`1_000`) is not a number, so its column is
     categorical, or a ParseError under a numeric hint; spaces around a
     number are accepted (` 2 ` reads as 2.0). A header that names an
@@ -272,6 +273,9 @@ def load_csv(
     for name, kind in hints.items():
         if kind not in (NUMERIC, CATEGORICAL):
             raise SchemaError(f"unknown attribute kind {kind!r} for {name!r}")
+        if name not in attr_names:
+            raise SchemaError(f"{path}: schema_hint names column {name!r}, which is not an "
+                              f"attribute column of the file")
 
     missing = set(missing_tokens)
     columns = list(zip(*rows))

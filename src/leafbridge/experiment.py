@@ -15,6 +15,11 @@ domain forests until it ends. Each domain is one-hot encoded once per cell.
 Every method's model is a `TransferModel` (a baseline's holds its domain
 forest and no projection), and `evaluate` scores it on the test part, which
 the model aligns to its own raw schema and encodes.
+
+A pair's CSV files are loaded once, and its cells run through
+`workers.fork_map` and are folded in cell order. A cell returns its scores
+and tlf's diagnostics, never a model, and seeds itself from its repeat
+index, so the report is the one a single process writes.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .dataset import Dataset, SplitSpec, inject_missing, load_csv, repair_missin
 from .errors import DataError, LeafBridgeError
 from .metrics import SIGN_TEST_Z_REF, evaluate, mean_ranks, nemenyi_cd, sign_test
 from .transfer import DomainForests, TransferConfig, TransferModel, run_transfer
+from .workers import fork_map
 
 logger = logging.getLogger("leafbridge")
 
@@ -129,64 +135,17 @@ def _inject(ds: Dataset, ratio, seed: int) -> Dataset:
 
 
 def _run_pair(pair: PairSpec, spec: ExperimentSpec, cfg: TransferConfig, ratios):
+    """The pair's report entry; a cell's work for `fork_map` is about twice
+    its source and labeled target records times trees."""
     source_full = load_csv(pair.source, spec.label_column, domain_tag="source")
     target_full = load_csv(pair.target, spec.label_column, domain_tag="target")
-    per_ratio = []
-    for ratio in ratios:
-        method_metrics = {m: [] for m in spec.methods}
-        method_errors = {m: [] for m in spec.methods}
-        diag = {"n_pivots": [], "mu": [], "fallback_runs": 0, "adaptation": None}
-        for r in range(spec.repeats):
-            split = SplitSpec(spec.split.target_fraction, spec.split.seed + r)
-            target_train, test = split_target(target_full, split)
-            src = _repair(_inject(source_full, ratio, 2 * (cfg.seed + r)), spec.missing_mode)
-            target_train = _inject(target_train, ratio, 2 * (cfg.seed + r) + 1)
-            tgt = _repair(target_train, spec.missing_mode)
-            # the test part is repaired by the same rule; impute fills its
-            # cells from the labeled target part, never from itself
-            test = _repair(test, spec.missing_mode, reference=target_train)
-            run_cfg = replace(cfg, seed=cfg.seed + r)
-            forests = DomainForests()
-            for method in spec.methods:
-                try:
-                    model = _train_method(method, src, tgt, run_cfg, forests)
-                    method_metrics[method].append(evaluate(model, test))
-                except LeafBridgeError as exc:
-                    method_errors[method].append(f"{type(exc).__name__}: {exc}")
-                    continue
-                if method == "tlf":
-                    diag["n_pivots"].append(model.diagnostics["n_pivots"])
-                    if model.fallback:
-                        diag["fallback_runs"] += 1
-                    elif model.diagnostics["mu"] is not None:
-                        diag["mu"].append(model.diagnostics["mu"])
-                    if diag["adaptation"] is None:
-                        diag["adaptation"] = model.diagnostics["adaptation"]
-        methods_out = {}
-        for method in spec.methods:
-            runs = method_metrics[method]
-            if not runs:
-                methods_out[method] = {"error": "; ".join(method_errors[method]) or "no runs"}
-                continue
-            methods_out[method] = {
-                "accuracy": _mean([m.accuracy for m in runs]),
-                "macro_f1": _mean([m.macro_f1 for m in runs]),
-                "precision": _mean([np.mean(m.precision) for m in runs]),
-                "recall": _mean([np.mean(m.recall) for m in runs]),
-                "runs": len(runs),
-            }
-            if method_errors[method]:
-                methods_out[method]["failed_runs"] = len(method_errors[method])
-        per_ratio.append({
-            "inject_ratio": ratio,
-            "methods": methods_out,
-            "diagnostics": {
-                "n_pivots": _mean(diag["n_pivots"]) if diag["n_pivots"] else None,
-                "mu": _mean(diag["mu"]) if diag["mu"] else None,
-                "fallback_runs": diag["fallback_runs"],
-                "adaptation": diag["adaptation"],
-            } if "tlf" in spec.methods else None,
-        })
+    cells = [(ratio, r) for ratio in ratios for r in range(spec.repeats)]
+    n_target = round(target_full.n * spec.split.target_fraction)
+    work = len(cells) * 2 * (source_full.n + n_target) * cfg.n_trees
+    results = fork_map(lambda share: [_run_cell(source_full, target_full, spec, cfg, *cell)
+                                      for cell in share], cells, work, "cells")
+    per_ratio = [_fold_cells(spec, ratio, results[k * spec.repeats:(k + 1) * spec.repeats])
+                 for k, ratio in enumerate(ratios)]
     result = {
         "pair": pair.name, "source": pair.source, "target": pair.target,
         "group": pair.group,
@@ -197,6 +156,69 @@ def _run_pair(pair: PairSpec, spec: ExperimentSpec, cfg: TransferConfig, ratios)
     else:
         result["by_ratio"] = per_ratio
     return result
+
+
+def _run_cell(source_full: Dataset, target_full: Dataset, spec: ExperimentSpec,
+              cfg: TransferConfig, ratio, r: int):
+    """One inject ratio and repeat of a pair: ({method: its EvalMetrics, or
+    its LeafBridgeError as text}, tlf's diagnostics or None). Errors of the
+    split, inject and repair steps propagate and fail the pair."""
+    split = SplitSpec(spec.split.target_fraction, spec.split.seed + r)
+    target_train, test = split_target(target_full, split)
+    src = _repair(_inject(source_full, ratio, 2 * (cfg.seed + r)), spec.missing_mode)
+    target_train = _inject(target_train, ratio, 2 * (cfg.seed + r) + 1)
+    tgt = _repair(target_train, spec.missing_mode)
+    # the test part is repaired by the same rule; impute fills its
+    # cells from the labeled target part, never from itself
+    test = _repair(test, spec.missing_mode, reference=target_train)
+    run_cfg = replace(cfg, seed=cfg.seed + r)
+    forests = DomainForests()
+    scores, tlf = {}, None
+    for method in spec.methods:
+        try:
+            model = _train_method(method, src, tgt, run_cfg, forests)
+            scores[method] = evaluate(model, test)
+        except LeafBridgeError as exc:
+            scores[method] = f"{type(exc).__name__}: {exc}"
+            continue
+        if method == "tlf":
+            tlf = {key: model.diagnostics[key] for key in ("n_pivots", "mu", "adaptation")}
+            tlf["fallback"] = model.fallback
+    return scores, tlf
+
+
+def _fold_cells(spec: ExperimentSpec, ratio, cells) -> dict:
+    """The report block of one inject ratio from its cells, in repeat order."""
+    methods_out = {}
+    for method in spec.methods:
+        runs = [scores[method] for scores, _ in cells if not isinstance(scores[method], str)]
+        errors = [scores[method] for scores, _ in cells if isinstance(scores[method], str)]
+        if not runs:
+            methods_out[method] = {"error": "; ".join(errors)}
+            continue
+        methods_out[method] = {
+            "accuracy": _mean([m.accuracy for m in runs]),
+            "macro_f1": _mean([m.macro_f1 for m in runs]),
+            "precision": _mean([np.mean(m.precision) for m in runs]),
+            "recall": _mean([np.mean(m.recall) for m in runs]),
+            "runs": len(runs),
+        }
+        if errors:
+            methods_out[method]["failed_runs"] = len(errors)
+    tlf = [diag for _, diag in cells if diag is not None]
+    n_pivots = [diag["n_pivots"] for diag in tlf]
+    mu = [diag["mu"] for diag in tlf if not diag["fallback"] and diag["mu"] is not None]
+    return {
+        "inject_ratio": ratio,
+        "methods": methods_out,
+        "diagnostics": {
+            "n_pivots": _mean(n_pivots) if n_pivots else None,
+            "mu": _mean(mu) if mu else None,
+            "fallback_runs": sum(diag["fallback"] for diag in tlf),
+            "adaptation": next((diag["adaptation"] for diag in tlf
+                                if diag["adaptation"] is not None), None),
+        } if "tlf" in spec.methods else None,
+    }
 
 
 def _accuracy_cell(entry: dict, method: str):

@@ -34,16 +34,9 @@ lookup on the outcomes of all its splits; a larger tree partitions the
 records node by node, splitting each node's ascending row indices by the
 positions of its comparison's true and false outcomes.
 
-A forest's trees grow in up to one process per usable CPU (`_tree_workers`,
-`_grow_in_workers`). The calling process grows the first contiguous share of
-the tree numbers and each other share grows in a child forked for it, which
-pickles its trees and leaf members back through a pipe; the results join in
-tree order, and each tree draws from its own generator, so the forest is
-the one a single process grows. The children's memory is not part of the
-caller's resident size. Training stays in the calling process when the
-forest holds fewer than FORK_MIN_WORK records times trees, when os.fork is
-missing, when one CPU is usable, or while another thread runs (from Python
-3.12, any other native thread too, such as a BLAS pool).
+A forest's trees grow through `workers.fork_map`, one contiguous share of
+the tree numbers per process; each tree draws from its own generator, so
+the forest is the one a single process grows.
 
 A forest predicts by plurality vote. Each tree's vote is one integer count
 per record; the trees' leaf class distributions are summed only for the
@@ -54,18 +47,14 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import pickle
-import signal
-import sys
-import threading
 from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
 
-from .dataset import NUMERIC, AttributeSchema, Dataset, require_numeric
+from .dataset import NUMERIC, AttributeSchema, Dataset, _require_distinct, require_numeric
 from .errors import DataError, EmptyDatasetError, MissingValueError, SchemaError
+from .workers import fork_map
 
 _GAIN_EPS = 1e-12
 # Cells scored at once by one node's numeric split search, counting for each
@@ -80,15 +69,6 @@ SPLIT_BLOCK_ELEMENTS = 1 << 16
 #: batches, and on 800-row batches broke even at about 10 splits (1.11 of
 #: the time at 12, 2.0 at 16); the cap lies between those crossovers.
 CODED_SPLITS = 12
-#: Forests of at least this many records times trees grow their trees in
-#: forked worker processes (`_tree_workers`); smaller ones grow serially.
-#: Forked over serial time, median (quartiles) of 25 alternating rounds of
-#: 10-tree forests on 10 columns in a 100 MiB process, 2 vCPUs of a 2.1 GHz
-#: Xeon: 1.19 (0.96-2.06) at 5000, 0.81 (0.69-1.16) at 10 000, 0.83
-#: (0.67-1.02) at 20 000 and 0.62 (0.57-0.72) at 50 000; an empty fork and
-#: pipe round trip took 5.3 ms. At the threshold, forking won in three
-#: rounds of four.
-FORK_MIN_WORK = 20_000
 #: Version of the forest and model JSON documents.
 FORMAT_VERSION = 2
 #: dtype of each `Tree` array, in field and document order.
@@ -452,107 +432,6 @@ def _grow_trees(ds, min_leaf, seed, presorted, numbers) -> list:
     return grown
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _threads_running() -> bool:
-    """Whether this process runs a thread besides the calling one that a
-    fork would copy mid-step: any other Python thread, and from Python
-    3.12, where os.fork warns about them, any other native thread (a BLAS
-    pool, say). A process whose threads cannot be counted counts as
-    threaded."""
-    if threading.active_count() > 1:
-        return True
-    if sys.version_info < (3, 12):
-        return False
-    try:
-        return len(os.listdir("/proc/self/task")) > 1
-    except OSError:
-        return True
-
-
-def _tree_workers(n_records: int, n_trees: int) -> int:
-    """Processes that grow a forest's trees: one per usable CPU, at most
-    one per tree, or 1 (this process alone) for a forest below
-    FORK_MIN_WORK, without os.fork, or while another thread runs."""
-    if n_records * n_trees < FORK_MIN_WORK or not hasattr(os, "fork"):
-        return 1
-    workers = min(n_trees, _usable_cpus())
-    return 1 if workers > 1 and _threads_running() else workers
-
-
-def _grow_in_workers(grow, chunks) -> list:
-    """grow(chunk) for every chunk, joined in chunk order: the first chunk
-    grows in this process, each other one in a child forked for it, which
-    sends its list back pickled through a pipe.
-
-    The child's exception is raised here. A child that is still running
-    when this returns or raises is killed, and every child is reaped.
-    """
-    children = []  # (pid, read end of its pipe) of each child not yet reaped
-    try:
-        for chunk in chunks[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                _child_main(grow, chunk, r, w)
-            os.close(w)
-            children.append((pid, open(r, "rb")))
-        grown = grow(chunks[0])
-        while children:
-            pid, pipe = children[0]
-            with pipe:
-                message = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            children.pop(0)
-            if status != 0:
-                raise ChildProcessError(f"tree worker {pid} ended with exit code "
-                                        f"{os.waitstatus_to_exitcode(status)} before sending "
-                                        f"its trees")
-            ok, value = pickle.loads(message)
-            if not ok:
-                raise value
-            grown.extend(value)
-        return grown
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _child_main(grow, chunk, r, w):
-    """A forked tree worker: send (True, grow(chunk)) or (False, the
-    exception) through fd w, then end the process.
-
-    It ends with os._exit whatever happens, so the child never returns into
-    its caller's code and never runs atexit handlers or flushes the stdio
-    buffers it shares with its parent, which would write their pending
-    text a second time.
-    """
-    code = 1
-    try:
-        os.close(r)
-        try:
-            message = pickle.dumps((True, grow(chunk)), pickle.HIGHEST_PROTOCOL)
-        except BaseException as exc:  # sent to the parent, which raises it
-            message = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
-        with open(w, "wb") as pipe:
-            pipe.write(message)
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def train_forest(ds: Dataset, n_trees: int, min_leaf_size: int, seed: int) -> Forest:
     """Grow a random forest on a complete (no missing cells), numeric dataset
     of finite cells.
@@ -562,7 +441,7 @@ def train_forest(ds: Dataset, n_trees: int, min_leaf_size: int, seed: int) -> Fo
     reduction. Splitting stops at pure nodes, nodes smaller than twice the
     minimum leaf size, or when no sampled split improves the Gini.
     Deterministic for a fixed seed, however many processes grow the trees
-    (`_tree_workers`). The pipeline's settings come from a TransferConfig,
+    (`workers.fork_map`). The pipeline's settings come from a TransferConfig,
     which holds their defaults (`transfer.fit_forest`).
     """
     if n_trees < 1:
@@ -579,9 +458,7 @@ def train_forest(ds: Dataset, n_trees: int, min_leaf_size: int, seed: int) -> Fo
         raise DataError(f"train_forest requires finite cells, but record {i} attribute "
                         f"{ds.schema[j].name!r} is {float(ds.records[i, j])!r}")
     grow = partial(_grow_trees, ds, min_leaf_size, seed, _presort(ds.records))
-    workers = _tree_workers(ds.n, n_trees)
-    grown = _grow_in_workers(grow, [range(k * n_trees // workers, (k + 1) * n_trees // workers)
-                                    for k in range(workers)])
+    grown = fork_map(grow, range(n_trees), ds.n * n_trees, "trees")
     trees = [tree for tree, _ in grown]
     members = [leaf for _, tree_members in grown for leaf in tree_members]
     offsets = np.zeros(len(members) + 1, dtype=np.int64)
@@ -716,12 +593,15 @@ def forest_to_dict(forest: Forest) -> dict:
 
 def forest_from_dict(obj) -> Forest:
     """The forest of a version-2 document; DataError on any other document,
-    a missing or ill-typed key or a malformed tree."""
+    a missing or ill-typed key, a name listed twice or a malformed tree."""
     check_format(obj, "leafbridge-forest")
     doc = "leafbridge-forest"
-    schema = tuple(AttributeSchema(name, NUMERIC)
-                   for name in read_key(obj, "attributes", list, doc, items=str))
-    class_names = tuple(read_key(obj, "class_names", list, doc, items=str))
+    names = {key: read_key(obj, key, list, doc, items=str)
+             for key in ("attributes", "class_names")}
+    for key, listed in names.items():
+        _require_distinct(listed, DataError, f"{doc} document key {key!r} lists")
+    schema = tuple(AttributeSchema(name, NUMERIC) for name in names["attributes"])
+    class_names = tuple(names["class_names"])
     return Forest(
         [_tree_from_obj(t, len(class_names), len(schema))
          for t in read_key(obj, "trees", list, doc, items=dict)],

@@ -74,6 +74,13 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="unknown attribute kind 'ordinal' for 'a'"):
             load_csv(path, "label", schema_hint={"a": "ordinal"})
 
+    @pytest.mark.parametrize("column", ["b", "label"])
+    def test_schema_hint_of_a_column_the_file_lacks(self, tmp_path, column):
+        path = tmp_path / "h.csv"
+        path.write_text("a,label\n1,p\n2,q\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"schema_hint names column '{column}'"):
+            load_csv(path, "label", schema_hint={column: CATEGORICAL, "a": NUMERIC})
+
     def test_round_trip(self, tmp_path, mixed_csv):
         ds = load_csv(mixed_csv, "label")
         out = tmp_path / "copy.csv"

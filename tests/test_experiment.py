@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 from dataclasses import asdict
 
 import numpy as np
@@ -28,8 +29,10 @@ from leafbridge.experiment import (
     run_experiment,
 )
 from leafbridge.forest import predict_many, train_forest
+from leafbridge.metrics import EvalMetrics
 from leafbridge.synthetic import rotated_pair
 from leafbridge.transfer import TransferConfig, TransferModel, run_transfer
+from conftest import assert_no_children
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +334,105 @@ class TestSharedDomainForests:
         assert cells["source_only"]["accuracy"] == 0.0
         assert cells["target_only"]["runs"] == 1
         assert trained == ["source", "target"]
+
+
+#: (inject ratios, repeats) of experiments of 1 to 5 cells
+CELL_LAYOUTS = [((), 1), ((), 2), ((0.1,), 3), ((0.1, 0.3), 2), ((0.2,), 5)]
+
+
+# Cells run in forked workers: the child's view of the test process ends in
+# os._exit, so only the parent reports.
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="cells run in forked workers")
+class TestForkedCells:
+    @staticmethod
+    def spec(pairs, ratios=(), repeats=1, methods=METHODS):
+        return ExperimentSpec(pairs=tuple(PairSpec(*files) for files in pairs),
+                              split=SplitSpec(0.2, 1), repeats=repeats, methods=methods,
+                              missing_mode="impute" if ratios else "none",
+                              inject_ratios=ratios)
+
+    @staticmethod
+    def cfg():
+        return TransferConfig(n_trees=3, min_leaf_small=5, seed=2)
+
+    @pytest.mark.parametrize("layout", range(len(CELL_LAYOUTS)))
+    def test_report_bytes_equal_serial(self, pair_files, no_shared_class_pair, fork_in,
+                                       layout):
+        ratios, repeats = CELL_LAYOUTS[layout]
+        # a pair that scores, one whose tlf fails in every cell, one that fails
+        spec = self.spec([pair_files, no_shared_class_pair, ("no_such_file.csv", "x.csv")],
+                         ratios, repeats)
+        n_cells = max(1, len(ratios)) * repeats
+        fork_in(1)
+        serial = json.dumps(run_experiment(spec, self.cfg()).to_dict())
+        assert "MatchingError" in serial and "FileNotFoundError" in serial
+        for workers in (1, 2, 3):
+            forks = fork_in(workers)
+            report = json.dumps(run_experiment(spec, self.cfg()).to_dict())
+            # two pairs load, and each forks a child for each share but its
+            # first; a single cell runs in this process and forks its forests
+            if min(n_cells, workers) > 1:
+                assert len(forks()) == 2 * (min(n_cells, workers) - 1)
+            assert report == serial
+            assert_no_children()
+
+    def test_no_nested_fork(self, pair_files, fork_in):
+        # with the gate at zero, every cell's forests would fork too
+        forks = fork_in(2)
+        report = run_experiment(self.spec([pair_files], repeats=2), self.cfg())
+        assert report.pairs[0]["methods"]["tlf"]["runs"] == 2
+        assert forks() == [os.getpid()]
+        # the caller is a worker only while it runs its own share
+        run_experiment(self.spec([pair_files]), self.cfg())
+        assert len(forks()) == 1 + 3 and set(forks()) == {os.getpid()}
+        assert_no_children()
+
+    def test_child_exception_raised_in_parent(self, pair_files, monkeypatch, fork_in):
+        fork_in(3)
+        parent, run_cell = os.getpid(), experiment._run_cell
+
+        def failing(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("cell failed")
+            return run_cell(*args)
+
+        monkeypatch.setattr(experiment, "_run_cell", failing)
+        with pytest.raises(RuntimeError, match="cell failed"):
+            run_experiment(self.spec([pair_files], repeats=3), self.cfg())
+        assert_no_children()
+
+    def test_fold_keeps_cell_order(self):
+        spec = self.spec([("s.csv", "t.csv")], methods=("tlf", "target_only"))
+        scores = [EvalMetrics(acc, (acc,), (acc,), (acc,), acc, ("a",)) for acc in (0.5, 0.75)]
+        cells = [({"tlf": "MatchingError: none", "target_only": scores[0]}, None),
+                 ({"tlf": scores[0], "target_only": "DataError: x"},
+                  {"n_pivots": 0, "mu": None, "adaptation": None, "fallback": True}),
+                 ({"tlf": scores[1], "target_only": scores[1]},
+                  {"n_pivots": 4, "mu": 0.25, "adaptation": {"z": 8}, "fallback": False}),
+                 ({"tlf": scores[1], "target_only": scores[0]},
+                  {"n_pivots": 2, "mu": 0.75, "adaptation": {"z": 4}, "fallback": False})]
+        block = experiment._fold_cells(spec, 0.1, cells)
+        for method in spec.methods:
+            assert block["methods"][method]["runs"] == 3
+            assert block["methods"][method]["failed_runs"] == 1
+        # the first adapted cell's spectra; mu only from adapted cells
+        assert block["diagnostics"] == {"n_pivots": 2.0, "mu": 0.5, "fallback_runs": 1,
+                                        "adaptation": {"z": 8}}
+
+    def test_cell_data_error_fails_the_pair(self, pair_files, monkeypatch, fork_in):
+        fork_in(2)
+        parent, inject = os.getpid(), experiment.inject_missing
+
+        def failing(ds, ratio, seed):
+            if os.getpid() != parent:
+                raise DataError("injection failed")
+            return inject(ds, ratio, seed)
+
+        monkeypatch.setattr(experiment, "inject_missing", failing)
+        spec = self.spec([pair_files, pair_files], ratios=(0.1, 0.2))
+        report = run_experiment(spec, self.cfg())
+        assert [p.get("error") for p in report.pairs] == ["DataError: injection failed"] * 2
+        assert_no_children()
 
 
 def loop_forest_predict(predictor, ds):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leafbridge import forest as forest_module
+from leafbridge import workers as workers_module
 from leafbridge.dataset import CATEGORICAL, NUMERIC, AttributeSchema, Dataset, one_hot_encode
 from leafbridge.errors import DataError, EmptyDatasetError, MissingValueError, SchemaError
 from leafbridge.forest import (
@@ -34,7 +35,7 @@ from leafbridge.forest import (
     train_forest,
 )
 from leafbridge.transfer import TransferConfig, TransferModel
-from conftest import numeric_dataset
+from conftest import assert_no_children, numeric_dataset
 
 _GAIN_EPS = forest_module._GAIN_EPS
 
@@ -352,25 +353,6 @@ class WorkerFailure(Exception):
     pass
 
 
-def grow_in(monkeypatch, workers):
-    """Make train_forest split any forest into `workers` shares: the
-    threshold is lifted and the worker-count helper patched. Returns the
-    list that each os.fork call appends to."""
-    if workers > 1 and forest_module._threads_running():
-        pytest.skip("this process runs other threads, so training stays serial")
-    monkeypatch.setattr(forest_module, "FORK_MIN_WORK", 0)
-    monkeypatch.setattr(forest_module, "_usable_cpus", lambda: workers)
-    forks = []
-    fork = os.fork
-
-    def counting_fork():
-        forks.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return forks
-
-
 def fail_in(monkeypatch, where, action):
     """Make `_grow_tree` call action() in the parent ('parent') or in every
     forked worker ('child') and grow normally elsewhere."""
@@ -387,11 +369,6 @@ def fail_in(monkeypatch, where, action):
 
 def raise_failure():
     raise WorkerFailure("tree failed")
-
-
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def assert_same_forest(a, b):
@@ -414,36 +391,36 @@ def assert_same_forest(a, b):
 class TestForkedTraining:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n_trees", [1, 2, 3, 10])
-    def test_equals_serial(self, monkeypatch, n_trees, workers):
+    def test_equals_serial(self, fork_in, n_trees, workers):
         ds = two_class_dataset(300, seed=4)
-        grow_in(monkeypatch, 1)
+        fork_in(1)
         serial = train_forest(ds, n_trees=n_trees, min_leaf_size=3, seed=9)
-        forks = grow_in(monkeypatch, workers)
+        forks = fork_in(workers)
         forest = train_forest(ds, n_trees=n_trees, min_leaf_size=3, seed=9)
-        assert len(forks) == min(n_trees, workers) - 1
+        assert len(forks()) == min(n_trees, workers) - 1
         assert_same_forest(forest, serial)
         assert_no_children()
 
-    def test_threshold(self, monkeypatch):
+    def test_threshold(self, monkeypatch, fork_in):
         ds = two_class_dataset(100, seed=1)
-        forks = grow_in(monkeypatch, 2)
-        monkeypatch.setattr(forest_module, "FORK_MIN_WORK", 3 * ds.n)
+        forks = fork_in(2)
+        monkeypatch.setattr(workers_module, "FORK_MIN_WORK", 3 * ds.n)
         train_forest(ds, n_trees=2, min_leaf_size=5, seed=0)
-        assert forks == []
+        assert forks() == []
         train_forest(ds, n_trees=3, min_leaf_size=5, seed=0)
-        assert len(forks) == 1
+        assert len(forks()) == 1
 
     def test_one_usable_cpu_is_serial(self, monkeypatch):
-        monkeypatch.setattr(forest_module, "FORK_MIN_WORK", 0)
+        monkeypatch.setattr(workers_module, "FORK_MIN_WORK", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one usable CPU"))
-        assert forest_module._usable_cpus() == 1
+        assert workers_module._usable_cpus() == 1
         train_forest(two_class_dataset(), n_trees=4, min_leaf_size=5, seed=0)
 
-    def test_no_fork_while_another_thread_runs(self, monkeypatch):
+    def test_no_fork_while_another_thread_runs(self, monkeypatch, fork_in):
         ds = two_class_dataset(300, seed=4)
         serial = train_forest(ds, n_trees=4, min_leaf_size=3, seed=2)
-        grow_in(monkeypatch, 2)
+        fork_in(2)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked while a thread ran"))
         release = threading.Event()
         thread = threading.Thread(target=release.wait, args=(30,))
@@ -456,23 +433,23 @@ class TestForkedTraining:
         assert not thread.is_alive()
         assert_same_forest(forest, serial)
 
-    def test_child_exception_raised_in_parent(self, monkeypatch):
-        forks = grow_in(monkeypatch, 3)
+    def test_child_exception_raised_in_parent(self, monkeypatch, fork_in):
+        forks = fork_in(3)
         fail_in(monkeypatch, "child", raise_failure)
         with pytest.raises(WorkerFailure, match="tree failed"):
             train_forest(two_class_dataset(), n_trees=6, min_leaf_size=5, seed=0)
-        assert len(forks) == 2
+        assert len(forks()) == 2
         assert_no_children()
 
-    def test_child_ending_without_trees(self, monkeypatch):
-        grow_in(monkeypatch, 2)
+    def test_child_ending_without_trees(self, monkeypatch, fork_in):
+        fork_in(2)
         fail_in(monkeypatch, "child", lambda: os._exit(3))
         with pytest.raises(ChildProcessError, match="exit code 3 before sending its trees"):
             train_forest(two_class_dataset(), n_trees=4, min_leaf_size=5, seed=0)
         assert_no_children()
 
-    def test_parent_exception_kills_children(self, monkeypatch):
-        grow_in(monkeypatch, 3)
+    def test_parent_exception_kills_children(self, monkeypatch, fork_in):
+        fork_in(3)
         fail_in(monkeypatch, "child", lambda: time.sleep(60))
         fail_in(monkeypatch, "parent", raise_failure)
         start = time.monotonic()
@@ -489,11 +466,11 @@ class TestForkedTraining:
 import io, os, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from leafbridge import forest
+from leafbridge import forest, workers
 from leafbridge.dataset import NUMERIC, AttributeSchema, Dataset
 
-forest.FORK_MIN_WORK = 0
-forest._usable_cpus = lambda: 2
+workers.FORK_MIN_WORK = 0
+workers._usable_cpus = lambda: 2
 forks = []
 fork = os.fork
 def counting_fork():
@@ -1015,8 +992,9 @@ class TestCodedApply:
                    (np.asfortranarray(X[:1]), slice(0, 1))]
         for _ in range(4):
             tree = random_tree(n_splits, 5, self.THRESHOLDS, rng)
-            forest_from_dict(forest_to_dict(Forest([tree], (AttributeSchema("x", NUMERIC),) * 5,
-                                                   ("a", "b"), 1, 0)))  # a well-formed tree
+            schema = tuple(AttributeSchema(f"x{j}", NUMERIC) for j in range(5))
+            # a well-formed tree
+            forest_from_dict(forest_to_dict(Forest([tree], schema, ("a", "b"), 1, 0)))
             want = mask_partition_leaves(tree, X)
             for batch, rows in batches:
                 got = tree.apply(batch)
@@ -1165,6 +1143,25 @@ class TestSerialization:
             forest_from_dict(doc)
         doc["version"] = 3
         with pytest.raises(DataError, match="version 3"):
+            forest_from_dict(doc)
+
+    def test_name_listed_twice_rejected(self, tmp_path):
+        # the 4-record, 2-tree probe: a model whose classes were both edited
+        # to "p" would predict class 0 for every record
+        ds = numeric_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1])
+        forest = train_forest(ds, n_trees=2, min_leaf_size=1, seed=0)
+        model = TransferModel(forest=forest, projection=None, fallback=False, diagnostics={},
+                              raw_schema=ds.schema, config=TransferConfig())
+        path = tmp_path / "probe.json"
+        model.save(path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["class_names"] = doc["forest"]["class_names"] = ["p", "p"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match="key 'class_names' lists 'p' more than once"):
+            TransferModel.load(path)
+        doc = forest_to_dict(forest)
+        doc["attributes"] = ["f0", "f0"]
+        with pytest.raises(DataError, match="key 'attributes' lists 'f0' more than once"):
             forest_from_dict(doc)
 
     @pytest.mark.parametrize("name, value", [
