@@ -49,9 +49,9 @@ from .metrics import EvalMetrics, evaluate, mean_ranks, nemenyi_cd, sign_test
 from .pivot import DistributionBundle, PivotSet, dedup, extract_distributions, match_pivots
 from .synthetic import gaussian_blobs, random_rotation, rotated_pair
 from .transfer import (
-    DomainForests,
     TransferConfig,
     TransferModel,
+    domain_forest,
     fit_forest,
     merge_datasets,
     project_records,

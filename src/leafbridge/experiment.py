@@ -10,8 +10,8 @@ test and a Nemenyi critical-difference analysis at pair and group level.
 A cell (one inject ratio and one repeat) trains its source and target
 forests at most once, when the first method asks for them: `tlf`'s domain
 forests are the `source_only` and `target_only` baselines, so a cell trains
-at most three forests (the third is tlf's final forest) and holds the two
-domain forests until it ends. Each domain is one-hot encoded once per cell.
+at most three forests (the third is tlf's final forest). Its one
+`domain_forest` memo holds each domain's encoding and forest until it ends.
 Every method's model is a `TransferModel` (a baseline's holds its domain
 forest and no projection), and `evaluate` scores it on the test part, which
 the model aligns to its own raw schema and encodes.
@@ -35,7 +35,7 @@ import numpy as np
 from .dataset import Dataset, SplitSpec, inject_missing, load_csv, repair_missing, split_target
 from .errors import DataError, LeafBridgeError
 from .metrics import SIGN_TEST_Z_REF, evaluate, mean_ranks, nemenyi_cd, sign_test
-from .transfer import DomainForests, TransferConfig, TransferModel, run_transfer
+from .transfer import TransferConfig, TransferModel, domain_forest, run_transfer
 from .workers import fork_map
 
 logger = logging.getLogger("leafbridge")
@@ -80,22 +80,21 @@ class ExperimentSpec:
             raise DataError(f"unknown missing mode {self.missing_mode!r}")
         if self.missing_mode == "none" and self.inject_ratios:
             raise DataError("inject_ratios requires missing_mode srd or impute")
+        outside = [r for r in self.inject_ratios if not 0.0 <= r <= 0.5]
+        if outside:
+            raise DataError(f"inject_ratios {outside} must be in [0, 0.5]")
 
 
 def _train_method(method: str, src: Dataset, tgt: Dataset, cfg: TransferConfig,
-                  forests: DomainForests) -> TransferModel:
-    """Model of one method; the domain forests come from the cell's holder.
-
-    A baseline is its domain's forest with that domain's raw schema and
-    classes, no projection and no diagnostics.
-    """
+                  held: dict) -> TransferModel:
+    """Model of one method; the domain forests come from the cell's
+    `domain_forest` memo. A baseline is its domain's forest with that
+    domain's raw schema and classes, no projection and no diagnostics."""
     if method == "tlf":
-        return run_transfer(src, tgt, cfg, forests)
-    if method not in ("target_only", "source_only"):
-        raise DataError(f"unknown method {method!r}")
+        return run_transfer(src, tgt, cfg, held)
     domain, ds = ("target", tgt) if method == "target_only" else ("source", src)
-    return TransferModel(forest=forests.get(domain, ds, cfg), projection=None, fallback=False,
-                         diagnostics={}, raw_schema=ds.schema, config=cfg)
+    return TransferModel(forest=domain_forest(held, domain, ds, cfg)[1], projection=None,
+                         fallback=False, diagnostics={}, raw_schema=ds.schema, config=cfg)
 
 
 def _mean(values) -> float:
@@ -172,11 +171,11 @@ def _run_cell(source_full: Dataset, target_full: Dataset, spec: ExperimentSpec,
     # cells from the labeled target part, never from itself
     test = _repair(test, spec.missing_mode, reference=target_train)
     run_cfg = replace(cfg, seed=cfg.seed + r)
-    forests = DomainForests()
+    held = {}
     scores, tlf = {}, None
     for method in spec.methods:
         try:
-            model = _train_method(method, src, tgt, run_cfg, forests)
+            model = _train_method(method, src, tgt, run_cfg, held)
             scores[method] = evaluate(model, test)
         except LeafBridgeError as exc:
             scores[method] = f"{type(exc).__name__}: {exc}"

@@ -9,17 +9,16 @@ the model falls back to the target-only forest.
 
 Every forest of the pipeline is trained by `fit_forest`, the one place that
 turns a TransferConfig into training parameters. A caller that scores other
-methods on the same data passes a `DomainForests` holder: run_transfer fills
-its empty slots with the domain forests (and one-hot encodings) it makes and
-reuses filled ones, so the caller's source-only and target-only baselines
-share them.
+methods on the same data shares one `domain_forest` memo (a dict) between
+run_transfer and its baselines; the memo is bound to its Dataset objects and
+config.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -137,8 +136,8 @@ class TransferModel:
     @staticmethod
     def load(path) -> "TransferModel":
         """Read a saved model; DataError on any other document, version 1
-        models included, on a missing or ill-typed key, and on a
-        `class_names` list other than its forest's."""
+        models included, on a missing or ill-typed key, and on `class_names`
+        or encoded `raw_schema` columns other than its forest's."""
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
         doc, column = "leafbridge-model", "raw_schema column"
@@ -162,6 +161,8 @@ class TransferModel:
         forest = forest_from_dict(read_key(obj, "forest", dict, doc))
         if tuple(read_key(obj, "class_names", list, doc, items=str)) != forest.class_names:
             raise DataError(f"{doc} document key 'class_names' differs from its forest's")
+        if [a.name for a in encoded_schema(raw_schema)] != [a.name for a in forest.schema]:
+            raise DataError(f"{doc} document key 'raw_schema' differs from its forest's columns")
         return TransferModel(
             forest=forest,
             projection=projection,
@@ -178,48 +179,22 @@ def fit_forest(encoded: Dataset, cfg: TransferConfig) -> Forest:
     return train_forest(encoded, cfg.n_trees, cfg.min_leaf_for(encoded.n), cfg.seed)
 
 
-@dataclass(eq=False)
-class DomainForests:
-    """The source and target forests of one pair of datasets, and the
-    one-hot encodings of those datasets.
+def domain_forest(held: dict, domain: str, ds: Dataset,
+                  cfg: TransferConfig) -> tuple[Dataset, Forest]:
+    """(encoding, forest) of `domain`'s dataset ds, memoised in held.
 
-    `get` trains an empty slot's forest and fills the slot; later requests
-    return the same object. `encode` encodes a domain's dataset once and
-    holds the result. Keep a holder for one pair of datasets and one config
-    only (the experiment runner keeps one per cell): a filled slot is
-    checked against the schema and classes of the data, not against its
-    records or the config.
+    The first request one-hot encodes ds, trains fit_forest on it and keeps
+    (ds, cfg, encoding, forest) in held[domain]. A later request must pass
+    the same Dataset object, which is frozen and read-only, and an equal
+    config, else DataError.
     """
-
-    source: Forest | None = None
-    target: Forest | None = None
-    encodings: dict = field(default_factory=dict)
-
-    def encode(self, domain: str, ds: Dataset) -> Dataset:
-        """ds's one-hot encoding, computed on the first request for this
-        domain and dataset object and held."""
-        held = self.encodings.get(domain)
-        if held is None or held[0] is not ds:
-            held = self.encodings[domain] = (ds, one_hot_encode(ds))
-        return held[1]
-
-    def get(self, domain: str, ds: Dataset, cfg: TransferConfig) -> Forest:
-        """The forest of `domain` ("source" or "target") for dataset `ds`.
-
-        An empty slot is filled by fit_forest on ds's held encoding. A
-        filled slot is checked against ds's encoded schema and classes,
-        DataError if they differ, and ds is not encoded.
-        """
-        forest = getattr(self, domain)
-        if forest is None:
-            forest = fit_forest(self.encode(domain, ds), cfg)
-            setattr(self, domain, forest)
-        elif forest.schema != encoded_schema(ds.schema) or forest.class_names != ds.class_names:
-            raise DataError(
-                f"the {domain} forest was trained on another schema or class set "
-                f"than the {domain} data"
-            )
-        return forest
+    entry = held.get(domain)
+    if entry is None:
+        encoded = one_hot_encode(ds)
+        entry = held[domain] = (ds, cfg, encoded, fit_forest(encoded, cfg))
+    elif entry[0] is not ds or entry[1] != cfg:
+        raise DataError(f"the held {domain} forest was trained on another dataset or config")
+    return entry[2], entry[3]
 
 
 def select_transferable(ds_src: Dataset, leaves: LeafTable, pivots: pivot.PivotSet,
@@ -283,25 +258,21 @@ def merge_datasets(projected: Dataset, target: Dataset) -> Dataset:
 
 
 def run_transfer(ds_src: Dataset, ds_tgt: Dataset, cfg: TransferConfig,
-                 forests: DomainForests | None = None) -> TransferModel:
+                 forests: dict | None = None) -> TransferModel:
     """Full pipeline from two labeled datasets to a target-domain model.
 
-    `forests` supplies domain forests already trained on these datasets
-    under cfg and receives the ones trained here; without it both are
-    trained and dropped. The missing-cell and shared-class checks run before
-    any training.
+    `forests`, a `domain_forest` memo, supplies and receives the domain
+    forests; without it both are trained and dropped. The missing-cell and
+    shared-class checks run before any training.
     """
     if ds_src.has_missing() or ds_tgt.has_missing():
         raise MissingValueError("run_transfer requires repaired datasets (no missing cells)")
     if set(ds_src.class_names).isdisjoint(ds_tgt.class_names):
         raise MatchingError("pivot matching: source and target share no class labels")
 
-    if forests is None:
-        forests = DomainForests()
-    src = forests.encode("source", ds_src)
-    tgt = forests.encode("target", ds_tgt)
-    forest_src = forests.get("source", ds_src, cfg)
-    forest_tgt = forests.get("target", ds_tgt, cfg)
+    held = {} if forests is None else forests
+    src, forest_src = domain_forest(held, "source", ds_src, cfg)
+    tgt, forest_tgt = domain_forest(held, "target", ds_tgt, cfg)
 
     leaves_src = collect_leaves(forest_src)
     leaves_tgt = collect_leaves(forest_tgt)

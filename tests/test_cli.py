@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from leafbridge import experiment
 from leafbridge.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from leafbridge.dataset import load_csv, write_csv
 from leafbridge.synthetic import rotated_pair
@@ -48,6 +49,19 @@ class TestRun:
         assert (tmp_path / "report.csv").exists()
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["format"] == "leafbridge-report"
+
+    def test_inject_ratio_outside_half_fails_before_loading(self, tmp_path, pair_files,
+                                                            monkeypatch, capsys):
+        loaded = []
+        monkeypatch.setattr(experiment, "load_csv", lambda *a, **k: loaded.append(a))
+        spec = spec_file(tmp_path, pair_files, tmp_path / "report")
+        spec.write_text(spec.read_text(encoding="utf-8")
+                        .replace("[forest]", "missing_mode = impute\ninject_ratios = 0.7\n"
+                                             "[forest]"), encoding="utf-8")
+        assert main(["run", "--spec", str(spec)]) == EXIT_DATA
+        assert "inject_ratios [0.7] must be in [0, 0.5]" in capsys.readouterr().err
+        assert loaded == []
+        assert not (tmp_path / "report.json").exists()
 
     def test_all_pairs_failed_exit_code(self, tmp_path, capsys):
         spec = tmp_path / "bad.ini"

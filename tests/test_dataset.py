@@ -533,3 +533,48 @@ def test_name_index_matches_tuple_index(names, reference):
     got = name_index(names, reference)
     assert got.dtype == np.int64
     assert got.tolist() == [reference.index(n) if n in reference else -1 for n in names]
+
+
+#: Category and class names that load_csv reads as text: no missing token,
+#: and no cell that float() accepts (an underscore is never a number)
+TEXT = st.text(alphabet="ab\u00e9 ,\"\n_", min_size=1, max_size=4).filter(
+    lambda t: t.strip() not in ("", "?"))
+
+
+@st.composite
+def csv_datasets(draw):
+    """A Dataset that load_csv can read back: categories and classes listed
+    in order of first appearance, every categorical column with a present
+    cell, and finite numeric cells or missing ones."""
+    n = draw(st.integers(1, 8))
+    names = draw(st.lists(TEXT.filter(lambda t: t != "label"), min_size=1, max_size=4,
+                          unique=True))
+    schema, columns = [], []
+    for name in names:
+        if draw(st.booleans()):
+            cells = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.none(),
+                                  min_size=n, max_size=n))
+            columns.append([np.nan if c is None else c for c in cells])
+            schema.append(AttributeSchema(name, NUMERIC))
+        else:
+            pool = draw(st.lists(TEXT, min_size=1, max_size=3, unique=True))
+            cells = draw(st.lists(st.sampled_from(pool) | st.none(), min_size=n, max_size=n)
+                         .filter(lambda cs: any(c is not None for c in cs)))
+            categories = tuple(dict.fromkeys(c for c in cells if c is not None))
+            columns.append([np.nan if c is None else categories.index(c) for c in cells])
+            schema.append(AttributeSchema(name, CATEGORICAL, categories))
+    pool = draw(st.lists(TEXT, min_size=1, max_size=3, unique=True))
+    labels = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    class_names = tuple(dict.fromkeys(labels))
+    return Dataset(tuple(schema), np.array(columns, dtype=np.float64).T,
+                   [class_names.index(y) for y in labels], class_names, "target")
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(ds=csv_datasets())
+def test_write_csv_load_csv_round_trip(tmp_path_factory, ds):
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    write_csv(ds, path)
+    again = load_csv(path, "label", domain_tag="target")
+    assert again.equals(ds)
+    assert again.records.tobytes() == ds.records.tobytes()

@@ -575,6 +575,17 @@ class TestSpecValidation:
         with pytest.raises(DataError):
             ExperimentSpec(pairs=(PairSpec("a", "b"),), inject_ratios=(0.1,))
 
+    @pytest.mark.parametrize("ratios", [(0.7,), (0.1, -0.1), (0.5, 0.51)])
+    def test_inject_ratio_outside_half_rejected(self, ratios):
+        with pytest.raises(DataError, match=r"inject_ratios \[.*\] must be in \[0, 0.5\]"):
+            ExperimentSpec(pairs=(PairSpec("a", "b"),), missing_mode="impute",
+                           inject_ratios=ratios)
+
+    def test_inject_ratio_bounds_accepted(self):
+        spec = ExperimentSpec(pairs=(PairSpec("a", "b"),), missing_mode="srd",
+                              inject_ratios=(0.0, 0.5))
+        assert spec.inject_ratios == (0.0, 0.5)
+
 
 class TestConfigFile:
     def test_parse_round_trip(self, tmp_path):
@@ -624,6 +635,13 @@ alpha_mode = inverse
         assert cfg.ridge == 0.5 and cfg.mmd == 2.0 and cfg.manifold == 0.25
         assert cfg.kernel == "linear" and cfg.alpha_mode == "inverse"
         assert cfg.seed == 5
+
+    def test_inject_ratio_outside_half_rejected(self, tmp_path):
+        path = tmp_path / "spec.ini"
+        path.write_text("[experiment]\npairs = s.csv :: t.csv\nmissing_mode = impute\n"
+                        "inject_ratios = 0.1, 0.7\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"inject_ratios \[0.7\] must be in \[0, 0.5\]"):
+            parse_config(path)
 
     def test_defaults_when_sections_missing(self, tmp_path):
         path = tmp_path / "mini.ini"

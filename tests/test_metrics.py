@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from leafbridge.errors import DataError, MissingValueError
@@ -159,6 +161,15 @@ class TestNemenyi:
             assert mean_ranks(acc).tobytes() == ranks.mean(axis=0).tobytes(), acc
             for row, want in zip(acc, ranks):
                 assert mean_ranks(row[None, :]).tobytes() == want.tobytes(), row
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda k: st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, np.inf, -np.inf, np.nan]),
+                 min_size=k, max_size=k), min_size=1, max_size=6)))
+    def test_mean_ranks_equal_rankdata_on_drawn_ties(self, rows):
+        acc = np.array(rows)
+        ranks = np.vstack([rankdata(-row, method="average") for row in acc])
+        assert mean_ranks(acc).tobytes() == ranks.mean(axis=0).tobytes(), acc
 
     def test_mean_ranks_special_values(self):
         np.testing.assert_array_equal(mean_ranks([[0.0, -0.0, 1.0]]), [2.5, 2.5, 1.0])

@@ -1,11 +1,14 @@
-"""The README's config block and command lines are what the code accepts."""
+"""The README's Python quick start runs, and its config block and command
+lines are what the code accepts."""
 
 import shlex
 from pathlib import Path
 
 from leafbridge.cli import _build_parser
+from leafbridge.dataset import write_csv
 from leafbridge.experiment import ExperimentSpec, PairSpec, parse_config
-from leafbridge.transfer import TransferConfig
+from leafbridge.synthetic import rotated_pair
+from leafbridge.transfer import TransferConfig, TransferModel
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,6 +25,21 @@ def code_blocks():
             blocks.append((lang, "\n".join(lines) + "\n"))
             lang = None
     return blocks
+
+
+def test_python_quick_start_runs(tmp_path, monkeypatch, capsys):
+    (text,) = [text for lang, text in code_blocks() if lang == "python"]
+    # 5% of 2000 target records is enough for the default leaf size to split
+    source, target = rotated_pair(n_target=2000, seed=0)
+    write_csv(source, tmp_path / "source.csv")
+    write_csv(target, tmp_path / "target.csv")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(text, str(README), "exec"), {})
+    pivots, fallback, accuracy = capsys.readouterr().out.split()
+    assert int(pivots) > 0 and fallback == "False"
+    assert float(accuracy) > 0.5
+    saved = TransferModel.load(tmp_path / "model.json")
+    assert set(saved.class_names) == set(target.class_names)
 
 
 def test_ini_block_holds_the_defaults(tmp_path):

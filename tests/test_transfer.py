@@ -1,7 +1,7 @@
 import json
 import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -25,9 +25,9 @@ from leafbridge.metrics import evaluate
 from leafbridge.pivot import PivotSet
 from leafbridge.synthetic import rotated_pair
 from leafbridge.transfer import (
-    DomainForests,
     TransferConfig,
     TransferModel,
+    domain_forest,
     fit_forest,
     merge_datasets,
     project_records,
@@ -312,47 +312,76 @@ class TestRunTransfer:
 
 class TestDomainForests:
     @staticmethod
-    def pair():
-        src, tgt = rotated_pair(n_source=300, n_target=300, center_spread=2.0,
+    def pair(n_source=300):
+        src, tgt = rotated_pair(n_source=n_source, n_target=300, center_spread=2.0,
                                 cluster_std=2.0, seed=7)
         tgt_train, _ = split_target(tgt, SplitSpec(0.2, 7))
         return src, tgt_train, TransferConfig(min_leaf_small=5, seed=7)
 
     def test_holder_filled_and_reused(self):
         src, tgt, cfg = self.pair()
-        forests = DomainForests()
+        held = {}
         fresh = run_transfer(src, tgt, cfg)
-        shared = run_transfer(src, tgt, cfg, forests)
-        assert forests.source is not None and forests.target is not None
-        held = (forests.source, forests.target)
-        again = run_transfer(src, tgt, cfg, forests)
-        assert (forests.source, forests.target) == held
+        shared = run_transfer(src, tgt, cfg, held)
+        assert set(held) == {"source", "target"}
+        entries = dict(held)
+        # an equal config that is another object reuses the held pair
+        again = run_transfer(src, tgt, replace(cfg), held)
+        assert all(held[domain] is entries[domain] for domain in entries)
         for model in (shared, again):
             assert json.dumps(model.to_dict()) == json.dumps(fresh.to_dict())
-        assert forest_to_json(forests.source) == forest_to_json(fit_forest(one_hot_encode(src), cfg))
-        assert forest_to_json(forests.target) == forest_to_json(fit_forest(one_hot_encode(tgt), cfg))
+        for domain, ds in (("source", src), ("target", tgt)):
+            encoded, forest = domain_forest(held, domain, ds, cfg)
+            assert encoded is held[domain][2] and forest is held[domain][3]
+            assert forest_to_json(forest) == forest_to_json(fit_forest(one_hot_encode(ds), cfg))
 
     def test_forest_of_another_schema_rejected(self):
         src, tgt, cfg = self.pair()
-        # a target forest in the source slot: same width, other column names
-        wrong = fit_forest(one_hot_encode(tgt), cfg)
-        with pytest.raises(DataError, match="source forest .* schema"):
-            run_transfer(src, tgt, cfg, DomainForests(source=wrong))
+        # the target data in the source entry: same width, other column names
+        held = {}
+        domain_forest(held, "source", tgt, cfg)
+        with pytest.raises(DataError, match="held source forest .* another dataset"):
+            run_transfer(src, tgt, cfg, held)
 
     def test_forest_of_other_classes_rejected(self):
         src, tgt, cfg = self.pair()
         relabeled = Dataset(tgt.schema, tgt.records, tgt.labels, ("x", "y", "z"), "target")
-        wrong = fit_forest(one_hot_encode(relabeled), cfg)
-        with pytest.raises(DataError, match="target forest .* class"):
-            run_transfer(src, tgt, cfg, DomainForests(target=wrong))
+        held = {}
+        domain_forest(held, "target", relabeled, cfg)
+        with pytest.raises(DataError, match="held target forest .* another dataset"):
+            run_transfer(src, tgt, cfg, held)
+
+    @pytest.mark.parametrize("n_source", [200, 900])
+    def test_other_records_of_the_same_schema_rejected(self, n_source):
+        # a pair held for 300 source records: a smaller source would index
+        # past its records and a larger one would match pivots on wrong ones
+        src, tgt, cfg = self.pair()
+        held = {}
+        run_transfer(src, tgt, cfg, held)
+        other, _, _ = self.pair(n_source)
+        assert other.schema == src.schema and other.class_names == src.class_names
+        with pytest.raises(DataError, match="held source forest .* another dataset"):
+            run_transfer(other, tgt, cfg, held)
+
+    def test_other_config_rejected(self):
+        src, tgt, cfg = self.pair()
+        held = {}
+        run_transfer(src, tgt, cfg, held)
+        with pytest.raises(DataError, match="held source forest .* or config"):
+            run_transfer(src, tgt, replace(cfg, n_trees=3), held)
+        with pytest.raises(DataError, match="held target forest .* or config"):
+            domain_forest(held, "target", tgt, replace(cfg, seed=8))
 
     def test_checks_run_before_training(self):
         src = numeric_dataset([[0.0], [1.0]], [0, 1])
         tgt = Dataset(src.schema, [[0.0], [1.0]], [0, 1], ("x", "y"), "target")
-        forests = DomainForests()
+        held = {}
         with pytest.raises(MatchingError, match="share no class labels"):
-            run_transfer(src, tgt, TransferConfig(), forests)
-        assert forests.source is None and forests.target is None
+            run_transfer(src, tgt, TransferConfig(), held)
+        with pytest.raises(MissingValueError):
+            run_transfer(src, Dataset(src.schema, [[np.nan], [1.0]], [0, 1], src.class_names,
+                                      "target"), TransferConfig(), held)
+        assert held == {}
 
 
 class TestCategoryAlignment:
@@ -398,6 +427,21 @@ class TestCategoryAlignment:
         # reading the reordered indices as training indices predicts otherwise
         misread = predict_many(model.forest, encode_records(fresh.records, model.raw_schema))
         assert not np.array_equal(got, misread)
+
+    def test_saved_categories_reordered_rejected(self, model, tmp_path):
+        # a raw schema whose categories disagree with the forest's columns
+        # would encode every cell of the column into the other indicator
+        path = tmp_path / "model.json"
+        model.save(path)
+        test = load_csv(self.write(tmp_path / "score.csv", np.array([0.5, -0.5, 1.0]),
+                                   np.array(["a", "b", "b"])), "label", domain_tag="target")
+        np.testing.assert_array_equal(TransferModel.load(path).predict_many(test),
+                                      model.predict_many(test))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["raw_schema"][1]["categories"].reverse()
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match="key 'raw_schema' differs from its forest's columns"):
+            TransferModel.load(path)
 
     def test_unknown_category_named(self, model, tmp_path):
         path = self.write(tmp_path / "score.csv", np.array([0.5, -0.5]), np.array(["b", "c"]))
