@@ -3,10 +3,12 @@
 Run from the repository root:  python demos/02_forests.py
 """
 
+import json
+
 import numpy as np
 
 from leafbridge import collect_leaves, gaussian_blobs, predict_many, train_forest
-from leafbridge.forest import forest_from_json, forest_to_json
+from leafbridge.forest import forest_from_dict, forest_to_dict
 
 ds = gaussian_blobs(n=300, n_classes=3, n_features=4, center_spread=3.0,
                     cluster_std=1.0, seed=0)
@@ -32,9 +34,10 @@ record = ds.records[:1]
 print("one record ->", ds.class_names[predict_many(forest, record)[0]],
       "(true:", ds.class_names[ds.labels[0]] + ")")
 
-# Forests serialize to a versioned JSON document, e.g. for caching.
-text = forest_to_json(forest)
-restored = forest_from_json(text)
+# A forest serializes to the JSON object that a saved model holds as its
+# "forest": class names, column names and tree arrays.
+text = json.dumps(forest_to_dict(forest))
+restored = forest_from_dict(json.loads(text))
 same = np.array_equal(predict_many(forest, ds.records),
                       predict_many(restored, ds.records))
 print(f"serialized to {len(text)} bytes of JSON, identical after reload: {same}")

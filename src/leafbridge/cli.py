@@ -19,7 +19,7 @@ import math
 import os
 import sys
 
-from .dataset import inject_missing, load_csv, write_csv
+from .dataset import _require_distinct, inject_missing, load_csv, write_csv
 from .errors import DataError, LeafBridgeError, NumericalError
 from .experiment import nemenyi, parse_config, parse_transfer_config, run_experiment, sign_tests
 from .forest import read_key
@@ -126,8 +126,12 @@ def _cmd_stats(args) -> int:
         raise DataError(f"{args.report} is not a leafbridge report")
     methods = read_key(read_key(report, "spec", dict, doc), "methods", list, f"{doc} spec",
                        items=str)
+    _require_distinct(methods, DataError, f"{doc} spec key 'methods' lists")
     pairs = read_key(report, "pairs", list, doc, items=dict)
     for i, pair in enumerate(pairs):
+        if not isinstance(pair.get("group", ""), str):
+            raise DataError(f"{doc} pairs[{i}] (pair {pair.get('pair')!r}) key 'group' holds "
+                            f"{pair['group']!r}, not a string")
         if "methods" not in pair:
             continue
         cells = read_key(pair, "methods", dict, f"{doc} pair")
@@ -140,13 +144,12 @@ def _cmd_stats(args) -> int:
                 fault = "not a number"
             elif isinstance(accuracy, float) and not math.isfinite(accuracy):
                 fault = "not a finite number"  # JSON NaN, Infinity or -Infinity
+            elif abs(accuracy) > sys.float_info.max:  # an int beyond the float range
+                fault = "too large for a float"
+            elif not 0 <= accuracy <= 1:  # also keeps the means of a group finite
+                fault = "outside [0, 1]"
             else:
-                try:
-                    float(accuracy)  # an int may lie beyond the float range
-                except OverflowError:
-                    fault = "too large for a float"
-                else:
-                    continue
+                continue
             raise DataError(f"{doc} pairs[{i}] (pair {pair.get('pair')!r}) method "
                             f"{method!r} key 'accuracy' holds {accuracy!r}, {fault}")
     tests = sign_tests(methods, pairs)

@@ -45,7 +45,6 @@ records whose top vote count two or more classes share, as the tie-break.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -69,8 +68,6 @@ SPLIT_BLOCK_ELEMENTS = 1 << 16
 #: batches, and on 800-row batches broke even at about 10 splits (1.11 of
 #: the time at 12, 2.0 at 16); the cap lies between those crossovers.
 CODED_SPLITS = 12
-#: Version of the forest and model JSON documents.
-FORMAT_VERSION = 2
 #: dtype of each `Tree` array, in field and document order.
 _TREE_ARRAYS = {"feature": np.intp, "threshold": np.float64, "left": np.intp,
                 "right": np.intp, "counts": np.int64}
@@ -226,8 +223,6 @@ class Forest:
     trees: list[Tree]
     schema: tuple
     class_names: tuple[str, ...]
-    min_leaf_size: int
-    seed: int
     leaves: LeafTable | None = None
 
     @property
@@ -362,8 +357,8 @@ def _as_tree(arrays) -> Tree:
     for name, dtype in _TREE_ARRAYS.items():
         try:
             converted[name] = np.array(arrays[name], dtype=dtype)
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"tree array {name!r} is not numeric: {exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"tree array {name!r} does not convert: {exc}") from None
     return Tree(**converted)
 
 
@@ -464,7 +459,7 @@ def train_forest(ds: Dataset, n_trees: int, min_leaf_size: int, seed: int) -> Fo
     offsets = np.zeros(len(members) + 1, dtype=np.int64)
     np.cumsum([m.shape[0] for m in members], out=offsets[1:])
     leaves = LeafTable(np.concatenate(members), offsets)
-    return Forest(trees, ds.schema, ds.class_names, min_leaf_size, seed, leaves)
+    return Forest(trees, ds.schema, ds.class_names, leaves)
 
 
 def collect_leaves(forest: Forest) -> LeafTable:
@@ -528,19 +523,8 @@ def predict_many(forest: Forest, records, *, complete: bool = False) -> np.ndarr
     return best
 
 
-# Forest JSON serialization (version 2): the tree arrays, no leaf members.
-
-def check_format(obj, fmt: str):
-    """DataError unless obj is a `fmt` document of FORMAT_VERSION."""
-    if not isinstance(obj, dict) or obj.get("format") != fmt:
-        raise DataError(f"not a {fmt} document")
-    version = obj.get("version")
-    if version == 1:
-        raise DataError(f"{fmt} version 1 is no longer read (its leaves carried the "
-                        f"training records); train and save it again")
-    if version != FORMAT_VERSION:
-        raise DataError(f"{fmt} version {version!r} is not version {FORMAT_VERSION}")
-
+# A forest's part of a saved model: its classes, column names and tree
+# arrays, no leaf members.
 
 def read_key(obj: dict, key: str, kind, doc: str, items=None):
     """obj[key]; DataError naming the key unless obj holds it as a `kind`
@@ -555,8 +539,18 @@ def read_key(obj: dict, key: str, kind, doc: str, items=None):
 
 
 def _tree_from_obj(obj, n_classes: int, d: int) -> Tree:
-    """A Tree from its document, DataError unless the arrays form one tree."""
-    tree = _as_tree({name: read_key(obj, name, list, "tree") for name in _TREE_ARRAYS})
+    """A Tree from its document, DataError unless the thresholds are JSON
+    numbers, the other arrays JSON integers (never bools) and the arrays
+    form one tree."""
+    arrays = {name: read_key(obj, name, list, "tree") for name in _TREE_ARRAYS}
+    for name, values in arrays.items():
+        kind = (int, float) if name == "threshold" else int
+        if name == "counts":  # rows of class counts
+            values = [c for row in values for c in (row if isinstance(row, list) else [row])]
+        if not all(isinstance(c, kind) and not isinstance(c, bool) for c in values):
+            raise DataError(f"tree array {name!r} holds a value that is not a JSON "
+                            f"{'number' if name == 'threshold' else 'integer'}")
+    tree = _as_tree(arrays)
     s = tree.feature.shape[0]
     children = np.concatenate([tree.left, tree.right])
     parents = np.tile(np.arange(s), 2)
@@ -580,10 +574,6 @@ def _tree_from_obj(obj, n_classes: int, d: int) -> Tree:
 
 def forest_to_dict(forest: Forest) -> dict:
     return {
-        "format": "leafbridge-forest",
-        "version": FORMAT_VERSION,
-        "min_leaf_size": forest.min_leaf_size,
-        "seed": forest.seed,
         "class_names": list(forest.class_names),
         "attributes": [a.name for a in forest.schema],
         "trees": [{name: getattr(tree, name).tolist() for name in _TREE_ARRAYS}
@@ -591,30 +581,15 @@ def forest_to_dict(forest: Forest) -> dict:
     }
 
 
-def forest_from_dict(obj) -> Forest:
-    """The forest of a version-2 document; DataError on any other document,
-    a missing or ill-typed key, a name listed twice or a malformed tree."""
-    check_format(obj, "leafbridge-forest")
-    doc = "leafbridge-forest"
-    names = {key: read_key(obj, key, list, doc, items=str)
+def forest_from_dict(obj: dict) -> Forest:
+    """The forest of a `forest_to_dict` document; DataError on a missing or
+    ill-typed key, a name listed twice or a malformed tree."""
+    names = {key: read_key(obj, key, list, "forest", items=str)
              for key in ("attributes", "class_names")}
     for key, listed in names.items():
-        _require_distinct(listed, DataError, f"{doc} document key {key!r} lists")
+        _require_distinct(listed, DataError, f"forest document key {key!r} lists")
     schema = tuple(AttributeSchema(name, NUMERIC) for name in names["attributes"])
     class_names = tuple(names["class_names"])
-    return Forest(
-        [_tree_from_obj(t, len(class_names), len(schema))
-         for t in read_key(obj, "trees", list, doc, items=dict)],
-        schema,
-        class_names,
-        read_key(obj, "min_leaf_size", int, doc),
-        read_key(obj, "seed", int, doc),
-    )
-
-
-def forest_to_json(forest: Forest) -> str:
-    return json.dumps(forest_to_dict(forest))
-
-
-def forest_from_json(text: str) -> Forest:
-    return forest_from_dict(json.loads(text))
+    trees = [_tree_from_obj(t, len(class_names), len(schema))
+             for t in read_key(obj, "trees", list, "forest", items=dict)]
+    return Forest(trees, schema, class_names)

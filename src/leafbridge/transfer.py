@@ -35,10 +35,8 @@ from .dataset import (
 )
 from .errors import DataError, MatchingError, MissingValueError
 from .forest import (
-    FORMAT_VERSION,
     Forest,
     LeafTable,
-    check_format,
     collect_leaves,
     forest_from_dict,
     forest_to_dict,
@@ -48,6 +46,9 @@ from .forest import (
 )
 
 logger = logging.getLogger("leafbridge")
+
+#: Version of the saved model document (`TransferModel.to_dict`).
+FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -118,14 +119,13 @@ class TransferModel:
             "format": "leafbridge-model",
             "version": FORMAT_VERSION,
             "fallback": self.fallback,
-            "forest": forest_to_dict(self.forest),
-            "projection": None if self.projection is None else self.projection.matrix.tolist(),
-            "diagnostics": self.diagnostics,
-            "class_names": list(self.class_names),
             "raw_schema": [
                 {"name": a.name, "kind": a.kind, "categories": list(a.categories)}
                 for a in self.raw_schema
             ],
+            "forest": forest_to_dict(self.forest),
+            "projection": None if self.projection is None else self.projection.matrix.tolist(),
+            "diagnostics": self.diagnostics,
             "config": asdict(self.config),
         }
 
@@ -135,33 +135,46 @@ class TransferModel:
 
     @staticmethod
     def load(path) -> "TransferModel":
-        """Read a saved model; DataError on any other document, version 1
-        models included, on a missing or ill-typed key, and on `class_names`
-        or encoded `raw_schema` columns other than its forest's."""
+        """Read a saved model; DataError on any other document or version,
+        on a missing or ill-typed key, on a config value of another type
+        than its field's, on a projection whose columns are not the encoded
+        `raw_schema` columns, and on encoded `raw_schema` columns other than
+        its forest's."""
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
         doc, column = "leafbridge-model", "raw_schema column"
-        check_format(obj, doc)
+        if not isinstance(obj, dict) or obj.get("format") != doc:
+            raise DataError(f"not a {doc} document")
+        if obj.get("version") != FORMAT_VERSION:
+            raise DataError(f"{doc} version {obj.get('version')!r} is not version "
+                            f"{FORMAT_VERSION}; train and save the model again")
         raw_schema = tuple(
             AttributeSchema(read_key(a, "name", str, column), read_key(a, "kind", str, column),
                             tuple(read_key(a, "categories", list, column, items=str)))
             for a in read_key(obj, "raw_schema", list, doc, items=dict)
         )
+        columns = [a.name for a in encoded_schema(raw_schema)]
         projection = read_key(obj, "projection", (list, type(None)), doc)
         try:
             projection = None if projection is None else ProjectionMatrix(projection)
         except (TypeError, ValueError) as exc:
             raise DataError(f"{doc} document key 'projection' is not a matrix: {exc}") from None
+        if projection is not None and projection.d_target != len(columns):
+            raise DataError(f"{doc} document key 'projection' has {projection.d_target} "
+                            f"columns, not the {len(columns)} of the encoded raw_schema")
         config = read_key(obj, "config", dict, doc)
-        config.pop("mmd_cross_term", None)  # a setting of older models, since removed
+        for key, default in asdict(TransferConfig()).items():
+            kind = (int, float) if isinstance(default, float) else type(default)
+            if key in config and (isinstance(config[key], bool)
+                                  or not isinstance(config[key], kind)):
+                raise DataError(f"{doc} document key 'config' holds {key!r} = "
+                                f"{config[key]!r}, whose type is not {type(default).__name__}")
         try:
             config = TransferConfig(**config)
         except TypeError as exc:
             raise DataError(f"{doc} document key 'config' is invalid: {exc}") from None
         forest = forest_from_dict(read_key(obj, "forest", dict, doc))
-        if tuple(read_key(obj, "class_names", list, doc, items=str)) != forest.class_names:
-            raise DataError(f"{doc} document key 'class_names' differs from its forest's")
-        if [a.name for a in encoded_schema(raw_schema)] != [a.name for a in forest.schema]:
+        if columns != [a.name for a in forest.schema]:
             raise DataError(f"{doc} document key 'raw_schema' differs from its forest's columns")
         return TransferModel(
             forest=forest,

@@ -5,6 +5,7 @@ import pytest
 
 from leafbridge import workers
 from leafbridge.dataset import NUMERIC, AttributeSchema, Dataset
+from leafbridge.forest import _TREE_ARRAYS
 
 
 def numeric_dataset(records, labels, n_classes=None, domain_tag="source"):
@@ -60,3 +61,19 @@ def fork_in(monkeypatch, tmp_path):
 def assert_no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def assert_same_forest(a, b):
+    """Equal schemas, classes, tree arrays and leaf tables (or neither has
+    one), dtypes included."""
+    assert (a.schema, a.class_names, a.n_trees) == (b.schema, b.class_names, b.n_trees)
+    for tree_a, tree_b in zip(a.trees, b.trees):
+        for name in _TREE_ARRAYS:
+            x, y = getattr(tree_a, name), getattr(tree_b, name)
+            assert x.dtype == y.dtype
+            np.testing.assert_array_equal(x, y)
+    assert (a.leaves is None) == (b.leaves is None)
+    for name in ("members", "offsets") if a.leaves is not None else ():
+        x, y = getattr(a.leaves, name), getattr(b.leaves, name)
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leafbridge import experiment
 from leafbridge.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
@@ -361,6 +363,20 @@ class TestStats:
         assert (f"pairs[2] (pair 'p3') method 'target_only' key 'accuracy' holds "
                 f"{accuracy!r}, not a finite number") in captured.err
 
+    @pytest.mark.parametrize("accuracy", [1.5, -0.25, 1.7e308],
+                             ids=["above one", "negative", "near the float maximum"])
+    def test_accuracy_outside_the_unit_interval_is_data_error(self, tmp_path, capsys, accuracy):
+        # two accuracies near the float maximum made a group's mean overflow
+        pairs = [report_pair(f"p{i}", "g", {"tlf": accuracy, "target_only": 0.8})
+                 for i in (1, 2)]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"format": "leafbridge-report",
+                                    "spec": {"methods": ["tlf", "target_only"]},
+                                    "pairs": pairs}), encoding="utf-8")
+        assert main(["stats", "--report", str(path)]) == EXIT_DATA
+        assert (f"pairs[0] (pair 'p1') method 'tlf' key 'accuracy' holds {accuracy!r}, "
+                f"outside [0, 1]") in capsys.readouterr().err
+
     def test_integer_accuracy_is_a_number(self, tmp_path, capsys):
         pairs = [report_pair("p1", "", {"tlf": 0.9, "target_only": 0.8}),
                  report_pair("p2", "", {"tlf": 0.7, "target_only": 0.8})]
@@ -383,6 +399,35 @@ class TestStats:
         assert captured.out == ""
         assert (f"pairs[1] (pair 'p2') method 'target_only' key 'accuracy' holds "
                 f"{integer!r}, too large for a float") in captured.err
+
+    @pytest.mark.parametrize("group", [[1], {}, 5, True, None],
+                             ids=["list", "object", "number", "true", "null"])
+    def test_group_that_is_not_a_string_is_data_error(self, tmp_path, capsys, group):
+        # a list or object group crashed the grouping, a number or bool was
+        # grouped as if it were a name
+        pairs = [report_pair("p1", "g", {"tlf": 0.9, "target_only": 0.8}),
+                 report_pair("p2", group, {"tlf": 0.7, "target_only": 0.8})]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"format": "leafbridge-report",
+                                    "spec": {"methods": ["tlf", "target_only"]},
+                                    "pairs": pairs}), encoding="utf-8")
+        assert main(["stats", "--report", str(path)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"pairs[1] (pair 'p2') key 'group' holds {group!r}, not a string"
+                in captured.err)
+
+    def test_method_listed_twice_is_data_error(self, tmp_path, capsys):
+        # two Nemenyi ranks for one method; ExperimentSpec rejects such a spec
+        pairs = [report_pair(f"p{i}", "", {"tlf": 0.9, "target_only": 0.8}) for i in (1, 2)]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"format": "leafbridge-report",
+                                    "spec": {"methods": ["tlf", "target_only", "tlf"]},
+                                    "pairs": pairs}), encoding="utf-8")
+        assert main(["stats", "--report", str(path)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "spec key 'methods' lists 'tlf' more than once" in captured.err
 
     @pytest.mark.parametrize("data", [b'{"format": "leafbridge-report", ',
                                       b'{"format": "leafbridge-report\xff"}',
@@ -414,6 +459,55 @@ class TestStats:
             f"over {block['datasets']} pairs\n"
             + "".join(f"  {method}: mean rank {rank:.3f}\n"
                       for method, rank in zip(block["methods"], block["mean_ranks"])))
+
+
+#: Any JSON value; integers stay below the 4300 digits that json reads.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**400, 10**400) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=3),
+    max_leaves=6)
+METHODS = ["tlf", "source_only", "target_only"]
+
+
+@st.composite
+def drawn_reports(draw):
+    """A report document of the shape run_experiment writes, except that
+    every value at one drawn place (or none) is one odd value: the methods
+    list, the pair groups, the pair method cells or the accuracies. The odd
+    value is any JSON value or one that once broke `stats`: an accuracy
+    whose group mean overflows, or a method listed twice."""
+    odd = draw(st.sampled_from([None, "methods", "group", "cells", "accuracy"]))
+    odd_value = draw(st.sampled_from([1.5e308, ["tlf", "tlf"], "any"]))
+    if odd_value == "any":
+        odd_value = draw(JSON)
+
+    def value(place, valid):
+        return odd_value if place == odd else draw(valid)
+
+    pairs = []
+    for i in range(draw(st.integers(0, 6))):
+        cells = {}
+        for method in draw(st.just(METHODS) | st.lists(st.sampled_from(METHODS), unique=True)):
+            accuracy = value("accuracy", st.floats(0, 1))
+            cells[method] = value("cells", st.just({"accuracy": accuracy}))
+        # one group, and half the pairs scored, so that accuracies meet in
+        # a group mean; the pair without a group key is ungrouped
+        pair = {"pair": f"p{i}", "group": value("group", st.just("g")), "methods": cells}
+        pairs.append(draw(st.sampled_from([pair, pair, {**pair, "error": "ParseError"},
+                                           {k: v for k, v in pair.items() if k != "group"}])))
+    methods = value("methods", st.just(METHODS) | st.lists(st.sampled_from(METHODS), min_size=1,
+                                                          unique=True))
+    return {"format": "leafbridge-report", "spec": {"methods": methods}, "pairs": pairs}
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(report=drawn_reports())
+def test_stats_on_drawn_reports_exits_0_or_2(tmp_path_factory, report):
+    path = tmp_path_factory.getbasetemp() / "drawn_report.json"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    assert main(["stats", "--report", str(path)]) in (EXIT_OK, EXIT_DATA)
 
 
 class TestUsage:

@@ -28,14 +28,12 @@ from leafbridge.forest import (
     _presort,
     collect_leaves,
     forest_from_dict,
-    forest_from_json,
     forest_to_dict,
-    forest_to_json,
     predict_many,
     train_forest,
 )
 from leafbridge.transfer import TransferConfig, TransferModel
-from conftest import assert_no_children, numeric_dataset
+from conftest import assert_no_children, assert_same_forest, numeric_dataset
 
 _GAIN_EPS = forest_module._GAIN_EPS
 
@@ -196,7 +194,7 @@ def flatten(root):
 
 
 def assert_matches_oracle(forest, roots):
-    """Node for node and member for member, bit for bit, and the same JSON."""
+    """Node for node and member for member, bit for bit."""
     assert forest.n_trees == len(roots)
     table = collect_leaves(forest)
     first, oracle_trees = 0, []
@@ -213,9 +211,8 @@ def assert_matches_oracle(forest, roots):
             np.testing.assert_array_equal(got, want)
         first += tree.n_leaves
     assert len(table) == first
-    oracle = Forest(oracle_trees, forest.schema, forest.class_names, forest.min_leaf_size,
-                    forest.seed)
-    assert forest_to_json(forest) == forest_to_json(oracle)
+    oracle = Forest(oracle_trees, forest.schema, forest.class_names)
+    assert_same_forest(replace(forest, leaves=None), oracle)
 
 
 def two_class_dataset(n=200, seed=0):
@@ -311,14 +308,14 @@ class TestTraining:
     def test_determinism(self):
         a = train_forest(two_class_dataset(), n_trees=5, min_leaf_size=5, seed=42)
         b = train_forest(two_class_dataset(), n_trees=5, min_leaf_size=5, seed=42)
-        assert forest_to_json(a) == forest_to_json(b)
+        assert_same_forest(a, b)
         X = np.random.default_rng(1).normal(size=(30, 3))
         np.testing.assert_array_equal(predict_many(a, X), predict_many(b, X))
 
     def test_different_seed_differs(self):
         a = train_forest(two_class_dataset(), n_trees=5, min_leaf_size=5, seed=0)
         b = train_forest(two_class_dataset(), n_trees=5, min_leaf_size=5, seed=1)
-        assert forest_to_json(a) != forest_to_json(b)
+        assert forest_to_dict(a)["trees"] != forest_to_dict(b)["trees"]
 
     def test_missing_cells_rejected(self):
         ds = numeric_dataset([[1.0], [np.nan]], [0, 1])
@@ -369,20 +366,6 @@ def fail_in(monkeypatch, where, action):
 
 def raise_failure():
     raise WorkerFailure("tree failed")
-
-
-def assert_same_forest(a, b):
-    assert a.n_trees == b.n_trees
-    for tree_a, tree_b in zip(a.trees, b.trees):
-        for name in forest_module._TREE_ARRAYS:
-            x, y = getattr(tree_a, name), getattr(tree_b, name)
-            assert x.dtype == y.dtype
-            np.testing.assert_array_equal(x, y)
-    for name in ("members", "offsets"):
-        x, y = getattr(a.leaves, name), getattr(b.leaves, name)
-        assert x.dtype == y.dtype
-        np.testing.assert_array_equal(x, y)
-    assert forest_to_json(a) == forest_to_json(b)
 
 
 # Tree workers are forked: the child's view of the test process ends in
@@ -590,7 +573,7 @@ class TestSplitSearch:
         ds = numeric_dataset(X, (X[:, 0] == hi) ^ (rng.random(200) < 0.2))
         forest = train_forest(ds, n_trees=10, min_leaf_size=1, seed=0)
         assert all((tree.counts.sum(axis=1) > 0).all() for tree in forest.trees)
-        assert forest_to_json(forest_from_json(forest_to_json(forest))) == forest_to_json(forest)
+        assert_same_forest(reloaded(forest), replace(forest, leaves=None))
         assert_matches_oracle(forest, oracle_forest(ds, 10, 1, 0))
 
     @staticmethod
@@ -759,13 +742,18 @@ class TestLeaves:
     def test_loaded_forest_has_no_leaf_table(self):
         forest = train_forest(two_class_dataset(60), n_trees=2, min_leaf_size=5, seed=0)
         with pytest.raises(DataError, match="no leaf members"):
-            collect_leaves(forest_from_json(forest_to_json(forest)))
+            collect_leaves(reloaded(forest))
 
     def test_offsets_checked(self):
         with pytest.raises(DataError, match="offsets"):
             LeafTable(np.arange(3), np.array([0, 2]))
         with pytest.raises(DataError, match="offsets"):
             LeafTable(np.arange(3), np.array([0, 2, 1, 3]))
+
+
+def reloaded(forest):
+    """forest written to JSON text and read back."""
+    return forest_from_dict(json.loads(json.dumps(forest_to_dict(forest))))
 
 
 def _stump(counts):
@@ -777,7 +765,7 @@ def _stump(counts):
 def _stump_forest(count_rows):
     trees = [_stump(c) for c in count_rows]
     schema = (AttributeSchema("f0", NUMERIC),)
-    return Forest(trees, schema, ("A", "B"), 1, 0)
+    return Forest(trees, schema, ("A", "B"))
 
 
 def chain_forest(depth):
@@ -791,7 +779,7 @@ def chain_forest(depth):
     right = np.append(splits[1:], ~depth)
     tree = Tree(np.zeros(depth, dtype=np.intp), splits + 0.5, ~splits, right, counts)
     schema = (AttributeSchema("x", NUMERIC),)
-    return Forest([tree], schema, ("even", "odd"), 1, 0)
+    return Forest([tree], schema, ("even", "odd"))
 
 
 class TestPredict:
@@ -826,7 +814,7 @@ class TestPredict:
         # the tree reads column 0 only; the batch scan still finds column 1's NaN
         tree = chain_forest(3).trees[0]
         schema = (AttributeSchema("x", NUMERIC), AttributeSchema("y", NUMERIC))
-        forest = Forest([tree], schema, ("even", "odd"), 1, 0)
+        forest = Forest([tree], schema, ("even", "odd"))
         X = np.array([[0.0, 1.0], [1.0, np.nan]])
         for batch in (X, np.asfortranarray(X)):
             with pytest.raises(MissingValueError):
@@ -994,7 +982,7 @@ class TestCodedApply:
             tree = random_tree(n_splits, 5, self.THRESHOLDS, rng)
             schema = tuple(AttributeSchema(f"x{j}", NUMERIC) for j in range(5))
             # a well-formed tree
-            forest_from_dict(forest_to_dict(Forest([tree], schema, ("a", "b"), 1, 0)))
+            forest_from_dict(forest_to_dict(Forest([tree], schema, ("a", "b"))))
             want = mask_partition_leaves(tree, X)
             for batch, rows in batches:
                 got = tree.apply(batch)
@@ -1113,7 +1101,7 @@ def test_predict_many_matches_loop_on_random_forests(n_classes, splits, n, max_c
         counts[np.arange(n_splits + 1), rng.integers(0, n_classes, size=n_splits + 1)] += 1
         trees.append(replace(tree, counts=counts))
     forest = Forest(trees, (AttributeSchema("x", NUMERIC),) * d,
-                    tuple(f"c{c}" for c in range(n_classes)), 1, 0)
+                    tuple(f"c{c}" for c in range(n_classes)))
     got = predict_many(forest, X)
     assert got.dtype == np.int64
     assert got.tobytes() == loop_predict(forest, X)[0].tobytes()
@@ -1123,27 +1111,18 @@ class TestSerialization:
     def test_json_round_trip(self):
         ds = two_class_dataset(120, seed=9)
         forest = train_forest(ds, n_trees=4, min_leaf_size=10, seed=9)
-        text = forest_to_json(forest)
-        json.loads(text)  # valid JSON
-        again = forest_from_json(text)
+        text = json.dumps(forest_to_dict(forest))
+        again = forest_from_dict(json.loads(text))
+        assert_same_forest(again, replace(forest, leaves=None))
         X = np.random.default_rng(10).normal(size=(40, 3))
         np.testing.assert_array_equal(predict_many(forest, X), predict_many(again, X))
-        assert forest_to_json(again) == text
+        assert json.dumps(forest_to_dict(again)) == text
 
     def test_document_holds_no_members(self):
         forest = train_forest(two_class_dataset(120), n_trees=3, min_leaf_size=5, seed=1)
         doc = forest_to_dict(forest)
-        assert doc["version"] == 2
+        assert set(doc) == {"class_names", "attributes", "trees"}
         assert set(doc["trees"][0]) == {"feature", "threshold", "left", "right", "counts"}
-
-    def test_version_1_rejected_by_name(self):
-        doc = forest_to_dict(_stump_forest([[1, 2]]))
-        doc["version"] = 1
-        with pytest.raises(DataError, match="version 1 is no longer read"):
-            forest_from_dict(doc)
-        doc["version"] = 3
-        with pytest.raises(DataError, match="version 3"):
-            forest_from_dict(doc)
 
     def test_name_listed_twice_rejected(self, tmp_path):
         # the 4-record, 2-tree probe: a model whose classes were both edited
@@ -1155,7 +1134,7 @@ class TestSerialization:
         path = tmp_path / "probe.json"
         model.save(path)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["class_names"] = doc["forest"]["class_names"] = ["p", "p"]
+        doc["forest"]["class_names"] = ["p", "p"]
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DataError, match="key 'class_names' lists 'p' more than once"):
             TransferModel.load(path)
@@ -1179,6 +1158,24 @@ class TestSerialization:
         with pytest.raises(DataError, match="malformed tree"):
             forest_from_dict(doc)
 
+    @pytest.mark.parametrize("name, value", [
+        ("feature", [0.7, 0]),     # would be truncated to column 0
+        ("feature", [False, 0]),
+        ("threshold", ["8", 1.5]),  # would be parsed as 8.0
+        ("threshold", [True, True]),  # would be read as 1.0
+        ("left", [-1.0, -2]),
+        ("right", [1, "-3"]),
+        ("counts", [[1, 3], [3, "1"], [1, 3]]),
+        ("counts", [[1, 3], [3, False], [1, 3]]),
+    ])
+    def test_tree_array_of_other_json_types_rejected(self, name, value):
+        doc = forest_to_dict(chain_forest(2))
+        doc["trees"][0][name] = value
+        kind = "number" if name == "threshold" else "integer"
+        with pytest.raises(DataError, match=f"tree array {name!r} holds a value that is "
+                                            f"not a JSON {kind}"):
+            forest_from_dict(doc)
+
     def test_deep_tree_round_trips_and_predicts(self, tmp_path):
         # deeper than Python's recursion limit; random data only reaches
         # depths of about 60-70, so the tree is built by hand
@@ -1188,7 +1185,7 @@ class TestSerialization:
         want, _ = loop_predict(forest, X)
         np.testing.assert_array_equal(want[1:depth + 1], np.arange(depth) % 2)
         np.testing.assert_array_equal(predict_many(forest, X), want)
-        again = forest_from_json(forest_to_json(forest))
+        again = reloaded(forest)
         np.testing.assert_array_equal(predict_many(again, X), want)
         ds = Dataset(forest.schema, X, np.zeros(X.shape[0], dtype=np.int64),
                      forest.class_names, "target")

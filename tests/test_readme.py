@@ -1,6 +1,7 @@
 """The README's Python quick start runs, and its config block and command
 lines are what the code accepts."""
 
+import re
 import shlex
 from pathlib import Path
 
@@ -8,7 +9,7 @@ from leafbridge.cli import _build_parser
 from leafbridge.dataset import write_csv
 from leafbridge.experiment import ExperimentSpec, PairSpec, parse_config
 from leafbridge.synthetic import rotated_pair
-from leafbridge.transfer import TransferConfig, TransferModel
+from leafbridge.transfer import FORMAT_VERSION, TransferConfig, TransferModel, fit_forest
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -50,6 +51,22 @@ def test_ini_block_holds_the_defaults(tmp_path):
                     encoding="utf-8")
     assert parse_config(path) == (ExperimentSpec(pairs=(PairSpec("s.csv", "t.csv"),)),
                                   TransferConfig())
+
+
+def test_model_format_note_names_the_saved_keys():
+    # every lowercase `name` in the note is a key, and each key is named once
+    text = README.read_text(encoding="utf-8")
+    note = text[text.index("- Saved models use format version"):]
+    note = note[:note.index("\n- ")]
+    assert note.startswith(f"- Saved models use format version {FORMAT_VERSION}.")
+    named = [w for w in re.findall(r"`([^`]+)`", note) if re.fullmatch(r"[a-z_]+", w)]
+    source, _ = rotated_pair(n_source=60, n_target=10, seed=0)
+    cfg = TransferConfig(n_trees=1)
+    doc = TransferModel(forest=fit_forest(source, cfg), projection=None, fallback=True,
+                        diagnostics={}, raw_schema=source.schema, config=cfg).to_dict()
+    forest = doc["forest"]
+    keys = [*doc, *doc["raw_schema"][0], *forest, *forest["trees"][0]]
+    assert sorted(named) == sorted(keys)
 
 
 def test_command_lines_parse():

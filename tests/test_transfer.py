@@ -5,6 +5,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leafbridge import transfer as transfer_module
 from leafbridge.adaptation import ProjectionMatrix
@@ -20,7 +22,7 @@ from leafbridge.dataset import (
     split_target,
 )
 from leafbridge.errors import DataError, MatchingError, MissingValueError
-from leafbridge.forest import LeafTable, collect_leaves, forest_to_json, predict_many
+from leafbridge.forest import LeafTable, collect_leaves, predict_many
 from leafbridge.metrics import evaluate
 from leafbridge.pivot import PivotSet
 from leafbridge.synthetic import rotated_pair
@@ -34,7 +36,7 @@ from leafbridge.transfer import (
     run_transfer,
     select_transferable,
 )
-from conftest import numeric_dataset
+from conftest import assert_same_forest, numeric_dataset
 
 
 def pivot_set_with_source_rows(rows):
@@ -333,7 +335,7 @@ class TestDomainForests:
         for domain, ds in (("source", src), ("target", tgt)):
             encoded, forest = domain_forest(held, domain, ds, cfg)
             assert encoded is held[domain][2] and forest is held[domain][3]
-            assert forest_to_json(forest) == forest_to_json(fit_forest(one_hot_encode(ds), cfg))
+            assert_same_forest(forest, fit_forest(one_hot_encode(ds), cfg))
 
     def test_forest_of_another_schema_rejected(self):
         src, tgt, cfg = self.pair()
@@ -480,7 +482,64 @@ def test_model_predict_makes_one_encoded_copy():
     assert peak < 1.5 * 8 * n * d
 
 
+#: Raw column and class names; without "=", so no encoded column name
+#: ("column=category") can equal another.
+NAMES = st.text(alphabet="ab\u00e9 ,\"_", min_size=1, max_size=4)
+
+
+@st.composite
+def model_cases(draw):
+    """(kind, model, target data): an adapted model of run_transfer, or the
+    target forest as a fallback or baseline model, on a drawn raw schema of
+    numeric and categorical columns whose categories and classes come in
+    drawn orders."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(8, 40))
+    schema, columns = [], []
+    for name in draw(st.lists(NAMES, min_size=1, max_size=4, unique=True)):
+        categories = draw(st.none() | st.lists(st.text(alphabet="ab=\u00e9 ", min_size=1,
+                                                        max_size=3),
+                                               min_size=1, max_size=3, unique=True))
+        if categories is None:
+            schema.append(AttributeSchema(name, NUMERIC))
+            columns.append(rng.normal(size=n))
+        else:
+            schema.append(AttributeSchema(name, CATEGORICAL, tuple(categories)))
+            columns.append(rng.integers(0, len(categories), size=n))
+    class_names = tuple(draw(st.lists(NAMES, min_size=2, max_size=3, unique=True)))
+    tgt = Dataset(tuple(schema), np.column_stack(columns).astype(np.float64),
+                  rng.integers(0, len(class_names), size=n), class_names, "target")
+    cfg = TransferConfig(n_trees=draw(st.integers(1, 3)), min_leaf_small=draw(st.integers(1, 4)),
+                         seed=draw(st.integers(0, 99)))
+    kind = draw(st.sampled_from(["adapted", "fallback", "baseline"]))
+    encoded = one_hot_encode(tgt)
+    if kind == "adapted":
+        # the target's encoded records as the source: both forests are equal, so leaves match
+        src = Dataset(tuple(AttributeSchema(f"s{j}", NUMERIC) for j in range(encoded.d)),
+                      encoded.records, tgt.labels, class_names)
+        return kind, run_transfer(src, tgt, cfg), tgt
+    fallback = kind == "fallback"
+    diagnostics = {"fallback_reason": "no pivot pair below the divergence threshold"}
+    model = TransferModel(forest=fit_forest(encoded, cfg), projection=None, fallback=fallback,
+                          diagnostics=diagnostics if fallback else {}, raw_schema=tgt.schema,
+                          config=cfg)
+    return kind, model, tgt
+
+
 class TestModelSerialization:
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(case=model_cases())
+    def test_save_load_save_is_byte_identical(self, tmp_path_factory, case):
+        kind, model, tgt = case
+        assert model.fallback == (kind == "fallback")
+        first, second = (tmp_path_factory.getbasetemp() / f"{name}.json"
+                         for name in ("first", "second"))
+        model.save(first)
+        loaded = TransferModel.load(first)
+        loaded.save(second)
+        assert second.read_bytes() == first.read_bytes()
+        assert loaded.predict_many(tgt).tobytes() == model.predict_many(tgt).tobytes()
+
     def test_save_load_round_trip(self, tmp_path):
         src, tgt = rotated_pair(center_spread=2.0, cluster_std=2.0, seed=5)
         tgt_train, test = split_target(tgt, SplitSpec(0.05, 5))
@@ -488,7 +547,10 @@ class TestModelSerialization:
         path = tmp_path / "model.json"
         model.save(path)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc["version"] == 2
+        assert list(doc) == ["format", "version", "fallback", "raw_schema", "forest",
+                             "projection", "diagnostics", "config"]
+        assert (doc["format"], doc["version"]) == ("leafbridge-model", 3)
+        assert list(doc["forest"]) == ["class_names", "attributes", "trees"]
         assert doc["projection"] == model.projection.matrix.tolist()
         assert set(doc["forest"]["trees"][0]) == {"feature", "threshold", "left", "right",
                                                   "counts"}
@@ -498,11 +560,15 @@ class TestModelSerialization:
         np.testing.assert_array_equal(again.predict_many(test), model.predict_many(test))
 
     def test_version_1_rejected_by_name(self, tmp_path):
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps({"format": "leafbridge-model", "version": 1,
-                                    "projection_csv": None}), encoding="utf-8")
-        with pytest.raises(DataError, match="leafbridge-model version 1 is no longer read"):
-            TransferModel.load(path)
+        # version 1 files held a CSV projection, version 2 ones a second
+        # class list and a forest header; neither is read
+        path, doc = self.saved_document(tmp_path)
+        for version in (1, 2, 4, "3", None):
+            doc["version"] = version
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            with pytest.raises(DataError, match=f"leafbridge-model version {version!r} is not "
+                                                f"version 3; train and save the model again"):
+                TransferModel.load(path)
 
     @staticmethod
     def saved_document(tmp_path):
@@ -520,30 +586,21 @@ class TestModelSerialization:
         model.save(path)
         return path, json.loads(path.read_text(encoding="utf-8"))
 
-    def test_class_names_other_than_the_forest_s(self, tmp_path):
-        path, doc = self.saved_document(tmp_path)
-        assert TransferModel.load(path).class_names == ("p", "q")
-        doc["class_names"].reverse()
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(DataError, match="key 'class_names' differs from its forest's"):
-            TransferModel.load(path)
-
     def test_every_required_key(self, tmp_path):
         path, doc = self.saved_document(tmp_path)
         TransferModel.load(path)
         places = [(doc, key) for key in doc if key not in ("format", "version")]
-        places += [(doc["forest"], key) for key in doc["forest"]
-                   if key not in ("format", "version")]
+        places += [(doc["forest"], key) for key in doc["forest"]]
         places += [(doc["forest"]["trees"][1], key) for key in doc["forest"]["trees"][1]]
         places += [(doc["raw_schema"][1], key) for key in doc["raw_schema"][1]]
-        assert len(places) == 7 + 5 + 5 + 3
+        assert len(places) == 6 + 3 + 5 + 3
         for holder, key in places:
             value = holder.pop(key)
             path.write_text(json.dumps(doc), encoding="utf-8")
             with pytest.raises(DataError, match=f"lacks key '{key}'"):
                 TransferModel.load(path)
             holder[key] = value
-        path.write_text(json.dumps({"format": "leafbridge-model", "version": 2}),
+        path.write_text(json.dumps({"format": "leafbridge-model", "version": 3}),
                         encoding="utf-8")
         with pytest.raises(DataError, match="lacks key"):
             TransferModel.load(path)
@@ -553,7 +610,7 @@ class TestModelSerialization:
         (("forest",), "trees", 5),
         (("forest",), "trees", [5]),
         (("forest",), "attributes", ["x", 1]),
-        (("forest",), "seed", "0"),
+        (("config",), "seed", "0"),
         (("forest", "trees", 0), "counts", "many"),
         (("forest", "trees", 0), "feature", ["a"]),
         (("forest", "trees", 0), "counts", [[1, 0], [2]]),
@@ -563,6 +620,15 @@ class TestModelSerialization:
         ((), "config", {"n_trees": 2, "depth": 3}),
         ((), "config", {"n_trees": "2"}),
         ((), "fallback", "no"),
+        # a value of another type than its TransferConfig field's
+        (("config",), "n_trees", 1.5),
+        (("config",), "seed", "x"),
+        (("config",), "seed", True),
+        (("config",), "ridge", False),
+        (("config",), "kernel", 1),
+        # the encoded raw schema has 3 columns: x, k=a and k=b
+        ((), "projection", [[1.0]]),
+        ((), "projection", [[1.0, 0.0]] * 3),
     ])
     def test_ill_typed_key(self, tmp_path, where, key, value):
         path, doc = self.saved_document(tmp_path)
@@ -587,18 +653,12 @@ class TestModelSerialization:
         again = TransferModel.load(path)
         assert again.projection is None and again.fallback
 
-    @pytest.mark.parametrize("cross_term", ["product", "squared"])
-    def test_removed_mmd_cross_term_key_ignored(self, tmp_path, cross_term):
+    def test_config_int_for_a_float_field_accepted(self, tmp_path):
         path, doc = self.saved_document(tmp_path)
-        doc["config"]["mmd_cross_term"] = cross_term
-        old = tmp_path / "old.json"
-        old.write_text(json.dumps(doc), encoding="utf-8")
-        model, again = TransferModel.load(path), TransferModel.load(old)
-        assert again.config == model.config
-        assert json.dumps(again.to_dict()) == json.dumps(model.to_dict())
-        test = Dataset(model.raw_schema, [[0.5, 1], [2.5, 0], [1.5, 1]], [0, 1, 0],
-                       model.class_names, "target")
-        np.testing.assert_array_equal(again.predict_many(test), model.predict_many(test))
+        doc["config"].update(ridge=1, manifold=0)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        config = TransferModel.load(path).config
+        assert (config.ridge, config.manifold) == (1.0, 0.0)
 
     def test_config_keys_are_the_dataclass_fields(self, tmp_path):
         src, tgt = rotated_pair(n_source=200, n_target=200, center_spread=2.0,
