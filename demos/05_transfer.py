@@ -44,7 +44,7 @@ print(f"test accuracy target-only:   {base_acc:.3f}")
 print(f"gain from transferring:      {transfer_metrics.accuracy - base_acc:+.3f}")
 
 # Models serialize to a single JSON document (forest + projection matrix as
-# a CSV block + diagnostics).
+# a nested list of floats + diagnostics).
 import tempfile
 from pathlib import Path
 from leafbridge import TransferModel

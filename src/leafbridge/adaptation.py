@@ -342,8 +342,8 @@ def build_projection(pivots: StackedPivots, alpha: np.ndarray) -> ProjectionMatr
 
 @dataclass(frozen=True, eq=False)
 class AdaptationState:
-    """The matrices of the adaptation stage that its diagnostics read, and
-    the residual of the alpha solve (None in literal mode)."""
+    """The adaptation stage's matrices, its adaptive factor mu and the
+    residual of the alpha solve (None in literal mode)."""
 
     kernel: np.ndarray
     mmd_matrix: np.ndarray
@@ -352,14 +352,11 @@ class AdaptationState:
     solve_residual: float | None
 
     def diagnostics(self) -> dict:
-        z = self.kernel.shape[0]
+        """Each matrix's extreme eigenvalues, and the solve residual."""
         def spectrum(mat):
             eig = np.linalg.eigvalsh((mat + mat.T) / 2.0)
             return {"min": float(eig[0]), "max": float(eig[-1])}
         return {
-            "z": z,
-            "n_pivots": z // 2,
-            "mu": self.mu,
             "kernel_spectrum": spectrum(self.kernel),
             "mmd_spectrum": spectrum(self.mmd_matrix),
             "laplacian_spectrum": spectrum(self.laplacian),

@@ -315,8 +315,9 @@ def load_csv(
                    domain_tag)
 
 
-def write_csv(ds: Dataset, path, label_column: str = "label", missing_token: str = "?"):
-    """Write a Dataset to CSV so that load_csv reads back an identical dataset.
+def write_csv(ds: Dataset, path, label_column: str = "label"):
+    """Write a Dataset to CSV, a missing cell as `?`, so that load_csv reads
+    back an identical dataset.
 
     Raises DataError on an infinite cell, which load_csv would not read back.
     """
@@ -335,7 +336,7 @@ def write_csv(ds: Dataset, path, label_column: str = "label", missing_token: str
             for j, attr in enumerate(ds.schema):
                 cell = ds.records[i, j]
                 if math.isnan(cell):
-                    row.append(missing_token)
+                    row.append("?")
                 elif attr.kind == CATEGORICAL:
                     row.append(attr.categories[int(cell)])
                 else:

@@ -90,22 +90,15 @@ def sign_test(wins: int, losses: int) -> float:
     return (wins - n / 2.0 - 0.5) / (math.sqrt(n) / 2.0)
 
 
-def nemenyi_cd(num_methods: int, num_datasets: int, q_alpha: float | None = None) -> float:
-    """Critical difference q_alpha * sqrt(k (k + 1) / (6 N)).
-
-    Without an explicit q_alpha the alpha = 0.05 table value for k methods
-    is used (k <= 20).
-    """
+def nemenyi_cd(num_methods: int, num_datasets: int) -> float:
+    """Critical difference q_alpha * sqrt(k (k + 1) / (6 N)), with the
+    alpha = 0.05 table value of q_alpha for k <= 20 methods."""
     if num_methods < 2 or num_datasets < 2:
         raise DataError("Nemenyi test needs at least 2 methods and 2 datasets")
-    if q_alpha is None:
-        if num_methods not in NEMENYI_Q_05:
-            raise DataError(f"no tabulated q_alpha for k={num_methods}; pass one explicitly")
-        q_alpha = NEMENYI_Q_05[num_methods]
-    if q_alpha <= 0:
-        raise DataError("q_alpha must be positive")
+    if num_methods not in NEMENYI_Q_05:
+        raise DataError(f"the Nemenyi table stops at 20 methods, not {num_methods}")
     k = num_methods
-    return float(q_alpha * math.sqrt(k * (k + 1) / (6.0 * num_datasets)))
+    return float(NEMENYI_Q_05[k] * math.sqrt(k * (k + 1) / (6.0 * num_datasets)))
 
 
 def mean_ranks(accuracies: np.ndarray) -> np.ndarray:

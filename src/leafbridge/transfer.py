@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, replace
+import sys
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .dataset import (
     name_index,
     one_hot_encode,
 )
-from .errors import DataError, MatchingError, MissingValueError
+from .errors import DataError, MatchingError, MissingValueError, NumericalError
 from .forest import (
     Forest,
     LeafTable,
@@ -49,6 +50,12 @@ logger = logging.getLogger("leafbridge")
 
 #: Version of the saved model document (`TransferModel.to_dict`).
 FORMAT_VERSION = 3
+
+
+#: The types a TransferConfig field of each annotation may hold, a bool never;
+#: a float field's value must also lie within the float range, which NaN does
+#: not (annotations are strings under `from __future__ import annotations`).
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,12 @@ class TransferConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type])
+                    or f.type == "float" and not abs(value) <= sys.float_info.max):
+                rule = "a finite int or float" if f.type == "float" else f"of type {f.type}"
+                raise DataError(f"TransferConfig field {f.name!r} = {value!r} is not {rule}")
         for name in ("n_trees", "min_leaf_small", "min_leaf_large", "large_threshold"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1")
@@ -136,10 +149,10 @@ class TransferModel:
     @staticmethod
     def load(path) -> "TransferModel":
         """Read a saved model; DataError on any other document or version,
-        on a missing or ill-typed key, on a config value of another type
-        than its field's, on a projection whose columns are not the encoded
-        `raw_schema` columns, and on encoded `raw_schema` columns other than
-        its forest's."""
+        on a missing or ill-typed key, on a config that TransferConfig
+        rejects, on a projection that is not a finite matrix or whose columns
+        are not the encoded `raw_schema` columns, and on encoded `raw_schema`
+        columns other than its forest's."""
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
         doc, column = "leafbridge-model", "raw_schema column"
@@ -157,21 +170,16 @@ class TransferModel:
         projection = read_key(obj, "projection", (list, type(None)), doc)
         try:
             projection = None if projection is None else ProjectionMatrix(projection)
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{doc} document key 'projection' is not a matrix: {exc}") from None
+        except (TypeError, ValueError, NumericalError) as exc:
+            raise DataError(f"{doc} document key 'projection' is not a finite matrix: "
+                            f"{exc}") from None
         if projection is not None and projection.d_target != len(columns):
             raise DataError(f"{doc} document key 'projection' has {projection.d_target} "
                             f"columns, not the {len(columns)} of the encoded raw_schema")
         config = read_key(obj, "config", dict, doc)
-        for key, default in asdict(TransferConfig()).items():
-            kind = (int, float) if isinstance(default, float) else type(default)
-            if key in config and (isinstance(config[key], bool)
-                                  or not isinstance(config[key], kind)):
-                raise DataError(f"{doc} document key 'config' holds {key!r} = "
-                                f"{config[key]!r}, whose type is not {type(default).__name__}")
         try:
             config = TransferConfig(**config)
-        except TypeError as exc:
+        except (DataError, TypeError) as exc:
             raise DataError(f"{doc} document key 'config' is invalid: {exc}") from None
         forest = forest_from_dict(read_key(obj, "forest", dict, doc))
         if columns != [a.name for a in forest.schema]:
@@ -298,7 +306,6 @@ def run_transfer(ds_src: Dataset, ds_tgt: Dataset, cfg: TransferConfig,
         "divergences": [float(d) for d in pivots.divergences],
         "shared_classes": list(pivots.shared_classes),
         "mu": None,
-        "z": None,
         "n_selected": 0,
         "n_dropped_labels": 0,
         "adaptation": None,
@@ -319,7 +326,6 @@ def run_transfer(ds_src: Dataset, ds_tgt: Dataset, cfg: TransferConfig,
     state, projection = adaptation.adapt(stacked, cfg.ridge, cfg.mmd, cfg.manifold,
                                          kernel_kind=cfg.kernel, alpha_mode=cfg.alpha_mode)
     diagnostics["mu"] = state.mu
-    diagnostics["z"] = stacked.z
     diagnostics["adaptation"] = state.diagnostics()
 
     selected = select_transferable(src, leaves_src, pivots, map_src)

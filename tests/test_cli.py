@@ -103,6 +103,26 @@ class TestRun:
         assert "['tlf'] listed more than once" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("setting", ["ridge = nan", "mmd = 1e400", "manifold = -inf"])
+    def test_non_finite_setting_stops_before_any_csv(self, tmp_path, pair_files, monkeypatch,
+                                                     capsys, setting):
+        spec = spec_file(tmp_path, pair_files, tmp_path / "report")
+        spec.write_text(spec.read_text() + f"[adapt]\n{setting}\n", encoding="utf-8")
+
+        def no_csv(*args, **kwargs):
+            raise AssertionError("no CSV may load")
+
+        monkeypatch.setattr("leafbridge.experiment.load_csv", no_csv)
+        monkeypatch.setattr("leafbridge.cli.load_csv", no_csv)
+        assert main(["run", "--spec", str(spec)]) == EXIT_DATA
+        field = setting.split()[0]
+        assert f"TransferConfig field '{field}'" in capsys.readouterr().err
+        model = tmp_path / "model.json"
+        assert main(["transfer", "--source", pair_files[0], "--target", pair_files[1],
+                     "--config", str(spec), "--output", str(model)]) == EXIT_DATA
+        assert f"TransferConfig field '{field}'" in capsys.readouterr().err
+        assert not model.exists() and not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("content, named", [
         (b"[experiment]\npairs = a.csv :: b.csv\n[forest]\ntrees = ten\n", "[forest] trees"),
         (b"pairs = a.csv :: b.csv\n", "bad.ini"),

@@ -5,6 +5,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leafbridge import experiment, transfer
 from leafbridge.dataset import (
@@ -26,6 +28,7 @@ from leafbridge.experiment import (
     ExperimentSpec,
     PairSpec,
     parse_config,
+    parse_transfer_config,
     run_experiment,
 )
 from leafbridge.forest import predict_many, train_forest
@@ -148,9 +151,12 @@ class TestRunExperiment:
         pairs = json.dumps(doc["pairs"])
         for key in asdict(cfg):
             assert f'"{key}"' not in pairs, key
-        adaptation = doc["pairs"][0]["diagnostics"]["adaptation"]
-        assert adaptation["z"] > 0
-        assert not {"kernel_kind", "coefficients"} & set(adaptation)
+        # the adaptation block holds what the adaptation alone knows; the
+        # pivot count and mu are stated once, beside it
+        diagnostics = doc["pairs"][0]["diagnostics"]
+        assert diagnostics["n_pivots"] > 0 and diagnostics["mu"] is not None
+        assert set(diagnostics["adaptation"]) == {"kernel_spectrum", "mmd_spectrum",
+                                                  "laplacian_spectrum", "solve_residual"}
 
 
 def _pair_files(root, src, tgt):
@@ -587,6 +593,53 @@ class TestSpecValidation:
         assert spec.inject_ratios == (0.0, 0.5)
 
 
+#: Odd values a config file may give any key: numbers of every kind
+#: (non-finite, beyond the float range, fractional for an int key) and
+#: nothing, then words, lists, pair lines and interpolations.
+ODD_NUMBERS = ("nan", "-inf", "inf", "1e400", "-1e400", "NaN", "1.5", "-2", "1" * 400, "true",
+               "")
+ODD_WORDS = ("rbf", "literal", "tlf", "tlf, tlf", "0.1, 0.7", "0.1, nan", "srd",
+             "s.csv :: t.csv :: g", "s.csv", "%(seed)s", "%(trees)s", "50%")
+
+#: A value that each key reads without an error, so that a drawn file often
+#: holds one odd value among sound ones.
+SOUND_VALUES = {"pairs": "s.csv :: t.csv", "label_column": "label", "split_fraction": "0.2",
+                "seed": "4", "repeats": "2", "methods": "tlf", "missing_mode": "impute",
+                "inject_ratios": "0.1", "output": "report", "trees": "3", "min_leaf_small": "5",
+                "min_leaf_large": "40", "large_threshold": "5000", "divergence_threshold": "0.2",
+                "ridge": "0.5", "mmd": "2", "manifold": "0.25", "kernel": "linear",
+                "alpha_mode": "inverse", "tress": "3", "depth": "3"}
+
+
+@st.composite
+def config_texts(draw):
+    """Ini text that sets drawn keys to drawn values: each key the config
+    reads in its own section or in [DEFAULT], a few unknown or misplaced
+    keys, often a pair line, mostly sound values with some odd ones, and
+    sometimes a repeated line or a key before any section."""
+    known = [(section, key) for section, key, _, _ in experiment._CONFIG_KEYS]
+    places = sorted({*known, *(("DEFAULT", key) for _, key in known),
+                     ("forest", "tress"), ("adapt", "pairs"), ("extra", "depth")})
+    odd = {"number": st.sampled_from(ODD_NUMBERS), "word": st.sampled_from(ODD_WORDS),
+           "text": st.text(st.characters(blacklist_categories=("Cs",),
+                                         blacklist_characters="\n\r"), max_size=6)}
+    chosen = draw(st.lists(st.sampled_from(places), unique=True, max_size=8))
+    if all(key != "pairs" for _, key in chosen) and draw(st.booleans()):
+        chosen.append(("experiment", "pairs"))
+    lines = []
+    for section in dict.fromkeys(section for section, _ in chosen):
+        lines.append(f"[{section}]")
+        for key in [key for s, key in chosen if s == section]:
+            kind = draw(st.sampled_from(["sound"] * 4 + list(odd)))
+            lines.append(f"{key} = {SOUND_VALUES[key] if kind == 'sound' else draw(odd[kind])}")
+    flaw = draw(st.sampled_from(["none"] * 6 + ["repeat", "no section"]))
+    if flaw == "repeat" and lines:
+        lines.append(lines[-1])
+    elif flaw == "no section":
+        lines.insert(0, "trees = 3")
+    return "\n".join(lines) + "\n"
+
+
 class TestConfigFile:
     def test_parse_round_trip(self, tmp_path):
         text = """
@@ -664,3 +717,21 @@ alpha_mode = inverse
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             parse_config(tmp_path / "absent.ini")
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(text=config_texts())
+    def test_drawn_file_parses_or_is_data_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "drawn.ini"
+        path.write_text(text, encoding="utf-8")
+        for parse in (parse_config, parse_transfer_config):
+            try:
+                parsed = parse(path)
+            except DataError:
+                continue
+            if parse is parse_config:
+                spec, cfg = parsed
+                assert isinstance(spec, ExperimentSpec)
+            else:
+                cfg = parsed
+            assert isinstance(cfg, TransferConfig)
+            assert all(np.isfinite([cfg.pivot_threshold, cfg.ridge, cfg.mmd, cfg.manifold]))

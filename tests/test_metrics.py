@@ -10,6 +10,7 @@ from scipy.stats import rankdata
 from leafbridge.errors import DataError, MissingValueError
 from leafbridge.forest import train_forest
 from leafbridge.metrics import (
+    NEMENYI_Q_05,
     evaluate,
     mean_ranks,
     metrics_from_labels,
@@ -128,14 +129,20 @@ class TestSignTest:
 
 class TestNemenyi:
     def test_hand_value(self):
-        assert nemenyi_cd(2, 6, q_alpha=2.0) == pytest.approx(0.8165, abs=1e-4)
+        # q_0.05 = 1.960 for 2 methods: 1.960 * sqrt(2 * 3 / 36)
+        assert nemenyi_cd(2, 6) == pytest.approx(0.8002, abs=1e-4)
 
     def test_vanishes_with_many_datasets(self):
         assert nemenyi_cd(3, 10**9) < 1e-3
 
     def test_linear_in_q(self):
-        assert nemenyi_cd(4, 10, q_alpha=2.0) == pytest.approx(
-            2 * nemenyi_cd(4, 10, q_alpha=1.0))
+        for k, q in NEMENYI_Q_05.items():
+            assert nemenyi_cd(k, 10) == pytest.approx(q * math.sqrt(k * (k + 1) / 60.0))
+
+    def test_beyond_the_table_rejected(self):
+        assert max(NEMENYI_Q_05) == 20
+        with pytest.raises(DataError, match="stops at 20 methods, not 21"):
+            nemenyi_cd(21, 10)
 
     def test_table_lookup(self):
         assert nemenyi_cd(2, 10) == pytest.approx(1.96 * math.sqrt(6 / 60.0))

@@ -1,15 +1,25 @@
-"""The README's Python quick start runs, and its config block and command
-lines are what the code accepts."""
+"""The README's Python quick start runs, its config block and command
+lines are what the code accepts, and its model notes name the keys the code
+writes."""
 
 import re
 import shlex
 from pathlib import Path
 
+import numpy as np
+
 from leafbridge.cli import _build_parser
-from leafbridge.dataset import write_csv
+from leafbridge.dataset import Dataset, write_csv
 from leafbridge.experiment import ExperimentSpec, PairSpec, parse_config
 from leafbridge.synthetic import rotated_pair
-from leafbridge.transfer import FORMAT_VERSION, TransferConfig, TransferModel, fit_forest
+from leafbridge.transfer import (
+    FORMAT_VERSION,
+    TransferConfig,
+    TransferModel,
+    fit_forest,
+    run_transfer,
+)
+from conftest import numeric_dataset
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -53,19 +63,47 @@ def test_ini_block_holds_the_defaults(tmp_path):
                                   TransferConfig())
 
 
-def test_model_format_note_names_the_saved_keys():
-    # every lowercase `name` in the note is a key, and each key is named once
+def note_keys(start):
+    """The Notes bullet that begins with `start`, and every lowercase
+    `name` in it, which the notes below use for keys only."""
     text = README.read_text(encoding="utf-8")
-    note = text[text.index("- Saved models use format version"):]
+    note = text[text.index(start):]
     note = note[:note.index("\n- ")]
+    return note, [w for w in re.findall(r"`([^`]+)`", note) if re.fullmatch(r"[a-z_]+", w)]
+
+
+def test_model_format_note_names_the_saved_keys():
+    # every key is named once
+    note, named = note_keys("- Saved models use format version")
     assert note.startswith(f"- Saved models use format version {FORMAT_VERSION}.")
-    named = [w for w in re.findall(r"`([^`]+)`", note) if re.fullmatch(r"[a-z_]+", w)]
     source, _ = rotated_pair(n_source=60, n_target=10, seed=0)
     cfg = TransferConfig(n_trees=1)
     doc = TransferModel(forest=fit_forest(source, cfg), projection=None, fallback=True,
                         diagnostics={}, raw_schema=source.schema, config=cfg).to_dict()
     forest = doc["forest"]
     keys = [*doc, *doc["raw_schema"][0], *forest, *forest["trees"][0]]
+    assert sorted(named) == sorted(keys)
+
+
+def test_diagnostics_note_names_the_written_keys():
+    # each key of an adapted model's diagnostics, of its adaptation block
+    # and of a spectrum is named once, and so is the key a fallback adds
+    _, named = note_keys("- An adapted model's diagnostics")
+    source, target = rotated_pair(n_source=300, n_target=300, center_spread=2.0,
+                                  cluster_std=2.0, seed=4)
+    adapted = run_transfer(source, target, TransferConfig(min_leaf_small=5, seed=4))
+    diagnostics = adapted.diagnostics
+    assert not adapted.fallback
+    keys = [*diagnostics, *diagnostics["adaptation"], *diagnostics["adaptation"]["mmd_spectrum"]]
+    # a 1-column source split at 0 and a target of random labels share no pivot
+    rng = np.random.default_rng(6)
+    x = np.sort(rng.normal(size=(100, 1)), axis=0)
+    source = numeric_dataset(x, (x[:, 0] > 0).astype(int))
+    target = Dataset(source.schema, rng.normal(size=(20, 1)), np.arange(20) % 2,
+                     source.class_names, "target")
+    fallback = run_transfer(source, target, TransferConfig(seed=6))
+    assert fallback.fallback
+    keys += [key for key in fallback.diagnostics if key not in diagnostics]
     assert sorted(named) == sorted(keys)
 
 

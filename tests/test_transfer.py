@@ -1,7 +1,7 @@
 import json
 import tracemalloc
 import warnings
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -228,6 +228,19 @@ class TestRunTransfer:
         assert model.diagnostics["n_pivots"] >= 1
         assert model.projection is not None
         assert model.projection.matrix.shape == (10, 10)
+
+    def test_diagnostics_state_each_fact_once(self):
+        # the adaptation block holds what the adaptation alone knows; z is
+        # 2 * n_pivots and is stated nowhere
+        src, tgt = rotated_pair(n_source=300, n_target=300, center_spread=2.0,
+                                cluster_std=2.0, seed=4)
+        model = run_transfer(src, tgt, TransferConfig(min_leaf_small=5, seed=4))
+        assert not model.fallback
+        diagnostics = model.diagnostics
+        assert not set(diagnostics["adaptation"]) & set(diagnostics)
+        assert set(diagnostics["adaptation"]) == {"kernel_spectrum", "mmd_spectrum",
+                                                  "laplacian_spectrum", "solve_residual"}
+        assert "z" not in diagnostics and diagnostics["n_pivots"] >= 1
 
     def test_merge_size_invariant(self, monkeypatch):
         trained = []
@@ -653,6 +666,26 @@ class TestModelSerialization:
         again = TransferModel.load(path)
         assert again.projection is None and again.fallback
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_projection_is_data_error(self, tmp_path, text):
+        path, doc = self.saved_document(tmp_path)
+        # json writes a float NaN or infinity as the bare JSON token
+        doc["projection"][1][2] = float(text)
+        saved = json.dumps(doc)
+        assert f" {text}]" in saved
+        path.write_text(saved, encoding="utf-8")
+        with pytest.raises(DataError, match="'projection' is not a finite matrix"):
+            TransferModel.load(path)
+
+    @pytest.mark.parametrize("field", ["ridge", "mmd", "manifold", "pivot_threshold"])
+    def test_non_finite_config_is_data_error(self, tmp_path, field):
+        path, doc = self.saved_document(tmp_path)
+        doc["config"][field] = float("nan")
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match=f"'config' is invalid: TransferConfig field "
+                                            f"'{field}' = nan is not a finite int or float"):
+            TransferModel.load(path)
+
     def test_config_int_for_a_float_field_accepted(self, tmp_path):
         path, doc = self.saved_document(tmp_path)
         doc["config"].update(ridge=1, manifold=0)
@@ -712,6 +745,30 @@ class TestConfig:
             TransferConfig(pivot_threshold=1.5)
         with pytest.raises(DataError):
             TransferConfig(ridge=-0.1)
+
+    @pytest.mark.parametrize("field, value, rule", [
+        ("ridge", float("nan"), "a finite int or float"),
+        ("mmd", float("inf"), "a finite int or float"),
+        ("manifold", -float("inf"), "a finite int or float"),
+        ("ridge", 10**400, "a finite int or float"),
+        ("ridge", True, "a finite int or float"),
+        ("pivot_threshold", "0.1", "a finite int or float"),
+        ("n_trees", 2.5, "of type int"),
+        ("n_trees", 2.0, "of type int"),
+        ("seed", True, "of type int"),
+        ("seed", "x", "of type int"),
+        ("seed", np.int64(3), "of type int"),
+        ("kernel", None, "of type str"),
+    ])
+    def test_field_of_another_type_named(self, field, value, rule):
+        with pytest.raises(DataError, match=f"TransferConfig field '{field}' = .* is not {rule}$"):
+            TransferConfig(**{field: value})
+
+    def test_int_and_float_subclass_values_accepted(self):
+        cfg = TransferConfig(ridge=1, mmd=np.float64(2.5), pivot_threshold=0.25)
+        assert (cfg.ridge, cfg.mmd) == (1, 2.5)
+        assert json.dumps(asdict(cfg)) == json.dumps(
+            asdict(TransferConfig(ridge=1, mmd=2.5, pivot_threshold=0.25)))
 
 
 class TestMerge:
