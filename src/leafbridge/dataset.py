@@ -9,8 +9,11 @@ sentinel (operations that need complete data raise instead of propagating it).
 from __future__ import annotations
 
 import csv
+import functools
 import math
-from dataclasses import dataclass, replace
+import sys
+import typing
+from dataclasses import dataclass, fields, replace
 from itertools import compress, groupby, repeat
 
 import numpy as np
@@ -72,6 +75,38 @@ class AttributeSchema:
         _require_distinct(self.categories, SchemaError, f"attribute {self.name!r} lists category")
 
 
+#: The types a spec field of each annotation may hold, a bool never; a float
+#: field's value must also lie within the float range, which NaN does not.
+#: A field annotated with any other class holds an instance of it.
+_FIELD_TYPES = {int: int, float: (int, float), str: str}
+
+
+#: The annotations of a class, resolved once (they are strings under
+#: `from __future__ import annotations`).
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def _holds(value, kind) -> bool:
+    if typing.get_origin(kind) is tuple:  # tuple[X, ...]: a tuple of X items
+        return isinstance(value, tuple) and all(_holds(v, typing.get_args(kind)[0])
+                                                for v in value)
+    return (not isinstance(value, bool) and isinstance(value, _FIELD_TYPES.get(kind, kind))
+            and (kind is not float or abs(value) <= sys.float_info.max))
+
+
+def check_field_types(spec):
+    """DataError naming the first field of the dataclass instance `spec`
+    that does not hold a value of its annotated type (`_FIELD_TYPES`):
+    the one type rule of `SplitSpec`, `TransferConfig`, `PairSpec` and
+    `ExperimentSpec`."""
+    hints = _type_hints(type(spec))
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if not _holds(value, hints[f.name]):
+            rule = "a finite int or float" if f.type == "float" else f"of type {f.type}"
+            raise DataError(f"{type(spec).__name__} field {f.name!r} = {value!r} is not {rule}")
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Target/test partition parameters."""
@@ -80,8 +115,11 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 < self.target_fraction < 1.0:
             raise DataError(f"target_fraction must be in (0,1), got {self.target_fraction}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,10 +16,12 @@ Every method's model is a `TransferModel` (a baseline's holds its domain
 forest and no projection), and `evaluate` scores it on the test part, which
 the model aligns to its own raw schema and encodes.
 
-A pair's CSV files are loaded once, and its cells run through
-`workers.fork_map` and are folded in cell order. A cell returns its scores
-and tlf's diagnostics, never a model, and seeds itself from its repeat
-index, so the report is the one a single process writes.
+Every pair's CSV files are loaded before any cell runs. The loaded pairs'
+cells run cell-major through one `workers.fork_map` and are folded back in
+pair order, then cell order. A cell returns its scores and tlf's
+diagnostics, or the error text that fails its pair, never a model, and
+seeds itself from its repeat index, so the report is the one a single
+process writes.
 """
 
 from __future__ import annotations
@@ -32,7 +34,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, SplitSpec, inject_missing, load_csv, repair_missing, split_target
+from .dataset import (
+    Dataset,
+    SplitSpec,
+    check_field_types,
+    inject_missing,
+    load_csv,
+    repair_missing,
+    split_target,
+)
 from .errors import DataError, LeafBridgeError
 from .metrics import SIGN_TEST_Z_REF, evaluate, mean_ranks, nemenyi_cd, sign_test
 from .transfer import TransferConfig, TransferModel, domain_forest, run_transfer
@@ -48,6 +58,9 @@ class PairSpec:
     source: str
     target: str
     group: str = ""
+
+    def __post_init__(self):
+        check_field_types(self)
 
     @property
     def name(self) -> str:
@@ -66,6 +79,7 @@ class ExperimentSpec:
     output: str = "report"
 
     def __post_init__(self):
+        check_field_types(self)
         if len(self.pairs) < 1:
             raise DataError("an experiment needs at least one source->target pair")
         if self.repeats < 1:
@@ -104,20 +118,42 @@ def _mean(values) -> float:
 def run_experiment(spec: ExperimentSpec, cfg: TransferConfig) -> "EvaluationReport":
     """Run every pair/repeat/method combination and assemble the report.
 
-    A failing pair is recorded with its error and the run continues. Splits
-    use seed spec.split.seed + repeat; training uses cfg.seed + repeat.
+    Splits use seed spec.split.seed + repeat, training cfg.seed + repeat.
+    Every pair loads here, and the loaded pairs' cells run cell-major (each
+    pair's first, then each pair's second, ...) through one `fork_map`. A
+    failing pair holds the text of its load error or first failing cell.
     """
     ratios = spec.inject_ratios if spec.inject_ratios else (None,)
-    pair_results = []
+    cells = [(ratio, r) for ratio in ratios for r in range(spec.repeats)]
+    loaded, failed = [], []  # datasets of the loaded pairs; each pair's [load error] or None
     for pair in spec.pairs:
         try:
-            pair_results.append(_run_pair(pair, spec, cfg, ratios))
+            loaded.append((load_csv(pair.source, spec.label_column, domain_tag="source"),
+                           load_csv(pair.target, spec.label_column, domain_tag="target")))
+            failed.append(None)
         except (LeafBridgeError, OSError) as exc:
-            logger.warning("pair %s failed: %s", pair.name, exc)
-            pair_results.append({
-                "pair": pair.name, "source": pair.source, "target": pair.target,
-                "group": pair.group, "error": f"{type(exc).__name__}: {exc}",
-            })
+            failed.append([f"{type(exc).__name__}: {exc}"])
+    work = len(cells) * 2 * cfg.n_trees * sum(
+        src.n + round(tgt.n * spec.split.target_fraction) for src, tgt in loaded)
+    results = fork_map(lambda share: [_run_cell(*pair, spec, cfg, *cell) for pair, cell in share],
+                       [(pair, cell) for cell in cells for pair in loaded], work, "cells")
+    by_pair = (results[k::len(loaded)] for k in range(len(loaded)))
+    pair_results = []
+    for pair, got in zip(spec.pairs, failed):
+        got = got or next(by_pair)
+        result = {"pair": pair.name, "source": pair.source, "target": pair.target,
+                  "group": pair.group}
+        error = next((cell for cell in got if isinstance(cell, str)), None)
+        if error is not None:
+            logger.warning("pair %s failed: %s", pair.name, error)
+            result["error"] = error
+        elif not spec.inject_ratios:
+            result.update(_fold_cells(spec, None, got))
+            del result["inject_ratio"]
+        else:
+            result["by_ratio"] = [_fold_cells(spec, ratio, got[k * spec.repeats:][:spec.repeats])
+                                  for k, ratio in enumerate(ratios)]
+        pair_results.append(result)
     return EvaluationReport.assemble(spec, cfg, pair_results)
 
 
@@ -133,46 +169,24 @@ def _inject(ds: Dataset, ratio, seed: int) -> Dataset:
     return ds if ratio is None else inject_missing(ds, ratio, seed)
 
 
-def _run_pair(pair: PairSpec, spec: ExperimentSpec, cfg: TransferConfig, ratios):
-    """The pair's report entry; a cell's work for `fork_map` is about twice
-    its source and labeled target records times trees."""
-    source_full = load_csv(pair.source, spec.label_column, domain_tag="source")
-    target_full = load_csv(pair.target, spec.label_column, domain_tag="target")
-    cells = [(ratio, r) for ratio in ratios for r in range(spec.repeats)]
-    n_target = round(target_full.n * spec.split.target_fraction)
-    work = len(cells) * 2 * (source_full.n + n_target) * cfg.n_trees
-    results = fork_map(lambda share: [_run_cell(source_full, target_full, spec, cfg, *cell)
-                                      for cell in share], cells, work, "cells")
-    per_ratio = [_fold_cells(spec, ratio, results[k * spec.repeats:(k + 1) * spec.repeats])
-                 for k, ratio in enumerate(ratios)]
-    result = {
-        "pair": pair.name, "source": pair.source, "target": pair.target,
-        "group": pair.group,
-    }
-    if len(ratios) == 1 and ratios[0] is None:
-        result.update(per_ratio[0])
-        del result["inject_ratio"]
-    else:
-        result["by_ratio"] = per_ratio
-    return result
-
-
 def _run_cell(source_full: Dataset, target_full: Dataset, spec: ExperimentSpec,
               cfg: TransferConfig, ratio, r: int):
     """One inject ratio and repeat of a pair: ({method: its EvalMetrics, or
-    its LeafBridgeError as text}, tlf's diagnostics or None). Errors of the
-    split, inject and repair steps propagate and fail the pair."""
-    split = SplitSpec(spec.split.target_fraction, spec.split.seed + r)
-    target_train, test = split_target(target_full, split)
-    src = _repair(_inject(source_full, ratio, 2 * (cfg.seed + r)), spec.missing_mode)
-    target_train = _inject(target_train, ratio, 2 * (cfg.seed + r) + 1)
-    tgt = _repair(target_train, spec.missing_mode)
-    # the test part is repaired by the same rule; impute fills its
-    # cells from the labeled target part, never from itself
-    test = _repair(test, spec.missing_mode, reference=target_train)
+    its LeafBridgeError as text}, tlf's diagnostics or None), or the text of
+    the split, inject or repair error that fails the pair."""
+    try:
+        split = SplitSpec(spec.split.target_fraction, spec.split.seed + r)
+        target_train, test = split_target(target_full, split)
+        src = _repair(_inject(source_full, ratio, 2 * (cfg.seed + r)), spec.missing_mode)
+        target_train = _inject(target_train, ratio, 2 * (cfg.seed + r) + 1)
+        tgt = _repair(target_train, spec.missing_mode)
+        # the test part is repaired by the same rule; impute fills its
+        # cells from the labeled target part, never from itself
+        test = _repair(test, spec.missing_mode, reference=target_train)
+    except (LeafBridgeError, OSError) as exc:
+        return f"{type(exc).__name__}: {exc}"
     run_cfg = replace(cfg, seed=cfg.seed + r)
-    held = {}
-    scores, tlf = {}, None
+    held, scores, tlf = {}, {}, None
     for method in spec.methods:
         try:
             model = _train_method(method, src, tgt, run_cfg, held)

@@ -172,19 +172,24 @@ def extract_distributions(ds: Dataset, leaves: LeafTable) -> DistributionBundle:
         W, std = _segment_stats(ds.records, flat, sizes, spread=True)
         spread = std != 0.0
         W[spread] += [math.log(s) for s in std[spread].tolist()]
+    _require_finite(W, ds.schema, ds.domain_tag, "a leaf centroid")
+    return DistributionBundle(V, W, ds.schema, ds.class_names, ds.domain_tag)
+
+
+def _require_finite(W: np.ndarray, schema, domain_tag: str, what: str):
+    """DataError naming the first column of W that holds a non-finite value."""
     finite = np.isfinite(W).all(axis=0)
     if not finite.all():
-        raise DataError(f"{ds.domain_tag} column {ds.schema[int(np.argmin(finite))].name!r}: "
-                        f"a leaf centroid is not finite, as its cells overflow float64 sums")
-    return DistributionBundle(V, W, ds.schema, ds.class_names, ds.domain_tag)
+        raise DataError(f"{domain_tag} column {schema[int(np.argmin(finite))].name!r}: "
+                        f"{what} is not finite, as its cells overflow float64 sums")
 
 
 def dedup(bundle: DistributionBundle) -> tuple[DistributionBundle, np.ndarray]:
     """Merge rows whose distributions agree after 6-decimal rounding.
 
     Merged rows are numbered in order of first appearance, and their
-    centroids are averaged. Returns the merged bundle plus a row map from
-    each input row to its merged row.
+    centroids are averaged (DataError where a mean overflows). Returns the
+    merged bundle plus a row map from each input row to its merged row.
     """
     keys = np.round(bundle.V, DEDUP_DECIMALS)
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
@@ -194,8 +199,10 @@ def dedup(bundle: DistributionBundle) -> tuple[DistributionBundle, np.ndarray]:
     row_map = renumber[inverse.reshape(-1)]
     n_groups = order.shape[0]
     members = np.argsort(row_map, kind="stable")
-    W, _ = _segment_stats(bundle.W, members, np.bincount(row_map, minlength=n_groups),
-                          spread=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        W, _ = _segment_stats(bundle.W, members, np.bincount(row_map, minlength=n_groups),
+                              spread=False)
+    _require_finite(W, bundle.schema, bundle.domain_tag, "a merged leaf centroid")
     merged_bundle = DistributionBundle(
         bundle.V[first[order]], W, bundle.schema, bundle.class_names, bundle.domain_tag,
     )

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import json
 import logging
-import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .dataset import (
     AttributeSchema,
     Dataset,
     align_categories,
+    check_field_types,
     encode_records,
     encoded_schema,
     name_index,
@@ -52,12 +52,6 @@ logger = logging.getLogger("leafbridge")
 FORMAT_VERSION = 3
 
 
-#: The types a TransferConfig field of each annotation may hold, a bool never;
-#: a float field's value must also lie within the float range, which NaN does
-#: not (annotations are strings under `from __future__ import annotations`).
-_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
-
-
 @dataclass(frozen=True)
 class TransferConfig:
     """Pipeline parameters (defaults follow the evaluation protocol)."""
@@ -75,15 +69,12 @@ class TransferConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if (isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type])
-                    or f.type == "float" and not abs(value) <= sys.float_info.max):
-                rule = "a finite int or float" if f.type == "float" else f"of type {f.type}"
-                raise DataError(f"TransferConfig field {f.name!r} = {value!r} is not {rule}")
+        check_field_types(self)
         for name in ("n_trees", "min_leaf_small", "min_leaf_large", "large_threshold"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         for name in ("ridge", "mmd", "manifold"):
             if getattr(self, name) < 0:
                 raise DataError(f"{name} must be >= 0")

@@ -1,6 +1,6 @@
 """Run a function over contiguous shares of a sequence in forked processes
-(`fork_map`): `forest.train_forest` grows its trees and
-`experiment.run_experiment` runs its cells this way."""
+(`fork_map`): `forest.train_forest` grows its trees this way, and
+`experiment.run_experiment` runs the cells of all its pairs in one map."""
 
 from __future__ import annotations
 

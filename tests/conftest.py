@@ -1,7 +1,10 @@
+import math
 import os
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from leafbridge import workers
 from leafbridge.dataset import NUMERIC, AttributeSchema, Dataset
@@ -16,6 +19,37 @@ def numeric_dataset(records, labels, n_classes=None, domain_tag="source"):
     schema = tuple(AttributeSchema(f"f{j}", NUMERIC) for j in range(records.shape[1]))
     return Dataset(schema, records, labels,
                    tuple(f"c{c}" for c in range(n_classes)), domain_tag)
+
+
+#: Cell pools of drawn columns: ties and signed zeros, adjacent floats,
+#: spreads whose squares are subnormal, sums and midpoints that overflow
+#: float64, and ordinary values.
+COLUMN_REGIMES = (
+    (0.0, -0.0, 1.0, -1.0, 2.0),
+    (1.0, 1.0 + 2**-52, 1.0 + 2**-51),
+    (0.0, -0.0, 5e-324, 1e-160, 3e-160),
+    (1e308, 1.6e308, sys.float_info.max, -1e308, -1.6e308, -sys.float_info.max),
+    (0.1, 0.3, 2.5, math.pi, 1e6 / 7, -1234.5),
+)
+
+
+def drawn_matrix(draw, rng, n, d):
+    """An n x d matrix: a hypothesis `draw` picks each column's pool among
+    COLUMN_REGIMES and makes some columns constant or copies of an earlier
+    one; the numpy Generator `rng` picks the cells."""
+    X = np.empty((n, d))
+    for j in range(d):
+        X[:, j] = rng.choice(draw(st.sampled_from(COLUMN_REGIMES)), size=n)
+        shape = draw(st.sampled_from(["drawn", "drawn", "drawn", "constant", "copy"]))
+        if shape == "constant":
+            X[:, j] = X[0, j]
+        elif shape == "copy" and j:
+            X[:, j] = X[:, draw(st.integers(0, j - 1))]
+    return X
+
+
+def drawn_rng(draw) -> np.random.Generator:
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
 
 @pytest.fixture

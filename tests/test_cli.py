@@ -103,6 +103,25 @@ class TestRun:
         assert "['tlf'] listed more than once" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    def test_negative_seed_stops_before_any_csv(self, tmp_path, pair_files, monkeypatch,
+                                                capsys):
+        spec = spec_file(tmp_path, pair_files, tmp_path / "report")
+        spec.write_text(spec.read_text().replace("[forest]", "seed = -2\n[forest]"),
+                        encoding="utf-8")
+
+        def no_csv(*args, **kwargs):
+            raise AssertionError("no CSV may load")
+
+        monkeypatch.setattr("leafbridge.experiment.load_csv", no_csv)
+        monkeypatch.setattr("leafbridge.cli.load_csv", no_csv)
+        assert main(["run", "--spec", str(spec)]) == EXIT_DATA
+        assert "seed must be >= 0, got -2" in capsys.readouterr().err
+        model = tmp_path / "model.json"
+        assert main(["transfer", "--source", pair_files[0], "--target", pair_files[1],
+                     "--seed", "-3", "--output", str(model)]) == EXIT_DATA
+        assert "seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not model.exists() and not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("setting", ["ridge = nan", "mmd = 1e400", "manifold = -inf"])
     def test_non_finite_setting_stops_before_any_csv(self, tmp_path, pair_files, monkeypatch,
                                                      capsys, setting):

@@ -388,6 +388,23 @@ class TestSplit:
         with pytest.raises(DataError):
             SplitSpec(1.0, 0)
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("target_fraction", "0.2", "a finite int or float"),
+        ("target_fraction", float("nan"), "a finite int or float"),
+        ("target_fraction", True, "a finite int or float"),
+        ("seed", 1.0, "of type int"),
+        ("seed", np.int64(1), "of type int"),
+        ("seed", False, "of type int"),
+    ])
+    def test_field_of_another_type_named(self, field, value, rule):
+        with pytest.raises(DataError, match=f"^SplitSpec field '{field}' = .* is not {rule}$"):
+            SplitSpec(**{field: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DataError, match=r"^seed must be >= 0, got -1$"):
+            SplitSpec(0.2, seed=-1)
+        assert SplitSpec(0.2, seed=0).seed == 0
+
 
 class TestRepairMissing:
     def test_impute_mean(self):

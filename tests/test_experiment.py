@@ -1,7 +1,9 @@
 import csv
 import json
 import os
+import re
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,6 +238,14 @@ def no_shared_class_pair(tmp_path_factory):
     return _pair_files(tmp_path_factory.mktemp("disjoint"), src, tgt)
 
 
+@pytest.fixture(scope="module")
+def one_record_target_pair(pair_files, tmp_path_factory):
+    """pair_files' source with a target CSV of one record, which no split divides."""
+    path = tmp_path_factory.mktemp("one_record") / "tgt.csv"
+    write_csv(load_csv(pair_files[1], "label").subset([0]), path)
+    return pair_files[0], str(path)
+
+
 def baseline_model(forest, ds, cfg=TransferConfig()):
     """A plain forest as a model of the raw schema and classes of ds."""
     return TransferModel(forest=forest, projection=None, fallback=False, diagnostics={},
@@ -361,26 +371,46 @@ class TestForkedCells:
     def cfg():
         return TransferConfig(n_trees=3, min_leaf_small=5, seed=2)
 
-    @pytest.mark.parametrize("layout", range(len(CELL_LAYOUTS)))
-    def test_report_bytes_equal_serial(self, pair_files, no_shared_class_pair, fork_in,
-                                       layout):
-        ratios, repeats = CELL_LAYOUTS[layout]
-        # a pair that scores, one whose tlf fails in every cell, one that fails
-        spec = self.spec([pair_files, no_shared_class_pair, ("no_such_file.csv", "x.csv")],
-                         ratios, repeats)
-        n_cells = max(1, len(ratios)) * repeats
+    # case k runs k + 1 pairs on layout k mod 5; the pairs cycle through four
+    # kinds: one that scores, one whose tlf fails in every cell, one whose
+    # CSV fails to load and one whose split fails in every cell
+    @pytest.mark.parametrize("case", range(8))
+    def test_report_bytes_equal_serial(self, pair_files, no_shared_class_pair,
+                                       one_record_target_pair, fork_in, case):
+        n_pairs, (ratios, repeats) = case + 1, CELL_LAYOUTS[case % len(CELL_LAYOUTS)]
+        kinds = [pair_files, no_shared_class_pair, ("no_such_file.csv", "x.csv"),
+                 one_record_target_pair]
+        spec = self.spec([kinds[k % 4] for k in range(n_pairs)], ratios, repeats)
+        n_items = sum(k % 4 != 2 for k in range(n_pairs)) * max(1, len(ratios)) * repeats
         fork_in(1)
         serial = json.dumps(run_experiment(spec, self.cfg()).to_dict())
-        assert "MatchingError" in serial and "FileNotFoundError" in serial
+        for error in ("MatchingError", "FileNotFoundError", "EmptyDatasetError")[:n_pairs - 1]:
+            assert error in serial
         for workers in (1, 2, 3):
             forks = fork_in(workers)
             report = json.dumps(run_experiment(spec, self.cfg()).to_dict())
-            # two pairs load, and each forks a child for each share but its
-            # first; a single cell runs in this process and forks its forests
-            if min(n_cells, workers) > 1:
-                assert len(forks()) == 2 * (min(n_cells, workers) - 1)
+            # one map over every loaded pair's cells forks a child for each
+            # share but the first; a lone cell runs here and forks its forests
+            if n_items > 1 or workers == 1:
+                assert len(forks()) == min(n_items, workers) - 1
             assert report == serial
             assert_no_children()
+
+    def test_one_map_in_cell_major_order(self, pair_files, no_shared_class_pair, monkeypatch):
+        maps, fork_map = [], experiment.fork_map
+
+        def recording(fn, items, work, what):
+            maps.append(([(src.n, cell) for (src, _), cell in items], work))
+            return fork_map(fn, items, work, what)
+
+        monkeypatch.setattr(experiment, "fork_map", recording)
+        spec = self.spec([pair_files, ("no_such_file.csv", "x.csv"), no_shared_class_pair],
+                         (0.1, 0.3), 2)
+        run_experiment(spec, self.cfg())
+        cells = [(0.1, 0), (0.1, 1), (0.3, 0), (0.3, 1)]
+        # 150 and 200 source records; 32 and 40 labeled target records
+        assert maps == [([(n, cell) for cell in cells for n in (150, 200)],
+                         4 * 2 * 3 * (150 + 32 + 200 + 40))]
 
     def test_no_nested_fork(self, pair_files, fork_in):
         # with the gate at zero, every cell's forests would fork too
@@ -591,6 +621,43 @@ class TestSpecValidation:
         spec = ExperimentSpec(pairs=(PairSpec("a", "b"),), missing_mode="srd",
                               inject_ratios=(0.0, 0.5))
         assert spec.inject_ratios == (0.0, 0.5)
+
+    @pytest.mark.parametrize("field, value, rule", [
+        ("repeats", 2.5, "of type int"),
+        ("repeats", True, "of type int"),
+        ("split", (0.2, 1), "of type SplitSpec"),
+        ("inject_ratios", 0.1, "of type tuple[float, ...]"),
+        ("inject_ratios", [0.1], "of type tuple[float, ...]"),
+        ("inject_ratios", (0.1, float("nan")), "of type tuple[float, ...]"),
+        ("inject_ratios", (True,), "of type tuple[float, ...]"),
+        ("methods", ["tlf"], "of type tuple[str, ...]"),
+        ("methods", ("tlf", None), "of type tuple[str, ...]"),
+        ("pairs", [PairSpec("a", "b")], "of type tuple[PairSpec, ...]"),
+        ("pairs", (("a", "b"),), "of type tuple[PairSpec, ...]"),
+        ("label_column", None, "of type str"),
+        ("output", Path("report"), "of type str"),
+    ])
+    def test_field_of_another_type_named(self, field, value, rule):
+        fields = {"pairs": (PairSpec("a", "b"),), "missing_mode": "impute", field: value}
+        with pytest.raises(DataError, match=f"^ExperimentSpec field '{field}' = .* is not "
+                                            f"{re.escape(rule)}$"):
+            ExperimentSpec(**fields)
+
+    @pytest.mark.parametrize("field", ["source", "target", "group"])
+    def test_pair_field_of_another_type_named(self, field):
+        fields = {"source": "a.csv", "target": "b.csv", field: Path("c.csv")}
+        with pytest.raises(DataError, match=f"^PairSpec field '{field}' = .*Path.* is not "
+                                            f"of type str$"):
+            PairSpec(**fields)
+
+    def test_path_pair_rejected_before_any_report(self, pair_files, tmp_path):
+        # a Path pair would run every cell, then fail to write the report
+        # and leave a truncated JSON file behind
+        output = tmp_path / "report"
+        with pytest.raises(DataError, match="PairSpec field 'source'"):
+            spec = ExperimentSpec(pairs=(PairSpec(*map(Path, pair_files)),), output=str(output))
+            run_experiment(spec, small_cfg()).write(spec.output)
+        assert list(tmp_path.iterdir()) == []
 
 
 #: Odd values a config file may give any key: numbers of every kind

@@ -33,7 +33,13 @@ from leafbridge.forest import (
     train_forest,
 )
 from leafbridge.transfer import TransferConfig, TransferModel
-from conftest import assert_no_children, assert_same_forest, numeric_dataset
+from conftest import (
+    assert_no_children,
+    assert_same_forest,
+    drawn_matrix,
+    drawn_rng,
+    numeric_dataset,
+)
 
 _GAIN_EPS = forest_module._GAIN_EPS
 
@@ -95,6 +101,43 @@ def oracle_numeric_splits(X, labels, weights, idx, attrs, n_classes, min_leaf):
         if found is not None and (best is None or found[0] > best[0]):
             best = (found[0], int(attr), found[1])
     return best
+
+
+@st.composite
+def split_nodes(draw):
+    """A drawn matrix, labels of 1-12 classes (numpy sums 8 or more values
+    pairwise), a bootstrap's class weights, a node of distinct in-bag
+    records, sampled attributes, a minimum leaf size and a block size."""
+    rng = drawn_rng(draw)
+    n, d = draw(st.integers(2, 64)), draw(st.integers(1, 5))
+    n_classes = draw(st.sampled_from((1, 2, 3, 7, 8, 9, 12)))
+    X = drawn_matrix(draw, rng, n, d)
+    y = rng.integers(0, n_classes, n)
+    in_bag, counts = np.unique(rng.integers(0, n, n), return_counts=True)
+    class_weights = np.zeros((n_classes, n), dtype=np.int32)
+    class_weights[y[in_bag], in_bag] = counts
+    keep = rng.random(in_bag.size) < draw(st.sampled_from((0.3, 0.7, 1.0)))
+    idx = in_bag[keep] if keep.any() else in_bag
+    attrs = np.array(sorted(draw(st.sets(st.integers(0, d - 1), min_size=1))))
+    min_leaf = draw(st.integers(1, max(1, idx.size // 2)))
+    return X, y, class_weights, idx, attrs, min_leaf, draw(st.integers(1, 1 << 17))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(node=split_nodes())
+def test_split_search_matches_oracle_on_drawn_nodes(node):
+    X, y, class_weights, idx, attrs, min_leaf, block = node
+    order, rank = _presort(X)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forest_module, "SPLIT_BLOCK_ELEMENTS", block)
+        got = _best_numeric_splits(X, order, rank, class_weights, idx, attrs, min_leaf)
+    want = oracle_numeric_splits(X, y, class_weights.sum(axis=0).astype(np.float64), idx,
+                                 attrs, class_weights.shape[0], min_leaf)
+    assert got == want
+    if got is not None:
+        assert type(got[1]) is int
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
 
 
 @dataclass

@@ -17,7 +17,7 @@ from leafbridge.pivot import (
     extract_distributions,
     match_pivots,
 )
-from conftest import numeric_dataset
+from conftest import drawn_matrix, drawn_rng, numeric_dataset
 
 
 def brute_force_jsd(p, q):
@@ -283,6 +283,13 @@ class TestDedup:
         np.testing.assert_array_equal(merged.V, bundle.V)
         np.testing.assert_array_equal(row_map, [0, 1])
 
+    def test_overflowing_mean_is_data_error(self):
+        # two finite centroids whose sum overflows float64
+        bundle = make_bundle([[1.0], [1.0]], W=[[1e308], [1.6e308]])
+        with pytest.raises(DataError, match="^source column 'f0': a merged leaf centroid is "
+                                            "not finite"):
+            dedup(bundle)
+
     def test_rounding_tolerance(self):
         v = 1 / 3
         bundle = make_bundle([[v, 1 - v], [v + 1e-9, 1 - v - 1e-9]], W=[[0.0], [2.0]])
@@ -533,6 +540,70 @@ class TestArrayMatchesLoops:
         tgt = make_bundle(rng.dirichlet(np.ones(4), size=23), domain_tag="target",
                           class_names=ds.class_names)
         assert_matches_loops(ds, leaves, tgt, threshold=0.4)
+
+
+#: Class counts of drawn cases; numpy sums 8 or more values pairwise.
+N_CLASSES = st.sampled_from((1, 2, 3, 7, 8, 9, 12))
+
+
+@st.composite
+def leaf_cases(draw):
+    """A numeric dataset of a drawn matrix and 1-12 classes (some unused),
+    and leaves of distinct ascending members that may share members."""
+    rng = drawn_rng(draw)
+    n, d, n_classes = draw(st.integers(1, 24)), draw(st.integers(1, 4)), draw(N_CLASSES)
+    ds = numeric_dataset(drawn_matrix(draw, rng, n, d), rng.integers(0, n_classes, n),
+                         n_classes=n_classes)
+    return ds, leaf_table([np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False))
+                           for _ in range(draw(st.integers(1, 12)))])
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(case=leaf_cases())
+def test_extract_and_dedup_match_loops_on_drawn_leaves(case):
+    ds, leaves = case
+    with np.errstate(all="ignore"):
+        want = loop_extract_distributions(ds, leaves)
+    if not np.isfinite(want.W).all():
+        with pytest.raises(DataError, match="a leaf centroid is not finite"):
+            extract_distributions(ds, leaves)
+        return
+    got = extract_distributions(ds, leaves)
+    assert_same_bundle(got, want)
+    assert_dedup_matches_loop(got)
+
+
+def assert_dedup_matches_loop(bundle):
+    """dedup equals loop_dedup bit for bit, or raises where a loop mean
+    overflows."""
+    with np.errstate(all="ignore"):
+        want, want_map = loop_dedup(bundle)
+    if not np.isfinite(want.W).all():
+        with pytest.raises(DataError, match="a merged leaf centroid is not finite"):
+            dedup(bundle)
+        return
+    merged, row_map = dedup(bundle)
+    assert_same_bundle(merged, want)
+    assert row_map.dtype == want_map.dtype and np.array_equal(row_map, want_map)
+
+
+@st.composite
+def drawn_bundles(draw):
+    """Bundles of 1-12 classes whose rows repeat a few distributions, some
+    moved within dedup's rounding, and whose centroids are a drawn matrix."""
+    rng = drawn_rng(draw)
+    n_classes, n_rows, d = draw(N_CLASSES), draw(st.integers(1, 30)), draw(st.integers(1, 3))
+    counts = rng.integers(0, 4, size=(draw(st.integers(1, 4)), n_classes))
+    counts[:, 0] += counts.sum(axis=1) == 0
+    V = (counts / counts.sum(axis=1, keepdims=True))[rng.integers(0, counts.shape[0], n_rows)]
+    V[:, 0] += rng.choice([0.0, 3e-10, -2e-10], size=n_rows) * (V[:, 0] > 1e-6)
+    return make_bundle(V, W=drawn_matrix(draw, rng, n_rows, d))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(bundle=drawn_bundles())
+def test_dedup_matches_loop_on_drawn_bundles(bundle):
+    assert_dedup_matches_loop(bundle)
 
 
 class TestMemory:

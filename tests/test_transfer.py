@@ -764,6 +764,11 @@ class TestConfig:
         with pytest.raises(DataError, match=f"TransferConfig field '{field}' = .* is not {rule}$"):
             TransferConfig(**{field: value})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DataError, match=r"^seed must be >= 0, got -1$"):
+            TransferConfig(seed=-1)
+        assert TransferConfig(seed=0).seed == 0
+
     def test_int_and_float_subclass_values_accepted(self):
         cfg = TransferConfig(ridge=1, mmd=np.float64(2.5), pivot_threshold=0.25)
         assert (cfg.ridge, cfg.mmd) == (1, 2.5)
