@@ -9,11 +9,10 @@ sentinel (operations that need complete data raise instead of propagating it).
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import sys
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import compress, groupby, repeat
 
 import numpy as np
@@ -81,11 +80,6 @@ class AttributeSchema:
 _FIELD_TYPES = {int: int, float: (int, float), str: str}
 
 
-#: The annotations of a class, resolved once (they are strings under
-#: `from __future__ import annotations`).
-_type_hints = functools.cache(typing.get_type_hints)
-
-
 def _holds(value, kind) -> bool:
     if typing.get_origin(kind) is tuple:  # tuple[X, ...]: a tuple of X items
         return isinstance(value, tuple) and all(_holds(v, typing.get_args(kind)[0])
@@ -94,17 +88,22 @@ def _holds(value, kind) -> bool:
             and (kind is not float or abs(value) <= sys.float_info.max))
 
 
+def _type_name(kind) -> str:
+    """A resolved annotation as written: int, SplitSpec, tuple[float, ...]."""
+    args = typing.get_args(kind)
+    return f"tuple[{_type_name(args[0])}, ...]" if args else kind.__name__
+
+
 def check_field_types(spec):
     """DataError naming the first field of the dataclass instance `spec`
     that does not hold a value of its annotated type (`_FIELD_TYPES`):
     the one type rule of `SplitSpec`, `TransferConfig`, `PairSpec` and
     `ExperimentSpec`."""
-    hints = _type_hints(type(spec))
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        if not _holds(value, hints[f.name]):
-            rule = "a finite int or float" if f.type == "float" else f"of type {f.type}"
-            raise DataError(f"{type(spec).__name__} field {f.name!r} = {value!r} is not {rule}")
+    for name, kind in typing.get_type_hints(type(spec)).items():
+        value = getattr(spec, name)
+        if not _holds(value, kind):
+            rule = "a finite int or float" if kind is float else f"of type {_type_name(kind)}"
+            raise DataError(f"{type(spec).__name__} field {name!r} = {value!r} is not {rule}")
 
 
 @dataclass(frozen=True)

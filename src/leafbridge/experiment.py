@@ -16,20 +16,22 @@ Every method's model is a `TransferModel` (a baseline's holds its domain
 forest and no projection), and `evaluate` scores it on the test part, which
 the model aligns to its own raw schema and encodes.
 
-Every pair's CSV files are loaded before any cell runs. The loaded pairs'
-cells run cell-major through one `workers.fork_map` and are folded back in
-pair order, then cell order. A cell returns its scores and tlf's
-diagnostics, or the error text that fails its pair, never a model, and
-seeds itself from its repeat index, so the report is the one a single
-process writes.
+Every pair's CSV files are loaded before any cell runs, each distinct file
+once per domain. The loaded pairs' cells run cell-major through one
+`workers.fork_map` and are folded back in pair order, then cell order. A
+cell returns its scores and tlf's diagnostics, or the error text that fails
+its pair, never a model, and seeds itself from its repeat index, so the
+report is the one a single process writes.
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
 import json
 import logging
-from dataclasses import asdict, dataclass, field, fields, replace
+import typing
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -119,30 +121,33 @@ def run_experiment(spec: ExperimentSpec, cfg: TransferConfig) -> "EvaluationRepo
     """Run every pair/repeat/method combination and assemble the report.
 
     Splits use seed spec.split.seed + repeat, training cfg.seed + repeat.
-    Every pair loads here, and the loaded pairs' cells run cell-major (each
-    pair's first, then each pair's second, ...) through one `fork_map`. A
-    failing pair holds the text of its load error or first failing cell.
+    Each distinct file loads here once per domain; the loaded pairs' cells
+    run cell-major through one `fork_map`. A failing pair holds the text of
+    its load error, its first failing cell's error or the map's OSError.
     """
     ratios = spec.inject_ratios if spec.inject_ratios else (None,)
     cells = [(ratio, r) for ratio in ratios for r in range(spec.repeats)]
+    load = functools.cache(lambda path, tag: load_csv(path, spec.label_column, domain_tag=tag))
     loaded, failed = [], []  # datasets of the loaded pairs; each pair's [load error] or None
     for pair in spec.pairs:
         try:
-            loaded.append((load_csv(pair.source, spec.label_column, domain_tag="source"),
-                           load_csv(pair.target, spec.label_column, domain_tag="target")))
+            loaded.append((load(pair.source, "source"), load(pair.target, "target")))
             failed.append(None)
         except (LeafBridgeError, OSError) as exc:
             failed.append([f"{type(exc).__name__}: {exc}"])
-    work = len(cells) * 2 * cfg.n_trees * sum(
-        src.n + round(tgt.n * spec.split.target_fraction) for src, tgt in loaded)
-    results = fork_map(lambda share: [_run_cell(*pair, spec, cfg, *cell) for pair, cell in share],
-                       [(pair, cell) for cell in cells for pair in loaded], work, "cells")
+    items = [(pair, cell) for cell in cells for pair in loaded]
+    work = [2 * cfg.n_trees * (src.n + round(tgt.n * spec.split.target_fraction))
+            for (src, tgt), _ in items]
+    try:
+        results = fork_map(lambda share: [_run_cell(*pair, spec, cfg, *cell)
+                                          for pair, cell in share], items, work, "cells")
+    except OSError as exc:  # a failed fork or a worker that died fails every loaded pair
+        results = [f"{type(exc).__name__}: {exc}"] * len(items)
     by_pair = (results[k::len(loaded)] for k in range(len(loaded)))
     pair_results = []
     for pair, got in zip(spec.pairs, failed):
         got = got or next(by_pair)
-        result = {"pair": pair.name, "source": pair.source, "target": pair.target,
-                  "group": pair.group}
+        result = {"pair": pair.name, **asdict(pair)}
         error = next((cell for cell in got if isinstance(cell, str)), None)
         if error is not None:
             logger.warning("pair %s failed: %s", pair.name, error)
@@ -158,11 +163,9 @@ def run_experiment(spec: ExperimentSpec, cfg: TransferConfig) -> "EvaluationRepo
 
 
 def _repair(ds: Dataset, mode: str, reference: Dataset | None = None) -> Dataset:
-    if mode != "none":
-        return repair_missing(ds, mode, reference)
-    if ds.has_missing():
+    if mode == "none" and ds.has_missing():
         raise DataError("dataset has missing cells; set missing_mode to srd or impute")
-    return ds
+    return ds if mode == "none" else repair_missing(ds, mode, reference)
 
 
 def _inject(ds: Dataset, ratio, seed: int) -> Dataset:
@@ -173,30 +176,29 @@ def _run_cell(source_full: Dataset, target_full: Dataset, spec: ExperimentSpec,
               cfg: TransferConfig, ratio, r: int):
     """One inject ratio and repeat of a pair: ({method: its EvalMetrics, or
     its LeafBridgeError as text}, tlf's diagnostics or None), or the text of
-    the split, inject or repair error that fails the pair."""
+    the split, inject or repair error, or of any OSError, that fails the pair."""
     try:
-        split = SplitSpec(spec.split.target_fraction, spec.split.seed + r)
-        target_train, test = split_target(target_full, split)
+        labeled, test = split_target(target_full, replace(spec.split, seed=spec.split.seed + r))
         src = _repair(_inject(source_full, ratio, 2 * (cfg.seed + r)), spec.missing_mode)
-        target_train = _inject(target_train, ratio, 2 * (cfg.seed + r) + 1)
-        tgt = _repair(target_train, spec.missing_mode)
+        labeled = _inject(labeled, ratio, 2 * (cfg.seed + r) + 1)
+        tgt = _repair(labeled, spec.missing_mode)
         # the test part is repaired by the same rule; impute fills its
         # cells from the labeled target part, never from itself
-        test = _repair(test, spec.missing_mode, reference=target_train)
+        test = _repair(test, spec.missing_mode, reference=labeled)
+        run_cfg = replace(cfg, seed=cfg.seed + r)
+        held, scores, tlf = {}, {}, None
+        for method in spec.methods:
+            try:
+                model = _train_method(method, src, tgt, run_cfg, held)
+                scores[method] = evaluate(model, test)
+            except LeafBridgeError as exc:
+                scores[method] = f"{type(exc).__name__}: {exc}"
+                continue
+            if method == "tlf":
+                tlf = {key: model.diagnostics[key] for key in ("n_pivots", "mu", "adaptation")}
+                tlf["fallback"] = model.fallback
     except (LeafBridgeError, OSError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    run_cfg = replace(cfg, seed=cfg.seed + r)
-    held, scores, tlf = {}, {}, None
-    for method in spec.methods:
-        try:
-            model = _train_method(method, src, tgt, run_cfg, held)
-            scores[method] = evaluate(model, test)
-        except LeafBridgeError as exc:
-            scores[method] = f"{type(exc).__name__}: {exc}"
-            continue
-        if method == "tlf":
-            tlf = {key: model.diagnostics[key] for key in ("n_pivots", "mu", "adaptation")}
-            tlf["fallback"] = model.fallback
     return scores, tlf
 
 
@@ -403,15 +405,14 @@ def _pairs(text: str) -> tuple[PairSpec, ...]:
     return tuple(pairs)
 
 
-#: How a value's text becomes a field of its annotated type (annotations
-#: are strings under `from __future__ import annotations`).
+#: How a value's text becomes a field of its annotated type.
 _READERS = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "tuple[str, ...]": _listed,
-    "tuple[float, ...]": lambda text: tuple(float(item) for item in _listed(text)),
-    "tuple[PairSpec, ...]": _pairs,
+    int: int,
+    float: float,
+    str: str,
+    tuple[str, ...]: _listed,
+    tuple[float, ...]: lambda text: tuple(float(item) for item in _listed(text)),
+    tuple[PairSpec, ...]: _pairs,
 }
 
 #: Each `[section] key` of a config file and the dataclass field it sets;
@@ -463,7 +464,7 @@ def _config_values(path) -> dict:
     for section, key, owner, name in _CONFIG_KEYS:
         if not parser.has_option(section, key):
             continue
-        kind = next(f.type for f in fields(owner) if f.name == name)
+        kind = typing.get_type_hints(owner)[name]
         try:
             values[owner][name] = _READERS[kind](parser.get(section, key))
         except (configparser.Error, ValueError) as exc:

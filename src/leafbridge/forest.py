@@ -453,7 +453,7 @@ def train_forest(ds: Dataset, n_trees: int, min_leaf_size: int, seed: int) -> Fo
         raise DataError(f"train_forest requires finite cells, but record {i} attribute "
                         f"{ds.schema[j].name!r} is {float(ds.records[i, j])!r}")
     grow = partial(_grow_trees, ds, min_leaf_size, seed, _presort(ds.records))
-    grown = fork_map(grow, range(n_trees), ds.n * n_trees, "trees")
+    grown = fork_map(grow, range(n_trees), [ds.n] * n_trees, "trees")
     trees = [tree for tree, _ in grown]
     members = [leaf for _, tree_members in grown for leaf in tree_members]
     offsets = np.zeros(len(members) + 1, dtype=np.int64)

@@ -1,9 +1,12 @@
-"""Run a function over contiguous shares of a sequence in forked processes
-(`fork_map`): `forest.train_forest` grows its trees this way, and
-`experiment.run_experiment` runs the cells of all its pairs in one map."""
+"""Run a function over the items of a sequence in forked processes, in
+contiguous shares of about equal work (`fork_map`): `forest.train_forest`
+grows its trees this way, and `experiment.run_experiment` runs the cells of
+all its pairs in one map."""
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import os
 import pickle
 import signal
@@ -50,28 +53,48 @@ def _threads_running() -> bool:
         return True
 
 
-def fork_map(fn, items, work: int, what: str) -> list:
-    """fn(share) for contiguous shares of items, joined in order into one list.
+def fork_map(fn, items, work, what: str) -> list:
+    """fn(share) for shares of items, joined in item order into one list.
 
-    fn takes a slice of items and returns a list. This process runs the
+    fn takes a list of items and returns one result per item; work lists
+    each item's work (records times trees). Everything runs in this process
+    (fn(items)) when the summed work is below FORK_MIN_WORK, with fewer than
+    two items or usable CPUs, without os.fork, in a worker or while another
+    thread runs (from Python 3.12, any other native thread too, such as a
+    BLAS pool). Otherwise an item whose work exceeds an even share (the
+    summed work over one share per item, up to the usable CPUs) runs alone
+    in this process first, as no worker, so maps inside it may fork, and
+    the other items are mapped again. Without such an item, the items are
+    cut into contiguous shares of about equal work: this process runs the
     first share and a child forked for each other share runs it and sends
-    its list back pickled through a pipe. There is one share per usable CPU,
-    at most one per item, and only one (this process alone) when work
-    (records times trees) is below FORK_MIN_WORK, without os.fork, in a
-    worker or while another thread runs (from Python 3.12, any other native
-    thread too, such as a BLAS pool). `what` names the results in the error
-    of a child that ends without sending them. A child's exception is raised
-    here. A child that is still running when this returns or raises is
-    killed, and every child is reaped. A child's memory is not part of this
-    process's resident size.
+    its list back pickled through a pipe. `what` names the results in the
+    error of a child that ends without sending them. A child's exception is
+    raised here. A child that is still running when this returns or raises
+    is killed, and every child is reaped. A child's memory is not part of
+    this process's resident size.
     """
-    global _worker
-    workers = min(len(items), _usable_cpus())
-    if (workers < 2 or work < FORK_MIN_WORK or _worker or not hasattr(os, "fork")
+    items, work = list(items), list(work)
+    n_shares = min(len(items), _usable_cpus())
+    total = sum(work)
+    if (n_shares < 2 or total < FORK_MIN_WORK or _worker or not hasattr(os, "fork")
             or _threads_running()):
         return fn(items)
-    shares = [items[k * len(items) // workers:(k + 1) * len(items) // workers]
-              for k in range(workers)]
+    heavy = max(range(len(items)), key=work.__getitem__)
+    if work[heavy] * n_shares > total:
+        alone = fn(items[heavy:heavy + 1])
+        rest = fork_map(fn, items[:heavy] + items[heavy + 1:], work[:heavy] + work[heavy + 1:],
+                        what)
+        return rest[:heavy] + alone + rest[heavy:]
+    # share k ends after the items whose work ends by k / n_shares of the total
+    ends = [n_shares * end for end in itertools.accumulate(work)]
+    cuts = [0] + [bisect.bisect_right(ends, k * total) for k in range(1, n_shares)] + [len(items)]
+    return _fork_shares(fn, [items[a:b] for a, b in zip(cuts, cuts[1:]) if a < b], what)
+
+
+def _fork_shares(fn, shares, what: str) -> list:
+    """fn(share) of each share joined in order: this process runs the first
+    share as a worker and a child forked for each other share runs it."""
+    global _worker
     children = []  # (pid, read end of its pipe) of each child not yet reaped
     try:
         for share in shares[1:]:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leafbridge import experiment, transfer
+from leafbridge import forest as forest_module
 from leafbridge.dataset import (
     CATEGORICAL,
     NUMERIC,
@@ -390,7 +391,8 @@ class TestForkedCells:
             forks = fork_in(workers)
             report = json.dumps(run_experiment(spec, self.cfg()).to_dict())
             # one map over every loaded pair's cells forks a child for each
-            # share but the first; a lone cell runs here and forks its forests
+            # share but the first (no cell here outweighs an even share); a
+            # lone cell runs here and forks its forests
             if n_items > 1 or workers == 1:
                 assert len(forks()) == min(n_items, workers) - 1
             assert report == serial
@@ -410,7 +412,7 @@ class TestForkedCells:
         cells = [(0.1, 0), (0.1, 1), (0.3, 0), (0.3, 1)]
         # 150 and 200 source records; 32 and 40 labeled target records
         assert maps == [([(n, cell) for cell in cells for n in (150, 200)],
-                         4 * 2 * 3 * (150 + 32 + 200 + 40))]
+                         [2 * 3 * (150 + 32), 2 * 3 * (200 + 40)] * 4)]
 
     def test_no_nested_fork(self, pair_files, fork_in):
         # with the gate at zero, every cell's forests would fork too
@@ -469,6 +471,91 @@ class TestForkedCells:
         report = run_experiment(spec, self.cfg())
         assert [p.get("error") for p in report.pairs] == ["DataError: injection failed"] * 2
         assert_no_children()
+
+    def test_failed_fork_fails_every_loaded_pair(self, pair_files, monkeypatch, fork_in,
+                                                 tmp_path):
+        fork_in(2)
+
+        def failing_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        spec = self.spec([pair_files, ("no_such_file.csv", "x.csv"), pair_files], repeats=2)
+        report = run_experiment(spec, self.cfg())
+        errors = [p["error"] for p in report.pairs]
+        assert errors[0] == errors[2] == ("BlockingIOError: [Errno 11] Resource temporarily "
+                                          "unavailable")
+        assert errors[1].startswith("FileNotFoundError")
+        assert all(path.exists() for path in report.write(tmp_path / "report"))
+        assert_no_children()
+
+    def test_dead_cell_worker_fails_every_loaded_pair(self, pair_files, no_shared_class_pair,
+                                                      monkeypatch, fork_in):
+        forks = fork_in(2)
+        parent, run_cell = os.getpid(), experiment._run_cell
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return run_cell(*args)
+
+        monkeypatch.setattr(experiment, "_run_cell", dying)
+        spec = self.spec([pair_files, no_shared_class_pair], repeats=2)
+        report = run_experiment(spec, self.cfg())
+        assert len(forks()) == 1
+        for pair in report.pairs:
+            assert re.fullmatch(r"ChildProcessError: worker \d+ ended with exit code 3 before "
+                                r"sending its cells", pair["error"])
+        assert_no_children()
+
+    def test_dead_forest_worker_fails_its_pair(self, pair_files, no_shared_class_pair,
+                                               monkeypatch, fork_in):
+        # one cell each, of unequal work: each runs here as no worker, and its
+        # forests fork; a worker growing the 150-record source forest dies
+        fork_in(2)
+        parent, grow_tree = os.getpid(), forest_module._grow_tree
+
+        def dying(X, *args):
+            if os.getpid() != parent and X.shape[0] == 150:
+                os._exit(3)
+            return grow_tree(X, *args)
+
+        monkeypatch.setattr(forest_module, "_grow_tree", dying)
+        report = run_experiment(self.spec([pair_files, no_shared_class_pair]), self.cfg())
+        assert re.fullmatch(r"ChildProcessError: worker \d+ ended with exit code 3 before "
+                            r"sending its trees", report.pairs[0]["error"])
+        assert report.pairs[1]["methods"]["tlf"]["error"].startswith("MatchingError")
+        assert report.pairs[1]["methods"]["source_only"]["runs"] == 1
+        assert_no_children()
+
+    def test_unequal_one_cell_pairs_fork_as_alone(self, pair_files, no_shared_class_pair,
+                                                  fork_in):
+        # a cell heavier than an even share runs here as no worker, so its
+        # forests fork as when its pair runs alone; the lighter one follows
+        pairs = [pair_files, no_shared_class_pair]
+        alone = []
+        for files in pairs:
+            forks = fork_in(2)
+            run_experiment(self.spec([files]), self.cfg())
+            alone.append(len(forks()))
+        forks = fork_in(2)
+        run_experiment(self.spec(pairs), self.cfg())
+        assert len(forks()) == sum(alone) > 0
+        assert set(forks()) == {os.getpid()}
+        assert_no_children()
+
+    def test_each_file_loads_once_per_domain(self, pair_files, monkeypatch):
+        loads, load_csv = [], experiment.load_csv
+
+        def counting(path, label_column, domain_tag):
+            loads.append((path, domain_tag))
+            return load_csv(path, label_column, domain_tag=domain_tag)
+
+        monkeypatch.setattr(experiment, "load_csv", counting)
+        a, b = pair_files
+        report = run_experiment(self.spec([(a, b), (b, a), (a, b)]), self.cfg())
+        assert loads == [(a, "source"), (b, "target"), (b, "source"), (a, "target")]
+        assert report.pairs[0] == report.pairs[2]
 
 
 def loop_forest_predict(predictor, ds):
