@@ -47,7 +47,7 @@ from .experiment import EvaluationReport, ExperimentSpec, PairSpec, parse_config
 from .forest import Forest, LeafTable, Tree, collect_leaves, predict_many, train_forest
 from .metrics import EvalMetrics, evaluate, mean_ranks, nemenyi_cd, sign_test
 from .pivot import DistributionBundle, PivotSet, dedup, extract_distributions, match_pivots
-from .synthetic import gaussian_blobs, random_rotation, rotated_pair
+from .synthetic import gaussian_blobs, heterogeneous_pair, random_rotation, rotated_pair
 from .transfer import (
     TransferConfig,
     TransferModel,

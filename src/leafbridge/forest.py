@@ -29,10 +29,14 @@ random draws are those of scoring each attribute on its own with a stable
 float sort and growing the tree recursively; tests/test_forest.py keeps that
 search and that builder as the oracle.
 
-A tree with at most CODED_SPLITS splits finds each record's leaf by table
-lookup on the outcomes of all its splits; a larger tree partitions the
-records node by node, splitting each node's ascending row indices by the
-positions of its comparison's true and false outcomes.
+A tree finds each record's leaf in one loop (`Tree.apply`): it partitions
+the records node by node, splitting each node's ascending row indices by
+the positions of its comparison's true and false outcomes, until a node's
+subtree is small enough to code, then reads the leaf from that subtree's
+table of split-outcome codes (QuickScorer's idea, Lucchese et al., SIGIR
+2015). The whole tree is the root's subtree, coded over full columns when
+it has at most CODED_SPLITS splits; below the root a subtree of at most
+SUBTREE_SPLITS splits is coded on the cells of its own rows.
 
 A forest's trees grow through `workers.fork_map`, one contiguous share of
 the tree numbers per process; each tree draws from its own generator, so
@@ -61,13 +65,23 @@ _GAIN_EPS = 1e-12
 # per-boundary arrays (sorted ranks, records, values, weights, gains). A
 # cell takes about 32 bytes, so a block about 2 MiB.
 SPLIT_BLOCK_ELEMENTS = 1 << 16
-#: Trees with at most this many split nodes find leaves by table lookup
-#: (`Tree.apply`). Codes are uint16, so the cap is at most 16. Against the
-#: partition, on fresh random trees (2.1 GHz Xeon), the lookup with its
-#: table build counted took 0.74 of the time at 16 splits on 22 800-row
-#: batches, and on 800-row batches broke even at about 10 splits (1.11 of
-#: the time at 12, 2.0 at 16); the cap lies between those crossovers.
+#: `Tree.apply` codes a whole tree of at most this many split nodes over
+#: full columns. Codes are uint16 (uint8 codes shift and or at about half
+#: the speed), so the cap is at most 16. Against the partition, on fresh
+#: random trees (2.1 GHz Xeon), the lookup with its table build counted
+#: took 0.74 of the time at 16 splits on 22 800-row batches, and on
+#: 800-row batches broke even at about 10 splits (1.11 of the time at 12,
+#: 2.0 at 16); the cap lies between those crossovers.
 CODED_SPLITS = 12
+#: Below the root, `Tree.apply` codes a subtree of at most this many split
+#: nodes on its rows, one gather of the rows' cells per split. Against
+#: partitioning the same random-shaped subtree for 30 to 8000 rows of a
+#: 22 800-row batch (2.1 GHz Xeon), coding took 0.89-0.96 of the time at 7
+#: splits and broke even at about 8-9. One cap for both cases costs more:
+#: 8 made the separable benchmark forest's apply 1.31 times as slow (its
+#: 6-10-split trees lose the full-column code), 12 made the categorical
+#: one's 1.17 times as slow.
+SUBTREE_SPLITS = 7
 #: dtype of each `Tree` array, in field and document order.
 _TREE_ARRAYS = {"feature": np.intp, "threshold": np.float64, "left": np.intp,
                 "right": np.intp, "counts": np.int64}
@@ -97,79 +111,106 @@ class Tree:
         return self.counts.shape[0]
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf id of every row of X.
+        """Leaf id of every row of X, in the smallest unsigned type that
+        holds the tree's leaf ids.
 
-        A tree with at most CODED_SPLITS splits reads each row's leaf from
-        its split-outcome code (`_code_table`); a larger one partitions the
-        rows node by node. X is read one column at a time, which is
-        contiguous when X is column-major (Fortran order).
+        Rows are partitioned node by node, from the root down, until a
+        node's subtree is small enough to code: at most CODED_SPLITS splits
+        for the whole tree, read over full columns, or SUBTREE_SPLITS below
+        the root, whose rows are gathered from each column. A coded subtree
+        of S splits sets, for each row, bit j of an S-bit code when its j-th
+        split sends the row left, and reads the leaf from the subtree's
+        table of 2^S codes (`_code_table`). A partitioned node takes the
+        rows at the positions of its comparison's true and false entries
+        (`nonzero`, then `take`), several times faster on large nodes than
+        indexing with the boolean mask and its negation; the stack holds
+        each pending node's rows only, at most n rows in all. X is read one
+        column at a time, which is contiguous when X is column-major
+        (Fortran order).
         """
-        if self.feature.shape[0] <= CODED_SPLITS:
-            return self._coded_leaves(X)
-        return self._partition_leaves(X)
-
-    def _coded_leaves(self, X: np.ndarray) -> np.ndarray:
-        """`apply` by table lookup: one comparison pass per split column
-        sets bit s of a row's code when split s sends the row left."""
+        feature, threshold = self.feature.tolist(), self.threshold.tolist()
+        left, right = self.left.tolist(), self.right.tolist()
+        splits = self._subtree_splits
         columns = X.T
-        code = np.zeros(X.shape[0], dtype=np.uint16)
-        goes_left = np.empty(X.shape[0], dtype=bool)
-        # the last split first: each shift moves the bits set so far up by one
-        for f, t in zip(reversed(self.feature.tolist()), reversed(self.threshold.tolist())):
-            np.less_equal(columns[f], t, out=goes_left)
-            code <<= 1
-            code |= goes_left
-        return self._code_table.take(code)
+        leaf = None
+        stack = [(0, None)]  # a split node or ~leaf and the rows it gets; None: every row
+        while stack:
+            node, rows = stack.pop()
+            if rows is not None and not rows.size:
+                continue
+            if node < 0:
+                leaf[rows] = ~node
+            elif splits[node] <= (CODED_SPLITS if rows is None else SUBTREE_SPLITS):
+                code = np.zeros(X.shape[0] if rows is None else rows.size, dtype=np.uint16)
+                goes_left = np.empty(code.size, dtype=bool)
+                # the last split first: each shift moves the bits set so far up by one
+                for s in reversed(range(node, node + splits[node])):
+                    cells = columns[feature[s]] if rows is None else columns[feature[s]].take(rows)
+                    np.less_equal(cells, threshold[s], out=goes_left)
+                    code <<= 1
+                    code |= goes_left
+                if rows is None:
+                    return self._code_table(node).take(code)
+                leaf[rows] = self._code_table(node).take(code)
+            else:
+                if rows is None:
+                    leaf = np.empty(X.shape[0], dtype=np.min_scalar_type(self.n_leaves - 1))
+                    goes_left = columns[feature[node]] <= threshold[node]
+                    stack.append((right[node], (~goes_left).nonzero()[0]))
+                    stack.append((left[node], goes_left.nonzero()[0]))
+                else:  # one side at a time: holding both sides' positions slowed
+                    # the overlap benchmark forest's apply by a fifth
+                    goes_left = columns[feature[node]].take(rows) <= threshold[node]
+                    stack.append((right[node], rows.take((~goes_left).nonzero()[0])))
+                    stack.append((left[node], rows.take(goes_left.nonzero()[0])))
+        return leaf
 
     @cached_property
-    def _code_table(self) -> np.ndarray:
-        """Leaf id of each of the 2^S split-outcome codes of a tree with S
-        splits, built on first use and never saved.
+    def _subtree_splits(self) -> list[int]:
+        """The number of splits in the subtree of each split node, [0] for
+        a tree without splits. Depth-first numbering makes the subtree of
+        split node i the splits i to i + _subtree_splits[i] - 1."""
+        size = [1] * self.feature.shape[0] or [0]
+        children = zip(self.left.tolist(), self.right.tolist())
+        for node, pair in reversed(list(enumerate(children))):
+            size[node] += sum(size[child] for child in pair if child >= 0)
+        return size
+
+    @cached_property
+    def _code_tables(self) -> dict:
+        """Each coded subtree's table, by its root split node; filled on
+        first apply and never saved."""
+        return {}
+
+    def _code_table(self, node: int) -> np.ndarray:
+        """Leaf id of each of the 2^S split-outcome codes of the S-split
+        subtree of split node `node`, in the smallest unsigned type that
+        holds the tree's leaf ids.
 
         Each leaf fills, in a (2,)*S view of the table, the block of codes
-        that agree with the outcomes on its path (axis S - 1 - s holds bit
-        s) and leaves the other splits' bits free.
+        that agree with the outcomes on its path (axis S - 1 - j holds bit
+        j, the outcome of split node + j) and leaves the other splits' bits
+        free.
         """
-        s = self.feature.shape[0]
-        table = np.zeros(1 << s, dtype=np.intp)  # a tree without splits is leaf 0
+        if node in self._code_tables:
+            return self._code_tables[node]
+        s = self._subtree_splits[node]
+        # a tree without splits is leaf 0
+        table = np.zeros(1 << s, dtype=np.min_scalar_type(self.n_leaves - 1))
         view = table.reshape((2,) * s)
         left, right = self.left.tolist(), self.right.tolist()
-        stack = [(0, [slice(None)] * s)] if s else []
+        stack = [(node, [slice(None)] * s)] if s else []
         while stack:
-            node, path = stack.pop()
-            for child, bit in ((left[node], 1), (right[node], 0)):
+            split, path = stack.pop()
+            for child, bit in ((left[split], 1), (right[split], 0)):
                 block = path.copy()
-                block[s - 1 - node] = bit
+                block[s - 1 - (split - node)] = bit
                 if child < 0:
                     view[tuple(block)] = ~child
                 else:
                     stack.append((child, block))
+        self._code_tables[node] = table
         return table
-
-    def _partition_leaves(self, X: np.ndarray) -> np.ndarray:
-        """`apply` node by node: each node splits the ascending row indices
-        that reach it into those its comparison sends left and the rest.
-
-        A node takes the rows at the positions of the comparison's true
-        and false entries (`nonzero`, then `take`), several times faster on
-        large nodes than indexing with the boolean mask and its negation.
-        The stack holds each pending node's rows only, at most n rows in
-        all.
-        """
-        feature, threshold = self.feature.tolist(), self.threshold.tolist()
-        left, right = self.left.tolist(), self.right.tolist()
-        columns = X.T
-        leaf = np.empty(X.shape[0], dtype=np.intp)
-        stack = [(0 if feature else -1, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if node < 0:
-                leaf[idx] = ~node
-            elif idx.size:
-                goes_left = columns[feature[node]].take(idx) <= threshold[node]
-                stack.append((right[node], idx.take((~goes_left).nonzero()[0])))
-                stack.append((left[node], idx.take(goes_left.nonzero()[0])))
-        return leaf
 
     @cached_property
     def _majority(self) -> np.ndarray:
@@ -505,7 +546,7 @@ def predict_many(forest: Forest, records, *, complete: bool = False) -> np.ndarr
         majority = tree._majority.take(leaf)
         for c in range(n_classes):
             votes[c] += np.equal(majority, c, out=is_class)
-        leaves.append(leaf.astype(np.min_scalar_type(tree.n_leaves - 1)))
+        leaves.append(leaf)
     top = votes.max(axis=0)
     best = np.zeros(n, dtype=np.int64)
     n_top = np.zeros(n, dtype=np.min_scalar_type(n_classes))
@@ -583,13 +624,16 @@ def forest_to_dict(forest: Forest) -> dict:
 
 def forest_from_dict(obj: dict) -> Forest:
     """The forest of a `forest_to_dict` document; DataError on a missing or
-    ill-typed key, a name listed twice or a malformed tree."""
+    ill-typed key, a name listed twice, an empty tree list or a malformed
+    tree."""
     names = {key: read_key(obj, key, list, "forest", items=str)
              for key in ("attributes", "class_names")}
     for key, listed in names.items():
         _require_distinct(listed, DataError, f"forest document key {key!r} lists")
     schema = tuple(AttributeSchema(name, NUMERIC) for name in names["attributes"])
     class_names = tuple(names["class_names"])
-    trees = [_tree_from_obj(t, len(class_names), len(schema))
-             for t in read_key(obj, "trees", list, "forest", items=dict)]
+    documents = read_key(obj, "trees", list, "forest", items=dict)
+    if not documents:
+        raise DataError("forest document key 'trees' lists no trees")
+    trees = [_tree_from_obj(t, len(class_names), len(schema)) for t in documents]
     return Forest(trees, schema, class_names)

@@ -127,7 +127,8 @@ def _segment_stats(X: np.ndarray, flat: np.ndarray, sizes: np.ndarray,
     and gathered in blocks of at most BLOCK_ELEMENTS cells into an
     [attribute, segment, member] array, so every sum runs along a contiguous
     last axis exactly as np.sum runs over one segment's column. The spread
-    of a single-member segment is 0.
+    of a single-member segment is 0, and a tiny one is recomputed
+    (`_fix_small_spreads`).
     """
     n_seg, d = sizes.shape[0], X.shape[1]
     starts = np.cumsum(sizes) - sizes
@@ -148,7 +149,33 @@ def _segment_stats(X: np.ndarray, flat: np.ndarray, sizes: np.ndarray,
                 block -= block_mean
                 np.square(block, out=block)
                 std[part] = np.sqrt(block.sum(axis=-1) / (n - 1)).T
+    if spread:
+        _fix_small_spreads(X, flat, starts, sizes, mean, std)
     return mean, std
+
+
+def _fix_small_spreads(X, flat, starts, sizes, mean, std):
+    """Recompute, in place, each spread whose squared deviations sum below
+    the smallest normal float, where they lose precision or round to 0:
+    on the deviations scaled by their largest magnitude.
+
+    Such a spread is below 2^-511. Squares below 2^-1075 round to 0, but
+    distinct cells that are 0 or at least 2^-480 in magnitude differ by at
+    least 2^-532, so a spread of 0 needs a look only if X holds a smaller
+    nonzero cell.
+    """
+    small = std < 2.0 ** -511
+    small[sizes < 2] = False
+    zero = small & (std == 0)
+    if zero.any():
+        near_zero = (X > -2.0 ** -480) & (X < 2.0 ** -480)
+        if np.count_nonzero(near_zero) == np.count_nonzero(X == 0):
+            small &= ~zero
+    for s, j in zip(*np.nonzero(small)):
+        deviations = X[flat[starts[s]:starts[s] + sizes[s]], j] - mean[s, j]
+        scale = np.abs(deviations).max()
+        if np.square(deviations).sum() < np.finfo(np.float64).tiny and scale > 0:
+            std[s, j] = scale * np.sqrt(np.square(deviations / scale).sum() / (sizes[s] - 1))
 
 
 def extract_distributions(ds: Dataset, leaves: LeafTable) -> DistributionBundle:

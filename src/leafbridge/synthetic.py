@@ -66,3 +66,22 @@ def rotated_pair(n_source: int = 600, n_target: int = 600, n_classes: int = 3,
         X_s @ rotation, y_s, class_names, "source",
     )
     return source, target
+
+
+def heterogeneous_pair(n_source: int = 1200, n_target: int = 1200,
+                       seed: int = 0) -> tuple[Dataset, Dataset]:
+    """A source/target pair whose feature counts differ and whose class sets
+    overlap in part: the paper's heterogeneous setting.
+
+    The pair is a `rotated_pair` of 4 classes and 10 features (center
+    spread 2, cluster spread 2). The target then keeps only its first 6
+    (unrotated) features and the records of classes c1-c3, renumbered from
+    0, so it holds about three quarters of n_target records; class c0 is
+    the source's alone.
+    """
+    source, full = rotated_pair(n_source, n_target, n_classes=4, n_features=10,
+                                center_spread=2.0, cluster_std=2.0, seed=seed)
+    keep = full.labels > 0
+    target = Dataset(full.schema[:6], full.records[keep, :6], full.labels[keep] - 1,
+                     full.class_names[1:], "target")
+    return source, target

@@ -32,7 +32,7 @@ from leafbridge.forest import (
     predict_many,
     train_forest,
 )
-from leafbridge.transfer import TransferConfig, TransferModel
+from leafbridge.transfer import TransferConfig, TransferModel, run_transfer
 from conftest import (
     assert_no_children,
     assert_same_forest,
@@ -980,16 +980,17 @@ class TestColumnMajorPredict:
         assert peak < (forest.n_trees + 64) * batch.shape[0]
 
 
-def random_tree(n_splits, d, thresholds, rng):
+def random_tree(n_splits, d, thresholds, rng, root_left=None):
     """A tree of n_splits splits of random shape, numbered depth first,
     left first; each split draws its column from d and its threshold from
-    `thresholds`."""
+    `thresholds`. root_left, if given, is the number of splits under the
+    root's left child."""
     left = np.zeros(n_splits, dtype=np.intp)
     right = np.zeros(n_splits, dtype=np.intp)
     numbered = {"split": 1, "leaf": 0}
 
     def grow(node, below):
-        n_left = int(rng.integers(0, below + 1))
+        n_left = int(rng.integers(0, below + 1)) if node or root_left is None else root_left
         for side, size in ((left, n_left), (right, below - n_left)):
             if size:
                 side[node] = numbered["split"]
@@ -1004,62 +1005,6 @@ def random_tree(n_splits, d, thresholds, rng):
     return Tree(rng.integers(0, d, size=n_splits).astype(np.intp),
                 rng.choice(thresholds, size=n_splits), left, right,
                 np.ones((n_splits + 1, 2), dtype=np.int64))
-
-
-class TestCodedApply:
-    """Trees of at most CODED_SPLITS splits find leaves by table lookup,
-    larger ones by partition; the boolean-mask partition is the oracle."""
-
-    CELLS = np.array([-np.inf, -1.5, -0.0, 0.0, 0.5, 1.5, np.inf, np.nan])
-    THRESHOLDS = np.array([-1.5, -0.0, 0.0, 0.5, 1.5])
-
-    @pytest.mark.parametrize("n_splits", range(forest_module.CODED_SPLITS + 2))
-    def test_matches_partition(self, n_splits):
-        rng = np.random.default_rng(n_splits)
-        X = rng.choice(self.CELLS, size=(600, 5))
-        wide = np.column_stack([X, X])
-        batches = [(X, slice(None)), (np.asfortranarray(X), slice(None)),
-                   (wide[:, 5:], slice(None)), (X[7:8], slice(7, 8)),
-                   (np.asfortranarray(X[:1]), slice(0, 1))]
-        for _ in range(4):
-            tree = random_tree(n_splits, 5, self.THRESHOLDS, rng)
-            schema = tuple(AttributeSchema(f"x{j}", NUMERIC) for j in range(5))
-            # a well-formed tree
-            forest_from_dict(forest_to_dict(Forest([tree], schema, ("a", "b"))))
-            want = mask_partition_leaves(tree, X)
-            for batch, rows in batches:
-                got = tree.apply(batch)
-                assert got.dtype == want.dtype and got.tobytes() == want[rows].tobytes()
-            assert ("_code_table" in vars(tree)) == (n_splits <= forest_module.CODED_SPLITS)
-
-    def test_code_table(self):
-        # split 0 (x <= 0.5) is bit 0 and split 1 (x <= 1.5) bit 1; a code
-        # whose bit 0 is set reaches leaf 0 whatever bit 1 holds
-        tree = chain_forest(2).trees[0]
-        assert tree._code_table.tolist() == [2, 0, 1, 0]
-        assert _stump([1, 1])._code_table.tolist() == [0]
-
-    def test_table_is_not_saved_and_rebuilt_after_load(self, tmp_path):
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(1500, 4))
-        y = np.digitize(X[:, 0] + X[:, 1], [-0.5, 0.5])
-        forest = train_forest(numeric_dataset(X, y), n_trees=6, min_leaf_size=80, seed=4)
-        assert all(tree.feature.size <= forest_module.CODED_SPLITS for tree in forest.trees)
-        model = TransferModel(forest=forest, projection=None, fallback=True, diagnostics={},
-                              raw_schema=forest.schema, config=TransferConfig())
-        model.save(tmp_path / "before.json")
-        test = numeric_dataset(rng.normal(size=(700, 4)), np.arange(700) % 3)
-        predictions = model.predict_many(test)
-        model.save(tmp_path / "after.json")
-        assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
-        loaded = TransferModel.load(tmp_path / "after.json")
-        assert all("_majority" in vars(tree) for tree in forest.trees)
-        assert not any(vars(tree).keys() & {"_code_table", "_majority", "_distribution"}
-                       for tree in loaded.forest.trees)
-        batch = np.asfortranarray(test.records)
-        for tree, again in zip(forest.trees, loaded.forest.trees):
-            assert again.apply(batch).tobytes() == mask_partition_leaves(tree, batch).tobytes()
-        assert loaded.predict_many(test).tobytes() == predictions.tobytes()
 
 
 def balanced_tree(depth):
@@ -1088,21 +1033,139 @@ def balanced_tree(depth):
                 np.ones((n_leaves, 2), dtype=np.int64))
 
 
-class TestPartitionApply:
-    """Trees above CODED_SPLITS splits partition the rows node by node
-    (`Tree._partition_leaves`); the per-record walk is the oracle."""
+def coded_nodes(tree, X):
+    """The split nodes whose subtrees `Tree.apply` should code for X: the
+    root if the tree has at most CODED_SPLITS splits, else each node below
+    it with at most SUBTREE_SPLITS splits under a partitioned parent that
+    some row of X reaches."""
+    def size(node):
+        return 0 if node < 0 else 1 + size(int(tree.left[node])) + size(int(tree.right[node]))
+
+    if size(0 if tree.feature.size else -1) <= forest_module.CODED_SPLITS:
+        return {0}
+    reached = set()
+    for record in X:
+        node = 0
+        while node == 0 or (node > 0 and size(node) > forest_module.SUBTREE_SPLITS):
+            goes_left = record[tree.feature[node]] <= tree.threshold[node]
+            node = int(tree.left[node] if goes_left else tree.right[node])
+        if node >= 0:
+            reached.add(node)
+    return reached
+
+
+class TestCodedApply:
+    """`Tree.apply` partitions rows until a subtree fits a code table: the
+    whole tree of at most CODED_SPLITS splits over full columns, below the
+    root a subtree of at most SUBTREE_SPLITS splits on its rows. The
+    boolean-mask partition and the per-record walk are the oracles."""
+
+    CELLS = np.array([-np.inf, -1.5, -0.0, 0.0, 0.5, 1.5, np.inf, np.nan])
+    THRESHOLDS = np.array([-1.5, -0.0, 0.0, 0.5, 1.5])
+
+    @staticmethod
+    def assert_leaves(tree, got, want):
+        assert got.dtype == np.min_scalar_type(tree.n_leaves - 1)
+        assert got.astype(np.intp).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_splits", [*range(forest_module.CODED_SPLITS + 2), 16, 17, 24, 40])
+    def test_matches_partition(self, n_splits):
+        rng = np.random.default_rng(n_splits)
+        X = rng.choice(self.CELLS, size=(600, 5))
+        wide = np.column_stack([X, X])
+        batches = [(X, slice(None)), (np.asfortranarray(X), slice(None)),
+                   (wide[:, 5:], slice(None)), (X[7:8], slice(7, 8)),
+                   (np.asfortranarray(X[:1]), slice(0, 1))]
+        for _ in range(4):
+            tree = random_tree(n_splits, 5, self.THRESHOLDS, rng)
+            schema = tuple(AttributeSchema(f"x{j}", NUMERIC) for j in range(5))
+            # a well-formed tree
+            forest_from_dict(forest_to_dict(Forest([tree], schema, ("a", "b"))))
+            want = mask_partition_leaves(tree, X)
+            tree.apply(X)
+            assert set(tree._code_tables) == coded_nodes(tree, X)
+            for batch, rows in batches:
+                self.assert_leaves(tree, tree.apply(batch), want[rows])
+
+    @pytest.mark.parametrize("cap", ["whole", "subtree"])
+    def test_trees_at_and_above_each_cap(self, cap):
+        # "whole": trees of CODED_SPLITS and one more splits; "subtree": the
+        # root's left subtree has SUBTREE_SPLITS splits, its right one more
+        rng = np.random.default_rng(11)
+        X = rng.choice(self.CELLS, size=(2000, 5))
+        sub = forest_module.SUBTREE_SPLITS
+        for _ in range(6):
+            if cap == "whole":
+                trees = [random_tree(forest_module.CODED_SPLITS + k, 5, self.THRESHOLDS, rng)
+                         for k in (0, 1)]
+            else:
+                trees = [random_tree(2 * sub + 2, 5, self.THRESHOLDS, rng, root_left=sub)]
+            for tree in trees:
+                tree.apply(X)
+                assert set(tree._code_tables) == coded_nodes(tree, X)
+                for batch in (X, np.asfortranarray(X), X[:1]):
+                    self.assert_leaves(tree, tree.apply(batch), mask_partition_leaves(tree, batch))
+            if cap == "whole":
+                assert 0 in trees[0]._code_tables and 0 not in trees[1]._code_tables
+            else:
+                assert 1 in trees[0]._code_tables
+                assert int(trees[0].right[0]) not in trees[0]._code_tables
 
     @settings(derandomize=True, database=None, max_examples=120, deadline=None)
     @given(n_splits=st.integers(0, 40), n=st.integers(1, 50), seed=st.integers(0, 2**32 - 1),
-           thresholds=st.lists(st.floats(-4, 4), min_size=1, max_size=6))
-    def test_matches_per_record_walk(self, n_splits, n, seed, thresholds):
+           thresholds=st.lists(st.floats(-4, 4), min_size=1, max_size=6),
+           subtree_cap=st.integers(0, forest_module.CODED_SPLITS))
+    def test_matches_per_record_walk(self, n_splits, n, seed, thresholds, subtree_cap):
         rng = np.random.default_rng(seed)
         tree = random_tree(n_splits, 3, thresholds, rng)
         cells = np.concatenate([thresholds, [-0.0, 0.0, -np.inf, np.inf, np.nan]])
         X = rng.choice(cells, size=(n, 3))
         want = np.array([leaf_of(tree, record) for record in X], dtype=np.intp)
-        for got in (tree.apply(X), tree.apply(np.asfortranarray(X)), tree._partition_leaves(X)):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(forest_module, "SUBTREE_SPLITS", subtree_cap)
+            for got in (tree.apply(X), tree.apply(np.asfortranarray(X)), tree.apply(X[:1])):
+                self.assert_leaves(tree, got, want[:got.size])
+
+    def test_code_table(self):
+        # split 0 (x <= 0.5) is bit 0 and split 1 (x <= 1.5) bit 1; a code
+        # whose bit 0 is set reaches leaf 0 whatever bit 1 holds
+        tree = chain_forest(2).trees[0]
+        assert tree._code_table(0).tolist() == [2, 0, 1, 0]
+        assert _stump([1, 1])._code_table(0).tolist() == [0]
+        # a subtree's table holds the tree's leaf ids: splits 11 and 12 of
+        # a 13-split chain reach leaves 11, 12 and 13
+        deep = chain_forest(forest_module.CODED_SPLITS + 1).trees[0]
+        assert deep._code_table(11).tolist() == [13, 11, 12, 11]
+        assert deep._code_table(11).dtype == np.uint8
+
+    def test_table_is_not_saved_and_rebuilt_after_load(self, tmp_path):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(1500, 4))
+        y = np.digitize(X[:, 0] + X[:, 1], [-0.5, 0.5])
+        ds = numeric_dataset(X, y)
+        small = train_forest(ds, n_trees=3, min_leaf_size=80, seed=4)
+        large = train_forest(ds, n_trees=3, min_leaf_size=10, seed=4)
+        assert all(tree.feature.size <= forest_module.CODED_SPLITS for tree in small.trees)
+        assert all(tree.feature.size > forest_module.CODED_SPLITS for tree in large.trees)
+        forest = replace(small, trees=small.trees + large.trees)
+        model = TransferModel(forest=forest, projection=None, fallback=True, diagnostics={},
+                              raw_schema=forest.schema, config=TransferConfig())
+        model.save(tmp_path / "before.json")
+        test = numeric_dataset(rng.normal(size=(700, 4)), np.arange(700) % 3)
+        predictions = model.predict_many(test)
+        model.save(tmp_path / "after.json")
+        assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+        loaded = TransferModel.load(tmp_path / "after.json")
+        assert all("_majority" in vars(tree) for tree in forest.trees)
+        cached = {"_code_tables", "_subtree_splits", "_majority", "_distribution"}
+        assert not any(vars(tree).keys() & cached for tree in loaded.forest.trees)
+        batch = np.asfortranarray(test.records)
+        for tree, again in zip(forest.trees, loaded.forest.trees):
+            self.assert_leaves(again, again.apply(batch), mask_partition_leaves(tree, batch))
+            assert again._code_tables.keys() == tree._code_tables.keys()
+            assert all(again._code_tables[node].tobytes() == table.tobytes()
+                       for node, table in tree._code_tables.items())
+        assert loaded.predict_many(test).tobytes() == predictions.tobytes()
 
     @pytest.mark.parametrize("shape", ["chain", "balanced"])
     def test_peak_memory(self, shape):
@@ -1116,14 +1179,15 @@ class TestPartitionApply:
             tree, X = balanced_tree(11), rng.random((n, 1))
         tracemalloc.start()
         try:
-            leaf = tree._partition_leaves(X)
+            leaf = tree.apply(X)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert leaf.tobytes() == mask_partition_leaves(tree, X).tobytes()
+        self.assert_leaves(tree, leaf, mask_partition_leaves(tree, X))
         # the leaf ids, the node's rows, its comparison and, for one side
         # at a time, the positions and rows (about 4.3 * 8n bytes), plus the
-        # tree's arrays as Python lists; not every visited node's rows
+        # tree's arrays as Python lists and the subtrees' code tables; not
+        # every visited node's rows
         assert peak <= 5 * 8 * n + 128 * tree.feature.size + 65536
 
 
@@ -1131,9 +1195,9 @@ class TestPartitionApply:
 @given(n_classes=st.integers(2, 9), splits=st.lists(st.integers(0, 20), min_size=1, max_size=12),
        n=st.integers(1, 40), max_count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_predict_many_matches_loop_on_random_forests(n_classes, splits, n, max_count, seed):
-    """Coded (at most CODED_SPLITS splits) and partitioned trees with small
-    leaf counts, so that votes and distribution sums tie; thresholds are
-    cells of the batch, so cells fall on them."""
+    """Whole-tree coded (at most CODED_SPLITS splits) and partitioned trees
+    with small leaf counts, so that votes and distribution sums tie;
+    thresholds are cells of the batch, so cells fall on them."""
     rng = np.random.default_rng(seed)
     d = 3
     X = rng.choice(np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, np.inf]), size=(n, d))
@@ -1185,6 +1249,22 @@ class TestSerialization:
         doc["attributes"] = ["f0", "f0"]
         with pytest.raises(DataError, match="key 'attributes' lists 'f0' more than once"):
             forest_from_dict(doc)
+
+    def test_empty_tree_list_rejected(self, tmp_path):
+        # a model whose trees were edited to [] would predict class 0 for
+        # every record
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(300, 3))
+        target = numeric_dataset(X, (X[:, 0] > 0).astype(int))
+        source = numeric_dataset(X @ np.diag([1.0, -1.0, 2.0]), target.labels)
+        model = run_transfer(source, target, TransferConfig(n_trees=3, seed=12))
+        path = tmp_path / "model.json"
+        model.save(path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["forest"]["trees"] = []
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match="key 'trees' lists no trees"):
+            TransferModel.load(path)
 
     @pytest.mark.parametrize("name, value", [
         ("left", [-1, -1]),       # leaf 0 twice, leaf 1 unreachable

@@ -69,6 +69,11 @@ def _centroid_row(ds, members):
             row[j] = mean
             continue
         std = col.std(ddof=1)
+        deviations = col - mean
+        if np.square(deviations).sum() < np.finfo(np.float64).tiny and deviations.any():
+            # the squares lose precision or underflow: scale them first
+            scale = np.abs(deviations).max()
+            std = scale * math.sqrt(np.square(deviations / scale).sum() / (col.shape[0] - 1))
         row[j] = mean if std == 0.0 else mean + math.log(std)
     return row
 
@@ -238,6 +243,21 @@ class TestExtract:
         bundle = extract_distributions(ds, leaf_table([(0, 1, 2, 3)]))
         expected = values.mean() + math.log(values.std(ddof=1))
         assert bundle.W[0, 0] == pytest.approx(expected)
+
+    def test_tiny_spread_keeps_its_log(self):
+        # 0 and 1e-300: the squared deviations (5e-301)^2 underflow to 0, but
+        # the sample std is 7.07e-301; 0 and 1e-150 never underflowed
+        ds = numeric_dataset([[0.0, 0.0], [1e-300, 1e-150], [3.0, 3.0], [3.0, 3.0]],
+                             [0, 0, 0, 0], n_classes=1)
+        leaves = leaf_table([(0, 1), (2, 3)])
+        bundle = extract_distributions(ds, leaves)
+        std = math.sqrt(2) * 5e-301
+        assert std == pytest.approx(7.0710678e-301)
+        assert bundle.W[0, 0] == pytest.approx(5e-301 + math.log(std), rel=1e-15)
+        assert bundle.W[0, 0] == pytest.approx(-691.1, abs=0.05)
+        assert bundle.W[0, 1] == 5e-151 + math.log(np.std([0.0, 1e-150], ddof=1))
+        assert bundle.W[1].tolist() == [3.0, 3.0]
+        assert_same_bundle(bundle, loop_extract_distributions(ds, leaves))
 
     def test_one_hot_indicator_centroid(self):
         # an indicator column is numeric: its mean plus ln of its spread

@@ -25,7 +25,7 @@ from leafbridge.errors import DataError, MatchingError, MissingValueError
 from leafbridge.forest import LeafTable, collect_leaves, predict_many
 from leafbridge.metrics import evaluate
 from leafbridge.pivot import PivotSet
-from leafbridge.synthetic import rotated_pair
+from leafbridge.synthetic import heterogeneous_pair, rotated_pair
 from leafbridge.transfer import (
     TransferConfig,
     TransferModel,
@@ -155,16 +155,28 @@ class TestRunTransfer:
 
     @staticmethod
     def partly_shared_case(seed):
-        """The paper's setting: the target observes the first 6 of the 10
-        (unrotated) features and 3 of the source's 4 classes. Returns the
-        source, the labeled target part and the test part."""
+        """The paper's setting (`heterogeneous_pair`): the target observes
+        the first 6 of the 10 (unrotated) features and 3 of the source's 4
+        classes. Returns the source, the labeled target part and the test
+        part."""
+        src, target = heterogeneous_pair(seed=seed)
+        assert target.class_names == ("c1", "c2", "c3")
+        return (src, *split_target(target, SplitSpec(0.05, seed)))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_heterogeneous_pair_is_the_rotated_pair_cut(self, seed):
+        # the arrays the partly-shared tests built inline before the generator
         src, full = rotated_pair(1200, 1200, n_classes=4, n_features=10,
                                  center_spread=2.0, cluster_std=2.0, seed=seed)
         keep = full.labels > 0
-        target = Dataset(full.schema[:6], full.records[keep, :6], full.labels[keep] - 1,
-                         full.class_names[1:], "target")
-        assert target.class_names == ("c1", "c2", "c3")
-        return (src, *split_target(target, SplitSpec(0.05, seed)))
+        source, target = heterogeneous_pair(seed=seed)
+        assert source.schema == src.schema and source.class_names == src.class_names
+        assert source.records.tobytes() == src.records.tobytes()
+        assert source.labels.tobytes() == src.labels.tobytes()
+        assert target.schema == full.schema[:6] and target.class_names == full.class_names[1:]
+        assert target.records.tobytes() == np.ascontiguousarray(full.records[keep, :6]).tobytes()
+        assert target.labels.tobytes() == (full.labels[keep] - 1).tobytes()
+        assert (source.d, target.d, target.domain_tag) == (10, 6, "target")
 
     @pytest.mark.parametrize("seed", range(10))
     def test_partly_shared_labels_and_features(self, seed):
