@@ -159,18 +159,16 @@ def _fix_small_spreads(X, flat, starts, sizes, mean, std):
     the smallest normal float, where they lose precision or round to 0:
     on the deviations scaled by their largest magnitude.
 
-    Such a spread is below 2^-511. Squares below 2^-1075 round to 0, but
-    distinct cells that are 0 or at least 2^-480 in magnitude differ by at
-    least 2^-532, so a spread of 0 needs a look only if X holds a smaller
-    nonzero cell.
+    Such a spread is below 2^-511, and its segment holds a nonzero cell
+    below 2^-400 in magnitude: among cells that are 0 or at least 2^-400
+    in magnitude, the largest deviation from the mean is 0 or at least
+    2^-453, whose square is a normal float.
     """
     small = std < 2.0 ** -511
     small[sizes < 2] = False
-    zero = small & (std == 0)
-    if zero.any():
-        near_zero = (X > -2.0 ** -480) & (X < 2.0 ** -480)
-        if np.count_nonzero(near_zero) == np.count_nonzero(X == 0):
-            small &= ~zero
+    if not small.any() or (np.count_nonzero((X > -2.0 ** -400) & (X < 2.0 ** -400))
+                           == np.count_nonzero(X == 0)):
+        return
     for s, j in zip(*np.nonzero(small)):
         deviations = X[flat[starts[s]:starts[s] + sizes[s]], j] - mean[s, j]
         scale = np.abs(deviations).max()
