@@ -170,10 +170,13 @@ class Tree:
         """The number of splits in the subtree of each split node, [0] for
         a tree without splits. Depth-first numbering makes the subtree of
         split node i the splits i to i + _subtree_splits[i] - 1."""
-        size = [1] * self.feature.shape[0] or [0]
-        children = zip(self.left.tolist(), self.right.tolist())
-        for node, pair in reversed(list(enumerate(children))):
-            size[node] += sum(size[child] for child in pair if child >= 0)
+        left, right = self.left.tolist(), self.right.tolist()
+        size = [1] * len(left) or [0]
+        for node in reversed(range(len(left))):  # children come after their parent
+            if left[node] >= 0:
+                size[node] += size[left[node]]
+            if right[node] >= 0:
+                size[node] += size[right[node]]
         return size
 
     @cached_property
