@@ -6,10 +6,10 @@ deduplicated bundles the pivots were matched on, are stacked into a
 columns, target rows the last dt, and the remainder is zero-padded. On that
 stack we build a kernel K, a joint MMD matrix M mixing marginal and
 per-class conditional terms through an adaptive factor mu, and a normalized
-graph Laplacian over an automatically sized nearest-neighbor affinity
-graph. The coefficient matrix alpha combines them with the
-ridge/MMD/manifold weights, and the projection P = Gs^T alpha Gt maps
-encoded source records into the target feature space.
+graph Laplacian over a nearest-neighbor affinity graph whose k is sized
+per row (see `build_laplacian`). The coefficient matrix alpha combines them
+with the ridge/MMD/manifold weights, and the projection P = Gs^T alpha Gt
+maps encoded source records into the target feature space.
 """
 
 from __future__ import annotations
@@ -176,30 +176,20 @@ def build_mmd_matrix(pivots: StackedPivots, mu: float) -> np.ndarray:
     M0 has 1/n_p^2 for same-domain entries and -1/n_p^2 otherwise. Mc has
     1/n_c^2 within the source class-c block, 1/m_c^2 within the target one,
     and a cross entry of -1/(n_c * m_c), which keeps Mc positive
-    semidefinite. Blocks whose class count is zero are skipped, as is the
-    cross term when either count is 0.
+    semidefinite. Each entry of sum_c Mc belongs to at most one class, so
+    it is sign_i * sign_j / (count_i * count_j) for two rows of one class,
+    count being a row's class count in its own domain, and 0 otherwise.
     """
     z = pivots.z
     n_p = pivots.n_pivots
     sign = np.ones(z)
     sign[n_p:] = -1.0
-    m0 = np.outer(sign, sign) / (n_p * n_p)
-
-    mc_sum = np.zeros((z, z))
+    signs = np.outer(sign, sign)
+    m0 = signs / (n_p * n_p)
     labels = pivots.labels
-    for c in range(len(pivots.shared_classes)):
-        src_rows = np.flatnonzero(labels[:n_p] == c)
-        tgt_rows = n_p + np.flatnonzero(labels[n_p:] == c)
-        n_c = src_rows.size
-        m_c = tgt_rows.size
-        if n_c > 0:
-            mc_sum[np.ix_(src_rows, src_rows)] += 1.0 / (n_c * n_c)
-        if m_c > 0:
-            mc_sum[np.ix_(tgt_rows, tgt_rows)] += 1.0 / (m_c * m_c)
-        if n_c > 0 and m_c > 0:
-            cross = -1.0 / (n_c * m_c)
-            mc_sum[np.ix_(src_rows, tgt_rows)] += cross
-            mc_sum[np.ix_(tgt_rows, src_rows)] += cross
+    domain_class = 2 * labels + (sign < 0)
+    count = np.bincount(domain_class)[domain_class]
+    mc_sum = np.where(labels[:, None] == labels, signs / np.outer(count, count), 0.0)
     return (1.0 - mu) * m0 + mu * mc_sum
 
 
@@ -207,34 +197,12 @@ def _cosine_matrix(rows: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(rows, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
     unit = rows / safe[:, None]
+    # numpy evaluates a @ a.T as a symmetric product (one triangle, mirrored),
+    # so cos is exactly symmetric, which build_laplacian's B relies on
     cos = unit @ unit.T
     cos[norms == 0, :] = 0.0
     cos[:, norms == 0] = 0.0
     return cos
-
-
-def _auto_knn_from_cos(cos: np.ndarray, labels: np.ndarray, i: int) -> np.ndarray:
-    """Automatically sized nearest-neighbor list for row i of the cosine
-    matrix.
-
-    Rows are ranked by ascending cosine distance (ties -> lower index). The
-    first four are always included; the list then grows down the ranking
-    while neighbors keep the query row's label, stopping at the first row
-    with a different label. With fewer than 5 rows every other row is
-    returned.
-    """
-    z = cos.shape[0]
-    dist = 1.0 - cos[i]
-    others = np.concatenate([np.arange(i), np.arange(i + 1, z)])
-    if z < MIN_NEIGHBORS + 1:
-        return others
-    ranked = others[np.argsort(dist[others], kind="stable")]
-    neighbors = list(ranked[:MIN_NEIGHBORS])
-    for u in ranked[MIN_NEIGHBORS:]:
-        if labels[u] != labels[i]:
-            break
-        neighbors.append(u)
-    return np.array(neighbors, dtype=np.int64)
 
 
 def laplacian_from_affinity(B: np.ndarray) -> np.ndarray:
@@ -247,22 +215,29 @@ def laplacian_from_affinity(B: np.ndarray) -> np.ndarray:
 
 
 def build_laplacian(pivots: StackedPivots) -> tuple[np.ndarray, np.ndarray]:
-    """Affinity graph over auto-sized neighborhoods and its normalized
-    Laplacian.
+    """Affinity graph over automatically sized neighborhoods and its
+    normalized Laplacian.
 
+    Each row ranks the other rows by ascending cosine distance, ties to the
+    lower index (one stable argsort, the row itself set last). Its neighbors
+    are the first MIN_NEIGHBORS ranked rows, every other row when there are
+    fewer, then the ranked rows that follow while they share its label.
     B[i, j] is the cosine similarity (negatives floored at 0) whenever i is
     a neighbor of j or j of i; the diagonal is zero.
     """
-    z = pivots.z
     cos = _cosine_matrix(pivots.rows)
-    floored = np.maximum(cos, 0.0)
-    B = np.zeros((z, z))
-    for i in range(z):
-        for j in _auto_knn_from_cos(cos, pivots.labels, i):
-            value = floored[i, j]
-            B[i, j] = value
-            B[j, i] = value
-    np.fill_diagonal(B, 0.0)
+    dist = 1.0 - cos
+    np.fill_diagonal(dist, np.inf)
+    ranked = np.argsort(dist, axis=1, kind="stable")[:, :-1]
+    del dist  # the stage holds a few z x z arrays at once, not more
+    labels = pivots.labels
+    kept = labels[ranked] == labels[:, None]
+    kept[:, :MIN_NEIGHBORS] = True
+    kept = np.logical_and.accumulate(kept, axis=1)
+    width = kept.sum(axis=1).max()  # the longest neighbor list
+    adjacent = np.zeros(cos.shape, dtype=bool)
+    np.put_along_axis(adjacent, ranked[:, :width], kept[:, :width], axis=1)
+    B = np.where(adjacent | adjacent.T, np.maximum(cos, 0.0), 0.0)
     return B, laplacian_from_affinity(B)
 
 

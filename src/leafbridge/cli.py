@@ -85,7 +85,9 @@ def _cmd_run(args) -> int:
         shown = "n/a" if acc is None else f"{acc:.6f}"
         print(f"  {method}: mean accuracy {shown} over {agg['pairs']} pairs")
     if report.all_failed:
-        # a pair fails only while its data is loaded, split or repaired
+        # a pair fails when its data cannot be loaded, split, injected or
+        # repaired, when one of its cells meets an OSError, or when the
+        # cells' fork_map fails; a method's own error fails only that method
         print("every pair failed", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK

@@ -46,11 +46,15 @@ def _require_distinct(names, error, what: str):
         raise error(f"{what} {next(n for n in names if names.count(n) > 1)!r} more than once")
 
 
+def _whole(values: np.ndarray) -> np.ndarray:
+    """Mask of the float cells that are finite whole numbers."""
+    return np.isfinite(values) & (np.floor(values) == values)
+
+
 def class_indices(labels, n_classes: int, what: str) -> np.ndarray:
     """labels as int64, DataError unless each is a whole number in [0, n_classes)."""
     labels = np.asarray(labels)
-    if labels.dtype.kind == "f" and not (np.isfinite(labels)
-                                         & (np.floor(labels) == labels)).all():
+    if labels.dtype.kind == "f" and not _whole(labels).all():
         raise DataError(f"{what} must be whole class indices")
     labels = labels.astype(np.int64, copy=False)
     if labels.min() < 0 or labels.max() >= n_classes:
@@ -154,6 +158,17 @@ class Dataset:
         _require_distinct([a.name for a in self.schema], SchemaError, "schema names attribute")
         if self.domain_tag not in ("source", "target"):
             raise DataError(f"domain_tag must be source or target, got {self.domain_tag!r}")
+        coded = [j for j, a in enumerate(self.schema) if a.kind == CATEGORICAL]
+        if coded:
+            cells = records[:, coded]
+            n_codes = np.array([len(self.schema[j].categories) for j in coded])
+            bad = ~np.isnan(cells) & ~(_whole(cells) & (cells >= 0) & (cells < n_codes))
+            if bad.any():
+                i, k = (int(v) for v in np.argwhere(bad)[0])
+                raise DataError(
+                    f"record {i}: attribute {self.schema[coded[k]].name!r} holds "
+                    f"{float(cells[i, k])!r}, not a category code below {n_codes[k]}"
+                )
         # row-major: the forest builder's flat gathers and the pivot sums
         # index the records in C order
         records = records.copy(order="C")

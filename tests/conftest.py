@@ -4,11 +4,18 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from leafbridge import workers
+from leafbridge.adaptation import MIN_NEIGHBORS
 from leafbridge.dataset import NUMERIC, AttributeSchema, Dataset
 from leafbridge.forest import _TREE_ARRAYS
+
+# Every property test draws the same examples on every run and has no time
+# limit; each sets only its own max_examples.
+settings.register_profile("leafbridge", derandomize=True, database=None, deadline=None)
+settings.load_profile("leafbridge")
 
 
 def numeric_dataset(records, labels, n_classes=None, domain_tag="source"):
@@ -31,6 +38,31 @@ COLUMN_REGIMES = (
     (1e308, 1.6e308, sys.float_info.max, -1e308, -1.6e308, -sys.float_info.max),
     (0.1, 0.3, 2.5, math.pi, 1e6 / 7, -1234.5),
 )
+
+
+def auto_knn_from_cos(cos: np.ndarray, labels: np.ndarray, i: int) -> np.ndarray:
+    """Reference for `build_laplacian`'s neighbor rule, one row at a time:
+    the automatically sized nearest-neighbor list of row i of the cosine
+    matrix.
+
+    Rows are ranked by ascending cosine distance (ties -> lower index). The
+    first four are always included; the list then grows down the ranking
+    while neighbors keep the query row's label, stopping at the first row
+    with a different label. With fewer than 5 rows every other row is
+    returned.
+    """
+    z = cos.shape[0]
+    dist = 1.0 - cos[i]
+    others = np.concatenate([np.arange(i), np.arange(i + 1, z)])
+    if z < MIN_NEIGHBORS + 1:
+        return others
+    ranked = others[np.argsort(dist[others], kind="stable")]
+    neighbors = list(ranked[:MIN_NEIGHBORS])
+    for u in ranked[MIN_NEIGHBORS:]:
+        if labels[u] != labels[i]:
+            break
+        neighbors.append(u)
+    return np.array(neighbors, dtype=np.int64)
 
 
 def drawn_matrix(draw, rng, n, d):

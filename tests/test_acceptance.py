@@ -15,7 +15,6 @@ from scipy.stats import binom
 
 from leafbridge.adaptation import (
     StackedPivots,
-    _auto_knn_from_cos,
     _cosine_matrix,
     build_laplacian,
     build_mmd_matrix,
@@ -29,7 +28,7 @@ from leafbridge.metrics import evaluate, sign_test
 from leafbridge.pivot import _jsd_block
 from leafbridge.synthetic import rotated_pair
 from leafbridge.transfer import TransferConfig, run_transfer
-from conftest import numeric_dataset
+from conftest import auto_knn_from_cos, numeric_dataset
 
 
 def _finish(name, ok, detail):
@@ -116,8 +115,8 @@ def test_c3_laplacian_invariants():
         eig_low = min(eig_low, float(eig.min()))
         eig_high = max(eig_high, float(eig.max()))
         i = int(rng.integers(sp.z))
-        # the neighbor rule build_laplacian applies to each row
-        neighbors = _auto_knn_from_cos(_cosine_matrix(sp.rows), sp.labels, i)
+        # the per-row loop of the neighbor rule build_laplacian applies
+        neighbors = auto_knn_from_cos(_cosine_matrix(sp.rows), sp.labels, i)
         min_neighbors = min(min_neighbors, len(neighbors))
         if any(sp.labels[u] != sp.labels[i] for u in neighbors[4:]):
             label_rule_ok = False

@@ -2,11 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 
 from leafbridge.adaptation import (
     StackedPivots,
-    _auto_knn_from_cos,
     _cosine_matrix,
     build_kernel,
     build_laplacian,
@@ -22,6 +23,7 @@ from leafbridge.adaptation import (
 from leafbridge.errors import BandwidthError, DataError, SolveError
 from leafbridge.pivot import DistributionBundle, match_pivots
 from leafbridge.dataset import NUMERIC, AttributeSchema
+from conftest import auto_knn_from_cos, drawn_rng
 
 
 def stacked(rows, labels, d_source=None, shared=None):
@@ -143,6 +145,33 @@ class TestMu:
             assert 0.0 <= compute_mu(sp) <= 1.0
 
 
+def mmd_matrix_loop(sp, mu):
+    """Reference for `build_mmd_matrix`: the joint MMD matrix written one
+    np.ix_ block per class."""
+    z = sp.z
+    n_p = sp.n_pivots
+    sign = np.ones(z)
+    sign[n_p:] = -1.0
+    m0 = np.outer(sign, sign) / (n_p * n_p)
+
+    mc_sum = np.zeros((z, z))
+    labels = sp.labels
+    for c in range(len(sp.shared_classes)):
+        src_rows = np.flatnonzero(labels[:n_p] == c)
+        tgt_rows = n_p + np.flatnonzero(labels[n_p:] == c)
+        n_c = src_rows.size
+        m_c = tgt_rows.size
+        if n_c > 0:
+            mc_sum[np.ix_(src_rows, src_rows)] += 1.0 / (n_c * n_c)
+        if m_c > 0:
+            mc_sum[np.ix_(tgt_rows, tgt_rows)] += 1.0 / (m_c * m_c)
+        if n_c > 0 and m_c > 0:
+            cross = -1.0 / (n_c * m_c)
+            mc_sum[np.ix_(src_rows, tgt_rows)] += cross
+            mc_sum[np.ix_(tgt_rows, src_rows)] += cross
+    return (1.0 - mu) * m0 + mu * mc_sum
+
+
 class TestMmdMatrix:
     def test_marginal_blocks(self):
         rng = np.random.default_rng(2)
@@ -199,7 +228,23 @@ def angled_pivots(neighbor_labels, query_label=0):
 def auto_knn(sp, i):
     """Reference: the neighbor list of one stacked row, by the rule
     build_laplacian applies to every row."""
-    return _auto_knn_from_cos(_cosine_matrix(sp.rows), sp.labels, i)
+    return auto_knn_from_cos(_cosine_matrix(sp.rows), sp.labels, i)
+
+
+def affinity_loop(sp):
+    """Reference for `build_laplacian`'s B: the affinity matrix written edge
+    by edge from each row's neighbor list."""
+    z = sp.z
+    cos = _cosine_matrix(sp.rows)
+    floored = np.maximum(cos, 0.0)
+    B = np.zeros((z, z))
+    for i in range(z):
+        for j in auto_knn_from_cos(cos, sp.labels, i):
+            value = floored[i, j]
+            B[i, j] = value
+            B[j, i] = value
+    np.fill_diagonal(B, 0.0)
+    return B
 
 
 class TestAutoKnn:
@@ -251,14 +296,16 @@ class TestLaplacian:
         rng = np.random.default_rng(12)
         for _ in range(20):
             sp = random_stacked(rng, n_pivots=int(rng.integers(2, 12)))
-            cos = _cosine_matrix(sp.rows)
-            want = np.zeros((sp.z, sp.z))
-            for i in range(sp.z):
-                for j in auto_knn(sp, i):
-                    want[i, j] = want[j, i] = max(cos[i, j], 0.0)
-            np.fill_diagonal(want, 0.0)
             B, _ = build_laplacian(sp)
-            assert B.tobytes() == want.tobytes()
+            assert B.tobytes() == affinity_loop(sp).tobytes()
+
+    def test_cosine_matrix_exactly_symmetric(self):
+        rng = np.random.default_rng(16)
+        for z, d in ((2, 1), (7, 3), (64, 20), (312, 20), (850, 70), (2000, 70)):
+            rows = rng.normal(size=(z, d)) * 10.0 ** rng.uniform(-3, 3, size=(z, 1))
+            rows[z // 2] = 0.0
+            cos = _cosine_matrix(rows)
+            assert np.array_equal(cos, cos.T), (z, d)
 
     def test_spectrum_bounds(self):
         rng = np.random.default_rng(10)
@@ -277,6 +324,44 @@ class TestLaplacian:
         for _ in range(100):
             x = rng.normal(size=sp.z)
             assert x @ Lap @ x >= -1e-8
+
+
+@st.composite
+def drawn_stacks(draw):
+    """Stacked pivots of z = 2-60 rows and 1-5 shared classes, with
+    small-integer or normal cells, rows copied within their half (cosine
+    ties) and all-zero rows."""
+    rng = drawn_rng(draw)
+    n_pivots, n_classes = draw(st.integers(1, 30)), draw(st.integers(1, 5))
+    d_source, d_target = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cells = draw(st.sampled_from([lambda size: rng.integers(-2, 3, size), rng.normal]))
+    z = 2 * n_pivots
+    rows = np.zeros((z, d_source + d_target))
+    rows[:n_pivots, :d_source] = cells(size=(n_pivots, d_source))
+    rows[n_pivots:, d_source:] = cells(size=(n_pivots, d_target))
+    for _ in range(draw(st.integers(0, 4))):
+        half = n_pivots * int(rng.integers(2))
+        rows[half + rng.integers(n_pivots)] = rows[half + rng.integers(n_pivots)]
+    rows[rng.integers(z, size=draw(st.integers(0, 2)))] = 0.0
+    labels = rng.integers(0, n_classes, size=z)
+    return stacked(rows, labels, d_source, tuple(f"c{j}" for j in range(n_classes)))
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300)
+@given(sp=drawn_stacks(), mu=st.floats(0.0, 1.0))
+def test_graph_and_mmd_matrix_equal_their_loops_on_drawn_stacks(sp, mu):
+    cos = _cosine_matrix(sp.rows)
+    assert np.array_equal(cos, cos.T)
+    B, Lap = build_laplacian(sp)
+    want = affinity_loop(sp)
+    assert_same_bytes(B, want)
+    assert_same_bytes(Lap, laplacian_from_affinity(want))
+    assert_same_bytes(build_mmd_matrix(sp, mu), mmd_matrix_loop(sp, mu))
 
 
 class TestAlpha:

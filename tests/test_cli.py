@@ -541,7 +541,7 @@ def drawn_reports(draw):
     return {"format": "leafbridge-report", "spec": {"methods": methods}, "pairs": pairs}
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(report=drawn_reports())
 def test_stats_on_drawn_reports_exits_0_or_2(tmp_path_factory, report):
     path = tmp_path_factory.getbasetemp() / "drawn_report.json"

@@ -86,7 +86,7 @@ COLUMN = st.one_of(
 MISSING_TOKENS = st.sampled_from([{"?", ""}, {"?", "", "nan", "-inf"}, set()])
 
 
-@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(col=COLUMN, missing=MISSING_TOKENS)
 def test_parse_column_matches_scalar_oracle(col, missing):
     values, bad, nonfinite = _parse_column(tuple(col), missing)
@@ -97,7 +97,7 @@ def test_parse_column_matches_scalar_oracle(col, missing):
     assert (bad, nonfinite) == (want_bad, want_nonfinite)
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(col=st.lists(st.sampled_from(["a", "b", "c", "?", "", "nan", "1"]), max_size=30),
        missing=MISSING_TOKENS)
 def test_code_column_matches_loop_oracle(col, missing):

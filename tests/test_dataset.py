@@ -532,6 +532,21 @@ class TestDatasetInvariants:
         with pytest.raises(SchemaError, match="attribute 'k' lists category 'x' more than once"):
             AttributeSchema("k", CATEGORICAL, ("x", "y", "x"))
 
+    CODED = (AttributeSchema("x", NUMERIC), AttributeSchema("k", CATEGORICAL, ("a", "b", "c")))
+
+    @pytest.mark.parametrize("cell", [-1.0, 1.5, -0.5, 3.0, np.inf, -np.inf])
+    def test_categorical_cell_that_is_not_a_code(self, cell):
+        # such a cell was written as another category by write_csv and
+        # one-hot encoded as a truncated code by encode_records
+        with pytest.raises(DataError, match=r"record 1: attribute 'k' holds .*, not a "
+                                            r"category code below 3"):
+            Dataset(self.CODED, [[0.5, 0.0], [1.0, cell], [2.0, 2.0]], [0, 0, 0], ("p",))
+
+    def test_categorical_codes_and_missing_cells_accepted(self):
+        records = [[-1.5, 0.0], [np.inf, 2.0], [0.5, np.nan], [1.0, -0.0]]
+        ds = Dataset(self.CODED, records, [0, 0, 0, 0], ("p",))
+        np.testing.assert_array_equal(ds.records, records)
+
     def test_encode_records_rejects_missing(self):
         schema = (AttributeSchema("a", NUMERIC), AttributeSchema("k", CATEGORICAL, ("x", "y")))
         for row in ([np.nan, 0.0], [1.0, np.nan]):
@@ -542,7 +557,7 @@ class TestDatasetInvariants:
 NAMES = st.lists(st.sampled_from(["a", "b", "c", "", "?", "\u00e9"]), max_size=8)
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(names=NAMES, reference=NAMES)
 def test_name_index_matches_tuple_index(names, reference):
     # names absent from the reference map to -1; a repeated one to its first place
@@ -587,7 +602,7 @@ def csv_datasets(draw):
                    [class_names.index(y) for y in labels], class_names, "target")
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(ds=csv_datasets())
 def test_write_csv_load_csv_round_trip(tmp_path_factory, ds):
     path = tmp_path_factory.getbasetemp() / "round_trip.csv"

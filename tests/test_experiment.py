@@ -872,7 +872,7 @@ alpha_mode = inverse
         with pytest.raises(DataError):
             parse_config(tmp_path / "absent.ini")
 
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(text=config_texts())
     def test_drawn_file_parses_or_is_data_error(self, tmp_path_factory, text):
         path = tmp_path_factory.getbasetemp() / "drawn.ini"

@@ -123,7 +123,7 @@ def split_nodes(draw):
     return X, y, class_weights, idx, attrs, min_leaf, draw(st.integers(1, 1 << 17))
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(node=split_nodes())
 def test_split_search_matches_oracle_on_drawn_nodes(node):
     X, y, class_weights, idx, attrs, min_leaf, block = node
@@ -1111,7 +1111,7 @@ class TestCodedApply:
                 assert 1 in trees[0]._code_tables
                 assert int(trees[0].right[0]) not in trees[0]._code_tables
 
-    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @settings(max_examples=120)
     @given(n_splits=st.integers(0, 40), n=st.integers(1, 50), seed=st.integers(0, 2**32 - 1),
            thresholds=st.lists(st.floats(-4, 4), min_size=1, max_size=6),
            subtree_cap=st.integers(0, forest_module.CODED_SPLITS))
@@ -1191,7 +1191,7 @@ class TestCodedApply:
         assert peak <= 5 * 8 * n + 128 * tree.feature.size + 65536
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(n_classes=st.integers(2, 9), splits=st.lists(st.integers(0, 20), min_size=1, max_size=12),
        n=st.integers(1, 40), max_count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_predict_many_matches_loop_on_random_forests(n_classes, splits, n, max_count, seed):

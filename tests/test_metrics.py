@@ -169,7 +169,7 @@ class TestNemenyi:
             for row, want in zip(acc, ranks):
                 assert mean_ranks(row[None, :]).tobytes() == want.tobytes(), row
 
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.integers(1, 6).flatmap(lambda k: st.lists(
         st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, np.inf, -np.inf, np.nan]),
                  min_size=k, max_size=k), min_size=1, max_size=6)))

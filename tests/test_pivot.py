@@ -390,7 +390,7 @@ def _bundle_pair(draw):
     return make_bundle(V_s), make_bundle(V_t, domain_tag="target"), threshold
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(pair=_bundle_pair())
 def test_match_pivots_divergences_match_scalar_jsd(pair):
     """Every divergence of the block match_pivots evaluates equals the
@@ -578,7 +578,7 @@ def leaf_cases(draw):
                            for _ in range(draw(st.integers(1, 12)))])
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(case=leaf_cases())
 def test_extract_and_dedup_match_loops_on_drawn_leaves(case):
     ds, leaves = case
@@ -620,7 +620,7 @@ def drawn_bundles(draw):
     return make_bundle(V, W=drawn_matrix(draw, rng, n_rows, d))
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(bundle=drawn_bundles())
 def test_dedup_matches_loop_on_drawn_bundles(bundle):
     assert_dedup_matches_loop(bundle)

@@ -552,7 +552,7 @@ def model_cases(draw):
 
 
 class TestModelSerialization:
-    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(case=model_cases())
     def test_save_load_save_is_byte_identical(self, tmp_path_factory, case):
         kind, model, tgt = case
