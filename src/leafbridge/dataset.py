@@ -110,6 +110,14 @@ def check_field_types(spec):
             raise DataError(f"{type(spec).__name__} field {name!r} = {value!r} is not {rule}")
 
 
+def require_seed(seed):
+    """DataError unless seed is an int >= 0 (a bool never is)."""
+    if not _holds(seed, int):
+        raise DataError(f"seed {seed!r} is not an int")
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Target/test partition parameters."""
@@ -121,8 +129,7 @@ class SplitSpec:
         check_field_types(self)
         if not 0.0 < self.target_fraction < 1.0:
             raise DataError(f"target_fraction must be in (0,1), got {self.target_fraction}")
-        if self.seed < 0:
-            raise DataError(f"seed must be >= 0, got {self.seed}")
+        require_seed(self.seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -571,6 +578,7 @@ def inject_missing(ds: Dataset, record_ratio: float, seed: int = 0) -> Dataset:
     uniformly from {1..50} determines the percentage of that record's
     attribute values blanked (at least one cell). Labels are never blanked.
     """
+    require_seed(seed)
     if not 0.0 <= record_ratio <= 0.5:
         raise DataError(f"record_ratio must be in [0, 0.5], got {record_ratio}")
     k = int(round(record_ratio * ds.n))

@@ -55,7 +55,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .dataset import NUMERIC, AttributeSchema, Dataset, _require_distinct, require_numeric
+from .dataset import (NUMERIC, AttributeSchema, Dataset, _require_distinct, require_numeric,
+                      require_seed)
 from .errors import DataError, EmptyDatasetError, MissingValueError, SchemaError
 from .workers import fork_map
 
@@ -167,17 +168,34 @@ class Tree:
 
     @cached_property
     def _subtree_splits(self) -> list[int]:
-        """The number of splits in the subtree of each split node, [0] for
-        a tree without splits. Depth-first numbering makes the subtree of
-        split node i the splits i to i + _subtree_splits[i] - 1."""
+        """`_depth_first_sizes` of a tree that holds the layout; built on
+        first apply and never saved."""
+        return self._depth_first_sizes()
+
+    def _depth_first_sizes(self) -> list[int] | None:
+        """The number of splits in the subtree of each split node, [0] for a
+        tree without splits; None unless the tree holds the layout that
+        `_grow_tree` builds: a walk from the root, depth first and left
+        first, reaches split nodes 0, 1, ... and leaves 0, 1, ... in id
+        order, and all of them. The subtree of split node i is then the
+        splits i to i + size[i] - 1, the range `apply` and `_code_table` read."""
         left, right = self.left.tolist(), self.right.tolist()
-        size = [1] * len(left) or [0]
-        for node in reversed(range(len(left))):  # children come after their parent
-            if left[node] >= 0:
-                size[node] += size[left[node]]
-            if right[node] >= 0:
-                size[node] += size[right[node]]
-        return size
+        size = [0] * len(left) or [0]
+        n_splits = n_leaves = 0  # the next split and leaf id the walk expects
+        stack = [(0 if left else ~0, False)]  # a node, and whether its subtree is done
+        while stack:
+            node, done = stack.pop()
+            if done:
+                size[node] = n_splits - node
+            elif node != (n_splits if node >= 0 else ~n_leaves) or node == len(left):
+                return None
+            elif node < 0:
+                n_leaves += 1
+            else:
+                n_splits += 1
+                stack += [(node, True), (right[node], False), (left[node], False)]
+        # each split reached adds two children, so n_splits + 1 leaves were reached
+        return size if n_splits == len(left) else None
 
     @cached_property
     def _code_tables(self) -> dict:
@@ -479,14 +497,15 @@ def train_forest(ds: Dataset, n_trees: int, min_leaf_size: int, seed: int) -> Fo
     node a fresh random subset of ceil(sqrt(d)) attributes scored by Gini
     reduction. Splitting stops at pure nodes, nodes smaller than twice the
     minimum leaf size, or when no sampled split improves the Gini.
-    Deterministic for a fixed seed, however many processes grow the trees
-    (`workers.fork_map`). The pipeline's settings come from a TransferConfig,
-    which holds their defaults (`transfer.fit_forest`).
+    Deterministic for a fixed seed (an int >= 0), however many processes
+    grow the trees (`workers.fork_map`). The pipeline's settings come from
+    a TransferConfig, which holds their defaults (`transfer.fit_forest`).
     """
     if n_trees < 1:
         raise DataError("n_trees must be >= 1")
     if min_leaf_size < 1:
         raise DataError("min_leaf_size must be >= 1")
+    require_seed(seed)
     if ds.n < 1:
         raise EmptyDatasetError("cannot train on an empty dataset")
     require_numeric(ds.schema, "train_forest")
@@ -582,34 +601,33 @@ def read_key(obj: dict, key: str, kind, doc: str, items=None):
     return value
 
 
+def require_json_numbers(values: list, what: str, integers: bool = False):
+    """DataError naming `what` unless each item of `values`, or of each list
+    among them (a row), is a JSON number, or a JSON integer if `integers`;
+    a bool is neither."""
+    kind = int if integers else (int, float)
+    cells = (c for row in values for c in (row if isinstance(row, list) else [row]))
+    if not all(isinstance(c, kind) and not isinstance(c, bool) for c in cells):
+        raise DataError(f"{what} holds a value that is not a JSON "
+                        f"{'integer' if integers else 'number'}")
+
+
 def _tree_from_obj(obj, n_classes: int, d: int) -> Tree:
     """A Tree from its document, DataError unless the thresholds are JSON
     numbers, the other arrays JSON integers (never bools) and the arrays
     form one tree."""
     arrays = {name: read_key(obj, name, list, "tree") for name in _TREE_ARRAYS}
     for name, values in arrays.items():
-        kind = (int, float) if name == "threshold" else int
-        if name == "counts":  # rows of class counts
-            values = [c for row in values for c in (row if isinstance(row, list) else [row])]
-        if not all(isinstance(c, kind) and not isinstance(c, bool) for c in values):
-            raise DataError(f"tree array {name!r} holds a value that is not a JSON "
-                            f"{'number' if name == 'threshold' else 'integer'}")
+        require_json_numbers(values, f"tree array {name!r}", integers=name != "threshold")
     tree = _as_tree(arrays)
     s = tree.feature.shape[0]
-    children = np.concatenate([tree.left, tree.right])
-    parents = np.tile(np.arange(s), 2)
-    splits = children >= 0
     valid = (
         all(getattr(tree, name).shape == (s,) for name in ("threshold", "left", "right"))
         and tree.counts.shape == (s + 1, n_classes)
         and ((tree.feature >= 0) & (tree.feature < d)).all()
         and np.isfinite(tree.threshold).all()
         and (tree.counts >= 0).all() and (tree.counts.sum(axis=1) > 0).all()
-        # every node but the root has one parent, numbered before it (a
-        # tree without splits is its root leaf alone)
-        and np.array_equal(np.sort(children[splits]), np.arange(1, s))
-        and (children[splits] > parents[splits]).all()
-        and np.array_equal(np.sort(~children[~splits]), np.arange(s + 1 if s else 0))
+        and tree._depth_first_sizes() is not None
     )
     if not valid:
         raise DataError("forest document holds a malformed tree")
@@ -628,7 +646,8 @@ def forest_to_dict(forest: Forest) -> dict:
 def forest_from_dict(obj: dict) -> Forest:
     """The forest of a `forest_to_dict` document; DataError on a missing or
     ill-typed key, a name listed twice, an empty tree list or a malformed
-    tree."""
+    tree, such as one whose split nodes or leaves are not each numbered
+    depth first, left first (`Tree._depth_first_sizes`)."""
     names = {key: read_key(obj, key, list, "forest", items=str)
              for key in ("attributes", "class_names")}
     for key, listed in names.items():

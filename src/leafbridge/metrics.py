@@ -105,26 +105,18 @@ def mean_ranks(accuracies: np.ndarray) -> np.ndarray:
     """Mean rank per method from a [datasets, methods] accuracy matrix.
 
     Higher accuracy gets a better (smaller) rank; ties share their average
-    rank. Each row's ranks equal scipy.stats.rankdata(-row, method="average"):
-    -0.0 ties 0.0, equal infinities tie, and a row holding NaN ranks as
-    all-NaN.
+    rank: a row's tie group of `count` equal values (np.unique) ending at
+    sorted position `end` holds ranks end - count + 1 .. end. Each row's
+    ranks equal scipy.stats.rankdata(-row, method="average"): -0.0 ties
+    0.0, equal infinities tie, and a row holding NaN ranks as all-NaN.
     """
     accuracies = np.asarray(accuracies, dtype=np.float64)
     if accuracies.ndim != 2:
         raise DataError("accuracies must be a [datasets, methods] matrix")
-    values = -accuracies
-    k = values.shape[1]
-    order = np.argsort(values, axis=1, kind="stable")
-    ordered = np.take_along_axis(values, order, axis=1)
-    first = np.ones(values.shape, dtype=bool)
-    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    last = np.ones(values.shape, dtype=bool)
-    last[:, :-1] = first[:, 1:]
-    position = np.arange(k)
-    # a tie group spans sorted positions [start, end); its ranks are start+1..end
-    start = np.maximum.accumulate(np.where(first, position, 0), axis=1)
-    end = np.minimum.accumulate(np.where(last, position + 1, k)[:, ::-1], axis=1)[:, ::-1]
-    ranks = np.empty(values.shape)
-    np.put_along_axis(ranks, order, (start + end + 1) / 2.0, axis=1)
-    ranks[np.isnan(values).any(axis=1)] = np.nan
+    ranks = np.empty(accuracies.shape)
+    for row, out in zip(-accuracies, ranks):
+        _, group, count = np.unique(row, return_inverse=True, return_counts=True)
+        end = np.cumsum(count)
+        out[:] = ((2 * end - count + 1) / 2.0)[group]
+    ranks[np.isnan(accuracies).any(axis=1)] = np.nan
     return ranks.mean(axis=0)

@@ -33,6 +33,7 @@ from .dataset import (
     encoded_schema,
     name_index,
     one_hot_encode,
+    require_seed,
 )
 from .errors import DataError, MatchingError, MissingValueError, NumericalError
 from .forest import (
@@ -43,6 +44,7 @@ from .forest import (
     forest_to_dict,
     predict_many,
     read_key,
+    require_json_numbers,
     train_forest,
 )
 
@@ -73,8 +75,7 @@ class TransferConfig:
         for name in ("n_trees", "min_leaf_small", "min_leaf_large", "large_threshold"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1")
-        if self.seed < 0:
-            raise DataError(f"seed must be >= 0, got {self.seed}")
+        require_seed(self.seed)
         for name in ("ridge", "mmd", "manifold"):
             if getattr(self, name) < 0:
                 raise DataError(f"{name} must be >= 0")
@@ -141,9 +142,10 @@ class TransferModel:
     def load(path) -> "TransferModel":
         """Read a saved model; DataError on any other document or version,
         on a missing or ill-typed key, on a config that TransferConfig
-        rejects, on a projection that is not a finite matrix or whose columns
-        are not the encoded `raw_schema` columns, and on encoded `raw_schema`
-        columns other than its forest's."""
+        rejects, on a projection cell that is not a JSON number, on a
+        projection that is not a finite matrix or whose columns are not the
+        encoded `raw_schema` columns, and on encoded `raw_schema` columns
+        other than its forest's."""
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
         doc, column = "leafbridge-model", "raw_schema column"
@@ -159,9 +161,10 @@ class TransferModel:
         )
         columns = [a.name for a in encoded_schema(raw_schema)]
         projection = read_key(obj, "projection", (list, type(None)), doc)
+        require_json_numbers(projection or [], f"{doc} document key 'projection'")
         try:
             projection = None if projection is None else ProjectionMatrix(projection)
-        except (TypeError, ValueError, NumericalError) as exc:
+        except (ValueError, OverflowError, NumericalError) as exc:
             raise DataError(f"{doc} document key 'projection' is not a finite matrix: "
                             f"{exc}") from None
         if projection is not None and projection.d_target != len(columns):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 
 from leafbridge.adaptation import (
+    AdaptationState,
     StackedPivots,
     _cosine_matrix,
     build_kernel,
@@ -362,6 +363,46 @@ def test_graph_and_mmd_matrix_equal_their_loops_on_drawn_stacks(sp, mu):
     assert_same_bytes(B, want)
     assert_same_bytes(Lap, laplacian_from_affinity(want))
     assert_same_bytes(build_mmd_matrix(sp, mu), mmd_matrix_loop(sp, mu))
+
+
+def symmetrized_spectrum(mat):
+    """The extreme eigenvalues as `AdaptationState.diagnostics` took them
+    before it passed each matrix as it is: of (mat + mat.T) / 2."""
+    eig = np.linalg.eigvalsh((mat + mat.T) / 2.0)
+    return {"min": float(eig[0]), "max": float(eig[-1])}
+
+
+def assert_spectra_of_symmetric_matrices(sp, mu):
+    """K (each kernel), M and Lap of `sp` are exactly symmetric, and their
+    diagnostic spectra equal the symmetrized form's bit for bit."""
+    M = build_mmd_matrix(sp, mu)
+    _, Lap = build_laplacian(sp)
+    kernels = [build_kernel(sp, "linear")]
+    try:
+        kernels.append(build_kernel(sp, "rbf"))
+    except BandwidthError:  # every stacked row the same
+        pass
+    for K in kernels:
+        diagnostics = AdaptationState(K, M, mu, Lap, None).diagnostics()
+        for key, mat in (("kernel_spectrum", K), ("mmd_spectrum", M),
+                         ("laplacian_spectrum", Lap)):
+            assert np.array_equal(mat, mat.T), key
+            want = symmetrized_spectrum(mat)
+            assert {k: v.hex() for k, v in diagnostics[key].items()} == {
+                k: v.hex() for k, v in want.items()}, key
+
+
+@settings(max_examples=200)
+@given(sp=drawn_stacks(), mu=st.floats(0.0, 1.0))
+def test_adaptation_matrices_exactly_symmetric_on_drawn_stacks(sp, mu):
+    assert_spectra_of_symmetric_matrices(sp, mu)
+
+
+@pytest.mark.parametrize("n_pivots, n_classes", [(19, 3), (72, 2), (156, 4), (425, 3)])
+def test_adaptation_matrices_exactly_symmetric_at_benchmark_sizes(n_pivots, n_classes):
+    rng = np.random.default_rng(n_pivots)
+    sp = random_stacked(rng, n_pivots=n_pivots, n_classes=n_classes, d_source=20, d_target=12)
+    assert_spectra_of_symmetric_matrices(sp, float(rng.uniform()))
 
 
 class TestAlpha:

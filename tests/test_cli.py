@@ -236,6 +236,14 @@ class TestInjectMissing:
         ])
         assert code == EXIT_DATA
 
+    def test_negative_seed(self, tmp_path, pair_files, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["inject-missing", "--input", pair_files[0], "--output", str(out),
+                     "--ratio", "0.3", "--seed", "-1"])
+        assert code == EXIT_DATA
+        assert "data error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def report_pair(name, group, cells):
     """A report's pair entry; a string cell is that method's error."""

@@ -499,6 +499,19 @@ class TestInjectMissing:
         with pytest.raises(DataError):
             inject_missing(ds, 0.6, seed=0)
 
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "^seed must be >= 0, got -1$"),
+        (2.5, "^seed 2.5 is not an int$"),
+        (True, "^seed True is not an int$"),
+        ("3", "^seed '3' is not an int$"),
+    ])
+    def test_seed_that_is_not_an_int_of_at_least_0(self, seed, message):
+        # checked before the ratio: a zero ratio never draws from the seed
+        ds = numeric_dataset([[1.0, 2.0]], [0])
+        for ratio in (0.0, 0.5):
+            with pytest.raises(DataError, match=message):
+                inject_missing(ds, ratio, seed)
+
 
 class TestDatasetInvariants:
     def test_records_are_read_only(self):

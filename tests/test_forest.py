@@ -377,6 +377,16 @@ class TestTraining:
         forest = train_forest(ds, n_trees=3, min_leaf_size=5, seed=0)
         np.testing.assert_array_equal(predict_many(forest, ds.records), np.zeros(40))
 
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "^seed must be >= 0, got -1$"),
+        (0.0, "^seed 0.0 is not an int$"),
+        (False, "^seed False is not an int$"),
+        (None, "^seed None is not an int$"),
+    ])
+    def test_seed_that_is_not_an_int_of_at_least_0(self, seed, message):
+        with pytest.raises(DataError, match=message):
+            train_forest(two_class_dataset(), 3, 5, seed)
+
     def test_raw_categorical_column_rejected(self):
         schema = (AttributeSchema("a", NUMERIC), AttributeSchema("b", CATEGORICAL, ("x", "y")))
         ds = Dataset(schema, [[0.0, 0.0], [1.0, 1.0]], [0, 1], ("p", "q"))
@@ -1212,6 +1222,169 @@ def test_predict_many_matches_loop_on_random_forests(n_classes, splits, n, max_c
     got = predict_many(forest, X)
     assert got.dtype == np.int64
     assert got.tobytes() == loop_predict(forest, X)[0].tobytes()
+
+
+def subtree_splits_loop(tree):
+    """Each split node's subtree size by one reverse pass over the split
+    ids, adding each child's size to its parent: how `Tree._subtree_splits`
+    was computed before the depth-first walk, right wherever children come
+    after their parent."""
+    left, right = tree.left.tolist(), tree.right.tolist()
+    size = [1] * len(left) or [0]
+    for node in reversed(range(len(left))):
+        for child in (left[node], right[node]):
+            if child >= 0:
+                size[node] += size[child]
+    return size
+
+
+def children_after_parents(tree):
+    """The layout rule `forest_from_dict` applied before the depth-first
+    walk: the split children are splits 1 .. s-1, each once and each after
+    its parent, and the leaf children are leaves 0 .. s, each once."""
+    s = tree.feature.size
+    children = np.concatenate([tree.left, tree.right])
+    parents = np.tile(np.arange(s), 2)
+    splits = children >= 0
+    return bool(np.array_equal(np.sort(children[splits]), np.arange(1, s))
+                and (children[splits] > parents[splits]).all()
+                and np.array_equal(np.sort(~children[~splits]), np.arange(s + 1 if s else 0)))
+
+
+def depth_first_ids(tree):
+    """The split ids and the leaf ids in the order a recursive depth-first,
+    left-first walk from the root reaches them; the tree must be one
+    (`children_after_parents`)."""
+    splits, leaves = [], []
+
+    def walk(node):
+        if node < 0:
+            leaves.append(~node)
+        else:
+            splits.append(node)
+            walk(int(tree.left[node]))
+            walk(int(tree.right[node]))
+
+    walk(0 if tree.feature.size else -1)
+    return splits, leaves
+
+
+def renumbered(tree, split_ids, leaf_ids):
+    """`tree` with split node i renamed split_ids[i] and leaf k renamed
+    leaf_ids[k]; the same tree under other ids."""
+    new_split, new_leaf = np.asarray(split_ids, dtype=np.intp), np.asarray(leaf_ids, dtype=np.intp)
+    old_split, old_leaf = np.argsort(new_split), np.argsort(new_leaf)
+
+    def rename(children):
+        return np.where(children >= 0, new_split[np.maximum(children, 0)],
+                        ~new_leaf[np.maximum(~children, 0)])
+
+    return Tree(tree.feature[old_split], tree.threshold[old_split],
+                rename(tree.left[old_split]), rename(tree.right[old_split]),
+                tree.counts[old_leaf])
+
+
+def breadth_first(tree):
+    """`tree` with its split nodes and its leaves each numbered breadth
+    first, left child before right."""
+    queue = [0 if tree.feature.size else -1]
+    for node in queue:  # the list grows while it is read
+        if node >= 0:
+            queue += [int(tree.left[node]), int(tree.right[node])]
+    # queue lists the old ids in their new order; argsort inverts that
+    return renumbered(tree, np.argsort([n for n in queue if n >= 0]),
+                      np.argsort([~n for n in queue if n < 0]))
+
+
+def one_tree_forest(tree, d):
+    schema = tuple(AttributeSchema(f"f{j}", NUMERIC) for j in range(d))
+    return Forest([tree], schema, tuple(f"c{c}" for c in range(tree.counts.shape[1])))
+
+
+class TestTreeLayout:
+    """A tree's layout, split nodes and leaves each numbered depth first,
+    left first, is stated once, by `Tree._depth_first_sizes`: `apply`
+    reads subtrees by it and `forest_from_dict` rejects a tree it does not
+    accept."""
+
+    def grown_trees(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(600, 4))
+        y = np.digitize(X[:, 0] + X[:, 1] * X[:, 2], [-0.5, 0.5])
+        ds = numeric_dataset(X, y)
+        return [tree for min_leaf in (1, 5, 40)
+                for tree in train_forest(ds, n_trees=3, min_leaf_size=min_leaf, seed=5).trees]
+
+    def test_walk_sizes_equal_the_reverse_loop(self):
+        rng = np.random.default_rng(6)
+        trees = [*self.grown_trees(), _stump([1, 2]), chain_forest(30).trees[0], balanced_tree(6),
+                 *(random_tree(n, 3, [0.5], rng) for n in (*range(20), 40, 95) for _ in range(3))]
+        assert any(tree.feature.size > forest_module.CODED_SPLITS for tree in trees)
+        for tree in trees:
+            assert children_after_parents(tree)
+            assert tree._depth_first_sizes() == subtree_splits_loop(tree)
+            assert tree._subtree_splits == subtree_splits_loop(tree)
+            forest_from_dict(forest_to_dict(one_tree_forest(tree, 4)))
+
+    def test_breadth_first_numbering_rejected(self, tmp_path):
+        # the old rule let this tree load, and its first apply then failed
+        # (it read a subtree's splits as a range of ids)
+        tree = max(self.grown_trees(), key=lambda t: t.feature.size)
+        assert tree.feature.size > forest_module.CODED_SPLITS
+        wide = breadth_first(tree)
+        assert not np.array_equal(wide.left, tree.left)
+        assert children_after_parents(wide)
+        X = np.random.default_rng(7).normal(size=(300, 4))
+        np.testing.assert_array_equal(wide.counts[mask_partition_leaves(wide, X)],
+                                      tree.counts[mask_partition_leaves(tree, X)])
+        assert wide._depth_first_sizes() is None
+        forest = one_tree_forest(wide, 4)
+        with pytest.raises(DataError, match="^forest document holds a malformed tree$"):
+            forest_from_dict(forest_to_dict(forest))
+        model = TransferModel(forest=forest, projection=None, fallback=True, diagnostics={},
+                              raw_schema=forest.schema, config=TransferConfig())
+        model.save(tmp_path / "wide.json")
+        with pytest.raises(DataError, match="^forest document holds a malformed tree$"):
+            TransferModel.load(tmp_path / "wide.json")
+
+    @settings(max_examples=200)
+    @given(n_splits=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+    def test_only_depth_first_ids_accepted(self, n_splits, seed):
+        rng = np.random.default_rng(seed)
+        tree = random_tree(n_splits, 2, [0.5], rng)
+        split_ids, leaf_ids = np.arange(n_splits), np.arange(n_splits + 1)
+        if rng.integers(2):  # the root stays split 0
+            split_ids[1:] = 1 + rng.permutation(max(n_splits - 1, 0))
+        if rng.integers(2):
+            leaf_ids = rng.permutation(n_splits + 1)
+        other = renumbered(tree, split_ids, leaf_ids)
+        depth_first = (split_ids == np.arange(n_splits)).all() and (
+            leaf_ids == np.arange(n_splits + 1)).all()
+        if depth_first:
+            assert other._depth_first_sizes() == subtree_splits_loop(tree)
+        else:
+            assert other._depth_first_sizes() is None
+            with pytest.raises(DataError, match="malformed tree"):
+                forest_from_dict(forest_to_dict(one_tree_forest(other, 2)))
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 8).flatmap(lambda s: st.tuples(
+        st.lists(st.integers(-s - 2, s + 1), min_size=s, max_size=s),
+        st.lists(st.integers(-s - 2, s + 1), min_size=s, max_size=s))))
+    def test_any_children_arrays(self, children):
+        # the walk ends on cycles, shared children and ids outside the
+        # tree, and accepts exactly the trees numbered as a recursive walk
+        # reaches their nodes
+        left, right = (np.array(c, dtype=np.intp) for c in children)
+        s = left.size
+        tree = Tree(np.zeros(s, dtype=np.intp), np.zeros(s), left, right,
+                    np.ones((s + 1, 2), dtype=np.int64))
+        sizes = tree._depth_first_sizes()
+        want = children_after_parents(tree) and depth_first_ids(tree) == (
+            list(range(s)), list(range(s + 1)))
+        assert (sizes is not None) == want
+        if want:
+            assert sizes == subtree_splits_loop(tree)
 
 
 class TestSerialization:

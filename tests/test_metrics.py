@@ -127,6 +127,27 @@ class TestSignTest:
             assert sign_test(w, l) == pytest.approx((w - n / 2 - 0.5) / (math.sqrt(n) / 2))
 
 
+def masked_mean_ranks(accuracies):
+    """`mean_ranks` as it found tie groups before np.unique: first and last
+    masks over each sorted row, spread along the row by accumulates."""
+    values = -np.asarray(accuracies, dtype=np.float64)
+    k = values.shape[1]
+    order = np.argsort(values, axis=1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=1)
+    first = np.ones(values.shape, dtype=bool)
+    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    last = np.ones(values.shape, dtype=bool)
+    last[:, :-1] = first[:, 1:]
+    position = np.arange(k)
+    # a tie group spans sorted positions [start, end); its ranks are start+1..end
+    start = np.maximum.accumulate(np.where(first, position, 0), axis=1)
+    end = np.minimum.accumulate(np.where(last, position + 1, k)[:, ::-1], axis=1)[:, ::-1]
+    ranks = np.empty(values.shape)
+    np.put_along_axis(ranks, order, (start + end + 1) / 2.0, axis=1)
+    ranks[np.isnan(values).any(axis=1)] = np.nan
+    return ranks.mean(axis=0)
+
+
 class TestNemenyi:
     def test_hand_value(self):
         # q_0.05 = 1.960 for 2 methods: 1.960 * sqrt(2 * 3 / 36)
@@ -177,6 +198,7 @@ class TestNemenyi:
         acc = np.array(rows)
         ranks = np.vstack([rankdata(-row, method="average") for row in acc])
         assert mean_ranks(acc).tobytes() == ranks.mean(axis=0).tobytes(), acc
+        assert mean_ranks(acc).tobytes() == masked_mean_ranks(acc).tobytes(), acc
 
     def test_mean_ranks_special_values(self):
         np.testing.assert_array_equal(mean_ranks([[0.0, -0.0, 1.0]]), [2.5, 2.5, 1.0])

@@ -87,6 +87,8 @@ def loop_extract_distributions(ds, leaves):
         counts = np.bincount(ds.labels[members], minlength=C)
         V[i] = counts / counts.sum()
         W[i] = _centroid_row(ds, members)
+    if not np.isfinite(W).all():  # a bundle's centroids are finite
+        return None
     return DistributionBundle(V, W, ds.schema, ds.class_names, ds.domain_tag)
 
 
@@ -106,6 +108,8 @@ def loop_dedup(bundle):
         row_map[rows] = new_row
         V_rows.append(bundle.V[rows[0]])
         W_rows.append(np.array([bundle.W[rows, j].mean() for j in range(len(bundle.schema))]))
+    if not np.isfinite(W_rows).all():  # a bundle's centroids are finite
+        return None, row_map
     merged_bundle = DistributionBundle(
         np.array(V_rows), np.array(W_rows), bundle.schema, bundle.class_names, bundle.domain_tag,
     )
@@ -213,6 +217,25 @@ class TestBundle:
         merged, row_map = dedup(bundle)
         np.testing.assert_array_equal(merged.W, [[1.0], [2.0]])
         np.testing.assert_array_equal(row_map, [0, 1])
+
+    def test_rows_that_are_not_distributions_rejected(self):
+        # the bundle is the one check that match_pivots' divergence inputs
+        # are distributions: the shared-class rows it renormalizes come from V
+        with pytest.raises(DataError, match="^V entries must be non-negative$"):
+            make_bundle([[0.5, 0.5], [-0.1, 1.1]])
+        with pytest.raises(DataError, match="^every V row must sum to 1$"):
+            make_bundle([[0.5, 0.5], [0.9, 0.3]])
+
+    @pytest.mark.parametrize("matrix", ["V", "W"])
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cell_rejected(self, matrix, cell):
+        V, W = np.array([[0.5, 0.5], [1.0, 0.0]]), np.zeros((2, 3))
+        {"V": V, "W": W}[matrix][1, 0] = cell
+        with pytest.raises(DataError, match=f"^{matrix} entries must be finite$"):
+            make_bundle(V, W)
+        if matrix == "V":  # no sign or sum check rejects a row of NaN
+            with pytest.raises(DataError, match="^V entries must be finite$"):
+                make_bundle([[cell, cell]])
 
 
 class TestExtract:
@@ -366,11 +389,6 @@ class TestJsd:
             assert jsd(p, q) == pytest.approx(brute_force_jsd(p, q), abs=1e-12)
             assert block_jsd(p, q) == jsd(p, q)
 
-    def test_non_distribution(self):
-        with pytest.raises(DataError, match="probability distributions"):
-            pivot._check_distributions(np.array([[0.5, 0.5], [0.9, 0.3]]))
-        with pytest.raises(DataError, match="probability distributions"):
-            pivot._check_distributions(np.array([[-0.1, 1.1]]))
 
 
 def _distribution_rows(n_rows, n_classes):
@@ -584,7 +602,7 @@ def test_extract_and_dedup_match_loops_on_drawn_leaves(case):
     ds, leaves = case
     with np.errstate(all="ignore"):
         want = loop_extract_distributions(ds, leaves)
-    if not np.isfinite(want.W).all():
+    if want is None:
         with pytest.raises(DataError, match="a leaf centroid is not finite"):
             extract_distributions(ds, leaves)
         return
@@ -598,7 +616,7 @@ def assert_dedup_matches_loop(bundle):
     overflows."""
     with np.errstate(all="ignore"):
         want, want_map = loop_dedup(bundle)
-    if not np.isfinite(want.W).all():
+    if want is None:
         with pytest.raises(DataError, match="a merged leaf centroid is not finite"):
             dedup(bundle)
         return

@@ -689,6 +689,26 @@ class TestModelSerialization:
         with pytest.raises(DataError, match="'projection' is not a finite matrix"):
             TransferModel.load(path)
 
+    @pytest.mark.parametrize("cell", ["1.5", True, False, None, [1.0], {"x": 1}])
+    def test_projection_cell_that_is_not_a_json_number(self, tmp_path, cell):
+        # the tree arrays' rule: a string or a bool would be read as a float
+        path, doc = self.saved_document(tmp_path)
+        doc["projection"][1][2] = cell
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match="^leafbridge-model document key 'projection' "
+                                            "holds a value that is not a JSON number$"):
+            TransferModel.load(path)
+
+    def test_projection_int_beyond_the_float_range(self, tmp_path):
+        path, doc = self.saved_document(tmp_path)
+        doc["projection"][0][0] = 10 ** 400
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match="'projection' is not a finite matrix"):
+            TransferModel.load(path)
+        doc["projection"][0][0] = 7
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert TransferModel.load(path).projection.matrix[0, 0] == 7.0
+
     @pytest.mark.parametrize("field", ["ridge", "mmd", "manifold", "pivot_threshold"])
     def test_non_finite_config_is_data_error(self, tmp_path, field):
         path, doc = self.saved_document(tmp_path)
