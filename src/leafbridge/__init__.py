@@ -7,7 +7,6 @@ on the target data merged with the projected source records.
 """
 
 from .adaptation import (
-    AdaptationState,
     ProjectionMatrix,
     StackedPivots,
     adapt,

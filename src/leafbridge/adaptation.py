@@ -315,38 +315,14 @@ def build_projection(pivots: StackedPivots, alpha: np.ndarray) -> ProjectionMatr
     return ProjectionMatrix(pivots.g_source.T @ alpha @ pivots.g_target)
 
 
-@dataclass(frozen=True, eq=False)
-class AdaptationState:
-    """The adaptation stage's matrices, its adaptive factor mu and the
-    residual of the alpha solve (None in literal mode)."""
-
-    kernel: np.ndarray
-    mmd_matrix: np.ndarray
-    mu: float
-    laplacian: np.ndarray
-    solve_residual: float | None
-
-    def diagnostics(self) -> dict:
-        """Each matrix's extreme eigenvalues (eigvalsh reads one triangle; each
-        is built exactly symmetric), and the solve residual."""
-        def spectrum(mat):
-            eig = np.linalg.eigvalsh(mat)
-            return {"min": float(eig[0]), "max": float(eig[-1])}
-        return {
-            "kernel_spectrum": spectrum(self.kernel),
-            "mmd_spectrum": spectrum(self.mmd_matrix),
-            "laplacian_spectrum": spectrum(self.laplacian),
-            "solve_residual": self.solve_residual,
-        }
-
-
 def adapt(pivots: StackedPivots, ridge: float, mmd: float, manifold: float,
-          kernel_kind: str, alpha_mode: str) -> tuple[AdaptationState, ProjectionMatrix]:
-    """Run the full adaptation stage on stacked pivots; the settings come
-    from a TransferConfig, which holds their defaults."""
+          kernel_kind: str, alpha_mode: str) -> tuple[float, float | None, ProjectionMatrix]:
+    """Run the full adaptation stage on stacked pivots: (mu, the residual of
+    the alpha solve or None in literal mode, the projection). The settings
+    come from a TransferConfig, which holds their defaults."""
     K = build_kernel(pivots, kernel_kind)
     mu = compute_mu(pivots)
     M = build_mmd_matrix(pivots, mu)
     _, Lap = build_laplacian(pivots)
     alpha, residual = compute_alpha(K, M, Lap, ridge, mmd, manifold, alpha_mode)
-    return AdaptationState(K, M, mu, Lap, residual), build_projection(pivots, alpha)
+    return mu, residual, build_projection(pivots, alpha)

@@ -18,6 +18,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 
 from .dataset import _require_distinct, inject_missing, load_csv, write_csv
 from .errors import DataError, LeafBridgeError, NumericalError
@@ -96,7 +97,6 @@ def _cmd_run(args) -> int:
 def _cmd_transfer(args) -> int:
     cfg = parse_transfer_config(args.config) if args.config else TransferConfig()
     if args.seed is not None:
-        from dataclasses import replace
         cfg = replace(cfg, seed=args.seed)
     source = load_csv(args.source, args.label_column, domain_tag="source")
     target = load_csv(args.target, args.label_column, domain_tag="target")
@@ -177,18 +177,12 @@ def _cmd_stats(args) -> int:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = _build_parser()
+    commands = {"run": _cmd_run, "transfer": _cmd_transfer,
+                "inject-missing": _cmd_inject, "stats": _cmd_stats}
     try:
-        args = parser.parse_args(argv)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "transfer":
-            return _cmd_transfer(args)
-        if args.command == "inject-missing":
-            return _cmd_inject(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
-        parser.error(f"unknown command {args.command!r}")
+        # the subparsers are required, so argparse rejects any other command
+        args = _build_parser().parse_args(argv)
+        return commands[args.command](args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -201,7 +195,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    return EXIT_OK
 
 
 if __name__ == "__main__":

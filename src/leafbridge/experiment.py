@@ -195,7 +195,7 @@ def _run_cell(source_full: Dataset, target_full: Dataset, spec: ExperimentSpec,
                 scores[method] = f"{type(exc).__name__}: {exc}"
                 continue
             if method == "tlf":
-                tlf = {key: model.diagnostics[key] for key in ("n_pivots", "mu", "adaptation")}
+                tlf = {key: model.diagnostics[key] for key in ("n_pivots", "mu")}
                 tlf["fallback"] = model.fallback
     except (LeafBridgeError, OSError) as exc:
         return f"{type(exc).__name__}: {exc}"
@@ -230,8 +230,6 @@ def _fold_cells(spec: ExperimentSpec, ratio, cells) -> dict:
             "n_pivots": _mean(n_pivots) if n_pivots else None,
             "mu": _mean(mu) if mu else None,
             "fallback_runs": sum(diag["fallback"] for diag in tlf),
-            "adaptation": next((diag["adaptation"] for diag in tlf
-                                if diag["adaptation"] is not None), None),
         } if "tlf" in spec.methods else None,
     }
 

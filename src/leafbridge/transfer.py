@@ -302,7 +302,7 @@ def run_transfer(ds_src: Dataset, ds_tgt: Dataset, cfg: TransferConfig,
         "mu": None,
         "n_selected": 0,
         "n_dropped_labels": 0,
-        "adaptation": None,
+        "solve_residual": None,
     }
 
     def fallback_model(reason: str) -> TransferModel:
@@ -317,10 +317,9 @@ def run_transfer(ds_src: Dataset, ds_tgt: Dataset, cfg: TransferConfig,
         return fallback_model("no pivot pair below the divergence threshold")
 
     stacked = adaptation.stack_pivots(pivots, bundle_src, bundle_tgt)
-    state, projection = adaptation.adapt(stacked, cfg.ridge, cfg.mmd, cfg.manifold,
-                                         kernel_kind=cfg.kernel, alpha_mode=cfg.alpha_mode)
-    diagnostics["mu"] = state.mu
-    diagnostics["adaptation"] = state.diagnostics()
+    diagnostics["mu"], diagnostics["solve_residual"], projection = adaptation.adapt(
+        stacked, cfg.ridge, cfg.mmd, cfg.manifold,
+        kernel_kind=cfg.kernel, alpha_mode=cfg.alpha_mode)
 
     selected = select_transferable(src, leaves_src, pivots, map_src)
     if selected is None:

@@ -11,12 +11,14 @@ import leafbridge
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 #: Wrapped names that no longer exist: the experiment runner reaches the
-#: forest and the encoders through `leafbridge.transfer`.
+#: forest and the encoders through `leafbridge.transfer`, and the adaptation
+#: stage no longer takes the spectra of its matrices.
 STALE = {
     "leafbridge.experiment.train_forest",
     "leafbridge.experiment.predict_many",
     "leafbridge.experiment.one_hot_encode",
     "leafbridge.experiment.encode_records",
+    "leafbridge.adaptation.AdaptationState.diagnostics",
 }
 
 

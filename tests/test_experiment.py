@@ -154,12 +154,10 @@ class TestRunExperiment:
         pairs = json.dumps(doc["pairs"])
         for key in asdict(cfg):
             assert f'"{key}"' not in pairs, key
-        # the adaptation block holds what the adaptation alone knows; the
-        # pivot count and mu are stated once, beside it
+        # the pivot count and mu are stated once, beside the fallback count
         diagnostics = doc["pairs"][0]["diagnostics"]
         assert diagnostics["n_pivots"] > 0 and diagnostics["mu"] is not None
-        assert set(diagnostics["adaptation"]) == {"kernel_spectrum", "mmd_spectrum",
-                                                  "laplacian_spectrum", "solve_residual"}
+        assert list(diagnostics) == ["n_pivots", "mu", "fallback_runs"]
 
 
 def _pair_files(root, src, tgt):
@@ -444,18 +442,17 @@ class TestForkedCells:
         scores = [EvalMetrics(acc, (acc,), (acc,), (acc,), acc, ("a",)) for acc in (0.5, 0.75)]
         cells = [({"tlf": "MatchingError: none", "target_only": scores[0]}, None),
                  ({"tlf": scores[0], "target_only": "DataError: x"},
-                  {"n_pivots": 0, "mu": None, "adaptation": None, "fallback": True}),
+                  {"n_pivots": 0, "mu": None, "fallback": True}),
                  ({"tlf": scores[1], "target_only": scores[1]},
-                  {"n_pivots": 4, "mu": 0.25, "adaptation": {"z": 8}, "fallback": False}),
+                  {"n_pivots": 4, "mu": 0.25, "fallback": False}),
                  ({"tlf": scores[1], "target_only": scores[0]},
-                  {"n_pivots": 2, "mu": 0.75, "adaptation": {"z": 4}, "fallback": False})]
+                  {"n_pivots": 2, "mu": 0.75, "fallback": False})]
         block = experiment._fold_cells(spec, 0.1, cells)
         for method in spec.methods:
             assert block["methods"][method]["runs"] == 3
             assert block["methods"][method]["failed_runs"] == 1
-        # the first adapted cell's spectra; mu only from adapted cells
-        assert block["diagnostics"] == {"n_pivots": 2.0, "mu": 0.5, "fallback_runs": 1,
-                                        "adaptation": {"z": 8}}
+        # mu only from adapted cells
+        assert block["diagnostics"] == {"n_pivots": 2.0, "mu": 0.5, "fallback_runs": 1}
 
     def test_cell_data_error_fails_the_pair(self, pair_files, monkeypatch, fork_in):
         fork_in(2)

@@ -242,17 +242,16 @@ class TestRunTransfer:
         assert model.projection.matrix.shape == (10, 10)
 
     def test_diagnostics_state_each_fact_once(self):
-        # the adaptation block holds what the adaptation alone knows; z is
-        # 2 * n_pivots and is stated nowhere
+        # z is 2 * n_pivots and is stated nowhere; the adaptation adds mu and
+        # its solve residual, null in literal mode
         src, tgt = rotated_pair(n_source=300, n_target=300, center_spread=2.0,
                                 cluster_std=2.0, seed=4)
         model = run_transfer(src, tgt, TransferConfig(min_leaf_small=5, seed=4))
         assert not model.fallback
         diagnostics = model.diagnostics
-        assert not set(diagnostics["adaptation"]) & set(diagnostics)
-        assert set(diagnostics["adaptation"]) == {"kernel_spectrum", "mmd_spectrum",
-                                                  "laplacian_spectrum", "solve_residual"}
-        assert "z" not in diagnostics and diagnostics["n_pivots"] >= 1
+        assert list(diagnostics) == ["n_pivots", "divergences", "shared_classes", "mu",
+                                     "n_selected", "n_dropped_labels", "solve_residual"]
+        assert diagnostics["n_pivots"] >= 1 and diagnostics["solve_residual"] is None
 
     def test_merge_size_invariant(self, monkeypatch):
         trained = []
@@ -583,6 +582,18 @@ class TestModelSerialization:
         assert again.fallback == model.fallback
         assert again.projection.matrix.tobytes() == model.projection.matrix.tobytes()
         np.testing.assert_array_equal(again.predict_many(test), model.predict_many(test))
+        # earlier format-3 files hold the solve residual inside an adaptation
+        # block of spectra; diagnostics are read as an opaque dict
+        spectrum = {"min": -0.25, "max": 1.5}
+        doc["diagnostics"]["adaptation"] = {
+            "kernel_spectrum": spectrum, "mmd_spectrum": spectrum,
+            "laplacian_spectrum": spectrum,
+            "solve_residual": doc["diagnostics"].pop("solve_residual")}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        old = TransferModel.load(path)
+        assert old.diagnostics == doc["diagnostics"]
+        assert old.projection.matrix.tobytes() == model.projection.matrix.tobytes()
+        assert old.predict_many(test).tobytes() == model.predict_many(test).tobytes()
 
     def test_version_1_rejected_by_name(self, tmp_path):
         # version 1 files held a CSV projection, version 2 ones a second
