@@ -45,8 +45,9 @@ print(f"\ntest accuracy with transfer: {transfer_metrics.accuracy:.3f} "
 print(f"test accuracy target-only:   {base_acc:.3f}")
 print(f"gain from transferring:      {transfer_metrics.accuracy - base_acc:+.3f}")
 
-# Models serialize to a single JSON document (forest + projection matrix as
-# a nested list of floats + diagnostics).
+# Models serialize to a single JSON document (raw schema + forest +
+# diagnostics + config). The projection only built the final forest's
+# training set, so the document does not hold it.
 import tempfile
 from pathlib import Path
 from leafbridge import TransferModel
@@ -60,7 +61,7 @@ print(f"\nmodel saved to {path} and reloaded, predictions identical: {same}")
 # The paper's heterogeneous setting: the target observes 6 of the source's 10
 # features and 3 of its 4 classes. Source records of the class the target
 # lacks are dropped before projection, and the projection maps the source's
-# 10 features onto the target's 6.
+# 10 encoded columns onto the target's 6 (a source-width x target-width matrix).
 source, target_full = heterogeneous_pair(seed=0)
 target, test = split_target(target_full, SplitSpec(0.05, seed=0))
 model = run_transfer(source, target, cfg)
@@ -68,5 +69,5 @@ d = model.diagnostics
 print(f"\nheterogeneous pair: source {source.d} features, classes {source.class_names}; "
       f"target {target.d} features, classes {target.class_names}")
 print(f"{d['n_pivots']} pivots matched, {d['n_dropped_labels']} source records dropped, "
-      f"projection {model.projection.matrix.shape[0]} x {model.projection.matrix.shape[1]}, "
+      f"projection {one_hot_encode(source).d} x {one_hot_encode(target).d}, "
       f"test accuracy {evaluate(model, test).accuracy:.3f}")

@@ -300,8 +300,8 @@ def load_csv(
     raise ParseError unless listed in missing_tokens. A cell
     holding an underscore (`1_000`) is not a number, so its column is
     categorical, or a ParseError under a numeric hint; spaces around a
-    number are accepted (` 2 ` reads as 2.0). A header that names an
-    attribute column twice raises SchemaError.
+    number are accepted (` 2 ` reads as 2.0). A header that names a
+    column twice, the label column too, raises SchemaError.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -325,9 +325,9 @@ def load_csv(
         raise EmptyDatasetError(f"{path}: no data rows")
     if label_column not in header:
         raise SchemaError(f"{path}: label column {label_column!r} not in header {header}")
+    _require_distinct(header, SchemaError, f"{path}: header names column")
     label_idx = header.index(label_column)
     attr_names = [h for i, h in enumerate(header) if i != label_idx]
-    _require_distinct(attr_names, SchemaError, f"{path}: header names column")
     hints = dict(schema_hint or {})
     for name, kind in hints.items():
         if kind not in (NUMERIC, CATEGORICAL):
@@ -375,10 +375,14 @@ def load_csv(
 
 
 def write_csv(ds: Dataset, path, label_column: str = "label"):
-    """Write a Dataset to CSV, a missing cell as `?`, so that load_csv reads
-    back an identical dataset.
+    """Write a Dataset to CSV, a missing cell as `?`. load_csv reads back an
+    identical dataset when ds lists its categories and classes in order of
+    first appearance and each categorical column holds a present cell that
+    is not a number.
 
-    Raises DataError on an infinite cell, which load_csv would not read back.
+    Raises DataError, naming the value, on what load_csv cannot read back:
+    an infinite cell, an attribute named label_column, and a category or
+    class name that is a default missing token.
     """
     infinite = np.argwhere(np.isinf(ds.records))
     if infinite.size:
@@ -387,6 +391,14 @@ def write_csv(ds: Dataset, path, label_column: str = "label"):
             f"cannot write record {i}: attribute {ds.schema[j].name!r} is "
             f"{ds.records[i, j]!r}, which load_csv rejects"
         )
+    if label_column in [a.name for a in ds.schema]:
+        raise DataError(f"cannot write attribute {label_column!r}: it is the label column")
+    named = [("class", ds.class_names)]
+    named += [(f"category of attribute {a.name!r}", a.categories) for a in ds.schema]
+    for what, names in named:
+        for name in names:
+            if name in DEFAULT_MISSING_TOKENS:
+                raise DataError(f"cannot write {what} {name!r}: load_csv reads it as missing")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([a.name for a in ds.schema] + [label_column])

@@ -13,8 +13,8 @@ forests are the `source_only` and `target_only` baselines, so a cell trains
 at most three forests (the third is tlf's final forest). Its one
 `domain_forest` memo holds each domain's encoding and forest until it ends.
 Every method's model is a `TransferModel` (a baseline's holds its domain
-forest and no projection), and `evaluate` scores it on the test part, which
-the model aligns to its own raw schema and encodes.
+forest), and `evaluate` scores it on the test part, which the model aligns
+to its own raw schema and encodes.
 
 Every pair's CSV files are loaded before any cell runs, each distinct file
 once per domain. The loaded pairs' cells run cell-major through one
@@ -27,7 +27,9 @@ report is the one a single process writes.
 from __future__ import annotations
 
 import configparser
+import csv
 import functools
+import io
 import json
 import logging
 import typing
@@ -105,12 +107,12 @@ def _train_method(method: str, src: Dataset, tgt: Dataset, cfg: TransferConfig,
                   held: dict) -> TransferModel:
     """Model of one method; the domain forests come from the cell's
     `domain_forest` memo. A baseline is its domain's forest with that
-    domain's raw schema and classes, no projection and no diagnostics."""
+    domain's raw schema and classes and no diagnostics."""
     if method == "tlf":
         return run_transfer(src, tgt, cfg, held)
     domain, ds = ("target", tgt) if method == "target_only" else ("source", src)
-    return TransferModel(forest=domain_forest(held, domain, ds, cfg)[1], projection=None,
-                         fallback=False, diagnostics={}, raw_schema=ds.schema, config=cfg)
+    return TransferModel(forest=domain_forest(held, domain, ds, cfg)[1], fallback=False,
+                         diagnostics={}, raw_schema=ds.schema, config=cfg)
 
 
 def _mean(values) -> float:
@@ -350,23 +352,22 @@ class EvaluationReport:
         }
 
     def to_csv(self) -> str:
-        """Flat accuracy table: one row per pair, one column per method."""
-        lines = ["pair,group," + ",".join(self.spec.methods)]
+        """Flat accuracy table: one row per pair, one column per method; a
+        cell that holds a comma, a quote or a line break is quoted."""
+        def cells(values):
+            return ["" if value is None else f"{value:.6f}" for value in values]
+
+        methods = self.spec.methods
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["pair", "group", *methods])
         for p in self.pairs:
-            if "error" in p:
-                cells = ["error"] * len(self.spec.methods)
-            else:
-                cells = []
-                for m in self.spec.methods:
-                    value = _accuracy_cell(p, m)
-                    cells.append("" if value is None else f"{value:.6f}")
-            lines.append(",".join([p["pair"], p.get("group", "")] + cells))
-        avg_cells = []
-        for m in self.spec.methods:
-            value = self.aggregates[m]["mean_accuracy"]
-            avg_cells.append("" if value is None else f"{value:.6f}")
-        lines.append(",".join(["Average", ""] + avg_cells))
-        return "\n".join(lines) + "\n"
+            accuracies = (["error"] * len(methods) if "error" in p
+                          else cells(_accuracy_cell(p, m) for m in methods))
+            writer.writerow([p["pair"], p.get("group", ""), *accuracies])
+        writer.writerow(["Average", "", *cells(self.aggregates[m]["mean_accuracy"]
+                                               for m in methods)])
+        return out.getvalue()
 
     def write(self, output_base) -> tuple[Path, Path]:
         base = Path(output_base)

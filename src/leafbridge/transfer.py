@@ -35,7 +35,7 @@ from .dataset import (
     one_hot_encode,
     require_seed,
 )
-from .errors import DataError, MatchingError, MissingValueError, NumericalError
+from .errors import DataError, MatchingError, MissingValueError
 from .forest import (
     Forest,
     LeafTable,
@@ -44,7 +44,6 @@ from .forest import (
     forest_to_dict,
     predict_many,
     read_key,
-    require_json_numbers,
     train_forest,
 )
 
@@ -94,11 +93,10 @@ class TransferConfig:
 
 @dataclass(frozen=True, eq=False)
 class TransferModel:
-    """Final classifier plus the projection and pipeline diagnostics; its
-    classes (`class_names`) are its forest's."""
+    """Final classifier plus the pipeline diagnostics; its classes
+    (`class_names`) are its forest's."""
 
     forest: Forest
-    projection: ProjectionMatrix | None
     fallback: bool
     diagnostics: dict
     raw_schema: tuple
@@ -129,7 +127,6 @@ class TransferModel:
                 for a in self.raw_schema
             ],
             "forest": forest_to_dict(self.forest),
-            "projection": None if self.projection is None else self.projection.matrix.tolist(),
             "diagnostics": self.diagnostics,
             "config": asdict(self.config),
         }
@@ -142,10 +139,9 @@ class TransferModel:
     def load(path) -> "TransferModel":
         """Read a saved model; DataError on any other document or version,
         on a missing or ill-typed key, on a config that TransferConfig
-        rejects, on a projection cell that is not a JSON number, on a
-        projection that is not a finite matrix or whose columns are not the
-        encoded `raw_schema` columns, and on encoded `raw_schema` columns
-        other than its forest's."""
+        rejects and on encoded `raw_schema` columns other than its forest's.
+        Keys it does not name, such as the projection of earlier format-3
+        files, are ignored."""
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
         doc, column = "leafbridge-model", "raw_schema column"
@@ -159,28 +155,16 @@ class TransferModel:
                             tuple(read_key(a, "categories", list, column, items=str)))
             for a in read_key(obj, "raw_schema", list, doc, items=dict)
         )
-        columns = [a.name for a in encoded_schema(raw_schema)]
-        projection = read_key(obj, "projection", (list, type(None)), doc)
-        require_json_numbers(projection or [], f"{doc} document key 'projection'")
-        try:
-            projection = None if projection is None else ProjectionMatrix(projection)
-        except (ValueError, OverflowError, NumericalError) as exc:
-            raise DataError(f"{doc} document key 'projection' is not a finite matrix: "
-                            f"{exc}") from None
-        if projection is not None and projection.d_target != len(columns):
-            raise DataError(f"{doc} document key 'projection' has {projection.d_target} "
-                            f"columns, not the {len(columns)} of the encoded raw_schema")
         config = read_key(obj, "config", dict, doc)
         try:
             config = TransferConfig(**config)
         except (DataError, TypeError) as exc:
             raise DataError(f"{doc} document key 'config' is invalid: {exc}") from None
         forest = forest_from_dict(read_key(obj, "forest", dict, doc))
-        if columns != [a.name for a in forest.schema]:
+        if encoded_schema(raw_schema) != forest.schema:
             raise DataError(f"{doc} document key 'raw_schema' differs from its forest's columns")
         return TransferModel(
             forest=forest,
-            projection=projection,
             fallback=read_key(obj, "fallback", bool, doc),
             diagnostics=read_key(obj, "diagnostics", dict, doc),
             raw_schema=raw_schema,
@@ -309,7 +293,7 @@ def run_transfer(ds_src: Dataset, ds_tgt: Dataset, cfg: TransferConfig,
         logger.info("falling back to the target-only forest: %s", reason)
         diagnostics["fallback_reason"] = reason
         return TransferModel(
-            forest=forest_tgt, projection=None, fallback=True,
+            forest=forest_tgt, fallback=True,
             diagnostics=diagnostics, raw_schema=ds_tgt.schema, config=cfg,
         )
 
@@ -334,6 +318,6 @@ def run_transfer(ds_src: Dataset, ds_tgt: Dataset, cfg: TransferConfig,
     # nothing reads the final forest's leaf table, and a loaded model has none
     final = replace(fit_forest(merged, cfg), leaves=None)
     return TransferModel(
-        forest=final, projection=projection, fallback=False,
+        forest=final, fallback=False,
         diagnostics=diagnostics, raw_schema=ds_tgt.schema, config=cfg,
     )

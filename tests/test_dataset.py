@@ -154,6 +154,33 @@ class TestLoadCsv:
             write_csv(ds, out)
         assert not out.exists()
 
+    @pytest.mark.parametrize("label_column", ["label", "y"])
+    def test_write_rejects_an_attribute_named_like_the_label_column(self, tmp_path,
+                                                                    label_column):
+        # its header would name the label column twice
+        ds = Dataset((AttributeSchema("a", NUMERIC), AttributeSchema(label_column, NUMERIC)),
+                     [[1.0, 2.0]], [0], ("p",))
+        out = tmp_path / "label.csv"
+        with pytest.raises(DataError, match=f"attribute '{label_column}': it is the label column"):
+            write_csv(ds, out, label_column)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("token", ["?", ""])
+    def test_write_rejects_a_missing_token_as_category_or_class(self, tmp_path, token):
+        # load_csv would read the category as a missing cell, the class as a
+        # missing label value
+        out = tmp_path / "token.csv"
+        with pytest.raises(DataError, match=re.escape(
+                f"cannot write category of attribute 'k' {token!r}: load_csv reads it as "
+                f"missing")):
+            write_csv(Dataset((AttributeSchema("k", CATEGORICAL, ("x", token)),),
+                              [[0.0], [1.0]], [0, 1], ("p", "q")), out)
+        with pytest.raises(DataError, match=re.escape(
+                f"cannot write class {token!r}: load_csv reads it as missing")):
+            write_csv(Dataset((AttributeSchema("a", NUMERIC),), [[0.0], [1.0]], [0, 1],
+                              ("p", token)), out)
+        assert not out.exists()
+
     def test_non_utf8_file_is_parse_error(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes("a,label\n1,caf\xe9\n".encode("latin-1"))
@@ -204,6 +231,14 @@ class TestLoadCsv:
         path = tmp_path / "twice.csv"
         path.write_text("a,b,a,label\n1,2,3,p\n", encoding="utf-8")
         with pytest.raises(SchemaError, match=r"twice.csv: header names column 'a' more than once"):
+            load_csv(path, "label")
+
+    def test_header_naming_the_label_column_twice(self, tmp_path):
+        # else the first `label` would be the labels, the second an attribute
+        path = tmp_path / "twice_label.csv"
+        path.write_text("a,label,label\n1,p,q\n", encoding="utf-8")
+        with pytest.raises(SchemaError,
+                           match=r"twice_label.csv: header names column 'label' more than once"):
             load_csv(path, "label")
 
 

@@ -247,7 +247,7 @@ def one_record_target_pair(pair_files, tmp_path_factory):
 
 def baseline_model(forest, ds, cfg=TransferConfig()):
     """A plain forest as a model of the raw schema and classes of ds."""
-    return TransferModel(forest=forest, projection=None, fallback=False, diagnostics={},
+    return TransferModel(forest=forest, fallback=False, diagnostics={},
                          raw_schema=ds.schema, config=cfg)
 
 
@@ -675,6 +675,25 @@ class TestReports:
             entry = report.significance["sign_test"][level]["tlf_vs_target_only"]
             assert (entry["wins"], entry["losses"], entry["ties"]) == (0, 2, 0)
         assert report.significance["nemenyi"]["datasets"] == 2
+
+
+    def test_csv_quotes_names_that_hold_commas_and_quotes(self):
+        # a config line `s.csv :: t.csv :: g,1` names a group holding a comma
+        spec = ExperimentSpec(pairs=(PairSpec('s,"1".csv', "t.csv", "g,1"),
+                                     PairSpec("s.csv", 't"2".csv', 'say "hi"')),
+                              methods=("tlf", "target_only"))
+        results = [
+            {"pair": p.name, **asdict(p),
+             "methods": {"tlf": {"accuracy": 0.5}, "target_only": {"accuracy": 0.25}}}
+            for p in spec.pairs
+        ]
+        text = EvaluationReport.assemble(spec, TransferConfig(), results).to_csv()
+        rows = list(csv.reader(text.splitlines(keepends=True)))
+        assert [len(row) for row in rows] == [4] * 4
+        assert rows == [["pair", "group", "tlf", "target_only"],
+                        ['s,"1"->t', "g,1", "0.500000", "0.250000"],
+                        ['s->t"2"', 'say "hi"', "0.500000", "0.250000"],
+                        ["Average", "", "0.500000", "0.250000"]]
 
 
 class TestSpecValidation:

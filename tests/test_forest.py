@@ -1158,7 +1158,7 @@ class TestCodedApply:
         assert all(tree.feature.size <= forest_module.CODED_SPLITS for tree in small.trees)
         assert all(tree.feature.size > forest_module.CODED_SPLITS for tree in large.trees)
         forest = replace(small, trees=small.trees + large.trees)
-        model = TransferModel(forest=forest, projection=None, fallback=True, diagnostics={},
+        model = TransferModel(forest=forest, fallback=True, diagnostics={},
                               raw_schema=forest.schema, config=TransferConfig())
         model.save(tmp_path / "before.json")
         test = numeric_dataset(rng.normal(size=(700, 4)), np.arange(700) % 3)
@@ -1341,7 +1341,7 @@ class TestTreeLayout:
         forest = one_tree_forest(wide, 4)
         with pytest.raises(DataError, match="^forest document holds a malformed tree$"):
             forest_from_dict(forest_to_dict(forest))
-        model = TransferModel(forest=forest, projection=None, fallback=True, diagnostics={},
+        model = TransferModel(forest=forest, fallback=True, diagnostics={},
                               raw_schema=forest.schema, config=TransferConfig())
         model.save(tmp_path / "wide.json")
         with pytest.raises(DataError, match="^forest document holds a malformed tree$"):
@@ -1409,7 +1409,7 @@ class TestSerialization:
         # to "p" would predict class 0 for every record
         ds = numeric_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1])
         forest = train_forest(ds, n_trees=2, min_leaf_size=1, seed=0)
-        model = TransferModel(forest=forest, projection=None, fallback=False, diagnostics={},
+        model = TransferModel(forest=forest, fallback=False, diagnostics={},
                               raw_schema=ds.schema, config=TransferConfig())
         path = tmp_path / "probe.json"
         model.save(path)
@@ -1485,7 +1485,7 @@ class TestSerialization:
         np.testing.assert_array_equal(predict_many(again, X), want)
         ds = Dataset(forest.schema, X, np.zeros(X.shape[0], dtype=np.int64),
                      forest.class_names, "target")
-        model = TransferModel(forest=forest, projection=None, fallback=True, diagnostics={},
+        model = TransferModel(forest=forest, fallback=True, diagnostics={},
                               raw_schema=forest.schema, config=TransferConfig())
         model.save(tmp_path / "deep.json")
         loaded = TransferModel.load(tmp_path / "deep.json")

@@ -78,7 +78,7 @@ def test_model_format_note_names_the_saved_keys():
     assert note.startswith(f"- Saved models use format version {FORMAT_VERSION}.")
     source, _ = rotated_pair(n_source=60, n_target=10, seed=0)
     cfg = TransferConfig(n_trees=1)
-    doc = TransferModel(forest=fit_forest(source, cfg), projection=None, fallback=True,
+    doc = TransferModel(forest=fit_forest(source, cfg), fallback=True,
                         diagnostics={}, raw_schema=source.schema, config=cfg).to_dict()
     forest = doc["forest"]
     keys = [*doc, *doc["raw_schema"][0], *forest, *forest["trees"][0]]

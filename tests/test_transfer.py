@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leafbridge import adaptation, pivot
 from leafbridge import transfer as transfer_module
 from leafbridge.adaptation import ProjectionMatrix
 from leafbridge.dataset import (
@@ -37,6 +38,20 @@ from leafbridge.transfer import (
     select_transferable,
 )
 from conftest import assert_same_forest, numeric_dataset
+
+
+def adapted_projection(src, tgt, cfg, held):
+    """The projection that run_transfer(src, tgt, cfg, held) solves for: its
+    pivot stage and `stack_pivots` + `adapt` on the memo's domain forests."""
+    bundles = []
+    for domain, ds in (("source", src), ("target", tgt)):
+        encoded, forest = domain_forest(held, domain, ds, cfg)
+        bundles.append(pivot.dedup(pivot.extract_distributions(encoded,
+                                                               collect_leaves(forest)))[0])
+    pivots = pivot.match_pivots(*bundles, cfg.pivot_threshold)
+    stacked = adaptation.stack_pivots(pivots, *bundles)
+    return adaptation.adapt(stacked, cfg.ridge, cfg.mmd, cfg.manifold,
+                            kernel_kind=cfg.kernel, alpha_mode=cfg.alpha_mode)[2]
 
 
 def pivot_set_with_source_rows(rows):
@@ -181,11 +196,12 @@ class TestRunTransfer:
     @pytest.mark.parametrize("seed", range(10))
     def test_partly_shared_labels_and_features(self, seed):
         src, tgt_train, test = self.partly_shared_case(seed)
-        model = run_transfer(src, tgt_train, TransferConfig(seed=seed))
+        cfg, held = TransferConfig(seed=seed), {}
+        model = run_transfer(src, tgt_train, cfg, held)
         assert not model.fallback
         assert model.diagnostics["n_pivots"] >= 1
         assert model.diagnostics["n_dropped_labels"] > 0
-        assert model.projection.matrix.shape == (10, 6)
+        assert adapted_projection(src, tgt_train, cfg, held).matrix.shape == (10, 6)
         predictions = model.predict_many(test)
         assert predictions.shape == (test.n,)
         assert ((predictions >= 0) & (predictions < 3)).all()
@@ -235,11 +251,11 @@ class TestRunTransfer:
     def test_rotated_pair_transfers(self):
         src, tgt = rotated_pair(center_spread=2.0, cluster_std=2.0, seed=1)
         tgt_train, _ = split_target(tgt, SplitSpec(0.05, 1))
-        model = run_transfer(src, tgt_train, TransferConfig(seed=1))
+        cfg, held = TransferConfig(seed=1), {}
+        model = run_transfer(src, tgt_train, cfg, held)
         assert not model.fallback
         assert model.diagnostics["n_pivots"] >= 1
-        assert model.projection is not None
-        assert model.projection.matrix.shape == (10, 10)
+        assert adapted_projection(src, tgt_train, cfg, held).matrix.shape == (10, 10)
 
     def test_diagnostics_state_each_fact_once(self):
         # z is 2 * n_pivots and is stated nowhere; the adaptation adds mu and
@@ -299,21 +315,37 @@ class TestRunTransfer:
         src = make(400, "source", rot)
         tgt_full = make(400, "target")
         tgt, test = split_target(tgt_full, SplitSpec(0.1, 0))
-        model = run_transfer(src, tgt, TransferConfig(min_leaf_small=10, seed=0))
+        cfg, held = TransferConfig(min_leaf_small=10, seed=0), {}
+        model = run_transfer(src, tgt, cfg, held)
         assert not model.fallback
-        assert model.projection.matrix.shape == (5, 5)  # 3 one-hot + 2 numeric
+        # 3 one-hot + 2 numeric
+        assert adapted_projection(src, tgt, cfg, held).matrix.shape == (5, 5)
         preds = model.predict_many(test)
         assert preds.shape == (test.n,)
         assert np.mean(preds == test.labels) > 0.5
 
-    def test_determinism_bitwise(self):
+    def test_determinism_bitwise(self, monkeypatch):
+        solved = []
+        adapt = adaptation.adapt
+
+        def recording_adapt(*args, **kwargs):
+            solved.append(adapt(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(adaptation, "adapt", recording_adapt)
         src, tgt = rotated_pair(center_spread=2.0, cluster_std=2.0, seed=3)
         tgt_train, test = split_target(tgt, SplitSpec(0.05, 3))
         cfg = TransferConfig(seed=3)
         m1 = run_transfer(src, tgt_train, cfg)
         m2 = run_transfer(src, tgt_train, cfg)
-        assert np.array_equal(m1.projection.matrix, m2.projection.matrix)
+        assert json.dumps(m1.to_dict()) == json.dumps(m2.to_dict())
         np.testing.assert_array_equal(m1.predict_many(test), m2.predict_many(test))
+        # the stages, each run on freshly trained domain forests, solve the
+        # projection that both fits used
+        for _ in range(2):
+            adapted_projection(src, tgt_train, cfg, {})
+        assert len(solved) == 4
+        assert len({projection.matrix.tobytes() for *_, projection in solved}) == 1
 
     def test_fallback_equals_target_only(self):
         # source labels perfectly separable (pure leaves), target labels noise
@@ -327,7 +359,6 @@ class TestRunTransfer:
         cfg = TransferConfig(seed=4)
         model = run_transfer(src, tgt, cfg)
         assert model.fallback
-        assert model.projection is None
         baseline = fit_forest(one_hot_encode(tgt), cfg)
         probe = rng.normal(size=(100, 1))
         probe_ds = Dataset(src.schema, probe, np.zeros(100, dtype=int),
@@ -492,7 +523,7 @@ def test_model_predict_makes_one_encoded_copy():
     X = rng.normal(size=(2000, d))
     tgt = numeric_dataset(X, (X[:, 0] > 0).astype(int), domain_tag="target")
     cfg = TransferConfig(n_trees=3)
-    model = TransferModel(forest=fit_forest(tgt, cfg), projection=None, fallback=True,
+    model = TransferModel(forest=fit_forest(tgt, cfg), fallback=True,
                           diagnostics={}, raw_schema=tgt.schema, config=cfg)
     test = numeric_dataset(rng.normal(size=(n, d)), np.zeros(n, dtype=int), n_classes=2,
                            domain_tag="target")
@@ -544,7 +575,7 @@ def model_cases(draw):
         return kind, run_transfer(src, tgt, cfg), tgt
     fallback = kind == "fallback"
     diagnostics = {"fallback_reason": "no pivot pair below the divergence threshold"}
-    model = TransferModel(forest=fit_forest(encoded, cfg), projection=None, fallback=fallback,
+    model = TransferModel(forest=fit_forest(encoded, cfg), fallback=fallback,
                           diagnostics=diagnostics if fallback else {}, raw_schema=tgt.schema,
                           config=cfg)
     return kind, model, tgt
@@ -567,23 +598,32 @@ class TestModelSerialization:
     def test_save_load_round_trip(self, tmp_path):
         src, tgt = rotated_pair(center_spread=2.0, cluster_std=2.0, seed=5)
         tgt_train, test = split_target(tgt, SplitSpec(0.05, 5))
-        model = run_transfer(src, tgt_train, TransferConfig(seed=5))
+        cfg, held = TransferConfig(seed=5), {}
+        model = run_transfer(src, tgt_train, cfg, held)
         path = tmp_path / "model.json"
         model.save(path)
         doc = json.loads(path.read_text(encoding="utf-8"))
         assert list(doc) == ["format", "version", "fallback", "raw_schema", "forest",
-                             "projection", "diagnostics", "config"]
+                             "diagnostics", "config"]
         assert (doc["format"], doc["version"]) == ("leafbridge-model", 3)
         assert list(doc["forest"]) == ["class_names", "attributes", "trees"]
-        assert doc["projection"] == model.projection.matrix.tolist()
         assert set(doc["forest"]["trees"][0]) == {"feature", "threshold", "left", "right",
                                                   "counts"}
         again = TransferModel.load(path)
-        assert again.fallback == model.fallback
-        assert again.projection.matrix.tobytes() == model.projection.matrix.tobytes()
-        np.testing.assert_array_equal(again.predict_many(test), model.predict_many(test))
-        # earlier format-3 files hold the solve residual inside an adaptation
-        # block of spectra; diagnostics are read as an opaque dict
+        assert json.dumps(again.to_dict()) == json.dumps(doc)
+        assert again.predict_many(test).tobytes() == model.predict_many(test).tobytes()
+        # earlier format-3 files also hold the projection, after the forest;
+        # nothing reads it
+        items = list(doc.items())
+        items.insert(5, ("projection", adapted_projection(src, tgt_train, cfg,
+                                                          held).matrix.tolist()))
+        doc = dict(items)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        old = TransferModel.load(path)
+        assert json.dumps(old.to_dict()) == json.dumps(again.to_dict())
+        assert old.predict_many(test).tobytes() == model.predict_many(test).tobytes()
+        # and the solve residual inside an adaptation block of spectra;
+        # diagnostics are read as an opaque dict
         spectrum = {"min": -0.25, "max": 1.5}
         doc["diagnostics"]["adaptation"] = {
             "kernel_spectrum": spectrum, "mmd_spectrum": spectrum,
@@ -592,7 +632,6 @@ class TestModelSerialization:
         path.write_text(json.dumps(doc), encoding="utf-8")
         old = TransferModel.load(path)
         assert old.diagnostics == doc["diagnostics"]
-        assert old.projection.matrix.tobytes() == model.projection.matrix.tobytes()
         assert old.predict_many(test).tobytes() == model.predict_many(test).tobytes()
 
     def test_version_1_rejected_by_name(self, tmp_path):
@@ -608,15 +647,14 @@ class TestModelSerialization:
 
     @staticmethod
     def saved_document(tmp_path):
-        """The JSON document of a small model with a categorical column and
-        a projection."""
+        """The JSON document of a small model with a categorical column."""
         schema = (AttributeSchema("x", NUMERIC), AttributeSchema("k", CATEGORICAL, ("a", "b")))
         tgt = Dataset(schema, [[0.0, 0], [1.0, 1], [2.0, 0], [3.0, 1]], [0, 1, 0, 1],
                       ("p", "q"), "target")
         cfg = TransferConfig(n_trees=2, min_leaf_small=1)
         model = TransferModel(
-            forest=fit_forest(one_hot_encode(tgt), cfg), projection=ProjectionMatrix(np.eye(3)),
-            fallback=False, diagnostics={}, raw_schema=schema, config=cfg,
+            forest=fit_forest(one_hot_encode(tgt), cfg), fallback=False, diagnostics={},
+            raw_schema=schema, config=cfg,
         )
         path = tmp_path / "model.json"
         model.save(path)
@@ -629,7 +667,7 @@ class TestModelSerialization:
         places += [(doc["forest"], key) for key in doc["forest"]]
         places += [(doc["forest"]["trees"][1], key) for key in doc["forest"]["trees"][1]]
         places += [(doc["raw_schema"][1], key) for key in doc["raw_schema"][1]]
-        assert len(places) == 6 + 3 + 5 + 3
+        assert len(places) == 5 + 3 + 5 + 3
         for holder, key in places:
             value = holder.pop(key)
             path.write_text(json.dumps(doc), encoding="utf-8")
@@ -652,7 +690,7 @@ class TestModelSerialization:
         (("forest", "trees", 0), "counts", [[1, 0], [2]]),
         (("raw_schema",), 0, "x"),
         (("raw_schema", 1), "categories", "ab"),
-        ((), "projection", [[1.0], [2.0, 3.0]]),
+        ((), "diagnostics", []),
         ((), "config", {"n_trees": 2, "depth": 3}),
         ((), "config", {"n_trees": "2"}),
         ((), "fallback", "no"),
@@ -662,9 +700,6 @@ class TestModelSerialization:
         (("config",), "seed", True),
         (("config",), "ridge", False),
         (("config",), "kernel", 1),
-        # the encoded raw schema has 3 columns: x, k=a and k=b
-        ((), "projection", [[1.0]]),
-        ((), "projection", [[1.0, 0.0]] * 3),
     ])
     def test_ill_typed_key(self, tmp_path, where, key, value):
         path, doc = self.saved_document(tmp_path)
@@ -687,38 +722,8 @@ class TestModelSerialization:
         path = tmp_path / "fallback.json"
         model.save(path)
         again = TransferModel.load(path)
-        assert again.projection is None and again.fallback
-
-    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
-    def test_non_finite_projection_is_data_error(self, tmp_path, text):
-        path, doc = self.saved_document(tmp_path)
-        # json writes a float NaN or infinity as the bare JSON token
-        doc["projection"][1][2] = float(text)
-        saved = json.dumps(doc)
-        assert f" {text}]" in saved
-        path.write_text(saved, encoding="utf-8")
-        with pytest.raises(DataError, match="'projection' is not a finite matrix"):
-            TransferModel.load(path)
-
-    @pytest.mark.parametrize("cell", ["1.5", True, False, None, [1.0], {"x": 1}])
-    def test_projection_cell_that_is_not_a_json_number(self, tmp_path, cell):
-        # the tree arrays' rule: a string or a bool would be read as a float
-        path, doc = self.saved_document(tmp_path)
-        doc["projection"][1][2] = cell
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(DataError, match="^leafbridge-model document key 'projection' "
-                                            "holds a value that is not a JSON number$"):
-            TransferModel.load(path)
-
-    def test_projection_int_beyond_the_float_range(self, tmp_path):
-        path, doc = self.saved_document(tmp_path)
-        doc["projection"][0][0] = 10 ** 400
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(DataError, match="'projection' is not a finite matrix"):
-            TransferModel.load(path)
-        doc["projection"][0][0] = 7
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        assert TransferModel.load(path).projection.matrix[0, 0] == 7.0
+        assert again.fallback
+        assert json.dumps(again.to_dict()) == json.dumps(model.to_dict())
 
     @pytest.mark.parametrize("field", ["ridge", "mmd", "manifold", "pivot_threshold"])
     def test_non_finite_config_is_data_error(self, tmp_path, field):
@@ -753,7 +758,7 @@ class TestModelSerialization:
         assert all(getattr(cfg, f.name) != f.default for f in fields(TransferConfig))
         tgt = numeric_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1], domain_tag="target")
         model = TransferModel(
-            forest=fit_forest(one_hot_encode(tgt), cfg), projection=None, fallback=True,
+            forest=fit_forest(one_hot_encode(tgt), cfg), fallback=True,
             diagnostics={}, raw_schema=tgt.schema, config=cfg,
         )
         path = tmp_path / "model.json"
