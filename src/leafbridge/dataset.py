@@ -118,6 +118,22 @@ def require_seed(seed):
         raise DataError(f"seed must be >= 0, got {seed}")
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """array, made read-only: a derivation hands the array it built to
+    `Dataset`, which then keeps it instead of copying it."""
+    array.setflags(write=False)
+    return array
+
+
+def _adopted(array: np.ndarray) -> np.ndarray:
+    """array itself when it is C-contiguous, read-only and owns its memory,
+    else a read-only C-order copy of it."""
+    flags = array.flags
+    if flags.c_contiguous and flags.owndata and not flags.writeable:
+        return array
+    return read_only(array.copy(order="C"))
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Target/test partition parameters."""
@@ -138,6 +154,14 @@ class Dataset:
 
     records: float64 [n, d] matrix (NaN marks a missing cell)
     labels:  int64 [n] class indices into class_names (distinct names)
+
+    Both arrays are read-only and row-major. A float64 (records) or int64
+    (labels) array that is C-contiguous, read-only and owns its memory is
+    shared, not copied: each derivation of this package (subset,
+    split_target, inject_missing, ...) makes the array it built read-only
+    and hands it over. Any other array, such as a caller's writeable array
+    or a view, is copied once, so the caller's later writes never reach the
+    dataset.
     """
 
     schema: tuple[AttributeSchema, ...]
@@ -178,12 +202,8 @@ class Dataset:
                 )
         # row-major: the forest builder's flat gathers and the pivot sums
         # index the records in C order
-        records = records.copy(order="C")
-        labels = labels.copy()
-        records.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "records", _adopted(records))
+        object.__setattr__(self, "labels", _adopted(labels))
 
     @property
     def n(self) -> int:
@@ -200,9 +220,26 @@ class Dataset:
         return bool(np.isnan(self.records).any())
 
     def subset(self, indices) -> "Dataset":
-        """Dataset restricted to the given record indices (schema shared)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return replace(self, records=self.records[idx], labels=self.labels[idx])
+        """Dataset restricted to the given record indices (schema shared).
+
+        indices is a 1-D sequence of whole numbers in [0, n); any other
+        index, a bool or a negative one among them, raises DataError naming
+        the first.
+        """
+        idx = np.asarray(indices)
+        if idx.ndim != 1:
+            raise DataError("subset indices must be a 1-D sequence")
+        kind = idx.dtype.kind
+        good = (idx >= 0) & (idx < self.n) if kind in "iuf" else np.zeros(idx.shape, dtype=bool)
+        if kind == "f":
+            good &= _whole(idx)
+        if not good.all():
+            i = int(np.argmin(good))
+            raise DataError(f"subset index {idx[i].item()!r} at position {i} is not a "
+                            f"record index: a whole number in [0, {self.n})")
+        idx = idx.astype(np.int64, copy=False)
+        return replace(self, records=read_only(self.records[idx]),
+                       labels=read_only(self.labels[idx]))
 
     def equals(self, other: "Dataset") -> bool:
         """Structural equality; missing cells compare equal to each other."""
@@ -370,8 +407,8 @@ def load_csv(
             schema.append(AttributeSchema(name, CATEGORICAL, categories))
 
     class_names = tuple(dict.fromkeys(label_col))
-    return Dataset(tuple(schema), records, name_index(label_col, class_names), class_names,
-                   domain_tag)
+    return Dataset(tuple(schema), records, read_only(name_index(label_col, class_names)),
+                   class_names, domain_tag)
 
 
 def write_csv(ds: Dataset, path, label_column: str = "label"):
@@ -519,7 +556,7 @@ def one_hot_encode(ds: Dataset) -> Dataset:
     return Dataset(
         encoded_schema(ds.schema),
         encode_records(ds.records, ds.schema),
-        ds.labels,
+        read_only(ds.labels.copy()),
         ds.class_names,
         ds.domain_tag,
     )
@@ -580,7 +617,7 @@ def repair_missing(ds: Dataset, mode: str, reference: Dataset | None = None) -> 
             counts = np.bincount(observed.astype(np.int64), minlength=len(attr.categories))
             fill = float(np.argmax(counts))
         records[col_mask, j] = fill
-    return replace(ds, records=records)
+    return replace(ds, records=read_only(records), labels=read_only(ds.labels.copy()))
 
 
 def inject_missing(ds: Dataset, record_ratio: float, seed: int = 0) -> Dataset:
@@ -604,4 +641,4 @@ def inject_missing(ds: Dataset, record_ratio: float, seed: int = 0) -> Dataset:
         m = max(1, int(round(y * ds.d / 100.0)))
         cells = rng.choice(ds.d, size=min(m, ds.d), replace=False)
         records[i, cells] = np.nan
-    return replace(ds, records=records)
+    return replace(ds, records=read_only(records), labels=read_only(ds.labels.copy()))

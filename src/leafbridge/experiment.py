@@ -352,8 +352,10 @@ class EvaluationReport:
         }
 
     def to_csv(self) -> str:
-        """Flat accuracy table: one row per pair, one column per method; a
-        cell that holds a comma, a quote or a line break is quoted."""
+        """Flat accuracy table: one row per pair, or per inject ratio of a
+        pair run with inject ratios (its pair cell names the ratio, as in
+        `a.csv->b.csv inject=0.1`), one column per method; a cell that
+        holds a comma, a quote or a line break is quoted."""
         def cells(values):
             return ["" if value is None else f"{value:.6f}" for value in values]
 
@@ -362,9 +364,13 @@ class EvaluationReport:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["pair", "group", *methods])
         for p in self.pairs:
-            accuracies = (["error"] * len(methods) if "error" in p
-                          else cells(_accuracy_cell(p, m) for m in methods))
-            writer.writerow([p["pair"], p.get("group", ""), *accuracies])
+            if "error" in p:
+                writer.writerow([p["pair"], p.get("group", ""), *["error"] * len(methods)])
+                continue
+            for block in p.get("by_ratio", [p]):
+                name = p["pair"] if block is p else f"{p['pair']} inject={block['inject_ratio']}"
+                writer.writerow([name, p.get("group", ""),
+                                 *cells(_accuracy_cell(block, m) for m in methods)])
         writer.writerow(["Average", "", *cells(self.aggregates[m]["mean_accuracy"]
                                                for m in methods)])
         return out.getvalue()

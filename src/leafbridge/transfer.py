@@ -33,6 +33,7 @@ from .dataset import (
     encoded_schema,
     name_index,
     one_hot_encode,
+    read_only,
     require_seed,
 )
 from .errors import DataError, MatchingError, MissingValueError
@@ -236,9 +237,11 @@ def project_records(ds: Dataset, projection: ProjectionMatrix,
         logger.warning("project_records dropped %d records with non-shared labels", dropped)
     if not keep.any():
         return None
-    projected = ds.records[keep] @ projection.matrix
+    records = ds.records
+    if dropped:
+        records, new_labels = records[keep], new_labels[keep]
     return Dataset(
-        tuple(target_schema), projected, new_labels[keep],
+        tuple(target_schema), read_only(records @ projection.matrix), read_only(new_labels),
         tuple(target_class_names), "target",
     )
 
@@ -249,8 +252,8 @@ def merge_datasets(projected: Dataset, target: Dataset) -> Dataset:
         raise DataError("cannot merge datasets with different schemas or classes")
     return Dataset(
         target.schema,
-        np.vstack([projected.records, target.records]),
-        np.concatenate([projected.labels, target.labels]),
+        read_only(np.vstack([projected.records, target.records])),
+        read_only(np.concatenate([projected.labels, target.labels])),
         target.class_names,
         "target",
     )

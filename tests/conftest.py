@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,28 @@ def numeric_dataset(records, labels, n_classes=None, domain_tag="source"):
     schema = tuple(AttributeSchema(f"f{j}", NUMERIC) for j in range(records.shape[1]))
     return Dataset(schema, records, labels,
                    tuple(f"c{c}" for c in range(n_classes)), domain_tag)
+
+
+def peak_over_output(derive, *args) -> float:
+    """tracemalloc peak of derive(*args) over the bytes of the datasets it
+    returns (one, or a tuple of them): 1.0 when it allocates only those."""
+    tracemalloc.start()
+    try:
+        out = derive(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = out if isinstance(out, tuple) else (out,)
+    return peak / sum(ds.records.nbytes + ds.labels.nbytes for ds in out)
+
+
+def assert_owns_its_arrays(child, *parents):
+    """child's arrays are read-only and share no memory with any parent's."""
+    for array in (child.records, child.labels):
+        assert not array.flags.writeable
+        for parent in parents:
+            assert not np.shares_memory(array, parent.records)
+            assert not np.shares_memory(array, parent.labels)
 
 
 #: Cell pools of drawn columns: ties and signed zeros, adjacent floats,

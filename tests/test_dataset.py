@@ -30,7 +30,7 @@ from leafbridge.errors import (
     ParseError,
     SchemaError,
 )
-from conftest import numeric_dataset
+from conftest import assert_owns_its_arrays, numeric_dataset, peak_over_output
 
 
 class TestLoadCsv:
@@ -600,6 +600,123 @@ class TestDatasetInvariants:
         for row in ([np.nan, 0.0], [1.0, np.nan]):
             with pytest.raises(MissingValueError):
                 encode_records(np.array([row]), schema)
+
+
+class TestSubsetIndices:
+    DS = numeric_dataset([[0.0], [1.0], [2.0]], [0, 1, 0])
+
+    @pytest.mark.parametrize("indices", [[2, 0], np.array([2, 0], dtype=np.uint8), [2.0, 0.0]])
+    def test_whole_number_indices(self, indices):
+        out = self.DS.subset(indices)
+        assert out.records[:, 0].tolist() == [2.0, 0.0] and out.labels.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("indices, bad, position", [
+        # a boolean mask used to select rows 1, 0, 1 as integers
+        ([True, False, True], "True", 0),
+        ([0.7], "0.7", 0),  # used to select row 0
+        ([-1], "-1", 0),  # used to select the last row
+        ([5], "5", 0),  # used to raise numpy's IndexError
+        ([0, 2, 3], "3", 2),
+        ([1.0, np.nan], "nan", 1),
+        (["1"], "'1'", 0),
+    ])
+    def test_index_that_is_not_a_record_index(self, indices, bad, position):
+        message = (f"subset index {bad} at position {position} is not a record index: "
+                   f"a whole number in [0, 3)")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            self.DS.subset(indices)
+
+    def test_indices_that_are_not_a_sequence(self):
+        for indices in (1, [[0, 1]]):
+            with pytest.raises(DataError, match="^subset indices must be a 1-D sequence$"):
+                self.DS.subset(indices)
+
+
+def _coded_dataset(rng, n):
+    schema = (AttributeSchema("x", NUMERIC), AttributeSchema("k", CATEGORICAL, ("a", "b")))
+    records = np.column_stack([rng.normal(size=n), rng.integers(0, 2, n)])
+    return Dataset(schema, records, rng.integers(0, 2, n), ("p", "q"))
+
+
+_RNG = np.random.default_rng(3)
+_PLAIN = numeric_dataset(_RNG.normal(size=(40, 4)), _RNG.integers(0, 2, 40))
+_GAPPED = inject_missing(_PLAIN, 0.3, seed=1)
+#: name: (parent, derivation returning the derived datasets)
+DERIVATIONS = {
+    "subset": (_PLAIN, lambda ds: [ds.subset([3, 1, 3])]),
+    "split_target": (_PLAIN, lambda ds: split_target(ds, SplitSpec(0.25, 2))),
+    "inject_missing": (_PLAIN, lambda ds: [inject_missing(ds, 0.3, seed=1)]),
+    "repair_missing srd": (_GAPPED, lambda ds: [repair_missing(ds, "srd")]),
+    "repair_missing impute": (_GAPPED, lambda ds: [repair_missing(ds, "impute")]),
+    "one_hot_encode": (_coded_dataset(_RNG, 20), lambda ds: [one_hot_encode(ds)]),
+}
+
+
+class TestCopyRule:
+    def test_caller_array_is_copied(self):
+        records, labels = np.arange(6.0).reshape(3, 2), np.array([0, 1, 0])
+        ds = numeric_dataset(records, labels)
+        records[0, 0], labels[0] = 9.0, 1
+        assert ds.records[0, 0] == 0.0 and ds.labels[0] == 0
+
+    def test_read_only_view_is_copied(self):
+        records, labels = np.arange(6.0).reshape(3, 2).copy(), np.array([0, 1, 0])
+        views = records.view(), labels.view()
+        for view in views:
+            view.setflags(write=False)
+        ds = numeric_dataset(*views)
+        records[0, 0], labels[0] = 9.0, 1
+        assert ds.records[0, 0] == 0.0 and ds.labels[0] == 0
+
+    def test_read_only_array_that_owns_its_memory_is_shared(self):
+        records, labels = np.arange(6.0).reshape(3, 2).copy(), np.array([0, 1, 0])
+        records.setflags(write=False)
+        labels.setflags(write=False)
+        ds = numeric_dataset(records, labels)
+        assert ds.records is records and ds.labels is labels
+
+    @pytest.mark.parametrize("name", DERIVATIONS)
+    def test_derived_dataset_owns_its_arrays(self, name):
+        parent, derive = DERIVATIONS[name]
+        for child in derive(parent):
+            assert_owns_its_arrays(child, parent)
+
+    @pytest.mark.parametrize("derive", [
+        lambda ds: inject_missing(ds, 0.0, seed=1),
+        lambda ds: repair_missing(ds, "srd"),
+        lambda ds: repair_missing(ds, "impute"),
+        one_hot_encode,
+    ], ids=["inject_missing at ratio 0", "srd without missing cells",
+            "impute without missing cells", "one_hot_encode of numeric columns"])
+    def test_documented_identities_return_the_parent(self, derive):
+        assert derive(_PLAIN) is _PLAIN
+
+
+class TestOneCopy:
+    """On a 20000 x 40 dataset each derivation allocates little beyond what
+    it returns: the array it builds is handed to Dataset, not copied."""
+
+    BOUND = 1.25
+
+    @pytest.fixture(scope="class")
+    def plain(self):
+        rng = np.random.default_rng(8)
+        return numeric_dataset(rng.normal(size=(20000, 40)), rng.integers(0, 3, 20000))
+
+    def test_subset(self, plain):
+        indices = np.arange(0, plain.n, 2)
+        assert peak_over_output(plain.subset, indices) < self.BOUND
+
+    def test_split_target(self, plain):
+        assert peak_over_output(split_target, plain, SplitSpec(0.05, 1)) < self.BOUND
+
+    def test_inject_missing(self, plain):
+        assert peak_over_output(inject_missing, plain, 0.1, 2) < self.BOUND
+
+    @pytest.mark.parametrize("mode", ["srd", "impute"])
+    def test_repair_missing(self, plain, mode):
+        gapped = inject_missing(plain, 0.1, seed=2)
+        assert peak_over_output(repair_missing, gapped, mode) < self.BOUND
 
 
 NAMES = st.lists(st.sampled_from(["a", "b", "c", "", "?", "\u00e9"]), max_size=8)

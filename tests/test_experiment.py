@@ -695,6 +695,26 @@ class TestReports:
                         ['s->t"2"', 'say "hi"', "0.500000", "0.250000"],
                         ["Average", "", "0.500000", "0.250000"]]
 
+    def test_csv_row_per_inject_ratio(self):
+        # the accuracies of such a pair sit under by_ratio; each ratio gets
+        # its row, and the Average row mirrors the aggregates, which count
+        # only pairs scored without inject ratios
+        spec = ExperimentSpec(pairs=(PairSpec("s.csv", "t.csv", "g"),),
+                              methods=("tlf", "target_only"), missing_mode="impute",
+                              inject_ratios=(0.1, 0.3))
+        blocks = [(0.1, {"tlf": {"accuracy": 0.5}, "target_only": {"accuracy": 0.25}}),
+                  (0.3, {"tlf": {"accuracy": 0.75}, "target_only": {"error": "DataError: x"}})]
+        results = [{"pair": "s->t", **asdict(spec.pairs[0]),
+                    "by_ratio": [{"inject_ratio": ratio, "methods": methods}
+                                 for ratio, methods in blocks]}]
+        report = EvaluationReport.assemble(spec, TransferConfig(), results)
+        rows = list(csv.reader(report.to_csv().splitlines(keepends=True)))
+        assert rows == [["pair", "group", "tlf", "target_only"],
+                        ["s->t inject=0.1", "g", "0.500000", "0.250000"],
+                        ["s->t inject=0.3", "g", "0.750000", ""],
+                        ["Average", "", "", ""]]
+        assert all(entry["mean_accuracy"] is None for entry in report.aggregates.values())
+
 
 class TestSpecValidation:
     def test_needs_pairs(self):

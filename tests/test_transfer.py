@@ -37,7 +37,12 @@ from leafbridge.transfer import (
     run_transfer,
     select_transferable,
 )
-from conftest import assert_same_forest, numeric_dataset
+from conftest import (
+    assert_owns_its_arrays,
+    assert_same_forest,
+    numeric_dataset,
+    peak_over_output,
+)
 
 
 def adapted_projection(src, tgt, cfg, held):
@@ -134,6 +139,41 @@ class TestProjectRecords:
         out = project_records(ds, ProjectionMatrix(np.eye(1)),
                               (AttributeSchema("t0", NUMERIC),), ("a", "b"))
         np.testing.assert_array_equal(out.labels, [1, 0])
+
+
+class TestSelectProjectMerge:
+    """select_transferable -> project_records -> merge_datasets from a
+    20000 x 40 source: each step allocates little beyond the dataset it
+    returns, and that dataset owns its read-only arrays."""
+
+    BOUND = 1.25
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        rng = np.random.default_rng(14)
+        n, d = 20000, 40
+        src = numeric_dataset(rng.normal(size=(n, d)), rng.integers(0, 3, n))
+        tgt = numeric_dataset(rng.normal(size=(1000, d)), rng.integers(0, 3, 1000),
+                              domain_tag="target")
+        # ten leaves of 2000 records, one dedup row each; rows 0-7 are matched
+        leaves = LeafTable(np.arange(n), np.arange(0, n + 1, n // 10))
+        args = {"select": (src, leaves, pivot_set_with_source_rows(range(8)), np.arange(10))}
+        selected = select_transferable(*args["select"])
+        projection = ProjectionMatrix(rng.normal(size=(d, d)))
+        args["project"] = (selected, projection, tgt.schema, tgt.class_names)
+        args["merge"] = (project_records(*args["project"]), tgt)
+        return args
+
+    STEPS = {"select": select_transferable, "project": project_records, "merge": merge_datasets}
+
+    @pytest.mark.parametrize("step", STEPS)
+    def test_step_allocates_one_copy(self, chain, step):
+        assert peak_over_output(self.STEPS[step], *chain[step]) < self.BOUND
+
+    @pytest.mark.parametrize("step", STEPS)
+    def test_step_owns_its_arrays(self, chain, step):
+        parents = chain[step] if step == "merge" else chain[step][:1]
+        assert_owns_its_arrays(self.STEPS[step](*chain[step]), *parents)
 
 
 class TestRunTransfer:
