@@ -611,11 +611,12 @@ class TestSubsetIndices:
         assert out.records[:, 0].tolist() == [2.0, 0.0] and out.labels.tolist() == [0, 0]
 
     @pytest.mark.parametrize("indices, bad, position", [
-        # a boolean mask used to select rows 1, 0, 1 as integers
+        # numpy would read the mask as rows 1, 0, 1, 0.7 as row 0 and -1 as
+        # the last row, and raise its own IndexError on 5
         ([True, False, True], "True", 0),
-        ([0.7], "0.7", 0),  # used to select row 0
-        ([-1], "-1", 0),  # used to select the last row
-        ([5], "5", 0),  # used to raise numpy's IndexError
+        ([0.7], "0.7", 0),
+        ([-1], "-1", 0),
+        ([5], "5", 0),
         ([0, 2, 3], "3", 2),
         ([1.0, np.nan], "nan", 1),
         (["1"], "'1'", 0),
