@@ -4,6 +4,11 @@ A Dataset stores records as a float64 matrix. Numeric cells hold their value,
 categorical cells hold the index of the category in the attribute's category
 list, and missing cells hold NaN, which every operation treats as an explicit
 sentinel (operations that need complete data raise instead of propagating it).
+
+Every record matrix of the package is column-major (Fortran order): the
+forest reads a batch one column at a time, the split search and the pivot
+sums gather within one column, and each derivation builds its result a
+column at a time, in one allocation.
 """
 
 from __future__ import annotations
@@ -126,12 +131,21 @@ def read_only(array: np.ndarray) -> np.ndarray:
 
 
 def _adopted(array: np.ndarray) -> np.ndarray:
-    """array itself when it is C-contiguous, read-only and owns its memory,
-    else a read-only C-order copy of it."""
+    """array itself when it is column-major, read-only and owns its memory,
+    else a read-only column-major copy of it."""
     flags = array.flags
-    if flags.c_contiguous and flags.owndata and not flags.writeable:
+    if flags.f_contiguous and flags.owndata and not flags.writeable:
         return array
-    return read_only(array.copy(order="C"))
+    return read_only(array.copy(order="F"))
+
+
+def gather_rows(records: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """records[rows] as a new column-major matrix, gathered column by column
+    from the column-major records; rows are valid int64 record indices."""
+    out = np.empty((rows.shape[0], records.shape[1]), order="F")
+    # mode="clip" writes into out directly; "raise" would buffer a whole copy
+    np.take(records.T, rows, axis=1, out=out.T, mode="clip")
+    return out
 
 
 @dataclass(frozen=True)
@@ -155,13 +169,15 @@ class Dataset:
     records: float64 [n, d] matrix (NaN marks a missing cell)
     labels:  int64 [n] class indices into class_names (distinct names)
 
-    Both arrays are read-only and row-major. A float64 (records) or int64
-    (labels) array that is C-contiguous, read-only and owns its memory is
-    shared, not copied: each derivation of this package (subset,
-    split_target, inject_missing, ...) makes the array it built read-only
-    and hands it over. Any other array, such as a caller's writeable array
-    or a view, is copied once, so the caller's later writes never reach the
-    dataset.
+    Both arrays are read-only and column-major (Fortran order). A float64
+    (records) or int64 (labels) array that is column-major, read-only and
+    owns its memory is shared, not copied: each derivation of this package
+    (subset, split_target, inject_missing, ...) makes the array it built
+    read-only and hands it over. Records given as a list, a tuple or an
+    array of another dtype are converted straight into a column-major
+    array, which is kept. Any other array, such as a caller's writeable or
+    row-major array or a view, is copied once, so the caller's later writes
+    never reach the dataset.
     """
 
     schema: tuple[AttributeSchema, ...]
@@ -171,7 +187,14 @@ class Dataset:
     domain_tag: str = "source"
 
     def __post_init__(self):
-        records = np.asarray(self.records, dtype=np.float64)
+        records = self.records
+        if isinstance(records, (list, tuple)) or (isinstance(records, np.ndarray)
+                                                  and records.dtype != np.float64):
+            # a conversion surely allocates; another object's __array__ may hand
+            # back memory its owner still writes, so that is copied below
+            records = read_only(np.array(records, dtype=np.float64, order="F"))
+        else:
+            records = np.asarray(records, dtype=np.float64)
         if records.ndim != 2:
             raise DataError("records must be a 2-D matrix")
         if records.shape[0] < 1:
@@ -200,8 +223,6 @@ class Dataset:
                     f"record {i}: attribute {self.schema[coded[k]].name!r} holds "
                     f"{float(cells[i, k])!r}, not a category code below {n_codes[k]}"
                 )
-        # row-major: the forest builder's flat gathers and the pivot sums
-        # index the records in C order
         object.__setattr__(self, "records", _adopted(records))
         object.__setattr__(self, "labels", _adopted(labels))
 
@@ -238,7 +259,7 @@ class Dataset:
             raise DataError(f"subset index {idx[i].item()!r} at position {i} is not a "
                             f"record index: a whole number in [0, {self.n})")
         idx = idx.astype(np.int64, copy=False)
-        return replace(self, records=read_only(self.records[idx]),
+        return replace(self, records=read_only(gather_rows(self.records, idx)),
                        labels=read_only(self.labels[idx]))
 
     def equals(self, other: "Dataset") -> bool:
@@ -381,7 +402,7 @@ def load_csv(
         raise ParseError(f"{path}: line {linenos[first]}: missing label value")
 
     schema = []
-    # filled a column at a time; Dataset copies it to row-major
+    # filled a column at a time and handed to Dataset
     records = np.empty((len(rows), len(attr_names)), dtype=np.float64, order="F")
     for j, (name, col) in enumerate(zip(attr_names, columns)):
         kind = hints.get(name)
@@ -407,8 +428,8 @@ def load_csv(
             schema.append(AttributeSchema(name, CATEGORICAL, categories))
 
     class_names = tuple(dict.fromkeys(label_col))
-    return Dataset(tuple(schema), records, read_only(name_index(label_col, class_names)),
-                   class_names, domain_tag)
+    return Dataset(tuple(schema), read_only(records),
+                   read_only(name_index(label_col, class_names)), class_names, domain_tag)
 
 
 def write_csv(ds: Dataset, path, label_column: str = "label"):
@@ -453,11 +474,6 @@ def write_csv(ds: Dataset, path, label_column: str = "label"):
             writer.writerow(row)
 
 
-#: Rows per block in which `encode_records` copies a run of numeric columns:
-#: a block of a row-major batch stays in cache while its columns are written.
-COPY_ROWS = 256
-
-
 def encoded_schema(schema) -> tuple[AttributeSchema, ...]:
     """Schema after one-hot encoding: one 0/1 numeric column per category."""
     out = []
@@ -472,11 +488,10 @@ def encoded_schema(schema) -> tuple[AttributeSchema, ...]:
 def encode_records(records: np.ndarray, schema) -> np.ndarray:
     """One-hot encode a record matrix given its raw schema.
 
-    Each run of numeric columns is copied COPY_ROWS rows at a time, each
+    Each run of numeric columns is copied as one column slice, each
     categorical column becomes one 0/1 column per category. Rows must be
     complete (no NaN cells). The result is one new column-major
-    (Fortran-order) matrix, the layout in which `forest.predict_many` reads
-    a batch; `Dataset` copies it to row-major.
+    (Fortran-order) matrix, the package's one record layout.
     """
     records = np.asarray(records, dtype=np.float64)
     if np.isnan(records).any():
@@ -488,8 +503,7 @@ def encode_records(records: np.ndarray, schema) -> np.ndarray:
         attrs = list(attrs)
         if numeric:
             w = len(attrs)
-            for r in range(0, n, COPY_ROWS):
-                out[r:r + COPY_ROWS, k:k + w] = records[r:r + COPY_ROWS, j:j + w]
+            out[:, k:k + w] = records[:, j:j + w]
             j += w
             k += w
             continue
@@ -522,7 +536,7 @@ def align_categories(ds: Dataset, schema) -> np.ndarray:
         if attr.kind != CATEGORICAL or attr.categories == trained.categories:
             continue
         if records is ds.records:
-            records = records.copy()
+            records = records.copy(order="F")
         lookup = name_index(attr.categories, trained.categories)
         col = records[:, j]
         present = ~np.isnan(col)
@@ -555,7 +569,7 @@ def one_hot_encode(ds: Dataset) -> Dataset:
         return ds
     return Dataset(
         encoded_schema(ds.schema),
-        encode_records(ds.records, ds.schema),
+        read_only(encode_records(ds.records, ds.schema)),
         read_only(ds.labels.copy()),
         ds.class_names,
         ds.domain_tag,
@@ -602,7 +616,7 @@ def repair_missing(ds: Dataset, mode: str, reference: Dataset | None = None) -> 
         if not keep.any():
             raise EmptyDatasetError("srd removed every record")
         return ds.subset(np.flatnonzero(keep))
-    records = np.array(ds.records)
+    records = np.array(ds.records, order="F")
     for j, attr in enumerate(ds.schema):
         col_mask = mask[:, j]
         if not col_mask.any():
@@ -635,7 +649,7 @@ def inject_missing(ds: Dataset, record_ratio: float, seed: int = 0) -> Dataset:
         return ds
     rng = np.random.default_rng(seed)
     chosen = rng.choice(ds.n, size=k, replace=False)
-    records = np.array(ds.records)
+    records = np.array(ds.records, order="F")
     for i in chosen:
         y = int(rng.integers(1, 51))
         m = max(1, int(round(y * ds.d / 100.0)))

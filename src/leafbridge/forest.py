@@ -318,8 +318,9 @@ def _class_sums(q: np.ndarray) -> np.ndarray:
 def _best_numeric_splits(X, order, rank, class_weights, idx, attrs, min_leaf):
     """Best midpoint threshold over several attributes of one node.
 
-    idx holds the node's distinct records, attrs the sampled attributes in
-    ascending order. `order`/`rank` are the forest's presort tables (see
+    X is the column-major record matrix (a Dataset's records), idx holds
+    the node's distinct records, attrs the sampled attributes in ascending
+    order. `order`/`rank` are the forest's presort tables (see
     `_presort`) and class_weights[c][r] the tree's bootstrap multiplicity of
     record r if its label is c, else 0. Returns (gain, attribute,
     threshold) or None.
@@ -352,10 +353,11 @@ def _best_block_split(X, order, rank, class_weights, idx, attrs, min_leaf):
     """
     n_classes, n = class_weights.shape
     m = idx.shape[0]
-    ranks = np.take(rank, attrs[:, None] * n + idx)
+    first = attrs[:, None] * n  # each attribute's first cell in the (d, n) tables and X.T
+    ranks = np.take(rank, first + idx)
     ranks.sort(axis=1)  # ranks are unique: this sorts each attribute by value
-    rec = np.take(order, attrs[:, None] * n + ranks).astype(np.intp)
-    values = np.take(X, rec * X.shape[1] + attrs[:, None])
+    rec = np.take(order, first + ranks).astype(np.intp)
+    values = np.take(X.T, first + rec)  # within one column of the column-major X
     # boundary i lies after sorted row i and leaves i + 1 records on the left
     lo, hi = min_leaf - 1, m - min_leaf
     cuts = np.zeros((attrs.size, m), dtype=bool)
@@ -537,11 +539,11 @@ def predict_many(forest: Forest, records, *, complete: bool = False) -> np.ndarr
     """Class index of every record of a [n, d] matrix by a majority vote of
     the trees, ties broken by the summed leaf distributions.
 
-    The trees read the records by column, so a matrix that is not
-    column-major is copied once into Fortran order; `encode_records` output
-    is used as it is. records is scanned for missing cells unless the
-    caller passes complete=True for a batch already scanned, such as an
-    `encode_records` result.
+    The trees read the records by column, so a column-major (Fortran-order)
+    matrix, a Dataset's records or an `encode_records` result, is read in
+    place; any other is copied once into Fortran order. records is scanned
+    for missing cells unless the caller passes complete=True for a batch
+    already scanned, such as an `encode_records` result.
 
     Each tree adds one vote per record, for the majority class of the
     record's leaf, into a (C, n) integer count. One pass over the classes

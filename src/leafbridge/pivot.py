@@ -36,7 +36,9 @@ A temporary of the array code holds about BLOCK_ELEMENTS values at most
 (more only when a single leaf's members times the attributes, or a single
 source row of the divergence matrix, exceed that). Leaf members are gathered
 from the records block by block, never all members times all attributes at
-once, so that the stage adds little to the peak memory of a fit.
+once, so that the stage adds little to the peak memory of a fit. A block is
+taken within each column of the column-major records, already in the
+[attribute, segment, member] order that its sums read.
 """
 
 from __future__ import annotations
@@ -130,11 +132,14 @@ def _segment_stats(X: np.ndarray, flat: np.ndarray, sizes: np.ndarray,
     Segment s holds the rows flat[start_s : start_s + sizes[s]], where the
     segments are laid out one after another. Segments are bucketed by size
     and gathered in blocks of at most BLOCK_ELEMENTS cells into an
-    [attribute, segment, member] array, so every sum runs along a contiguous
-    last axis exactly as np.sum runs over one segment's column. The spread
-    of a single-member segment is 0, and a tiny one is recomputed
-    (`_fix_small_spreads`).
+    [attribute, segment, member] array, taken straight from the (d, n)
+    array X.T, so every sum runs along a contiguous last axis exactly as
+    np.sum runs over one segment's column. X.T is X's own memory when X is
+    column-major, as a Dataset's records are; a row-major X (the centroids
+    dedup averages) is copied once. The spread of a single-member segment
+    is 0, and a tiny one is recomputed (`_fix_small_spreads`).
     """
+    columns = np.ascontiguousarray(X.T)
     n_seg, d = sizes.shape[0], X.shape[1]
     starts = np.cumsum(sizes) - sizes
     mean = np.empty((n_seg, d))
@@ -147,7 +152,7 @@ def _segment_stats(X: np.ndarray, flat: np.ndarray, sizes: np.ndarray,
         for lo in range(0, segs.shape[0], step):
             part = segs[lo:lo + step]
             rows = flat[starts[part, None] + np.arange(n)]
-            block = np.ascontiguousarray(X[rows].transpose(2, 0, 1))
+            block = np.take(columns, rows, axis=1)
             block_mean = block.sum(axis=-1, keepdims=True) / n
             mean[part] = block_mean[..., 0].T
             if spread and n > 1:

@@ -25,12 +25,14 @@ import numpy as np
 from . import adaptation, pivot
 from .adaptation import ProjectionMatrix
 from .dataset import (
+    CATEGORICAL,
     AttributeSchema,
     Dataset,
     align_categories,
     check_field_types,
     encode_records,
     encoded_schema,
+    gather_rows,
     name_index,
     one_hot_encode,
     read_only,
@@ -52,6 +54,12 @@ logger = logging.getLogger("leafbridge")
 
 #: Version of the saved model document (`TransferModel.to_dict`).
 FORMAT_VERSION = 3
+
+#: Multiply-adds up to which OpenBLAS, the BLAS numpy ships with, multiplies
+#: two matrices with its small-matrix kernel (m·n·k at most 100³). That kernel
+#: rounds differently from the one for larger products, and each computes a
+#: row of a row-major product the same however many rows it is given.
+SMALL_PRODUCT = 100 ** 3
 
 
 @dataclass(frozen=True)
@@ -110,10 +118,14 @@ class TransferModel:
     def predict_many(self, ds: Dataset) -> np.ndarray:
         """Predicted classes of records in the model's raw schema, as indices
         into ds.class_names (-1 for a class that ds does not list); categories
-        and classes are matched by name, so ds may list them in another order."""
+        and classes are matched by name, so ds may list them in another order.
+        An all-numeric test part is read in place; one with categorical
+        columns is encoded into one new batch, which encode_records scans."""
         records = align_categories(ds, self.raw_schema)
-        preds = predict_many(self.forest, encode_records(records, self.raw_schema),
-                             complete=True)
+        encode = any(a.kind == CATEGORICAL for a in self.raw_schema)
+        if encode:
+            records = encode_records(records, self.raw_schema)
+        preds = predict_many(self.forest, records, complete=encode)
         if ds.class_names == self.class_names:
             return preds
         return name_index(self.class_names, ds.class_names)[preds]
@@ -239,11 +251,33 @@ def project_records(ds: Dataset, projection: ProjectionMatrix,
         return None
     records = ds.records
     if dropped:
-        records, new_labels = records[keep], new_labels[keep]
+        rows = np.flatnonzero(keep)
+        records, new_labels = gather_rows(records, rows), new_labels[rows]
     return Dataset(
-        tuple(target_schema), read_only(records @ projection.matrix), read_only(new_labels),
-        tuple(target_class_names), "target",
+        tuple(target_schema), read_only(_product(records, projection.matrix)),
+        read_only(new_labels), tuple(target_class_names), "target",
     )
+
+
+def _product(records: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """records @ matrix as a new column-major array, equal byte for byte to
+    np.ascontiguousarray(records) @ matrix at one BLAS thread.
+
+    Row blocks of the column-major records are copied row-major and
+    multiplied one by one, so a temporary holds a block, not the product.
+    A product of at most SMALL_PRODUCT multiply-adds is one block; above
+    that each block holds between one and two times SMALL_PRODUCT, so the
+    BLAS multiplies every block with the kernel the whole product takes.
+    """
+    n, (d_in, d_out) = records.shape[0], matrix.shape
+    out = np.empty((n, d_out), order="F")
+    step = n if n * d_in * d_out <= SMALL_PRODUCT else SMALL_PRODUCT // (d_in * d_out) + 1
+    lo = 0
+    while lo < n:
+        hi = n if n - lo < 2 * step else lo + step
+        out[lo:hi] = np.ascontiguousarray(records[lo:hi]) @ matrix
+        lo = hi
+    return out
 
 
 def merge_datasets(projected: Dataset, target: Dataset) -> Dataset:
@@ -252,7 +286,8 @@ def merge_datasets(projected: Dataset, target: Dataset) -> Dataset:
         raise DataError("cannot merge datasets with different schemas or classes")
     return Dataset(
         target.schema,
-        read_only(np.vstack([projected.records, target.records])),
+        # column-major, as numpy lays a concatenation out like its inputs
+        read_only(np.concatenate([projected.records, target.records])),
         read_only(np.concatenate([projected.labels, target.labels])),
         target.class_names,
         "target",

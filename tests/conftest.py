@@ -1,7 +1,9 @@
 import math
 import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,22 @@ from leafbridge.forest import _TREE_ARRAYS
 # limit; each sets only its own max_examples.
 settings.register_profile("leafbridge", derandomize=True, database=None, deadline=None)
 settings.load_profile("leafbridge")
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_fresh(script, *args):
+    """Lines that `script` prints, run in a fresh interpreter at one BLAS
+    thread with the package sources as sys.argv[1] and args after them; it
+    must exit 0."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env.pop("PYTHONPATH", None)
+    result = subprocess.run([sys.executable, "-c", script, SRC, *map(str, args)],
+                            capture_output=True, text=True, timeout=300, env=env)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip().splitlines()
 
 
 def numeric_dataset(records, labels, n_classes=None, domain_tag="source"):
@@ -43,9 +61,10 @@ def peak_over_output(derive, *args) -> float:
 
 
 def assert_owns_its_arrays(child, *parents):
-    """child's arrays are read-only and share no memory with any parent's."""
+    """child's arrays are read-only, column-major and share no memory with
+    any parent's."""
     for array in (child.records, child.labels):
-        assert not array.flags.writeable
+        assert not array.flags.writeable and array.flags.f_contiguous
         for parent in parents:
             assert not np.shares_memory(array, parent.records)
             assert not np.shares_memory(array, parent.labels)

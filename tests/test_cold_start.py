@@ -5,12 +5,8 @@ scipy loaded (the tests use it as an oracle).
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+from conftest import run_fresh
 
 PRELUDE = r"""
 import sys
@@ -99,16 +95,6 @@ A = np.eye(z) + (0.5 * M + 0.1 * Lap) @ K
 assert np.linalg.norm(A @ alpha - np.eye(z)) <= 1e-9, alpha
 print(json.dumps([before, "scipy.linalg" in sys.modules]))
 """
-
-
-def run_fresh(script, *args):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    env.pop("PYTHONPATH", None)
-    result = subprocess.run([sys.executable, "-c", script, SRC, *map(str, args)],
-                            capture_output=True, text=True, timeout=300, env=env)
-    assert result.returncode == 0, result.stderr
-    return result.stdout.strip().splitlines()
 
 
 def test_default_paths_load_no_scipy(tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from leafbridge.dataset import (
     CATEGORICAL,
-    COPY_ROWS,
     NUMERIC,
     AttributeSchema,
     Dataset,
@@ -302,8 +301,8 @@ class TestOneHot:
 
     @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
     @pytest.mark.parametrize("kinds", ["n", "ncn", "ccnnc"])
-    @pytest.mark.parametrize("n", [1, COPY_ROWS - 1, COPY_ROWS, COPY_ROWS + 1,
-                                   2 * COPY_ROWS + 3])
+    # batch sizes on either side of 256 rows, the size of a cache-sized row block
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 515])
     def test_encode_records_at_block_edges(self, n, kinds, layout):
         rng = np.random.default_rng(n)
         schema = schema_of(kinds)
@@ -312,14 +311,14 @@ class TestOneHot:
         assert got.flags.f_contiguous
         assert got.tobytes() == hstack_encode_records(records, schema).tobytes()
 
-    def test_encoded_dataset_is_row_major(self):
+    def test_encoded_dataset_is_column_major(self):
         schema = (AttributeSchema("num", NUMERIC), AttributeSchema("c", CATEGORICAL, ("a", "b")))
         records = mixed_records(np.random.default_rng(1), 50, schema)
         enc = one_hot_encode(Dataset(schema, records, np.zeros(50, dtype=int), ("p",)))
-        assert enc.records.flags.c_contiguous
+        assert enc.records.flags.f_contiguous
         assert enc.records.tobytes() == hstack_encode_records(records, schema).tobytes()
-        assert Dataset(enc.schema, np.asfortranarray(enc.records), enc.labels,
-                       enc.class_names).records.flags.c_contiguous
+        assert Dataset(enc.schema, np.ascontiguousarray(enc.records), enc.labels,
+                       enc.class_names).records.flags.f_contiguous
 
     def test_single_categorical(self):
         schema = (AttributeSchema("b", CATEGORICAL, ("x", "y")),)
@@ -670,11 +669,27 @@ class TestCopyRule:
         assert ds.records[0, 0] == 0.0 and ds.labels[0] == 0
 
     def test_read_only_array_that_owns_its_memory_is_shared(self):
-        records, labels = np.arange(6.0).reshape(3, 2).copy(), np.array([0, 1, 0])
+        records, labels = np.asfortranarray(np.arange(6.0).reshape(3, 2)), np.array([0, 1, 0])
         records.setflags(write=False)
         labels.setflags(write=False)
         ds = numeric_dataset(records, labels)
         assert ds.records is records and ds.labels is labels
+
+    def test_read_only_row_major_array_is_copied_column_major(self):
+        records = np.arange(6.0).reshape(3, 2)
+        records.setflags(write=False)
+        ds = numeric_dataset(records, [0, 1, 0])
+        assert ds.records is not records and ds.records.flags.f_contiguous
+        assert ds.records.tobytes() == records.tobytes()
+
+    @pytest.mark.parametrize("kind", ["int64 array", "list"])
+    def test_converted_records_are_kept_column_major(self, kind):
+        ints = np.arange(6).reshape(3, 2)
+        ds = numeric_dataset(ints if kind == "int64 array" else ints.tolist(), [0, 1, 0])
+        assert ds.records.flags.f_contiguous and ds.records.dtype == np.float64
+        assert ds.records.tobytes() == ints.astype(np.float64).tobytes()
+        ints[0, 0] = 9
+        assert ds.records[0, 0] == 0.0
 
     @pytest.mark.parametrize("name", DERIVATIONS)
     def test_derived_dataset_owns_its_arrays(self, name):
@@ -718,6 +733,21 @@ class TestOneCopy:
     def test_repair_missing(self, plain, mode):
         gapped = inject_missing(plain, 0.1, seed=2)
         assert peak_over_output(repair_missing, gapped, mode) < self.BOUND
+
+    def test_one_hot_encode(self):
+        # 12 numeric and 8 six-level categorical columns: 60 encoded columns
+        schema = tuple(AttributeSchema(f"x{j}", NUMERIC) for j in range(12)) + tuple(
+            AttributeSchema(f"k{j}", CATEGORICAL, tuple("abcdef")) for j in range(8))
+        records = mixed_records(np.random.default_rng(9), 20000, schema)
+        ds = Dataset(schema, records, np.zeros(20000, dtype=int), ("p",))
+        assert peak_over_output(one_hot_encode, ds) < self.BOUND
+
+    @pytest.mark.parametrize("kind", ["int64 array", "list"])
+    def test_dataset_converts_records_once(self, plain, kind):
+        ints = np.random.default_rng(10).integers(-9, 9, size=(20000, 40))
+        records = ints if kind == "int64 array" else ints.tolist()
+        assert peak_over_output(Dataset, plain.schema, records, plain.labels,
+                                plain.class_names) < self.BOUND
 
 
 NAMES = st.lists(st.sampled_from(["a", "b", "c", "", "?", "\u00e9"]), max_size=8)

@@ -727,7 +727,7 @@ class TestSplitSearch:
         # (2 classes) or 1.1M (12 classes) cells, scored in blocks
         n, d = 4000, 400
         rng = np.random.default_rng(6)
-        X = rng.normal(size=(n, d))
+        X = np.asfortranarray(rng.normal(size=(n, d)))  # a Dataset's layout
         order, rank = _presort(X)
         class_weights = np.zeros((n_classes, n), dtype=np.int32)
         class_weights[rng.integers(0, n_classes, n), np.arange(n)] = 1

@@ -42,6 +42,7 @@ from conftest import (
     assert_same_forest,
     numeric_dataset,
     peak_over_output,
+    run_fresh,
 )
 
 
@@ -139,6 +140,54 @@ class TestProjectRecords:
         out = project_records(ds, ProjectionMatrix(np.eye(1)),
                               (AttributeSchema("t0", NUMERIC),), ("a", "b"))
         np.testing.assert_array_equal(out.labels, [1, 0])
+
+    def test_product_equals_the_row_major_product(self):
+        # BLAS products round by kernel, so this runs at one BLAS thread, as
+        # the byte-identity of models and reports is stated
+        assert run_fresh(ROW_MAJOR_PRODUCT) == ["ok"]
+
+
+#: A property test, run in a fresh interpreter: project_records' records
+#: equal np.ascontiguousarray(records) @ P byte for byte, with and without
+#: dropped labels, on both sides of the BLAS small-product size.
+ROW_MAJOR_PRODUCT = r"""
+import sys
+sys.path.insert(0, sys.argv[1])
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from leafbridge.adaptation import ProjectionMatrix
+from leafbridge.dataset import NUMERIC, AttributeSchema, Dataset
+from leafbridge.transfer import project_records
+
+def schema(d, prefix):
+    return tuple(AttributeSchema(f"{prefix}{j}", NUMERIC) for j in range(d))
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(k=st.integers(1, 3000), d_s=st.integers(1, 60), d_t=st.integers(1, 60),
+       drop=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(k=2500, d_s=20, d_t=20, drop=False, seed=0)
+@example(k=2501, d_s=20, d_t=20, drop=False, seed=0)
+@example(k=3000, d_s=52, d_t=49, drop=True, seed=1)
+@example(k=1, d_s=60, d_t=1, drop=False, seed=2)
+def check(k, d_s, d_t, drop, seed):
+    rng = np.random.default_rng(seed)
+    records = rng.normal(size=(k, d_s)) * rng.choice([1e-3, 1.0, 1e3], size=d_s)
+    labels = rng.integers(0, 3, k)
+    labels[0] = 0
+    ds = Dataset(schema(d_s, "s"), records, labels, ("c0", "c1", "c2"))
+    P = rng.normal(size=(d_s, d_t))
+    classes = ("c0", "c1") if drop else ("c0", "c1", "c2")
+    out = project_records(ds, ProjectionMatrix(P), schema(d_t, "t"), classes)
+    keep = labels < len(classes)
+    assert out.records.flags.f_contiguous
+    assert out.records.tobytes() == (np.ascontiguousarray(ds.records[keep]) @ P).tobytes()
+
+check()
+print("ok")
+"""
 
 
 class TestSelectProjectMerge:
@@ -567,14 +616,38 @@ def test_model_predict_makes_one_encoded_copy():
                           diagnostics={}, raw_schema=tgt.schema, config=cfg)
     test = numeric_dataset(rng.normal(size=(n, d)), np.zeros(n, dtype=int), n_classes=2,
                            domain_tag="target")
+    # an all-numeric part is read in place: the n*d-byte missing-cell scan is
+    # the largest allocation
+    assert predict_peak(model, test) < 0.25 * 8 * n * d
+
+
+def test_model_predict_encodes_a_categorical_part_once():
+    n, d = 20000, 40
+    rng = np.random.default_rng(13)
+    schema = tuple(AttributeSchema(f"x{j}", NUMERIC) for j in range(d - 1)) + (
+        AttributeSchema("k", CATEGORICAL, ("a", "b")),)
+
+    def records(m):
+        return np.column_stack([rng.normal(size=(m, d - 1)), rng.integers(0, 2, m)])
+
+    X = records(2000)
+    tgt = Dataset(schema, X, (X[:, 0] > 0).astype(int), ("p", "q"), "target")
+    cfg = TransferConfig(n_trees=3)
+    model = TransferModel(forest=fit_forest(one_hot_encode(tgt), cfg), fallback=True,
+                          diagnostics={}, raw_schema=tgt.schema, config=cfg)
+    test = Dataset(schema, records(n), np.zeros(n, dtype=int), ("p", "q"), "target")
+    # encode_records' one column-major batch, which predict_many reads in place
+    assert predict_peak(model, test) < 1.5 * 8 * n * (d + 1)
+
+
+def predict_peak(model, test) -> int:
+    """tracemalloc peak of model.predict_many(test), in bytes."""
     tracemalloc.start()
     try:
         model.predict_many(test)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # encode_records' column-major batch, which predict_many reads in place
-    assert peak < 1.5 * 8 * n * d
 
 
 #: Raw column and class names; without "=", so no encoded column name
