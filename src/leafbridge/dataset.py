@@ -485,21 +485,26 @@ def encoded_schema(schema) -> tuple[AttributeSchema, ...]:
     return tuple(out)
 
 
-def encode_records(records: np.ndarray, schema) -> np.ndarray:
-    """One-hot encode a record matrix given its raw schema.
+def encode_records(records: np.ndarray, schema, trained) -> np.ndarray:
+    """One-hot encode records laid out in `schema` into `trained`'s encoded
+    columns: the one place a raw categorical column becomes 0/1 columns.
 
-    Each run of numeric columns is copied as one column slice, each
-    categorical column becomes one 0/1 column per category. Rows must be
-    complete (no NaN cells). The result is one new column-major
-    (Fortran-order) matrix, the package's one record layout.
+    schema and trained list the same column names and kinds, and each
+    categorical cell is a code of schema's categories, as in a Dataset.
+    Each run of numeric columns is copied as one column slice; each
+    categorical cell is matched to trained's categories by name
+    (`name_index`, skipped where the category tuples are equal), and a
+    category unknown to trained raises DataError naming it and its column.
+    Rows must be complete (no NaN cells). The result is one new
+    column-major (Fortran-order) matrix, the package's one record layout.
     """
     records = np.asarray(records, dtype=np.float64)
     if np.isnan(records).any():
         raise MissingValueError("cannot encode records with missing cells")
     n = records.shape[0]
-    out = np.empty((n, len(encoded_schema(schema))), order="F")
+    out = np.empty((n, len(encoded_schema(trained))), order="F")
     j = k = 0
-    for numeric, attrs in groupby(schema, key=lambda a: a.kind == NUMERIC):
+    for numeric, attrs in groupby(zip(schema, trained), key=lambda pair: pair[0].kind == NUMERIC):
         attrs = list(attrs)
         if numeric:
             w = len(attrs)
@@ -507,47 +512,23 @@ def encode_records(records: np.ndarray, schema) -> np.ndarray:
             j += w
             k += w
             continue
-        for attr in attrs:
-            m = len(attr.categories)
+        for attr, known in attrs:
+            m = len(known.categories)
             idx = records[:, j].astype(np.int64)
-            if idx.min() < 0 or idx.max() >= m:
-                raise SchemaError(f"category index out of range in column {attr.name!r}")
+            if attr.categories != known.categories:
+                mapped = name_index(attr.categories, known.categories)[idx]
+                unknown = np.flatnonzero(mapped < 0)
+                if unknown.size:
+                    name = attr.categories[idx[unknown[0]]]
+                    raise DataError(f"category {name!r} of column {attr.name!r} "
+                                    f"unknown to the model")
+                idx = mapped
             block = out[:, k:k + m]
             block.fill(0.0)
             block[np.arange(n), idx] = 1.0
             j += 1
             k += m
     return out
-
-
-def align_categories(ds: Dataset, schema) -> np.ndarray:
-    """ds's records with each categorical cell re-indexed, by category name,
-    into `schema`'s category order.
-
-    ds must have the names and kinds of `schema`'s columns (DataError
-    otherwise); a category unknown to `schema` raises DataError naming it
-    and its column. Missing cells stay NaN. When every category order
-    already matches, ds.records itself is returned, not a copy.
-    """
-    if [(a.name, a.kind) for a in ds.schema] != [(a.name, a.kind) for a in schema]:
-        raise DataError("dataset column names or kinds do not match the model's training schema")
-    records = ds.records
-    for j, (attr, trained) in enumerate(zip(ds.schema, schema)):
-        if attr.kind != CATEGORICAL or attr.categories == trained.categories:
-            continue
-        if records is ds.records:
-            records = records.copy(order="F")
-        lookup = name_index(attr.categories, trained.categories)
-        col = records[:, j]
-        present = ~np.isnan(col)
-        cells = col[present].astype(np.int64)
-        mapped = lookup[cells]
-        unknown = np.flatnonzero(mapped < 0)
-        if unknown.size:
-            name = attr.categories[cells[unknown[0]]]
-            raise DataError(f"category {name!r} of column {attr.name!r} unknown to the model")
-        col[present] = mapped
-    return records
 
 
 def require_numeric(schema, user: str):
@@ -563,13 +544,13 @@ def one_hot_encode(ds: Dataset) -> Dataset:
 
     A dataset with no categorical attributes is returned as-is.
     """
-    if ds.has_missing():
-        raise MissingValueError("one_hot_encode requires a dataset without missing cells")
     if all(a.kind == NUMERIC for a in ds.schema):
+        if ds.has_missing():
+            raise MissingValueError("one_hot_encode requires a dataset without missing cells")
         return ds
     return Dataset(
         encoded_schema(ds.schema),
-        read_only(encode_records(ds.records, ds.schema)),
+        read_only(encode_records(ds.records, ds.schema, ds.schema)),
         read_only(ds.labels.copy()),
         ds.class_names,
         ds.domain_tag,

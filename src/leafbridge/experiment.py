@@ -224,7 +224,7 @@ def _fold_cells(spec: ExperimentSpec, ratio, cells) -> dict:
             methods_out[method]["failed_runs"] = len(errors)
     tlf = [diag for _, diag in cells if diag is not None]
     n_pivots = [diag["n_pivots"] for diag in tlf]
-    mu = [diag["mu"] for diag in tlf if not diag["fallback"] and diag["mu"] is not None]
+    mu = [diag["mu"] for diag in tlf if not diag["fallback"]]
     return {
         "inject_ratio": ratio,
         "methods": methods_out,

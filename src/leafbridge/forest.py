@@ -57,7 +57,7 @@ import numpy as np
 
 from .dataset import (NUMERIC, AttributeSchema, Dataset, _require_distinct, require_numeric,
                       require_seed)
-from .errors import DataError, EmptyDatasetError, MissingValueError, SchemaError
+from .errors import DataError, MissingValueError, SchemaError
 from .workers import fork_map
 
 _GAIN_EPS = 1e-12
@@ -293,10 +293,7 @@ class Forest:
 
 
 def _gini(weighted_counts: np.ndarray) -> float:
-    total = weighted_counts.sum()
-    if total <= 0:
-        return 0.0
-    p = weighted_counts / total
+    p = weighted_counts / weighted_counts.sum()
     return float(1.0 - (p * p).sum())
 
 
@@ -508,8 +505,6 @@ def train_forest(ds: Dataset, n_trees: int, min_leaf_size: int, seed: int) -> Fo
     if min_leaf_size < 1:
         raise DataError("min_leaf_size must be >= 1")
     require_seed(seed)
-    if ds.n < 1:
-        raise EmptyDatasetError("cannot train on an empty dataset")
     require_numeric(ds.schema, "train_forest")
     if not np.isfinite(ds.records).all():
         if ds.has_missing():

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DataError, EmptyDatasetError
+from .errors import DataError
 
 #: Nemenyi critical values q_alpha at alpha = 0.05 for k = 2..20 methods.
 NEMENYI_Q_05 = {
@@ -70,8 +70,6 @@ def evaluate(model, test: Dataset) -> EvalMetrics:
     the test set does not list) counts as wrong. The model scans the
     records, so a test part with missing cells raises MissingValueError.
     """
-    if test.n < 1:
-        raise EmptyDatasetError("cannot evaluate on an empty test dataset")
     predictions = np.asarray(model.predict_many(test))
     return metrics_from_labels(test.labels, predictions, test.class_names)
 

@@ -4,8 +4,8 @@ run_transfer one-hot encodes both domains, trains a forest per domain,
 matches deduplicated leaf label distributions across domains, solves for the
 projection matrix, projects the source records that belong to matched source
 pivots into the target feature space, merges them with the target data and
-trains the final forest. If no pivots match (or nothing survives selection)
-the model falls back to the target-only forest.
+trains the final forest. If no pivots match, the model falls back to the
+target-only forest.
 
 Every forest of the pipeline is trained by `fit_forest`, the one place that
 turns a TransferConfig into training parameters. A caller that scores other
@@ -28,7 +28,6 @@ from .dataset import (
     CATEGORICAL,
     AttributeSchema,
     Dataset,
-    align_categories,
     check_field_types,
     encode_records,
     encoded_schema,
@@ -121,10 +120,11 @@ class TransferModel:
         and classes are matched by name, so ds may list them in another order.
         An all-numeric test part is read in place; one with categorical
         columns is encoded into one new batch, which encode_records scans."""
-        records = align_categories(ds, self.raw_schema)
+        if [(a.name, a.kind) for a in ds.schema] != [(a.name, a.kind) for a in self.raw_schema]:
+            raise DataError("dataset column names or kinds do not match the model's "
+                            "training schema")
         encode = any(a.kind == CATEGORICAL for a in self.raw_schema)
-        if encode:
-            records = encode_records(records, self.raw_schema)
+        records = encode_records(ds.records, ds.schema, self.raw_schema) if encode else ds.records
         preds = predict_many(self.forest, records, complete=encode)
         if ds.class_names == self.class_names:
             return preds
@@ -327,7 +327,8 @@ def run_transfer(ds_src: Dataset, ds_tgt: Dataset, cfg: TransferConfig,
         "solve_residual": None,
     }
 
-    def fallback_model(reason: str) -> TransferModel:
+    if pivots.n_pivots == 0:
+        reason = "no pivot pair below the divergence threshold"
         logger.info("falling back to the target-only forest: %s", reason)
         diagnostics["fallback_reason"] = reason
         return TransferModel(
@@ -335,20 +336,15 @@ def run_transfer(ds_src: Dataset, ds_tgt: Dataset, cfg: TransferConfig,
             diagnostics=diagnostics, raw_schema=ds_tgt.schema, config=cfg,
         )
 
-    if pivots.n_pivots == 0:
-        return fallback_model("no pivot pair below the divergence threshold")
-
     stacked = adaptation.stack_pivots(pivots, bundle_src, bundle_tgt)
     diagnostics["mu"], diagnostics["solve_residual"], projection = adaptation.adapt(
         stacked, cfg.ridge, cfg.mmd, cfg.manifold,
         kernel_kind=cfg.kernel, alpha_mode=cfg.alpha_mode)
 
+    # neither returns None here: each matched source row is the dedup row of
+    # a non-empty leaf, whose distribution holds a shared-class record
     selected = select_transferable(src, leaves_src, pivots, map_src)
-    if selected is None:
-        return fallback_model("no source record belongs to a matched pivot")
     projected = project_records(selected, projection, tgt.schema, tgt.class_names)
-    if projected is None:
-        return fallback_model("every selected record had a non-shared label")
     diagnostics["n_selected"] = selected.n
     diagnostics["n_dropped_labels"] = selected.n - projected.n
 

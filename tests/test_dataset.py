@@ -11,7 +11,6 @@ from leafbridge.dataset import (
     AttributeSchema,
     Dataset,
     SplitSpec,
-    align_categories,
     encode_records,
     encoded_schema,
     inject_missing,
@@ -294,7 +293,7 @@ class TestOneHot:
         records = laid_out(mixed_records(rng, 300, schema), layout, rng)
         want = hstack_encode_records(records, schema)
         for batch in (records, records[:1]):
-            got = encode_records(batch, schema)
+            got = encode_records(batch, schema, schema)
             assert got.flags.f_contiguous and got.dtype == np.float64
             assert got.shape == (batch.shape[0], len(encoded_schema(schema)))
             assert got.tobytes() == want[:batch.shape[0]].tobytes()
@@ -307,7 +306,7 @@ class TestOneHot:
         rng = np.random.default_rng(n)
         schema = schema_of(kinds)
         records = laid_out(mixed_records(rng, n, schema), layout, rng)
-        got = encode_records(records, schema)
+        got = encode_records(records, schema, schema)
         assert got.flags.f_contiguous
         assert got.tobytes() == hstack_encode_records(records, schema).tobytes()
 
@@ -363,30 +362,126 @@ class TestOneHot:
             one_hot_encode(ds)
 
 
-class TestAlignCategories:
+def align_categories(ds, trained):
+    """The former first pass, kept as the oracle of the folded encoder:
+    ds's records with each categorical cell re-indexed by name into
+    trained's category order (copied when an order differs), missing cells
+    kept NaN; DataError on a schema mismatch or an unknown category."""
+    if [(a.name, a.kind) for a in ds.schema] != [(a.name, a.kind) for a in trained]:
+        raise DataError("dataset column names or kinds do not match the model's training schema")
+    records = ds.records
+    for j, (attr, known) in enumerate(zip(ds.schema, trained)):
+        if attr.kind != CATEGORICAL or attr.categories == known.categories:
+            continue
+        if records is ds.records:
+            records = records.copy(order="F")
+        lookup = name_index(attr.categories, known.categories)
+        col = records[:, j]
+        present = ~np.isnan(col)
+        cells = col[present].astype(np.int64)
+        mapped = lookup[cells]
+        unknown = np.flatnonzero(mapped < 0)
+        if unknown.size:
+            name = attr.categories[cells[unknown[0]]]
+            raise DataError(f"category {name!r} of column {attr.name!r} unknown to the model")
+        col[present] = mapped
+    return records
+
+
+def align_then_encode(ds, trained):
+    """Oracle: the former two passes from a test part to its encoded batch,
+    `align_categories`, then a missing-cell scan and the encoding."""
+    records = align_categories(ds, trained)
+    if np.isnan(records).any():
+        raise MissingValueError("cannot encode records with missing cells")
+    return hstack_encode_records(records, trained)
+
+
+def outcome(encode, *args):
+    """encode(*args), or the type and text of the DataError it raises."""
+    try:
+        return encode(*args)
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def encode_cases(draw):
+    """A test part and a trained schema of the same column names and kinds:
+    a drawn run of numeric and categorical columns, each categorical column
+    listing some of the trained categories in a drawn order. The part may
+    list one category the trained schema lacks, and may hold a NaN cell."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 30))
+    schema, trained, columns = [], [], []
+    for j, kind in enumerate(draw(st.lists(st.sampled_from("nc"), min_size=1, max_size=6))):
+        if kind == "n":
+            schema.append(AttributeSchema(f"a{j}", NUMERIC))
+            trained.append(schema[-1])
+            columns.append(rng.normal(size=n))
+            continue
+        known = tuple("uvwxyz"[:draw(st.integers(1, 6))])
+        listed = draw(st.permutations(known))[:draw(st.integers(1, len(known)))]
+        if draw(st.integers(0, 5)) == 5:
+            listed.insert(draw(st.integers(0, len(listed))), "q")
+        schema.append(AttributeSchema(f"a{j}", CATEGORICAL, tuple(listed)))
+        trained.append(AttributeSchema(f"a{j}", CATEGORICAL, known))
+        columns.append(rng.integers(0, len(listed), size=n))
+    records = np.column_stack(columns).astype(np.float64)
+    if draw(st.integers(0, 4)) == 4:
+        records[rng.integers(n), rng.integers(records.shape[1])] = np.nan
+    return Dataset(tuple(schema), records, np.zeros(n, dtype=int), ("p",)), tuple(trained)
+
+
+class TestEncodeRecords:
+    """encode_records matches a test part's categories to the trained ones
+    by name while it encodes; `align_then_encode`, the former two passes,
+    is its oracle."""
+
     SCHEMA = (AttributeSchema("x", NUMERIC), AttributeSchema("k", CATEGORICAL, ("a", "b", "c")))
 
-    def test_same_order_returns_records_uncopied(self):
+    @settings(max_examples=300)
+    @given(encode_cases())
+    def test_equals_the_two_pass_oracle(self, case):
+        ds, trained = case
+        want = outcome(align_then_encode, ds, trained)
+        got = outcome(encode_records, ds.records, ds.schema, trained)
+        if ds.has_missing():
+            # the one pass scans for missing cells before it matches a
+            # category, so a missing cell is reported before an unknown one
+            assert got == (MissingValueError, "cannot encode records with missing cells")
+            assert want[0] in (MissingValueError, DataError)
+        elif isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.flags.f_contiguous and got.tobytes() == want.tobytes()
+
+    def test_same_order_skips_the_name_lookup(self, monkeypatch):
         ds = Dataset(self.SCHEMA, [[0.5, 2.0], [1.5, 0.0]], [0, 1], ("n", "y"))
-        assert align_categories(ds, self.SCHEMA) is ds.records
+        monkeypatch.setattr("leafbridge.dataset.name_index", None)
+        got = encode_records(ds.records, ds.schema, self.SCHEMA)
+        np.testing.assert_array_equal(got, [[0.5, 0, 0, 1], [1.5, 1, 0, 0]])
 
-    def test_reindexes_by_name_and_keeps_missing(self):
+    def test_matches_categories_by_name_and_rejects_missing(self):
         schema = (AttributeSchema("x", NUMERIC), AttributeSchema("k", CATEGORICAL, ("c", "a")))
-        ds = Dataset(schema, [[0.5, 0.0], [1.5, 1.0], [2.5, np.nan]], [0, 1, 0], ("n", "y"))
-        aligned = align_categories(ds, self.SCHEMA)
-        np.testing.assert_array_equal(aligned, [[0.5, 2.0], [1.5, 0.0], [2.5, np.nan]])
-        np.testing.assert_array_equal(ds.records[:, 1], [0.0, 1.0, np.nan])
+        ds = Dataset(schema, [[0.5, 0.0], [1.5, 1.0]], [0, 1], ("n", "y"))
+        got = encode_records(ds.records, ds.schema, self.SCHEMA)
+        np.testing.assert_array_equal(got, [[0.5, 0, 0, 1], [1.5, 1, 0, 0]])
+        np.testing.assert_array_equal(ds.records[:, 1], [0.0, 1.0])
+        gap = Dataset(schema, [[0.5, 0.0], [np.nan, 1.0], [2.5, np.nan]], [0, 1, 0], ("n", "y"))
+        with pytest.raises(MissingValueError, match="cannot encode records with missing cells"):
+            encode_records(gap.records, gap.schema, self.SCHEMA)
 
-    def test_unknown_category_and_schema_mismatch(self):
+    def test_unknown_category_named(self):
         schema = (AttributeSchema("x", NUMERIC), AttributeSchema("k", CATEGORICAL, ("a", "z")))
         ds = Dataset(schema, [[0.5, 0.0], [1.5, 1.0]], [0, 1], ("n", "y"))
         with pytest.raises(DataError, match="category 'z' of column 'k' unknown to the model"):
-            align_categories(ds, self.SCHEMA)
-        for other in ((AttributeSchema("x", NUMERIC), AttributeSchema("j", CATEGORICAL, ("a",))),
-                      (AttributeSchema("x", NUMERIC), AttributeSchema("k", NUMERIC)),
-                      (AttributeSchema("x", NUMERIC),)):
-            with pytest.raises(DataError, match="names or kinds"):
-                align_categories(ds, other)
+            encode_records(ds.records, ds.schema, self.SCHEMA)
+        # a missing cell is reported first, as the records are scanned once
+        # before any category is matched
+        ds = Dataset(schema, [[np.nan, 0.0], [1.5, 1.0]], [0, 1], ("n", "y"))
+        with pytest.raises(MissingValueError):
+            encode_records(ds.records, ds.schema, self.SCHEMA)
 
 
 class TestSplit:
@@ -598,7 +693,7 @@ class TestDatasetInvariants:
         schema = (AttributeSchema("a", NUMERIC), AttributeSchema("k", CATEGORICAL, ("x", "y")))
         for row in ([np.nan, 0.0], [1.0, np.nan]):
             with pytest.raises(MissingValueError):
-                encode_records(np.array([row]), schema)
+                encode_records(np.array([row]), schema, schema)
 
 
 class TestSubsetIndices:

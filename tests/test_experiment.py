@@ -567,7 +567,8 @@ def loop_forest_predict(predictor, ds):
             if name not in lookup:
                 raise DataError(f"category {name!r} of column {a.name!r} unknown to the model")
             raw[i, j] = lookup[name]
-    preds = predict_many(predictor.forest, encode_records(raw, predictor.raw_schema))
+    schema = predictor.raw_schema
+    preds = predict_many(predictor.forest, encode_records(raw, schema, schema))
     mapping = {name: i for i, name in enumerate(ds.class_names)}
     return np.array([mapping.get(predictor.class_names[p], -1) for p in preds])
 
@@ -586,7 +587,7 @@ class TestBaselineModel:
         train = Dataset(schema, X, y, ("lo", "mid", "hi"))
         encoded = Dataset(
             tuple(AttributeSchema(f"e{k}", NUMERIC) for k in range(6)),
-            encode_records(X, schema), y, train.class_names,
+            encode_records(X, schema, schema), y, train.class_names,
         )
         forest = train_forest(encoded, n_trees=5, min_leaf_size=5, seed=0)
         return baseline_model(forest, train)

@@ -5,7 +5,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from leafbridge import adaptation, pivot
@@ -223,6 +223,44 @@ class TestSelectProjectMerge:
     def test_step_owns_its_arrays(self, chain, step):
         parents = chain[step] if step == "merge" else chain[step][:1]
         assert_owns_its_arrays(self.STEPS[step](*chain[step]), *parents)
+
+
+def drawn_pair(kind: str, seed: int) -> tuple[Dataset, Dataset]:
+    """A small source/target pair: rotated, heterogeneous, or a 4-class
+    rotated pair whose domains share only classes c0 and c1."""
+    if kind == "heterogeneous":
+        return heterogeneous_pair(n_source=240, n_target=160, seed=seed)
+    n_classes = 3 if kind == "rotated" else 4
+    src, tgt = rotated_pair(n_source=240, n_target=120, n_classes=n_classes,
+                            center_spread=2.0, cluster_std=2.0, seed=seed)
+    if kind == "partly_shared":
+        tgt = replace(tgt, class_names=("c0", "c1", "t2", "t3"))
+    return src, tgt
+
+
+@settings(max_examples=150)
+@given(kind=st.sampled_from(["rotated", "heterogeneous", "partly_shared"]),
+       min_leaf=st.sampled_from([1, 5, 20]), seed=st.integers(0, 2**16))
+def test_matched_pivots_always_select_and_project(kind, min_leaf, seed):
+    # why run_transfer falls back only when no pivot matches: each matched
+    # source row is the dedup row of a non-empty leaf, and that row's
+    # distribution, its first leaf's, holds a shared-class record
+    src, tgt = drawn_pair(kind, seed)
+    cfg = TransferConfig(n_trees=3, min_leaf_small=min_leaf, seed=seed)
+    held, stages = {}, []
+    for domain, ds in (("source", src), ("target", tgt)):
+        encoded, forest = domain_forest(held, domain, ds, cfg)
+        leaves = collect_leaves(forest)
+        stages.append((encoded, leaves, *pivot.dedup(pivot.extract_distributions(encoded,
+                                                                                 leaves))))
+    (src_enc, leaves, bundle_src, map_src), (tgt_enc, _, bundle_tgt, _) = stages
+    pivots = pivot.match_pivots(bundle_src, bundle_tgt, cfg.pivot_threshold)
+    assume(pivots.n_pivots >= 1)
+    selected = select_transferable(src_enc, leaves, pivots, map_src)
+    assert selected is not None
+    projection = ProjectionMatrix(np.ones((src_enc.d, tgt_enc.d)))
+    projected = project_records(selected, projection, tgt_enc.schema, tgt_enc.class_names)
+    assert projected is not None and projected.n <= selected.n
 
 
 class TestRunTransfer:
@@ -571,7 +609,8 @@ class TestCategoryAlignment:
         got = model.predict_many(fresh)
         np.testing.assert_array_equal(got, model.predict_many(in_order))
         # reading the reordered indices as training indices predicts otherwise
-        misread = predict_many(model.forest, encode_records(fresh.records, model.raw_schema))
+        misread = predict_many(model.forest,
+                               encode_records(fresh.records, model.raw_schema, model.raw_schema))
         assert not np.array_equal(got, misread)
 
     def test_saved_categories_reordered_rejected(self, model, tmp_path):
@@ -605,6 +644,15 @@ class TestCategoryAlignment:
         with pytest.raises(DataError, match="names or kinds"):
             model.predict_many(as_category)
 
+    def test_schema_mismatch_rejected(self, model):
+        # another categorical column's name, a kind or a width
+        for schema in ((AttributeSchema("x", NUMERIC), AttributeSchema("j", CATEGORICAL, ("a",))),
+                       (AttributeSchema("x", NUMERIC), AttributeSchema("k", NUMERIC)),
+                       (AttributeSchema("x", NUMERIC),)):
+            ds = Dataset(schema, np.zeros((2, len(schema))), [0, 1], model.class_names, "target")
+            with pytest.raises(DataError, match="names or kinds"):
+                model.predict_many(ds)
+
 
 def test_model_predict_makes_one_encoded_copy():
     n, d = 20000, 40
@@ -635,9 +683,12 @@ def test_model_predict_encodes_a_categorical_part_once():
     cfg = TransferConfig(n_trees=3)
     model = TransferModel(forest=fit_forest(one_hot_encode(tgt), cfg), fallback=True,
                           diagnostics={}, raw_schema=tgt.schema, config=cfg)
-    test = Dataset(schema, records(n), np.zeros(n, dtype=int), ("p", "q"), "target")
-    # encode_records' one column-major batch, which predict_many reads in place
-    assert predict_peak(model, test) < 1.5 * 8 * n * (d + 1)
+    # encode_records' one column-major batch, which predict_many reads in
+    # place, also for a part that lists the categories in another order
+    for categories in (("a", "b"), ("b", "a")):
+        listed = schema[:-1] + (AttributeSchema("k", CATEGORICAL, categories),)
+        test = Dataset(listed, records(n), np.zeros(n, dtype=int), ("p", "q"), "target")
+        assert predict_peak(model, test) < 1.5 * 8 * n * (d + 1)
 
 
 def predict_peak(model, test) -> int:
