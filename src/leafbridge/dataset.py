@@ -139,6 +139,18 @@ def _adopted(array: np.ndarray) -> np.ndarray:
     return read_only(array.copy(order="F"))
 
 
+def cell_facts(records: np.ndarray) -> dict[str, bool]:
+    """{"missing": some cell is NaN, "finite": every cell is finite} of a
+    float matrix: the one scan for missing and non-finite cells."""
+    if np.isfinite(records).all():
+        return {"missing": False, "finite": True}
+    return {"missing": bool(np.isnan(records).any()), "finite": False}
+
+
+#: The cell facts that hold of every row subset of a matrix they hold of.
+_HELD_BY_PARTS = {("missing", False), ("finite", True)}
+
+
 def gather_rows(records: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """records[rows] as a new column-major matrix, gathered column by column
     from the column-major records; rows are valid int64 record indices."""
@@ -178,6 +190,15 @@ class Dataset:
     array, which is kept. Any other array, such as a caller's writeable or
     row-major array or a view, is copied once, so the caller's later writes
     never reach the dataset.
+
+    Whether a cell is missing (`has_missing`) and whether every cell is
+    finite (`is_finite`) are worked out once, on first need, by one
+    `cell_facts` scan, and kept outside the fields, so `replace`, `equals`
+    and the repr ignore them. A derivation that knows them without a scan
+    hands them on (a row subset of a complete dataset is complete). The
+    read-only records that the dataset owns or was handed are what keep
+    the facts true: a caller that re-enables writes on an array it handed
+    over and writes to it voids them.
     """
 
     schema: tuple[AttributeSchema, ...]
@@ -225,6 +246,7 @@ class Dataset:
                 )
         object.__setattr__(self, "records", _adopted(records))
         object.__setattr__(self, "labels", _adopted(labels))
+        object.__setattr__(self, "_facts", {})  # cell facts known so far
 
     @property
     def n(self) -> int:
@@ -238,7 +260,17 @@ class Dataset:
         return np.isnan(self.records)
 
     def has_missing(self) -> bool:
-        return bool(np.isnan(self.records).any())
+        """Whether some cell is NaN (missing)."""
+        return self._fact("missing")
+
+    def is_finite(self) -> bool:
+        """Whether every cell is finite: none is NaN or infinite."""
+        return self._fact("finite")
+
+    def _fact(self, name: str) -> bool:
+        if name not in self._facts:
+            self._facts.update(cell_facts(self.records))
+        return self._facts[name]
 
     def subset(self, indices) -> "Dataset":
         """Dataset restricted to the given record indices (schema shared).
@@ -259,8 +291,10 @@ class Dataset:
             raise DataError(f"subset index {idx[i].item()!r} at position {i} is not a "
                             f"record index: a whole number in [0, {self.n})")
         idx = idx.astype(np.int64, copy=False)
-        return replace(self, records=read_only(gather_rows(self.records, idx)),
+        part = replace(self, records=read_only(gather_rows(self.records, idx)),
                        labels=read_only(self.labels[idx]))
+        part._facts.update(fact for fact in self._facts.items() if fact in _HELD_BY_PARTS)
+        return part
 
     def equals(self, other: "Dataset") -> bool:
         """Structural equality; missing cells compare equal to each other."""
@@ -347,7 +381,8 @@ def load_csv(
     missing_tokens=DEFAULT_MISSING_TOKENS,
     domain_tag: str = "source",
 ) -> Dataset:
-    """Load a UTF-8 CSV file with a header row into a Dataset.
+    """Load a UTF-8 CSV file with a header row into a Dataset; a leading
+    byte-order mark is skipped.
 
     A column is inferred numeric when every non-missing cell parses as a
     number, otherwise categorical with categories in first-appearance order.
@@ -361,7 +396,7 @@ def load_csv(
     number are accepted (` 2 ` reads as 2.0). A header that names a
     column twice, the label column too, raises SchemaError.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -485,7 +520,8 @@ def encoded_schema(schema) -> tuple[AttributeSchema, ...]:
     return tuple(out)
 
 
-def encode_records(records: np.ndarray, schema, trained) -> np.ndarray:
+def encode_records(records: np.ndarray, schema, trained, *,
+                   complete: bool = False) -> np.ndarray:
     """One-hot encode records laid out in `schema` into `trained`'s encoded
     columns: the one place a raw categorical column becomes 0/1 columns.
 
@@ -495,11 +531,14 @@ def encode_records(records: np.ndarray, schema, trained) -> np.ndarray:
     categorical cell is matched to trained's categories by name
     (`name_index`, skipped where the category tuples are equal), and a
     category unknown to trained raises DataError naming it and its column.
-    Rows must be complete (no NaN cells). The result is one new
-    column-major (Fortran-order) matrix, the package's one record layout.
+    Rows must be complete (no NaN cells): records is scanned for missing
+    cells unless the caller passes complete=True for records it knows to
+    be complete, such as those of a Dataset whose has_missing() is false.
+    The result is one new column-major (Fortran-order) matrix, the
+    package's one record layout.
     """
     records = np.asarray(records, dtype=np.float64)
-    if np.isnan(records).any():
+    if not complete and cell_facts(records)["missing"]:
         raise MissingValueError("cannot encode records with missing cells")
     n = records.shape[0]
     out = np.empty((n, len(encoded_schema(trained))), order="F")
@@ -542,19 +581,23 @@ def require_numeric(schema, user: str):
 def one_hot_encode(ds: Dataset) -> Dataset:
     """Expand categorical attributes into 0/1 columns; numeric data unchanged.
 
-    A dataset with no categorical attributes is returned as-is.
+    A dataset with no categorical attributes is returned as-is. The
+    encoding of a complete dataset is complete, and finite where ds is.
     """
     if all(a.kind == NUMERIC for a in ds.schema):
         if ds.has_missing():
             raise MissingValueError("one_hot_encode requires a dataset without missing cells")
         return ds
-    return Dataset(
+    complete = not ds.has_missing()
+    encoded = Dataset(
         encoded_schema(ds.schema),
-        read_only(encode_records(ds.records, ds.schema, ds.schema)),
+        read_only(encode_records(ds.records, ds.schema, ds.schema, complete=complete)),
         read_only(ds.labels.copy()),
         ds.class_names,
         ds.domain_tag,
     )
+    encoded._facts.update(ds._facts)
+    return encoded
 
 
 def split_target(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
@@ -589,15 +632,16 @@ def repair_missing(ds: Dataset, mode: str, reference: Dataset | None = None) -> 
         reference = ds
     elif reference.schema != ds.schema:
         raise SchemaError("the impute reference must share the dataset's schema")
-    mask = ds.missing_mask()
-    if not mask.any():
+    if not ds.has_missing():
         return ds
+    mask = ds.missing_mask()
     if mode == "srd":
         keep = ~mask.any(axis=1)
         if not keep.any():
             raise EmptyDatasetError("srd removed every record")
-        return ds.subset(np.flatnonzero(keep))
+        return _with_missing(ds.subset(np.flatnonzero(keep)), False)
     records = np.array(ds.records, order="F")
+    fills = []
     for j, attr in enumerate(ds.schema):
         col_mask = mask[:, j]
         if not col_mask.any():
@@ -612,7 +656,11 @@ def repair_missing(ds: Dataset, mode: str, reference: Dataset | None = None) -> 
             counts = np.bincount(observed.astype(np.int64), minlength=len(attr.categories))
             fill = float(np.argmax(counts))
         records[col_mask, j] = fill
-    return replace(ds, records=read_only(records), labels=read_only(ds.labels.copy()))
+        fills.append(fill)
+    # a mean over both infinities is NaN, so such a fill leaves a cell missing
+    return _with_missing(replace(ds, records=read_only(records),
+                                 labels=read_only(ds.labels.copy())),
+                         any(map(math.isnan, fills)))
 
 
 def inject_missing(ds: Dataset, record_ratio: float, seed: int = 0) -> Dataset:
@@ -636,4 +684,14 @@ def inject_missing(ds: Dataset, record_ratio: float, seed: int = 0) -> Dataset:
         m = max(1, int(round(y * ds.d / 100.0)))
         cells = rng.choice(ds.d, size=min(m, ds.d), replace=False)
         records[i, cells] = np.nan
-    return replace(ds, records=read_only(records), labels=read_only(ds.labels.copy()))
+    return _with_missing(replace(ds, records=read_only(records),
+                                 labels=read_only(ds.labels.copy())), True)
+
+
+def _with_missing(ds: Dataset, missing: bool) -> Dataset:
+    """ds, recorded to hold a missing cell or not, as the derivation that
+    built it knows; a dataset with a missing cell is not finite."""
+    ds._facts["missing"] = missing
+    if missing:
+        ds._facts["finite"] = False
+    return ds

@@ -450,7 +450,7 @@ def _config_values(path) -> dict:
     """The field values a config file sets, by owning dataclass (errors: see parse_config)."""
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path, encoding="utf-8")
+        read = parser.read(path, encoding="utf-8-sig")  # skips a byte-order mark
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise DataError(f"config file {path}: {exc}") from exc
     if not read:

@@ -55,8 +55,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .dataset import (NUMERIC, AttributeSchema, Dataset, _require_distinct, require_numeric,
-                      require_seed)
+from .dataset import (NUMERIC, AttributeSchema, Dataset, _require_distinct, cell_facts,
+                      require_numeric, require_seed)
 from .errors import DataError, MissingValueError, SchemaError
 from .workers import fork_map
 
@@ -506,7 +506,7 @@ def train_forest(ds: Dataset, n_trees: int, min_leaf_size: int, seed: int) -> Fo
         raise DataError("min_leaf_size must be >= 1")
     require_seed(seed)
     require_numeric(ds.schema, "train_forest")
-    if not np.isfinite(ds.records).all():
+    if not ds.is_finite():
         if ds.has_missing():
             raise MissingValueError("train_forest requires a dataset without missing cells")
         i, j = (int(v) for v in np.argwhere(np.isinf(ds.records))[0])
@@ -537,8 +537,11 @@ def predict_many(forest: Forest, records, *, complete: bool = False) -> np.ndarr
     The trees read the records by column, so a column-major (Fortran-order)
     matrix, a Dataset's records or an `encode_records` result, is read in
     place; any other is copied once into Fortran order. records is scanned
-    for missing cells unless the caller passes complete=True for a batch
-    already scanned, such as an `encode_records` result.
+    for missing cells (`cell_facts`) unless the caller passes complete=True
+    for a batch it knows to be complete: `TransferModel.predict_many`
+    passes it for a Dataset whose has_missing() is false, which costs no
+    scan once the dataset has been scanned, and for an `encode_records`
+    result.
 
     Each tree adds one vote per record, for the majority class of the
     record's leaf, into a (C, n) integer count. One pass over the classes
@@ -554,7 +557,7 @@ def predict_many(forest: Forest, records, *, complete: bool = False) -> np.ndarr
     if X.ndim != 2 or X.shape[1] != len(forest.schema):
         raise SchemaError(f"records of shape {X.shape} do not match the forest's "
                           f"{len(forest.schema)} columns")
-    if not complete and np.isnan(X).any():
+    if not complete and cell_facts(X)["missing"]:
         raise MissingValueError("cannot predict records with missing cells")
     n, n_classes = X.shape[0], len(forest.class_names)
     votes = np.zeros((n_classes, n), dtype=np.min_scalar_type(forest.n_trees))

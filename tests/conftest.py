@@ -10,7 +10,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from leafbridge import workers
+from leafbridge import dataset, forest, workers
 from leafbridge.adaptation import MIN_NEIGHBORS
 from leafbridge.dataset import NUMERIC, AttributeSchema, Dataset
 from leafbridge.forest import _TREE_ARRAYS
@@ -45,6 +45,21 @@ def numeric_dataset(records, labels, n_classes=None, domain_tag="source"):
     schema = tuple(AttributeSchema(f"f{j}", NUMERIC) for j in range(records.shape[1]))
     return Dataset(schema, records, labels,
                    tuple(f"c{c}" for c in range(n_classes)), domain_tag)
+
+
+def record_scans(monkeypatch) -> list:
+    """Make every call of `dataset.cell_facts`, the one scan for missing and
+    non-finite cells, append the matrix it scans to the returned list."""
+    scanned = []
+    scan = dataset.cell_facts
+
+    def recording_scan(records):
+        scanned.append(records)
+        return scan(records)
+
+    for module in (dataset, forest):
+        monkeypatch.setattr(module, "cell_facts", recording_scan)
+    return scanned
 
 
 def peak_over_output(derive, *args) -> float:

@@ -86,6 +86,21 @@ class TestLoadCsv:
         again = load_csv(out, "label")
         assert ds.equals(again)
 
+    @pytest.mark.parametrize("text", ["x0,label\n1.5,p\n2,q\n",
+                                      "label,x0\np,1.5\nq,2\n"])
+    def test_byte_order_mark_skipped(self, tmp_path, text):
+        # a UTF-8 byte-order mark, as some spreadsheet exports write, is not
+        # part of the first header cell
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        ds = load_csv(marked, "label")
+        assert ds.schema[0].name == "x0" and ds.equals(load_csv(plain, "label"))
+        out = tmp_path / "copy.csv"
+        write_csv(ds, out)
+        assert out.read_bytes().startswith(b"x0,label")
+
     def test_round_trip_with_missing(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("a,b,label\n1,x,p\n?,y,q\n3,?,p\n", encoding="utf-8")

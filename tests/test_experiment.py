@@ -880,6 +880,14 @@ alpha_mode = inverse
         assert cfg.kernel == "linear" and cfg.alpha_mode == "inverse"
         assert cfg.seed == 5
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        text = "[experiment]\npairs = a.csv :: b.csv\nrepeats = 2\n[forest]\ntrees = 3\n"
+        plain, marked = tmp_path / "plain.ini", tmp_path / "marked.ini"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert parse_config(marked) == parse_config(plain)
+        assert parse_transfer_config(marked) == TransferConfig(n_trees=3)
+
     def test_inject_ratio_outside_half_rejected(self, tmp_path):
         path = tmp_path / "spec.ini"
         path.write_text("[experiment]\npairs = s.csv :: t.csv\nmissing_mode = impute\n"

@@ -18,7 +18,7 @@ from leafbridge.metrics import (
     sign_test,
 )
 from leafbridge.transfer import TransferConfig, TransferModel
-from conftest import numeric_dataset
+from conftest import numeric_dataset, record_scans
 
 
 class _FixedModel:
@@ -71,7 +71,8 @@ def _forest_models():
 
 class TestEvaluateScan:
     """evaluate leaves the missing-cell scan to the model's predict_many,
-    which scans each batch once."""
+    which reads it from the dataset: each test part is scanned once, however
+    often it is scored."""
 
     def test_missing_cell_raises(self):
         records = np.random.default_rng(7).normal(size=(30, 3))
@@ -86,19 +87,13 @@ class TestEvaluateScan:
     def test_batch_scanned_once(self, monkeypatch, pick, via_evaluate):
         model = _forest_models()[pick]
         test = numeric_dataset(np.random.default_rng(7).normal(size=(30, 3)), np.arange(30) % 2)
-        scanned = []
-        isnan = np.isnan
-
-        def recording_isnan(x, *args, **kwargs):
-            scanned.append(np.shape(x))
-            return isnan(x, *args, **kwargs)
-
-        monkeypatch.setattr(np, "isnan", recording_isnan)
-        if via_evaluate:
-            evaluate(model, test)
-        else:
-            model.predict_many(test)
-        assert scanned == [test.records.shape]
+        scanned = record_scans(monkeypatch)
+        for _ in range(3):
+            if via_evaluate:
+                evaluate(model, test)
+            else:
+                model.predict_many(test)
+        assert len(scanned) == 1 and scanned[0] is test.records
 
 
 class TestSignTest:

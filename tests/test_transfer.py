@@ -664,9 +664,12 @@ def test_model_predict_makes_one_encoded_copy():
                           diagnostics={}, raw_schema=tgt.schema, config=cfg)
     test = numeric_dataset(rng.normal(size=(n, d)), np.zeros(n, dtype=int), n_classes=2,
                            domain_tag="target")
-    # an all-numeric part is read in place: the n*d-byte missing-cell scan is
-    # the largest allocation
+    # an all-numeric part is read in place: the first call's missing-cell
+    # scan (an n*d-byte mask) is the largest allocation, and a later call of
+    # the same dataset reads the recorded fact, so the trees' index arrays
+    # are (0.075 of the batch measured; 0.125 with a scan per call)
     assert predict_peak(model, test) < 0.25 * 8 * n * d
+    assert predict_peak(model, test) < 0.1 * 8 * n * d
 
 
 def test_model_predict_encodes_a_categorical_part_once():
