@@ -147,10 +147,6 @@ def cell_facts(records: np.ndarray) -> dict[str, bool]:
     return {"missing": bool(np.isnan(records).any()), "finite": False}
 
 
-#: The cell facts that hold of every row subset of a matrix they hold of.
-_HELD_BY_PARTS = {("missing", False), ("finite", True)}
-
-
 def gather_rows(records: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """records[rows] as a new column-major matrix, gathered column by column
     from the column-major records; rows are valid int64 record indices."""
@@ -194,8 +190,7 @@ class Dataset:
     Whether a cell is missing (`has_missing`) and whether every cell is
     finite (`is_finite`) are worked out once, on first need, by one
     `cell_facts` scan, and kept outside the fields, so `replace`, `equals`
-    and the repr ignore them. A derivation that knows them without a scan
-    hands them on (a row subset of a complete dataset is complete). The
+    and the repr ignore them; a derived dataset works out its own. The
     read-only records that the dataset owns or was handed are what keep
     the facts true: a caller that re-enables writes on an array it handed
     over and writes to it voids them.
@@ -291,10 +286,8 @@ class Dataset:
             raise DataError(f"subset index {idx[i].item()!r} at position {i} is not a "
                             f"record index: a whole number in [0, {self.n})")
         idx = idx.astype(np.int64, copy=False)
-        part = replace(self, records=read_only(gather_rows(self.records, idx)),
+        return replace(self, records=read_only(gather_rows(self.records, idx)),
                        labels=read_only(self.labels[idx]))
-        part._facts.update(fact for fact in self._facts.items() if fact in _HELD_BY_PARTS)
-        return part
 
     def equals(self, other: "Dataset") -> bool:
         """Structural equality; missing cells compare equal to each other."""
@@ -520,8 +513,7 @@ def encoded_schema(schema) -> tuple[AttributeSchema, ...]:
     return tuple(out)
 
 
-def encode_records(records: np.ndarray, schema, trained, *,
-                   complete: bool = False) -> np.ndarray:
+def encode_records(records: np.ndarray, schema, trained) -> np.ndarray:
     """One-hot encode records laid out in `schema` into `trained`'s encoded
     columns: the one place a raw categorical column becomes 0/1 columns.
 
@@ -531,14 +523,11 @@ def encode_records(records: np.ndarray, schema, trained, *,
     categorical cell is matched to trained's categories by name
     (`name_index`, skipped where the category tuples are equal), and a
     category unknown to trained raises DataError naming it and its column.
-    Rows must be complete (no NaN cells): records is scanned for missing
-    cells unless the caller passes complete=True for records it knows to
-    be complete, such as those of a Dataset whose has_missing() is false.
-    The result is one new column-major (Fortran-order) matrix, the
-    package's one record layout.
+    Rows must be complete (no NaN cells). The result is one new
+    column-major (Fortran-order) matrix, the package's one record layout.
     """
     records = np.asarray(records, dtype=np.float64)
-    if not complete and cell_facts(records)["missing"]:
+    if np.isnan(records).any():
         raise MissingValueError("cannot encode records with missing cells")
     n = records.shape[0]
     out = np.empty((n, len(encoded_schema(trained))), order="F")
@@ -581,23 +570,19 @@ def require_numeric(schema, user: str):
 def one_hot_encode(ds: Dataset) -> Dataset:
     """Expand categorical attributes into 0/1 columns; numeric data unchanged.
 
-    A dataset with no categorical attributes is returned as-is. The
-    encoding of a complete dataset is complete, and finite where ds is.
+    A dataset with no categorical attributes is returned as-is.
     """
     if all(a.kind == NUMERIC for a in ds.schema):
         if ds.has_missing():
             raise MissingValueError("one_hot_encode requires a dataset without missing cells")
         return ds
-    complete = not ds.has_missing()
-    encoded = Dataset(
+    return Dataset(
         encoded_schema(ds.schema),
-        read_only(encode_records(ds.records, ds.schema, ds.schema, complete=complete)),
+        read_only(encode_records(ds.records, ds.schema, ds.schema)),
         read_only(ds.labels.copy()),
         ds.class_names,
         ds.domain_tag,
     )
-    encoded._facts.update(ds._facts)
-    return encoded
 
 
 def split_target(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
@@ -639,9 +624,8 @@ def repair_missing(ds: Dataset, mode: str, reference: Dataset | None = None) -> 
         keep = ~mask.any(axis=1)
         if not keep.any():
             raise EmptyDatasetError("srd removed every record")
-        return _with_missing(ds.subset(np.flatnonzero(keep)), False)
+        return ds.subset(np.flatnonzero(keep))
     records = np.array(ds.records, order="F")
-    fills = []
     for j, attr in enumerate(ds.schema):
         col_mask = mask[:, j]
         if not col_mask.any():
@@ -656,11 +640,7 @@ def repair_missing(ds: Dataset, mode: str, reference: Dataset | None = None) -> 
             counts = np.bincount(observed.astype(np.int64), minlength=len(attr.categories))
             fill = float(np.argmax(counts))
         records[col_mask, j] = fill
-        fills.append(fill)
-    # a mean over both infinities is NaN, so such a fill leaves a cell missing
-    return _with_missing(replace(ds, records=read_only(records),
-                                 labels=read_only(ds.labels.copy())),
-                         any(map(math.isnan, fills)))
+    return replace(ds, records=read_only(records), labels=read_only(ds.labels.copy()))
 
 
 def inject_missing(ds: Dataset, record_ratio: float, seed: int = 0) -> Dataset:
@@ -684,14 +664,4 @@ def inject_missing(ds: Dataset, record_ratio: float, seed: int = 0) -> Dataset:
         m = max(1, int(round(y * ds.d / 100.0)))
         cells = rng.choice(ds.d, size=min(m, ds.d), replace=False)
         records[i, cells] = np.nan
-    return _with_missing(replace(ds, records=read_only(records),
-                                 labels=read_only(ds.labels.copy())), True)
-
-
-def _with_missing(ds: Dataset, missing: bool) -> Dataset:
-    """ds, recorded to hold a missing cell or not, as the derivation that
-    built it knows; a dataset with a missing cell is not finite."""
-    ds._facts["missing"] = missing
-    if missing:
-        ds._facts["finite"] = False
-    return ds
+    return replace(ds, records=read_only(records), labels=read_only(ds.labels.copy()))

@@ -539,9 +539,9 @@ def predict_many(forest: Forest, records, *, complete: bool = False) -> np.ndarr
     place; any other is copied once into Fortran order. records is scanned
     for missing cells (`cell_facts`) unless the caller passes complete=True
     for a batch it knows to be complete: `TransferModel.predict_many`
-    passes it for a Dataset whose has_missing() is false, which costs no
-    scan once the dataset has been scanned, and for an `encode_records`
-    result.
+    passes it for an `encode_records` result and for a Dataset whose
+    has_missing() is false, which costs no scan once the dataset has been
+    scanned.
 
     Each tree adds one vote per record, for the majority class of the
     record's leaf, into a (C, n) integer count. One pass over the classes

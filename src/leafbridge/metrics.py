@@ -67,10 +67,10 @@ def evaluate(model, test: Dataset) -> EvalMetrics:
     """Evaluate any model exposing predict_many(Dataset) on a test dataset.
 
     predict_many returns indices into test.class_names, where -1 (a class
-    the test set does not list) counts as wrong. A test part with missing
-    cells raises the model's MissingValueError; a `TransferModel` reads
-    that from the dataset's own facts (`Dataset.has_missing`), which are
-    scanned once however often the part is scored.
+    the test set does not list) counts as wrong. The model checks the
+    records, so a test part with missing cells raises MissingValueError; a
+    `TransferModel` reads a numeric part's check from `Dataset.has_missing`,
+    worked out once however often the part is scored.
     """
     predictions = np.asarray(model.predict_many(test))
     return metrics_from_labels(test.labels, predictions, test.class_names)

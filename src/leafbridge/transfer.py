@@ -119,19 +119,17 @@ class TransferModel:
         into ds.class_names (-1 for a class that ds does not list); categories
         and classes are matched by name, so ds may list them in another order.
         An all-numeric test part is read in place; one with categorical
-        columns is encoded into one new batch. Whether ds holds a missing
-        cell is ds's own fact, scanned once per dataset, so neither the
-        encoder nor the forest scans a complete part; a part with a missing
-        cell is scanned by the one that reports it, as a bare matrix is."""
+        columns is encoded into one new batch, which encode_records scans.
+        A numeric part is not scanned per call: whether it holds a missing
+        cell is ds's own fact (`Dataset.has_missing`), worked out once per
+        dataset, and the forest scans only a part that holds one, to report
+        it."""
         if [(a.name, a.kind) for a in ds.schema] != [(a.name, a.kind) for a in self.raw_schema]:
             raise DataError("dataset column names or kinds do not match the model's "
                             "training schema")
-        complete = not ds.has_missing()
-        records = ds.records
-        if any(a.kind == CATEGORICAL for a in self.raw_schema):
-            records = encode_records(records, ds.schema, self.raw_schema, complete=complete)
-            complete = True
-        preds = predict_many(self.forest, records, complete=complete)
+        encode = any(a.kind == CATEGORICAL for a in self.raw_schema)
+        records = encode_records(ds.records, ds.schema, self.raw_schema) if encode else ds.records
+        preds = predict_many(self.forest, records, complete=encode or not ds.has_missing())
         if ds.class_names == self.class_names:
             return preds
         return name_index(self.class_names, ds.class_names)[preds]

@@ -62,6 +62,19 @@ def record_scans(monkeypatch) -> list:
     return scanned
 
 
+def record_cell_reads(monkeypatch) -> list:
+    """Make every call of np.isnan or np.isfinite, from `dataset.cell_facts`
+    or from anywhere else, append the array it reads to the returned list."""
+    read = []
+    for name in ("isnan", "isfinite"):
+        def recording(x, *args, _ufunc=getattr(np, name), **kwargs):
+            read.append(x)
+            return _ufunc(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, recording)
+    return read
+
+
 def peak_over_output(derive, *args) -> float:
     """tracemalloc peak of derive(*args) over the bytes of the datasets it
     returns (one, or a tuple of them): 1.0 when it allocates only those."""

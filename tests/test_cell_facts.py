@@ -1,6 +1,6 @@
-"""A Dataset's cell facts, `has_missing()` and `is_finite()`: each dataset
-scans its records once, a derivation hands on what it knows, and every
-consumer that reads the facts raises what a fresh scan would make it raise."""
+"""A Dataset's cell facts, `has_missing()` and `is_finite()`: each dataset,
+derived or not, scans its records once, and every consumer that reads the
+facts raises what a fresh scan would make it raise."""
 
 import csv
 from dataclasses import replace
@@ -38,7 +38,7 @@ from leafbridge.transfer import (
     run_transfer,
     select_transferable,
 )
-from conftest import drawn_rng, record_scans
+from conftest import drawn_rng, record_cell_reads, record_scans
 
 #: Cells of the drawn numeric columns, then the non-finite ones placed among them.
 PLAIN = (0.0, -0.0, 1.5, -2.0, 3.0)
@@ -52,8 +52,8 @@ def fresh_facts(ds):
 
 
 def assert_true_facts(ds):
-    """The facts ds recorded when it was built equal a fresh scan, and so do
-    the ones it works out now."""
+    """The facts ds has recorded so far equal a fresh scan, and so do the ones
+    it works out now."""
     fresh = fresh_facts(ds)
     for name, value in ds._facts.items():
         assert value == fresh[name], name
@@ -222,7 +222,7 @@ def test_run_transfer_scans_each_matrix_once(monkeypatch):
     model = run_transfer(src, tgt, cfg)
     assert not model.fallback
     # the source, the target and the merged training set of the final forest;
-    # the selected source records are a subset of the complete source
+    # nothing asks about the selected source records until they are merged
     assert len(scanned) == 3 and scanned[0] is src.records and scanned[1] is tgt.records
     assert len({id(records) for records in scanned}) == len(scanned)
     run_transfer(src, tgt, cfg)
@@ -262,13 +262,15 @@ def test_experiment_cell_scans_its_test_part_once(monkeypatch, fork_in, tmp_path
         return parts
 
     monkeypatch.setattr(experiment, "split_target", recording_split)
-    scanned = record_scans(monkeypatch)
+    scanned, read = record_scans(monkeypatch), record_cell_reads(monkeypatch)
     (result,) = run_experiment(spec, TransferConfig(n_trees=3, min_leaf_small=5)).to_dict()[
         "pairs"]
     assert all("error" not in cell for block in result.get("by_ratio", [result])
                for cell in block["methods"].values())
     (test,) = tests
-    # scored by three methods, the test part is scanned once: by its repair
-    # (or the check that it needs none), never by a prediction
+    # scored by three methods, the test part's facts are worked out once: by
+    # its repair (or the check that it needs none), never by a prediction;
+    # encode_records reads a raw categorical part each time it encodes it
     assert sum(records is test.records for records in scanned) == 1
-    assert sum(records.shape == test.records.shape for records in scanned) == 1
+    encodes = len(spec.methods) if categorical else 0
+    assert sum(np.shape(x) == test.records.shape for x in read) == 1 + encodes

@@ -18,7 +18,7 @@ from leafbridge.metrics import (
     sign_test,
 )
 from leafbridge.transfer import TransferConfig, TransferModel
-from conftest import numeric_dataset, record_scans
+from conftest import numeric_dataset, record_cell_reads, record_scans
 
 
 class _FixedModel:
@@ -71,8 +71,8 @@ def _forest_models():
 
 class TestEvaluateScan:
     """evaluate leaves the missing-cell scan to the model's predict_many,
-    which reads it from the dataset: each test part is scanned once, however
-    often it is scored."""
+    which reads it from the dataset: each numeric test part is scanned once,
+    however often it is scored."""
 
     def test_missing_cell_raises(self):
         records = np.random.default_rng(7).normal(size=(30, 3))
@@ -87,12 +87,15 @@ class TestEvaluateScan:
     def test_batch_scanned_once(self, monkeypatch, pick, via_evaluate):
         model = _forest_models()[pick]
         test = numeric_dataset(np.random.default_rng(7).normal(size=(30, 3)), np.arange(30) % 2)
-        scanned = record_scans(monkeypatch)
+        scanned, read = record_scans(monkeypatch), record_cell_reads(monkeypatch)
         for _ in range(3):
             if via_evaluate:
                 evaluate(model, test)
             else:
                 model.predict_many(test)
+        # one full scan in three calls, by the one scan helper, and no other
+        # np.isnan or np.isfinite read of any batch
+        assert [np.shape(x) for x in read] == [test.records.shape]
         assert len(scanned) == 1 and scanned[0] is test.records
 
 
