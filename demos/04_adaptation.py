@@ -1,4 +1,4 @@
-"""The projection solve: kernel, adaptive MMD, auto-k Laplacian, alpha.
+"""The projection: kernel, adaptive MMD, auto-k Laplacian, alpha.
 
 Run from the repository root:  python demos/04_adaptation.py
 """
@@ -63,14 +63,9 @@ for name, mat in (("kernel K", K), ("MMD matrix M", M), ("Laplacian", Lap)):
     eig = np.linalg.eigvalsh(mat)
     print(f"  {name:<13} [{eig[0]: .3e}, {eig[-1]: .3e}]")
 
-# alpha combines ridge, MMD and manifold terms; "literal" uses the combined
-# system matrix directly, "inverse" solves it with a pivoted LU.
-alpha, _ = compute_alpha(K, M, Lap, ridge=0.001, mmd=5.0, manifold=0.01,
-                         mode="literal")
+# alpha combines the MMD and manifold terms with the kernel:
+# alpha = (mmd * M + manifold * Lap) @ K, and P = Gs^T alpha Gt.
+alpha = compute_alpha(K, M, Lap, mmd=5.0, manifold=0.01)
 projection = build_projection(sp, alpha)
 print(f"\nprojection matrix: {projection.matrix.shape}, "
       f"|P|_F = {np.linalg.norm(projection.matrix):.3f}")
-
-# the inverse mode also returns the residual ||A @ alpha - I||_F it checked
-_, residual = compute_alpha(K, M, Lap, 0.001, 5.0, 0.01, mode="inverse")
-print("inverse-mode residual:", f"{residual:.2e}")

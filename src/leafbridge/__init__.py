@@ -1,7 +1,7 @@
 """leafbridge: supervised heterogeneous transfer learning with forest leaf pivots.
 
 Builds a classifier for a small labeled target dataset by matching decision
-forest leaf label distributions across domains, solving a ridge/MMD/manifold
+forest leaf label distributions across domains, solving an MMD/manifold
 regularized system for a cross-domain projection, and training a final forest
 on the target data merged with the projected source records.
 """
@@ -40,7 +40,6 @@ from .errors import (
     NumericalError,
     ParseError,
     SchemaError,
-    SolveError,
 )
 from .experiment import EvaluationReport, ExperimentSpec, PairSpec, parse_config, run_experiment
 from .forest import Forest, LeafTable, Tree, collect_leaves, predict_many, train_forest

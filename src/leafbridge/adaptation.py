@@ -8,19 +8,18 @@ stack we build a kernel K, a joint MMD matrix M mixing marginal and
 per-class conditional terms through an adaptive factor mu, and a normalized
 graph Laplacian over a nearest-neighbor affinity graph whose k is sized
 per row (see `build_laplacian`). The coefficient matrix alpha combines them
-with the ridge/MMD/manifold weights, and the projection P = Gs^T alpha Gt
+with the MMD and manifold weights, and the projection P = Gs^T alpha Gt
 maps encoded source records into the target feature space.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import class_indices, name_index
-from .errors import BandwidthError, DataError, NumericalError, SolveError
+from .errors import BandwidthError, DataError, NumericalError
 from .pivot import DistributionBundle, PivotSet
 
 MIN_NEIGHBORS = 4
@@ -241,46 +240,19 @@ def build_laplacian(pivots: StackedPivots) -> tuple[np.ndarray, np.ndarray]:
     return B, laplacian_from_affinity(B)
 
 
-def compute_alpha(K: np.ndarray, M: np.ndarray, Lap: np.ndarray, ridge: float, mmd: float,
-                  manifold: float, mode: str) -> tuple[np.ndarray, float | None]:
-    """Coefficient matrix from the combined system, and its solve residual.
-
-    A = ridge * I + (mmd * M + manifold * Lap) @ K. mode="literal" returns
-    (A, None); mode="inverse" returns A^(-1), via an LU solve with partial
-    pivoting, and the residual ||A @ alpha - I||_F, which must be at most
-    1e-6 * z. An exactly zero pivot (a singular A) raises SolveError.
-    """
+def compute_alpha(K: np.ndarray, M: np.ndarray, Lap: np.ndarray, mmd: float,
+                  manifold: float) -> np.ndarray:
+    """Coefficient matrix alpha = (mmd * M + manifold * Lap) @ K of the
+    combined system."""
     K = np.asarray(K, dtype=np.float64)
     z = K.shape[0]
     for mat, name in ((K, "K"), (M, "M"), (Lap, "Lap")):
         if np.asarray(mat).shape != (z, z):
             raise DataError(f"{name} must be {z}x{z}")
-    for coeff, name in ((ridge, "ridge"), (mmd, "mmd"), (manifold, "manifold")):
+    for coeff, name in ((mmd, "mmd"), (manifold, "manifold")):
         if coeff < 0:
             raise DataError(f"{name} coefficient must be >= 0")
-    A = ridge * np.eye(z) + (mmd * M + manifold * Lap) @ K
-    if mode == "literal":
-        return A, None
-    if mode != "inverse":
-        raise DataError(f"unknown alpha mode {mode!r}")
-    # scipy is loaded for this mode only, so default runs need numpy alone
-    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-
-    try:
-        with warnings.catch_warnings():
-            # lu_factor warns on an exactly zero pivot: the system is singular
-            warnings.simplefilter("error", LinAlgWarning)
-            lu, piv = lu_factor(A)
-        alpha = lu_solve((lu, piv), np.eye(z))
-    except (np.linalg.LinAlgError, LinAlgWarning) as exc:
-        raise SolveError(f"singular system, condition estimate {np.linalg.cond(A):.3e}") from exc
-    residual = float(np.linalg.norm(A @ alpha - np.eye(z)))
-    if not np.isfinite(residual) or residual > 1e-6 * z:
-        raise SolveError(
-            f"solve residual {residual:.3e} exceeds {1e-6 * z:.3e}, "
-            f"condition estimate {np.linalg.cond(A):.3e}"
-        )
-    return alpha, residual
+    return (mmd * M + manifold * Lap) @ K
 
 
 @dataclass(frozen=True)
@@ -315,14 +287,12 @@ def build_projection(pivots: StackedPivots, alpha: np.ndarray) -> ProjectionMatr
     return ProjectionMatrix(pivots.g_source.T @ alpha @ pivots.g_target)
 
 
-def adapt(pivots: StackedPivots, ridge: float, mmd: float, manifold: float,
-          kernel_kind: str, alpha_mode: str) -> tuple[float, float | None, ProjectionMatrix]:
-    """Run the full adaptation stage on stacked pivots: (mu, the residual of
-    the alpha solve or None in literal mode, the projection). The settings
-    come from a TransferConfig, which holds their defaults."""
+def adapt(pivots: StackedPivots, mmd: float, manifold: float,
+          kernel_kind: str) -> tuple[float, ProjectionMatrix]:
+    """Run the full adaptation stage on stacked pivots: (mu, the projection).
+    The settings come from a TransferConfig, which holds their defaults."""
     K = build_kernel(pivots, kernel_kind)
     mu = compute_mu(pivots)
     M = build_mmd_matrix(pivots, mu)
     _, Lap = build_laplacian(pivots)
-    alpha, residual = compute_alpha(K, M, Lap, ridge, mmd, manifold, alpha_mode)
-    return mu, residual, build_projection(pivots, alpha)
+    return mu, build_projection(pivots, compute_alpha(K, M, Lap, mmd, manifold))

@@ -13,7 +13,6 @@ Set LEAFBRIDGE_LOG (debug|info|warning|error) to control verbosity.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
@@ -23,7 +22,7 @@ from dataclasses import replace
 from .dataset import _require_distinct, inject_missing, load_csv, write_csv
 from .errors import DataError, LeafBridgeError, NumericalError
 from .experiment import nemenyi, parse_config, parse_transfer_config, run_experiment, sign_tests
-from .forest import read_key
+from .forest import read_json, read_key
 from .metrics import SIGN_TEST_Z_REF
 from .transfer import TransferConfig, run_transfer
 
@@ -118,11 +117,7 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    with open(args.report, encoding="utf-8") as fh:
-        try:
-            report = json.load(fh)
-        except ValueError as exc:  # not UTF-8, not JSON, or an int of over 4300 digits
-            raise DataError(f"{args.report} is not UTF-8 JSON text: {exc}") from None
+    report = read_json(args.report)
     doc = "leafbridge-report"
     if not isinstance(report, dict) or report.get("format") != doc:
         raise DataError(f"{args.report} is not a leafbridge report")

@@ -267,6 +267,12 @@ class Dataset:
             self._facts.update(cell_facts(self.records))
         return self._facts[name]
 
+    def __reduce__(self):
+        # an unpickled dataset goes through the constructor, which makes its
+        # arrays read-only and leaves its cell facts to be worked out afresh
+        return Dataset, (self.schema, self.records, self.labels, self.class_names,
+                         self.domain_tag)
+
     def subset(self, indices) -> "Dataset":
         """Dataset restricted to the given record indices (schema shared).
 
@@ -609,7 +615,9 @@ def repair_missing(ds: Dataset, mode: str, reference: Dataset | None = None) -> 
     mode="impute" fills numeric cells with the attribute mean over observed
     values and categorical cells with the mode (ties -> lowest category index).
     The statistics come from the observed cells of `reference` (same schema)
-    when given, else of ds itself.
+    when given, else of ds itself. A numeric column to fill whose observed
+    mean is not finite (both infinities, or a sum that overflows) raises
+    DataError naming the attribute.
     """
     if mode not in ("srd", "impute"):
         raise DataError(f"unknown repair mode {mode!r}")
@@ -635,7 +643,11 @@ def repair_missing(ds: Dataset, mode: str, reference: Dataset | None = None) -> 
         if observed.size == 0:
             raise DataError(f"attribute {attr.name!r} is entirely missing, cannot impute")
         if attr.kind == NUMERIC:
-            fill = observed.mean()
+            with np.errstate(over="ignore", invalid="ignore"):
+                fill = observed.mean()
+            if not np.isfinite(fill):
+                raise DataError(f"attribute {attr.name!r}: the mean of its observed cells is "
+                                f"{fill}, cannot impute")
         else:
             counts = np.bincount(observed.astype(np.int64), minlength=len(attr.categories))
             fill = float(np.argmax(counts))

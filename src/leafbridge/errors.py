@@ -33,12 +33,8 @@ class MatchingError(DataError):
 
 
 class NumericalError(LeafBridgeError):
-    """Numerical failure: degenerate bandwidth, singular system, non-finite result."""
+    """Numerical failure: degenerate bandwidth, non-finite result."""
 
 
 class BandwidthError(NumericalError):
     """RBF kernel bandwidth is undefined (all pairwise distances zero)."""
-
-
-class SolveError(NumericalError):
-    """A linear solve failed or did not meet its residual contract."""

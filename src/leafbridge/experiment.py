@@ -49,7 +49,7 @@ from .dataset import (
 )
 from .errors import DataError, LeafBridgeError
 from .metrics import SIGN_TEST_Z_REF, evaluate, mean_ranks, nemenyi_cd, sign_test
-from .transfer import TransferConfig, TransferModel, domain_forest, run_transfer
+from .transfer import REMOVED_FIELDS, TransferConfig, TransferModel, domain_forest, run_transfer
 from .workers import fork_map
 
 logger = logging.getLogger("leafbridge")
@@ -438,11 +438,9 @@ _CONFIG_KEYS = (
     ("forest", "min_leaf_large", TransferConfig, "min_leaf_large"),
     ("forest", "large_threshold", TransferConfig, "large_threshold"),
     ("pivot", "divergence_threshold", TransferConfig, "pivot_threshold"),
-    ("adapt", "ridge", TransferConfig, "ridge"),
     ("adapt", "mmd", TransferConfig, "mmd"),
     ("adapt", "manifold", TransferConfig, "manifold"),
     ("adapt", "kernel", TransferConfig, "kernel"),
-    ("adapt", "alpha_mode", TransferConfig, "alpha_mode"),
 )
 
 
@@ -463,8 +461,12 @@ def _config_values(path) -> dict:
         (section, key) for section in parser.sections()
         for key in parser.options(section) if key not in parser.defaults()]
     for section, key in given:
-        if (section, key) not in known:
-            raise DataError(f"config file {path}: unknown key [{section}] {key}")
+        if (section, key) in known:
+            continue
+        if section in ("adapt", parser.default_section) and key in REMOVED_FIELDS:
+            raise DataError(f"config file {path}: key [{section}] {key} was removed "
+                            f"from the pipeline config; delete it")
+        raise DataError(f"config file {path}: unknown key [{section}] {key}")
     values = {ExperimentSpec: {}, SplitSpec: {}, TransferConfig: {}}
     for section, key, owner, name in _CONFIG_KEYS:
         if not parser.has_option(section, key):

@@ -49,6 +49,7 @@ records whose top vote count two or more classes share, as the tie-break.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -584,6 +585,16 @@ def predict_many(forest: Forest, records, *, complete: bool = False) -> np.ndarr
         dist_sums[votes[:, ties].T < top[ties, None]] = -np.inf
         best[ties] = np.argmax(dist_sums, axis=1)
     return best
+
+
+def read_json(path):
+    """The JSON value in the file at path, read as UTF-8 with or without a
+    byte-order mark; DataError naming the file unless it holds JSON text."""
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not UTF-8, not JSON, or an int of over 4300 digits
+            raise DataError(f"{path} is not UTF-8 JSON text: {exc}") from None
 
 
 # A forest's part of a saved model: its classes, column names and tree

@@ -45,6 +45,7 @@ from .forest import (
     forest_from_dict,
     forest_to_dict,
     predict_many,
+    read_json,
     read_key,
     train_forest,
 )
@@ -60,6 +61,11 @@ FORMAT_VERSION = 3
 #: row of a row-major product the same however many rows it is given.
 SMALL_PRODUCT = 100 ** 3
 
+#: Config fields that earlier models saved and that no longer exist: `ridge`
+#: never changed the projection of the literal alpha, and `alpha_mode`
+#: chose between that alpha and one no longer offered.
+REMOVED_FIELDS = ("ridge", "alpha_mode")
+
 
 @dataclass(frozen=True)
 class TransferConfig:
@@ -70,11 +76,9 @@ class TransferConfig:
     min_leaf_large: int = 50
     large_threshold: int = 10000
     pivot_threshold: float = 0.1
-    ridge: float = 0.001
     mmd: float = 5.0
     manifold: float = 0.01
     kernel: str = "rbf"
-    alpha_mode: str = "literal"
     seed: int = 0
 
     def __post_init__(self):
@@ -83,15 +87,13 @@ class TransferConfig:
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1")
         require_seed(self.seed)
-        for name in ("ridge", "mmd", "manifold"):
+        for name in ("mmd", "manifold"):
             if getattr(self, name) < 0:
                 raise DataError(f"{name} must be >= 0")
         if not 0.0 < self.pivot_threshold < 1.0:
             raise DataError("pivot_threshold must be in (0, 1)")
         if self.kernel not in ("linear", "rbf"):
             raise DataError(f"unknown kernel {self.kernel!r}")
-        if self.alpha_mode not in ("literal", "inverse"):
-            raise DataError(f"unknown alpha_mode {self.alpha_mode!r}")
 
     def min_leaf_for(self, n: int) -> int:
         """Minimum leaf size by dataset size: large datasets get the large
@@ -154,13 +156,13 @@ class TransferModel:
 
     @staticmethod
     def load(path) -> "TransferModel":
-        """Read a saved model; DataError on any other document or version,
-        on a missing or ill-typed key, on a config that TransferConfig
-        rejects and on encoded `raw_schema` columns other than its forest's.
-        Keys it does not name, such as the projection of earlier format-3
-        files, are ignored."""
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+        """Read a saved model; DataError on a file that is not JSON text, on
+        any other document or version, on a missing or ill-typed key, on a
+        config that TransferConfig rejects and on encoded `raw_schema`
+        columns other than its forest's. Keys it does not name, such as the
+        projection of earlier format-3 files and their config's `ridge` and
+        `alpha_mode`, are ignored."""
+        obj = read_json(path)
         doc, column = "leafbridge-model", "raw_schema column"
         if not isinstance(obj, dict) or obj.get("format") != doc:
             raise DataError(f"not a {doc} document")
@@ -172,7 +174,8 @@ class TransferModel:
                             tuple(read_key(a, "categories", list, column, items=str)))
             for a in read_key(obj, "raw_schema", list, doc, items=dict)
         )
-        config = read_key(obj, "config", dict, doc)
+        config = {key: value for key, value in read_key(obj, "config", dict, doc).items()
+                  if key not in REMOVED_FIELDS}
         try:
             config = TransferConfig(**config)
         except (DataError, TypeError) as exc:
@@ -328,7 +331,6 @@ def run_transfer(ds_src: Dataset, ds_tgt: Dataset, cfg: TransferConfig,
         "mu": None,
         "n_selected": 0,
         "n_dropped_labels": 0,
-        "solve_residual": None,
     }
 
     if pivots.n_pivots == 0:
@@ -341,9 +343,8 @@ def run_transfer(ds_src: Dataset, ds_tgt: Dataset, cfg: TransferConfig,
         )
 
     stacked = adaptation.stack_pivots(pivots, bundle_src, bundle_tgt)
-    diagnostics["mu"], diagnostics["solve_residual"], projection = adaptation.adapt(
-        stacked, cfg.ridge, cfg.mmd, cfg.manifold,
-        kernel_kind=cfg.kernel, alpha_mode=cfg.alpha_mode)
+    diagnostics["mu"], projection = adaptation.adapt(
+        stacked, cfg.mmd, cfg.manifold, kernel_kind=cfg.kernel)
 
     # neither returns None here: each matched source row is the dedup row of
     # a non-empty leaf, whose distribution holds a shared-class record

@@ -133,7 +133,6 @@ def test_c3_laplacian_invariants():
 def test_c4_solver_contract():
     start = time.perf_counter()
     rng = np.random.default_rng(104)
-    worst_residual_ratio = 0.0
     worst_literal = 0.0
     for _ in range(50):
         z = int(rng.integers(2, 61))
@@ -143,19 +142,15 @@ def test_c4_solver_contract():
         M = (M + M.T) / 2
         L = rng.normal(size=(z, z))
         L = (L + L.T) / 2
-        ridge, mmd, manifold = 1.0, 0.1, 0.1
-        alpha, _ = compute_alpha(K, M, L, ridge, mmd, manifold, mode="inverse")
-        A = ridge * np.eye(z) + (mmd * M + manifold * L) @ K
-        residual = float(np.linalg.norm(A @ alpha - np.eye(z)))
-        worst_residual_ratio = max(worst_residual_ratio, residual / (1e-6 * z))
-        literal, _ = compute_alpha(K, M, L, ridge, mmd, manifold, mode="literal")
+        mmd, manifold = 0.1, 0.1
+        A = (mmd * M + manifold * L) @ K
+        literal = compute_alpha(K, M, L, mmd, manifold)
         worst_literal = max(worst_literal, float(np.abs(literal - A).max()))
     elapsed = time.perf_counter() - start
     _finish(
-        "C4 solver contract",
-        worst_residual_ratio <= 1.0 and worst_literal <= 1e-12 and elapsed < 5.0,
-        f"worst residual at {worst_residual_ratio:.3f} of budget, literal max "
-        f"|diff| {worst_literal:.2e}, {elapsed:.2f}s",
+        "C4 coefficient matrix",
+        worst_literal <= 1e-12 and elapsed < 5.0,
+        f"literal max |diff| {worst_literal:.2e}, {elapsed:.2f}s",
     )
 
 

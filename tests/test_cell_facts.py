@@ -3,6 +3,7 @@ derived or not, scans its records once, and every consumer that reads the
 facts raises what a fresh scan would make it raise."""
 
 import csv
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -38,7 +39,7 @@ from leafbridge.transfer import (
     run_transfer,
     select_transferable,
 )
-from conftest import drawn_rng, record_cell_reads, record_scans
+from conftest import assert_owns_its_arrays, drawn_rng, record_cell_reads, record_scans
 
 #: Cells of the drawn numeric columns, then the non-finite ones placed among them.
 PLAIN = (0.0, -0.0, 1.5, -2.0, 3.0)
@@ -134,6 +135,19 @@ def test_a_fact_is_worked_out_once_and_not_a_field(monkeypatch):
     # replace, equals and the repr ignore the facts
     assert ds.equals(twin) and repr(ds) == repr(twin)
     assert replace(ds)._facts == {}
+
+
+@pytest.mark.parametrize("records", [[[1.0, 0.0], [np.nan, 2.0]], [[np.inf, 1.0], [3.0, 2.0]]])
+def test_unpickled_dataset_is_rebuilt_read_only(records):
+    schema = (AttributeSchema("x", NUMERIC), AttributeSchema("k", CATEGORICAL, ("a", "b", "c")))
+    ds = Dataset(schema, records, [0, 1], ("p", "q"))
+    facts = (ds.has_missing(), ds.is_finite())
+    again = pickle.loads(pickle.dumps(ds))
+    assert again.equals(ds)
+    assert_owns_its_arrays(again, ds)
+    # the facts are worked out afresh, not carried along
+    assert again._facts == {}
+    assert (again.has_missing(), again.is_finite()) == facts
 
 
 #: The parent's outcome of each consumer on a part whose only non-finite cells

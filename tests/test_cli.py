@@ -122,7 +122,7 @@ class TestRun:
         assert "seed must be >= 0, got -3" in capsys.readouterr().err
         assert not model.exists() and not (tmp_path / "report.json").exists()
 
-    @pytest.mark.parametrize("setting", ["ridge = nan", "mmd = 1e400", "manifold = -inf"])
+    @pytest.mark.parametrize("setting", ["mmd = nan", "mmd = 1e400", "manifold = -inf"])
     def test_non_finite_setting_stops_before_any_csv(self, tmp_path, pair_files, monkeypatch,
                                                      capsys, setting):
         spec = spec_file(tmp_path, pair_files, tmp_path / "report")
@@ -150,8 +150,15 @@ class TestRun:
         (b"[experiment]\npairs = a.csv :: b.csv\n[forrest]\ntrees = 3\n", "[forrest] trees"),
         (b"[DEFAULT]\ntress = 3\n[experiment]\npairs = a.csv :: b.csv\n", "[DEFAULT] tress"),
         (b"[experiment]\npairs = a.csv :: b.csv\ntrees = 3\n", "[experiment] trees"),
+        (b"[experiment]\npairs = a.csv :: b.csv\n[adapt]\nridge = 0.001\n",
+         "key [adapt] ridge was removed"),
+        (b"[experiment]\npairs = a.csv :: b.csv\n[adapt]\nalpha_mode = inverse\n",
+         "key [adapt] alpha_mode was removed"),
+        (b"[DEFAULT]\nalpha_mode = literal\n[experiment]\npairs = a.csv :: b.csv\n",
+         "key [DEFAULT] alpha_mode was removed"),
     ], ids=["ill-typed value", "no section header", "not utf-8", "unknown key",
-            "unknown section", "unknown default key", "key of another section"])
+            "unknown section", "unknown default key", "key of another section",
+            "removed ridge key", "removed alpha_mode key", "removed default key"])
     def test_bad_config_file_is_data_error(self, tmp_path, pair_files, content, named,
                                            capsys):
         path = tmp_path / "bad.ini"
@@ -354,6 +361,18 @@ class TestStats:
         for text in ("{}", "[]"):
             path.write_text(text, encoding="utf-8")
             assert main(["stats", "--report", str(path)]) == EXIT_DATA
+
+    def test_report_with_byte_order_mark_read(self, tmp_path, pair_files, capsys):
+        spec = spec_file(tmp_path, pair_files, tmp_path / "report")
+        assert main(["run", "--spec", str(spec)]) == EXIT_OK
+        capsys.readouterr()
+        report = tmp_path / "report.json"
+        assert main(["stats", "--report", str(report)]) == EXIT_OK
+        plain = capsys.readouterr().out
+        marked = tmp_path / "marked.json"
+        marked.write_text(report.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        assert main(["stats", "--report", str(marked)]) == EXIT_OK
+        assert capsys.readouterr().out == plain
 
     @pytest.mark.parametrize("body, named", [
         ({"pairs": []}, "lacks key 'spec'"),

@@ -1,4 +1,4 @@
-"""Default paths run on numpy alone: no scipy module is ever loaded.
+"""The runtime runs on numpy alone: no scipy module is ever loaded.
 
 The checks run in a fresh interpreter, because the test process itself has
 scipy loaded (the tests use it as an oracle).
@@ -49,7 +49,7 @@ src = binned(src, schema)
 tgt = binned(tgt, schema)
 
 cfg = TransferConfig(min_leaf_small=5)
-assert cfg.kernel == "rbf" and cfg.alpha_mode == "literal"
+assert cfg.kernel == "rbf"
 tgt_train, test = split_target(tgt, SplitSpec(0.2, 0))
 model = run_transfer(src, tgt_train, cfg)
 assert not model.fallback, model.diagnostics
@@ -76,34 +76,8 @@ assert cli.main(["stats", "--report", str(json_path)]) == 0
 print(json.dumps(scipy_modules()))
 """
 
-INVERSE_MODE = PRELUDE + r"""
-import json
-
-import numpy as np
-
-from leafbridge.adaptation import compute_alpha
-
-before = scipy_modules()
-rng = np.random.default_rng(0)
-z = 6
-K = rng.normal(size=(z, z))
-K = K @ K.T
-M = np.eye(z) - 1.0 / z
-Lap = np.eye(z)
-alpha, _ = compute_alpha(K, M, Lap, ridge=1.0, mmd=0.5, manifold=0.1, mode="inverse")
-A = np.eye(z) + (0.5 * M + 0.1 * Lap) @ K
-assert np.linalg.norm(A @ alpha - np.eye(z)) <= 1e-9, alpha
-print(json.dumps([before, "scipy.linalg" in sys.modules]))
-"""
-
-
 def test_default_paths_load_no_scipy(tmp_path):
     lines = run_fresh(DEFAULT_PATHS, tmp_path)
     assert any(line.startswith("Nemenyi critical difference") for line in lines), lines
     assert json.loads(lines[-1]) == []
 
-
-def test_inverse_mode_loads_scipy_linalg_and_solves():
-    before, loaded = json.loads(run_fresh(INVERSE_MODE)[-1])
-    assert before == []
-    assert loaded

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -611,6 +612,16 @@ class TestRepairMissing:
         ds = numeric_dataset([[np.nan, 1.0], [np.nan, 2.0]], [0, 0])
         with pytest.raises(DataError):
             repair_missing(ds, "impute")
+
+    @pytest.mark.parametrize("observed, mean", [((np.inf, -np.inf), "nan"),
+                                                ((1e308, 1e308), "inf")])
+    def test_impute_non_finite_mean_names_the_attribute(self, observed, mean):
+        ds = numeric_dataset([[1.0, observed[0]], [2.0, observed[1]], [3.0, np.nan]], [0] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning escapes the mean
+            with pytest.raises(DataError, match=f"attribute 'f1': the mean of its observed "
+                                                f"cells is {mean}, cannot impute"):
+                repair_missing(ds, "impute")
 
 
 class TestInjectMissing:

@@ -798,8 +798,7 @@ SOUND_VALUES = {"pairs": "s.csv :: t.csv", "label_column": "label", "split_fract
                 "seed": "4", "repeats": "2", "methods": "tlf", "missing_mode": "impute",
                 "inject_ratios": "0.1", "output": "report", "trees": "3", "min_leaf_small": "5",
                 "min_leaf_large": "40", "large_threshold": "5000", "divergence_threshold": "0.2",
-                "ridge": "0.5", "mmd": "2", "manifold": "0.25", "kernel": "linear",
-                "alpha_mode": "inverse", "tress": "3", "depth": "3"}
+                "mmd": "2", "manifold": "0.25", "kernel": "linear", "tress": "3", "depth": "3"}
 
 
 @st.composite
@@ -857,11 +856,9 @@ large_threshold = 5000
 divergence_threshold = 0.2
 
 [adapt]
-ridge = 0.5
 mmd = 2.0
 manifold = 0.25
 kernel = linear
-alpha_mode = inverse
 """
         path = tmp_path / "spec.ini"
         path.write_text(text, encoding="utf-8")
@@ -876,8 +873,8 @@ alpha_mode = inverse
         assert cfg.n_trees == 7
         assert cfg.min_leaf_small == 4
         assert cfg.pivot_threshold == 0.2
-        assert cfg.ridge == 0.5 and cfg.mmd == 2.0 and cfg.manifold == 0.25
-        assert cfg.kernel == "linear" and cfg.alpha_mode == "inverse"
+        assert cfg.mmd == 2.0 and cfg.manifold == 0.25
+        assert cfg.kernel == "linear"
         assert cfg.seed == 5
 
     def test_byte_order_mark_skipped(self, tmp_path):
@@ -933,4 +930,4 @@ alpha_mode = inverse
             else:
                 cfg = parsed
             assert isinstance(cfg, TransferConfig)
-            assert all(np.isfinite([cfg.pivot_threshold, cfg.ridge, cfg.mmd, cfg.manifold]))
+            assert all(np.isfinite([cfg.pivot_threshold, cfg.mmd, cfg.manifold]))

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 import warnings
 from dataclasses import asdict, fields, replace
@@ -56,8 +57,7 @@ def adapted_projection(src, tgt, cfg, held):
                                                                collect_leaves(forest)))[0])
     pivots = pivot.match_pivots(*bundles, cfg.pivot_threshold)
     stacked = adaptation.stack_pivots(pivots, *bundles)
-    return adaptation.adapt(stacked, cfg.ridge, cfg.mmd, cfg.manifold,
-                            kernel_kind=cfg.kernel, alpha_mode=cfg.alpha_mode)[2]
+    return adaptation.adapt(stacked, cfg.mmd, cfg.manifold, kernel_kind=cfg.kernel)[1]
 
 
 def pivot_set_with_source_rows(rows):
@@ -385,16 +385,15 @@ class TestRunTransfer:
         assert adapted_projection(src, tgt_train, cfg, held).matrix.shape == (10, 10)
 
     def test_diagnostics_state_each_fact_once(self):
-        # z is 2 * n_pivots and is stated nowhere; the adaptation adds mu and
-        # its solve residual, null in literal mode
+        # z is 2 * n_pivots and is stated nowhere; the adaptation adds mu
         src, tgt = rotated_pair(n_source=300, n_target=300, center_spread=2.0,
                                 cluster_std=2.0, seed=4)
         model = run_transfer(src, tgt, TransferConfig(min_leaf_small=5, seed=4))
         assert not model.fallback
         diagnostics = model.diagnostics
         assert list(diagnostics) == ["n_pivots", "divergences", "shared_classes", "mu",
-                                     "n_selected", "n_dropped_labels", "solve_residual"]
-        assert diagnostics["n_pivots"] >= 1 and diagnostics["solve_residual"] is None
+                                     "n_selected", "n_dropped_labels"]
+        assert diagnostics["n_pivots"] >= 1
 
     def test_merge_size_invariant(self, monkeypatch):
         trained = []
@@ -779,15 +778,22 @@ class TestModelSerialization:
         again = TransferModel.load(path)
         assert json.dumps(again.to_dict()) == json.dumps(doc)
         assert again.predict_many(test).tobytes() == model.predict_many(test).tobytes()
-        # earlier format-3 files also hold the projection, after the forest;
-        # nothing reads it
+        # earlier format-3 files also hold the projection, after the forest,
+        # the config fields ridge and alpha_mode, which are dropped, and a
+        # null solve residual, which stays among the opaque diagnostics
         items = list(doc.items())
         items.insert(5, ("projection", adapted_projection(src, tgt_train, cfg,
                                                           held).matrix.tolist()))
         doc = dict(items)
+        config = list(doc["config"].items())
+        config.insert(5, ("ridge", 0.001))
+        config.insert(9, ("alpha_mode", "literal"))
+        doc["config"] = dict(config)
+        doc["diagnostics"]["solve_residual"] = None
         path.write_text(json.dumps(doc), encoding="utf-8")
         old = TransferModel.load(path)
-        assert json.dumps(old.to_dict()) == json.dumps(again.to_dict())
+        assert json.dumps(old.to_dict()) == json.dumps(dict(again.to_dict(),
+                                                            diagnostics=doc["diagnostics"]))
         assert old.predict_many(test).tobytes() == model.predict_many(test).tobytes()
         # and the solve residual inside an adaptation block of spectra;
         # diagnostics are read as an opaque dict
@@ -846,6 +852,19 @@ class TestModelSerialization:
         with pytest.raises(DataError, match="lacks key"):
             TransferModel.load(path)
 
+    def test_byte_order_mark_read(self, tmp_path):
+        path, doc = self.saved_document(tmp_path)
+        plain = TransferModel.load(path)
+        path.write_text(json.dumps(doc), encoding="utf-8-sig")
+        marked = TransferModel.load(path)
+        assert json.dumps(marked.to_dict()) == json.dumps(plain.to_dict())
+
+    def test_truncated_file_is_data_error_naming_it(self, tmp_path):
+        path, _ = self.saved_document(tmp_path)
+        path.write_bytes(path.read_bytes()[:-40])
+        with pytest.raises(DataError, match=f"{re.escape(str(path))} is not UTF-8 JSON text"):
+            TransferModel.load(path)
+
     @pytest.mark.parametrize("where, key, value", [
         ((), "forest", []),
         (("forest",), "trees", 5),
@@ -865,7 +884,7 @@ class TestModelSerialization:
         (("config",), "n_trees", 1.5),
         (("config",), "seed", "x"),
         (("config",), "seed", True),
-        (("config",), "ridge", False),
+        (("config",), "manifold", False),
         (("config",), "kernel", 1),
     ])
     def test_ill_typed_key(self, tmp_path, where, key, value):
@@ -892,7 +911,7 @@ class TestModelSerialization:
         assert again.fallback
         assert json.dumps(again.to_dict()) == json.dumps(model.to_dict())
 
-    @pytest.mark.parametrize("field", ["ridge", "mmd", "manifold", "pivot_threshold"])
+    @pytest.mark.parametrize("field", ["mmd", "manifold", "pivot_threshold"])
     def test_non_finite_config_is_data_error(self, tmp_path, field):
         path, doc = self.saved_document(tmp_path)
         doc["config"][field] = float("nan")
@@ -903,10 +922,10 @@ class TestModelSerialization:
 
     def test_config_int_for_a_float_field_accepted(self, tmp_path):
         path, doc = self.saved_document(tmp_path)
-        doc["config"].update(ridge=1, manifold=0)
+        doc["config"].update(mmd=1, manifold=0)
         path.write_text(json.dumps(doc), encoding="utf-8")
         config = TransferModel.load(path).config
-        assert (config.ridge, config.manifold) == (1.0, 0.0)
+        assert (config.mmd, config.manifold) == (1.0, 0.0)
 
     def test_config_keys_are_the_dataclass_fields(self, tmp_path):
         src, tgt = rotated_pair(n_source=200, n_target=200, center_spread=2.0,
@@ -919,9 +938,8 @@ class TestModelSerialization:
 
     def test_non_default_config_round_trips(self, tmp_path):
         cfg = TransferConfig(n_trees=3, min_leaf_small=4, min_leaf_large=30,
-                             large_threshold=5000, pivot_threshold=0.25, ridge=0.5,
-                             mmd=2.0, manifold=0.125, kernel="linear",
-                             alpha_mode="inverse", seed=11)
+                             large_threshold=5000, pivot_threshold=0.25,
+                             mmd=2.0, manifold=0.125, kernel="linear", seed=11)
         assert all(getattr(cfg, f.name) != f.default for f in fields(TransferConfig))
         tgt = numeric_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1], domain_tag="target")
         model = TransferModel(
@@ -943,7 +961,6 @@ class TestConfig:
         assert cfg.min_leaf_large == 50
         assert cfg.large_threshold == 10000
         assert cfg.pivot_threshold == 0.1
-        assert cfg.ridge == 0.001
         assert cfg.mmd == 5.0
         assert cfg.manifold == 0.01
 
@@ -959,14 +976,14 @@ class TestConfig:
         with pytest.raises(DataError):
             TransferConfig(pivot_threshold=1.5)
         with pytest.raises(DataError):
-            TransferConfig(ridge=-0.1)
+            TransferConfig(mmd=-0.1)
 
     @pytest.mark.parametrize("field, value, rule", [
-        ("ridge", float("nan"), "a finite int or float"),
+        ("mmd", float("nan"), "a finite int or float"),
         ("mmd", float("inf"), "a finite int or float"),
         ("manifold", -float("inf"), "a finite int or float"),
-        ("ridge", 10**400, "a finite int or float"),
-        ("ridge", True, "a finite int or float"),
+        ("manifold", 10**400, "a finite int or float"),
+        ("mmd", True, "a finite int or float"),
         ("pivot_threshold", "0.1", "a finite int or float"),
         ("n_trees", 2.5, "of type int"),
         ("n_trees", 2.0, "of type int"),
@@ -985,10 +1002,10 @@ class TestConfig:
         assert TransferConfig(seed=0).seed == 0
 
     def test_int_and_float_subclass_values_accepted(self):
-        cfg = TransferConfig(ridge=1, mmd=np.float64(2.5), pivot_threshold=0.25)
-        assert (cfg.ridge, cfg.mmd) == (1, 2.5)
+        cfg = TransferConfig(manifold=1, mmd=np.float64(2.5), pivot_threshold=0.25)
+        assert (cfg.manifold, cfg.mmd) == (1, 2.5)
         assert json.dumps(asdict(cfg)) == json.dumps(
-            asdict(TransferConfig(ridge=1, mmd=2.5, pivot_threshold=0.25)))
+            asdict(TransferConfig(manifold=1, mmd=2.5, pivot_threshold=0.25)))
 
 
 class TestMerge:
