@@ -1,4 +1,4 @@
-"""The projection: kernel, adaptive MMD, auto-k Laplacian, alpha.
+"""The projection: kernel, adaptive MMD, auto-k Laplacian, projection.
 
 Run from the repository root:  python demos/04_adaptation.py
 """
@@ -11,7 +11,6 @@ from leafbridge import (
     build_mmd_matrix,
     build_projection,
     collect_leaves,
-    compute_alpha,
     compute_mu,
     dedup,
     extract_distributions,
@@ -63,9 +62,9 @@ for name, mat in (("kernel K", K), ("MMD matrix M", M), ("Laplacian", Lap)):
     eig = np.linalg.eigvalsh(mat)
     print(f"  {name:<13} [{eig[0]: .3e}, {eig[-1]: .3e}]")
 
-# alpha combines the MMD and manifold terms with the kernel:
-# alpha = (mmd * M + manifold * Lap) @ K, and P = Gs^T alpha Gt.
-alpha = compute_alpha(K, M, Lap, mmd=5.0, manifold=0.01)
-projection = build_projection(sp, alpha)
+# The projection combines the MMD and manifold terms with the kernel. With
+# n = sp.n_pivots, Ws the source block rows[:n, :ds] and Wt the target block
+# rows[n:, ds:]: P = Ws^T (mmd * M + manifold * Lap)[:n] K[:, n:] Wt.
+projection = build_projection(sp, K, M, Lap, mmd=5.0, manifold=0.01)
 print(f"\nprojection matrix: {projection.matrix.shape}, "
       f"|P|_F = {np.linalg.norm(projection.matrix):.3f}")

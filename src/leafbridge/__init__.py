@@ -14,7 +14,6 @@ from .adaptation import (
     build_laplacian,
     build_mmd_matrix,
     build_projection,
-    compute_alpha,
     compute_mu,
     laplacian_from_affinity,
     stack_pivots,

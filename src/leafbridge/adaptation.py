@@ -7,9 +7,12 @@ columns, target rows the last dt, and the remainder is zero-padded. On that
 stack we build a kernel K, a joint MMD matrix M mixing marginal and
 per-class conditional terms through an adaptive factor mu, and a normalized
 graph Laplacian over a nearest-neighbor affinity graph whose k is sized
-per row (see `build_laplacian`). The coefficient matrix alpha combines them
-with the MMD and manifold weights, and the projection P = Gs^T alpha Gt
-maps encoded source records into the target feature space.
+per row (see `build_laplacian`). With n = n_pivots, Ws the source block
+rows[:n, :ds] and Wt the target block rows[n:, ds:], the projection
+P = Ws^T (mmd * M + manifold * Lap)[:n] K[:, n:] Wt maps encoded source
+records into the target feature space. Its products, and the Gram
+matrices of K and of the graph, are summed by einsum, not BLAS, so they
+do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -57,16 +60,6 @@ class StackedPivots:
     def n_pivots(self) -> int:
         return self.z // 2
 
-    @property
-    def g_source(self) -> np.ndarray:
-        """[z, ds] transform: pivot source centroids on top, zeros below."""
-        return self.rows[:, : self.d_source]
-
-    @property
-    def g_target(self) -> np.ndarray:
-        """[z, dt] transform: zeros on top, pivot target centroids below."""
-        return self.rows[:, self.d_source :]
-
 
 def stack_pivots(pivots: PivotSet, src: DistributionBundle,
                  tgt: DistributionBundle) -> StackedPivots:
@@ -107,7 +100,7 @@ def build_kernel(pivots: StackedPivots, kind: str) -> np.ndarray:
     """
     rows = pivots.rows
     if kind == "linear":
-        return rows @ rows.T
+        return _gram(rows)
     if kind == "rbf":
         z = rows.shape[0]
         sq_sum = np.zeros((z, z))
@@ -192,13 +185,17 @@ def build_mmd_matrix(pivots: StackedPivots, mu: float) -> np.ndarray:
     return (1.0 - mu) * m0 + mu * mc_sum
 
 
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """rows @ rows.T summed by einsum, not BLAS: the same bytes at any BLAS
+    thread count, and exactly symmetric, as entries (i, j) and (j, i) sum
+    the same products in the same order (build_laplacian's B relies on it)."""
+    return np.einsum("ik,jk->ij", rows, rows, optimize=False)
+
+
 def _cosine_matrix(rows: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(rows, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
-    unit = rows / safe[:, None]
-    # numpy evaluates a @ a.T as a symmetric product (one triangle, mirrored),
-    # so cos is exactly symmetric, which build_laplacian's B relies on
-    cos = unit @ unit.T
+    cos = _gram(rows / safe[:, None])
     cos[norms == 0, :] = 0.0
     cos[:, norms == 0] = 0.0
     return cos
@@ -240,21 +237,6 @@ def build_laplacian(pivots: StackedPivots) -> tuple[np.ndarray, np.ndarray]:
     return B, laplacian_from_affinity(B)
 
 
-def compute_alpha(K: np.ndarray, M: np.ndarray, Lap: np.ndarray, mmd: float,
-                  manifold: float) -> np.ndarray:
-    """Coefficient matrix alpha = (mmd * M + manifold * Lap) @ K of the
-    combined system."""
-    K = np.asarray(K, dtype=np.float64)
-    z = K.shape[0]
-    for mat, name in ((K, "K"), (M, "M"), (Lap, "Lap")):
-        if np.asarray(mat).shape != (z, z):
-            raise DataError(f"{name} must be {z}x{z}")
-    for coeff, name in ((mmd, "mmd"), (manifold, "manifold")):
-        if coeff < 0:
-            raise DataError(f"{name} coefficient must be >= 0")
-    return (mmd * M + manifold * Lap) @ K
-
-
 @dataclass(frozen=True)
 class ProjectionMatrix:
     """Linear map [d_source, d_target] from encoded source rows to the
@@ -279,12 +261,26 @@ class ProjectionMatrix:
         return self.matrix.shape[1]
 
 
-def build_projection(pivots: StackedPivots, alpha: np.ndarray) -> ProjectionMatrix:
-    """P = Gs^T @ alpha @ Gt over the padded transforms."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != (pivots.z, pivots.z):
-        raise DataError(f"alpha must be {pivots.z}x{pivots.z}, got {alpha.shape}")
-    return ProjectionMatrix(pivots.g_source.T @ alpha @ pivots.g_target)
+def build_projection(pivots: StackedPivots, K: np.ndarray, M: np.ndarray, Lap: np.ndarray,
+                     mmd: float, manifold: float) -> ProjectionMatrix:
+    """P = Ws^T X[:n] K[:, n:] Wt with X = mmd * M + manifold * Lap.
+
+    It equals Gs^T X K Gt over the zero-padded transforms Gs = rows[:, :ds]
+    and Gt = rows[:, ds:], whose padding leaves only these two blocks of X
+    and K. The three einsum steps run left to right and do not use BLAS.
+    """
+    z, n, d_s = pivots.z, pivots.n_pivots, pivots.d_source
+    K, M, Lap = (np.asarray(mat, dtype=np.float64) for mat in (K, M, Lap))
+    for mat, name in ((K, "K"), (M, "M"), (Lap, "Lap")):
+        if mat.shape != (z, z):
+            raise DataError(f"{name} must be {z}x{z}, got {mat.shape}")
+    for coeff, name in ((mmd, "mmd"), (manifold, "manifold")):
+        if coeff < 0:
+            raise DataError(f"{name} coefficient must be >= 0")
+    W_s, W_t = pivots.rows[:n, :d_s], pivots.rows[n:, d_s:]
+    left = np.einsum("ia,ij->aj", W_s, mmd * M[:n] + manifold * Lap[:n], optimize=False)
+    left = np.einsum("aj,jk->ak", left, K[:, n:], optimize=False)
+    return ProjectionMatrix(np.einsum("ak,kb->ab", left, W_t, optimize=False))
 
 
 def adapt(pivots: StackedPivots, mmd: float, manifold: float,
@@ -295,4 +291,4 @@ def adapt(pivots: StackedPivots, mmd: float, manifold: float,
     mu = compute_mu(pivots)
     M = build_mmd_matrix(pivots, mu)
     _, Lap = build_laplacian(pivots)
-    return mu, build_projection(pivots, compute_alpha(K, M, Lap, mmd, manifold))
+    return mu, build_projection(pivots, K, M, Lap, mmd, manifold)

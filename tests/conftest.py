@@ -24,12 +24,13 @@ settings.load_profile("leafbridge")
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_fresh(script, *args):
-    """Lines that `script` prints, run in a fresh interpreter at one BLAS
-    thread with the package sources as sys.argv[1] and args after them; it
-    must exit 0."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+def run_fresh(script, *args, threads=1):
+    """Lines that `script` prints, run in a fresh interpreter at `threads`
+    BLAS and OpenMP threads with the package sources as sys.argv[1] and args
+    after them; it must exit 0."""
+    count = str(threads)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=count, OMP_NUM_THREADS=count,
+               MKL_NUM_THREADS=count)
     env.pop("PYTHONPATH", None)
     result = subprocess.run([sys.executable, "-c", script, SRC, *map(str, args)],
                             capture_output=True, text=True, timeout=300, env=env)
@@ -133,6 +134,26 @@ def auto_knn_from_cos(cos: np.ndarray, labels: np.ndarray, i: int) -> np.ndarray
             break
         neighbors.append(u)
     return np.array(neighbors, dtype=np.int64)
+
+
+def projection_loops(sp, K, M, Lap, mmd, manifold) -> np.ndarray:
+    """Reference for `build_projection`, by scalar loops over the zero-padded
+    transforms Gs = rows[:, :ds] and Gt = rows[:, ds:]: alpha = (mmd * M +
+    manifold * Lap) K, then P[a, b] = sum_ij Gs[i, a] alpha[i, j] Gt[j, b]."""
+    z, d_s = sp.z, sp.d_source
+    gs, gt = sp.rows[:, :d_s], sp.rows[:, d_s:]
+    alpha = np.zeros((z, z))
+    for i in range(z):
+        for j in range(z):
+            for k in range(z):
+                alpha[i, j] += (mmd * M[i, k] + manifold * Lap[i, k]) * K[k, j]
+    expected = np.zeros((d_s, sp.d_target))
+    for a in range(d_s):
+        for b in range(sp.d_target):
+            for i in range(z):
+                for j in range(z):
+                    expected[a, b] += gs[i, a] * alpha[i, j] * gt[j, b]
+    return expected
 
 
 def drawn_matrix(draw, rng, n, d):

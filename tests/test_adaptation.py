@@ -11,7 +11,6 @@ from leafbridge.adaptation import (
     build_laplacian,
     build_mmd_matrix,
     build_projection,
-    compute_alpha,
     compute_mu,
     laplacian_from_affinity,
     mu_from_distances,
@@ -21,7 +20,7 @@ from leafbridge.adaptation import (
 from leafbridge.errors import BandwidthError, DataError
 from leafbridge.pivot import DistributionBundle, match_pivots
 from leafbridge.dataset import NUMERIC, AttributeSchema
-from conftest import auto_knn_from_cos, drawn_rng
+from conftest import auto_knn_from_cos, drawn_rng, projection_loops
 
 
 def stacked(rows, labels, d_source=None, shared=None):
@@ -388,36 +387,28 @@ def test_adaptation_matrices_exactly_symmetric_at_benchmark_sizes(n_pivots, n_cl
     assert_matrices_exactly_symmetric(sp, float(rng.uniform()))
 
 
-class TestAlpha:
-    def test_literal_identity_chain(self):
-        z = 4
-        alpha = compute_alpha(np.eye(z), np.eye(z), np.zeros((z, z)), mmd=1.0, manifold=0.0)
-        np.testing.assert_allclose(alpha, np.eye(z))
+def padded_projection(sp, K, M, Lap, mmd, manifold):
+    """Gs^T (mmd * M + manifold * Lap) K Gt over the zero-padded transforms,
+    the product build_projection reduces to the two pivot blocks."""
+    gs, gt = sp.rows[:, : sp.d_source], sp.rows[:, sp.d_source :]
+    return gs.T @ ((mmd * M + manifold * Lap) @ K) @ gt
 
-    def test_literal_matches_direct_evaluation(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            z = int(rng.integers(2, 12))
-            K = rng.normal(size=(z, z))
-            M = rng.normal(size=(z, z))
-            L = rng.normal(size=(z, z))
-            lam, gam = rng.random(2)
-            got = compute_alpha(K, M, L, lam, gam)
-            np.testing.assert_allclose(got, (lam * M + gam * L) @ K, atol=1e-12)
 
-    def test_negative_coefficient_rejected(self):
-        z = 2
-        with pytest.raises(DataError):
-            compute_alpha(np.eye(z), np.eye(z), np.eye(z), -1.0, 0.0)
+def block_swap(n):
+    """[2n, 2n] matrix whose [:, n:] block is the identity on top: K[:, n:]
+    then picks X[:n, :n] out of X @ K."""
+    return np.roll(np.eye(2 * n), n, axis=1)
 
 
 @settings(max_examples=200)
 @given(sp=drawn_stacks(), mu=st.floats(0.0, 1.0), kind=st.sampled_from(["linear", "rbf"]))
 def test_ridge_term_leaves_the_projection_unchanged_on_drawn_stacks(sp, mu, kind):
     """Oracle for the removed `ridge` coefficient: the earlier alpha,
-    ridge * I + (mmd * M + manifold * Lap) @ K, gives the same projection
+    ridge * I + (mmd * M + manifold * Lap) @ K, gives the same padded product
     byte for byte, because Gs^T @ I @ Gt = 0 on the padded stack (Gs is zero
-    in the target rows and Gt in the source rows)."""
+    in the target rows and Gt in the source rows). build_projection sums the
+    same terms in another order, so it agrees within rounding: each entry
+    within 1e-12 of the same product of absolute values."""
     try:
         K = build_kernel(sp, kind)
     except BandwidthError:  # every stacked row the same
@@ -425,30 +416,69 @@ def test_ridge_term_leaves_the_projection_unchanged_on_drawn_stacks(sp, mu, kind
     M = build_mmd_matrix(sp, mu)
     _, Lap = build_laplacian(sp)
     mmd, manifold = 5.0, 0.01
-    want = build_projection(sp, compute_alpha(K, M, Lap, mmd, manifold)).matrix
+    want = padded_projection(sp, K, M, Lap, mmd, manifold)
+    gs, gt = sp.rows[:, : sp.d_source], sp.rows[:, sp.d_source :]
     for ridge in (0.0, 1e-3, 10.0):
         earlier = ridge * np.eye(sp.z) + (mmd * M + manifold * Lap) @ K
-        assert np.array_equal(build_projection(sp, earlier).matrix, want)
+        assert np.array_equal(gs.T @ earlier @ gt, want)
+    got = build_projection(sp, K, M, Lap, mmd, manifold).matrix
+    bound = np.abs(gs.T) @ ((mmd * np.abs(M) + manifold * np.abs(Lap)) @ np.abs(K)) @ np.abs(gt)
+    assert (np.abs(got - want) <= 1e-12 * bound).all()
+
+
+class TestAlpha:
+    """The coefficient matrix alpha = (mmd * M + manifold * Lap) @ K, of which
+    build_projection reads only the source-row, target-column block."""
+
+    def test_literal_identity_chain(self):
+        # W_s = W_t = I and alpha[:n, n:] = Lap[:n, :n] = I
+        n = 3
+        sp = stacked(np.eye(2 * n), [0] * (2 * n), d_source=n)
+        proj = build_projection(sp, block_swap(n), np.zeros((2 * n, 2 * n)), np.eye(2 * n),
+                                mmd=0.0, manifold=1.0)
+        np.testing.assert_array_equal(proj.matrix, np.eye(n))
+
+    def test_literal_matches_direct_evaluation(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            sp = random_stacked(rng, n_pivots=int(rng.integers(1, 6)), n_classes=2)
+            K, M, L = rng.normal(size=(3, sp.z, sp.z))
+            lam, gam = rng.random(2)
+            got = build_projection(sp, K, M, L, lam, gam).matrix
+            np.testing.assert_allclose(got, padded_projection(sp, K, M, L, lam, gam),
+                                       atol=1e-12)
+
+    def test_negative_coefficient_rejected(self):
+        sp = stacked([[1.0, 0.0], [0.0, 1.0]], [0, 0])
+        for mmd, manifold in ((-1.0, 0.0), (0.0, -1.0)):
+            with pytest.raises(DataError, match="coefficient must be >= 0"):
+                build_projection(sp, np.eye(2), np.eye(2), np.eye(2), mmd, manifold)
 
 
 class TestProjection:
     def test_identity_chain(self):
-        z = 4
-        rows = np.hstack([np.eye(z), np.eye(z)])
-        sp = stacked(rows, [0] * z, d_source=z)
-        proj = build_projection(sp, np.eye(z))
-        np.testing.assert_allclose(proj.matrix, np.eye(z))
+        # alpha[:n, n:] = M[:n, :n] = I, so P = W_s^T W_t
+        rng = np.random.default_rng(11)
+        n = 4
+        sp = random_stacked(rng, n_pivots=n, n_classes=2)
+        proj = build_projection(sp, block_swap(n), np.eye(2 * n), np.zeros((2 * n, 2 * n)),
+                                mmd=1.0, manifold=0.0)
+        W_s, W_t = sp.rows[:n, : sp.d_source], sp.rows[n:, sp.d_source :]
+        np.testing.assert_allclose(proj.matrix, W_s.T @ W_t, atol=1e-12)
 
     def test_zero_alpha(self):
-        z = 4
-        rows = np.hstack([np.eye(z), np.eye(z)])
-        sp = stacked(rows, [0] * z, d_source=z)
-        np.testing.assert_allclose(build_projection(sp, np.zeros((z, z))).matrix, 0.0)
+        rng = np.random.default_rng(13)
+        sp = random_stacked(rng, n_pivots=4, n_classes=2)
+        K, M, L = rng.normal(size=(3, sp.z, sp.z))
+        np.testing.assert_array_equal(build_projection(sp, K, M, L, 0.0, 0.0).matrix, 0.0)
 
     def test_hand_product(self):
+        # P = 2 * (mmd * M[0] + manifold * Lap[0]) . K[:, 1] * 3 = 2 * (2 * 2 + 0.5 * 4) * 3
         sp = stacked([[2.0, 0.0], [0.0, 3.0]], [0, 0], d_source=1)
-        proj = build_projection(sp, np.array([[0.0, 1.0], [0.0, 0.0]]))
-        np.testing.assert_allclose(proj.matrix, [[6.0]])
+        proj = build_projection(sp, np.array([[1.0, 2.0], [3.0, 4.0]]),
+                                np.array([[1.0, 0.0], [0.0, 0.0]]),
+                                np.array([[0.0, 1.0], [0.0, 0.0]]), mmd=2.0, manifold=0.5)
+        np.testing.assert_array_equal(proj.matrix, [[36.0]])
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(14)
@@ -457,23 +487,19 @@ class TestProjection:
             n_p = int(rng.integers(1, 6))
             sp = random_stacked(rng, n_pivots=n_p, n_classes=2,
                                 d_source=d_s, d_target=d_t)
-            alpha = rng.normal(size=(sp.z, sp.z))
-            got = build_projection(sp, alpha).matrix
-            gs, gt = sp.g_source, sp.g_target
-            expected = np.zeros((d_s, d_t))
-            for a in range(d_s):
-                for b in range(d_t):
-                    acc = 0.0
-                    for i in range(sp.z):
-                        for j in range(sp.z):
-                            acc += gs[i, a] * alpha[i, j] * gt[j, b]
-                    expected[a, b] = acc
+            K, M, L = rng.normal(size=(3, sp.z, sp.z))
+            mmd, manifold = rng.random(2)
+            got = build_projection(sp, K, M, L, mmd, manifold).matrix
+            expected = projection_loops(sp, K, M, L, mmd, manifold)
             np.testing.assert_allclose(got, expected, atol=1e-9)
 
     def test_dimension_mismatch(self):
         sp = stacked([[1.0, 0.0], [0.0, 1.0]], [0, 0])
-        with pytest.raises(DataError):
-            build_projection(sp, np.eye(3))
+        for wrong in range(3):
+            mats = [np.eye(2)] * 3
+            mats[wrong] = np.eye(3)
+            with pytest.raises(DataError, match="must be 2x2"):
+                build_projection(sp, *mats, 1.0, 1.0)
 
 
 class TestStacking:
@@ -481,7 +507,7 @@ class TestStacking:
         sp = StackedPivots([[1.0, 0.0], [0.0, 1.0]], [0, 0], 1, 1, ("a",))
         assert sp.z == 2
         assert sp.rows.dtype == np.float64 and sp.labels.dtype == np.int64
-        np.testing.assert_array_equal(sp.g_source, [[1.0], [0.0]])
+        np.testing.assert_array_equal(sp.rows[:, :1], [[1.0], [0.0]])
 
     def test_whole_float_labels_stored_as_integers(self):
         sp = StackedPivots(np.eye(2), np.array([1.0, 0.0]), 1, 1, ("a", "b"))
@@ -508,10 +534,11 @@ class TestStacking:
         sp = stack_pivots(pivots, src, tgt)
         n = pivots.n_pivots
         assert sp.z == 2 * n
-        np.testing.assert_array_equal(sp.g_source[:n], Ws[[i for i, _, _ in pivots.pairs]])
-        np.testing.assert_allclose(sp.g_source[n:], 0.0)
-        np.testing.assert_array_equal(sp.g_target[n:], Wt[[k for _, k, _ in pivots.pairs]])
-        np.testing.assert_allclose(sp.g_target[:n], 0.0)
+        d_s = sp.d_source
+        np.testing.assert_array_equal(sp.rows[:n, :d_s], Ws[[i for i, _, _ in pivots.pairs]])
+        np.testing.assert_allclose(sp.rows[n:, :d_s], 0.0)
+        np.testing.assert_array_equal(sp.rows[n:, d_s:], Wt[[k for _, k, _ in pivots.pairs]])
+        np.testing.assert_allclose(sp.rows[:n, d_s:], 0.0)
 
     def test_labels_restricted_to_shared_classes(self):
         # source majority label "only_src" is outside the shared set; the

@@ -11,14 +11,16 @@ import leafbridge
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 #: Wrapped names that no longer exist: the experiment runner reaches the
-#: forest and the encoders through `leafbridge.transfer`, and the adaptation
-#: stage no longer takes the spectra of its matrices.
+#: forest and the encoders through `leafbridge.transfer`, the adaptation
+#: stage no longer takes the spectra of its matrices, and `build_projection`
+#: forms the coefficient blocks itself.
 STALE = {
     "leafbridge.experiment.train_forest",
     "leafbridge.experiment.predict_many",
     "leafbridge.experiment.one_hot_encode",
     "leafbridge.experiment.encode_records",
     "leafbridge.adaptation.AdaptationState.diagnostics",
+    "leafbridge.adaptation.compute_alpha",
 }
 
 
