@@ -12,7 +12,10 @@ rows[:n, :ds] and Wt the target block rows[n:, ds:], the projection
 P = Ws^T (mmd * M + manifold * Lap)[:n] K[:, n:] Wt maps encoded source
 records into the target feature space. Its products, and the Gram
 matrices of K and of the graph, are summed by einsum, not BLAS, so they
-do not depend on the BLAS thread count.
+do not depend on the BLAS library, its kernel or its thread count; the rbf
+kernel's np.exp still follows numpy's own choice of SIMD loop. Source and
+target rows share no non-zero column, so under the linear kernel
+Lap[:n, n:] and K[:n, n:] are zero and the manifold term drops out of P.
 """
 
 from __future__ import annotations

@@ -55,12 +55,6 @@ logger = logging.getLogger("leafbridge")
 #: Version of the saved model document (`TransferModel.to_dict`).
 FORMAT_VERSION = 3
 
-#: Multiply-adds up to which OpenBLAS, the BLAS numpy ships with, multiplies
-#: two matrices with its small-matrix kernel (m·n·k at most 100³). That kernel
-#: rounds differently from the one for larger products, and each computes a
-#: row of a row-major product the same however many rows it is given.
-SMALL_PRODUCT = 100 ** 3
-
 #: Config fields that earlier models saved and that no longer exist: `ridge`
 #: never changed the projection of the literal alpha, and `alpha_mode`
 #: chose between that alpha and one no longer offered.
@@ -240,8 +234,11 @@ def project_records(ds: Dataset, projection: ProjectionMatrix,
     """Multiply encoded source records by the projection matrix.
 
     Labels are carried over by class name; records whose label does not
-    exist in the target class set are dropped (counted in the log). Returns
-    None when every record is dropped.
+    exist in the target class set are dropped (counted in the log at INFO;
+    the paper's partly shared label sets drop some on every fit). Returns
+    None when every record is dropped. The product is one einsum sum, not
+    BLAS, written into a new column-major array, so its bytes do not depend
+    on the BLAS library, its kernel or its thread count.
     """
     if ds.d != projection.d_source:
         raise DataError(
@@ -253,38 +250,19 @@ def project_records(ds: Dataset, projection: ProjectionMatrix,
     keep = new_labels >= 0
     dropped = int((~keep).sum())
     if dropped:
-        logger.warning("project_records dropped %d records with non-shared labels", dropped)
+        logger.info("project_records dropped %d records with non-shared labels", dropped)
     if not keep.any():
         return None
     records = ds.records
     if dropped:
         rows = np.flatnonzero(keep)
         records, new_labels = gather_rows(records, rows), new_labels[rows]
+    projected = np.einsum("ij,jk->ik", records, projection.matrix, optimize=False,
+                          out=np.empty((len(records), projection.d_target), order="F"))
     return Dataset(
-        tuple(target_schema), read_only(_product(records, projection.matrix)),
+        tuple(target_schema), read_only(projected),
         read_only(new_labels), tuple(target_class_names), "target",
     )
-
-
-def _product(records: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """records @ matrix as a new column-major array, equal byte for byte to
-    np.ascontiguousarray(records) @ matrix at one BLAS thread.
-
-    Row blocks of the column-major records are copied row-major and
-    multiplied one by one, so a temporary holds a block, not the product.
-    A product of at most SMALL_PRODUCT multiply-adds is one block; above
-    that each block holds between one and two times SMALL_PRODUCT, so the
-    BLAS multiplies every block with the kernel the whole product takes.
-    """
-    n, (d_in, d_out) = records.shape[0], matrix.shape
-    out = np.empty((n, d_out), order="F")
-    step = n if n * d_in * d_out <= SMALL_PRODUCT else SMALL_PRODUCT // (d_in * d_out) + 1
-    lo = 0
-    while lo < n:
-        hi = n if n - lo < 2 * step else lo + step
-        out[lo:hi] = np.ascontiguousarray(records[lo:hi]) @ matrix
-        lo = hi
-    return out
 
 
 def merge_datasets(projected: Dataset, target: Dataset) -> Dataset:

@@ -24,16 +24,22 @@ settings.load_profile("leafbridge")
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_fresh(script, *args, threads=1):
+def run_fresh(script, *args, threads=1, env=None):
     """Lines that `script` prints, run in a fresh interpreter at `threads`
     BLAS and OpenMP threads with the package sources as sys.argv[1] and args
-    after them; it must exit 0."""
+    after them; it must exit 0. `env` sets further variables of that child
+    only, and a variable it maps to None is unset there."""
     count = str(threads)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=count, OMP_NUM_THREADS=count,
-               MKL_NUM_THREADS=count)
-    env.pop("PYTHONPATH", None)
+    child = dict(os.environ, OPENBLAS_NUM_THREADS=count, OMP_NUM_THREADS=count,
+                 MKL_NUM_THREADS=count)
+    child.pop("PYTHONPATH", None)
+    for name, value in (env or {}).items():
+        if value is None:
+            child.pop(name, None)
+        else:
+            child[name] = value
     result = subprocess.run([sys.executable, "-c", script, SRC, *map(str, args)],
-                            capture_output=True, text=True, timeout=300, env=env)
+                            capture_output=True, text=True, timeout=300, env=child)
     assert result.returncode == 0, result.stderr
     return result.stdout.strip().splitlines()
 

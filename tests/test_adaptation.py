@@ -426,6 +426,27 @@ def test_ridge_term_leaves_the_projection_unchanged_on_drawn_stacks(sp, mu, kind
     assert (np.abs(got - want) <= 1e-12 * bound).all()
 
 
+@settings(max_examples=200)
+@given(sp=drawn_stacks(), mu=st.floats(0.0, 1.0))
+def test_linear_kernel_drops_the_manifold_term_on_drawn_stacks(sp, mu):
+    """On the zero-padded stack a source row and a target row share no
+    non-zero column, so their cosine and their inner product are exactly 0:
+    the graph links no source row to a target row (Lap[:n, n:] = 0) and the
+    linear K[:n, n:] = 0. So Lap[:n] @ K[:, n:] = 0, and under the linear
+    kernel the projection does not depend on `manifold` (up to the sign of
+    a zero)."""
+    n = sp.n_pivots
+    K = build_kernel(sp, "linear")
+    M = build_mmd_matrix(sp, mu)
+    B, Lap = build_laplacian(sp)
+    assert (_cosine_matrix(sp.rows)[:n, n:] == 0).all()
+    assert (B[:n, n:] == 0).all() and (Lap[:n, n:] == 0).all()
+    assert (K[:n, n:] == 0).all()
+    want = build_projection(sp, K, M, Lap, 5.0, 0.0).matrix
+    for manifold in (0.01, 100.0):
+        assert np.array_equal(build_projection(sp, K, M, Lap, 5.0, manifold).matrix, want)
+
+
 class TestAlpha:
     """The coefficient matrix alpha = (mmd * M + manifold * Lap) @ K, of which
     build_projection reads only the source-row, target-column block."""

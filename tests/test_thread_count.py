@@ -1,7 +1,6 @@
 """Saved models, projections and reports do not depend on the BLAS thread
-count: the adaptation stage sums its products with einsum, not BLAS, and
-`transfer._product` multiplies in blocks that keep the whole product's
-rounding.
+count: the adaptation stage and `project_records` sum their products with
+einsum, not BLAS.
 
 Each case runs in fresh interpreters at 1 and at 2 BLAS and OpenMP threads
 (the count is read when numpy loads) and compares the bytes they hash.
@@ -23,11 +22,11 @@ sys.path.insert(0, sys.argv[1])
 
 import numpy as np
 
-from leafbridge import adaptation, transfer
+from leafbridge import adaptation
 from leafbridge.dataset import SplitSpec, split_target, write_csv
 from leafbridge.experiment import ExperimentSpec, PairSpec, run_experiment
-from leafbridge.synthetic import rotated_pair
-from leafbridge.transfer import TransferConfig, run_transfer
+from leafbridge.synthetic import gaussian_blobs, rotated_pair
+from leafbridge.transfer import TransferConfig, project_records, run_transfer
 
 root = Path(sys.argv[2])
 digests = {}
@@ -66,8 +65,10 @@ json_path, _ = run_experiment(spec, TransferConfig(seed=1)).write(root / "report
 digests["report"] = digest(json_path.read_bytes())
 
 rng = np.random.default_rng(0)
-records = np.asfortranarray(rng.normal(size=(12_000, 40)))
-digests["product"] = digest(transfer._product(records, rng.normal(size=(40, 40))).tobytes())
+records = gaussian_blobs(12_000, n_features=40, seed=0, domain_tag="source")
+projection = adaptation.ProjectionMatrix(rng.normal(size=(40, 40)))
+projected = project_records(records, projection, records.schema, records.class_names)
+digests["product"] = digest(projected.records.tobytes())
 print(json.dumps(digests))
 """
 
