@@ -24,14 +24,13 @@ settings.load_profile("leafbridge")
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_fresh(script, *args, threads=1, env=None):
-    """Lines that `script` prints, run in a fresh interpreter at `threads`
-    BLAS and OpenMP threads with the package sources as sys.argv[1] and args
-    after them; it must exit 0. `env` sets further variables of that child
-    only, and a variable it maps to None is unset there."""
-    count = str(threads)
-    child = dict(os.environ, OPENBLAS_NUM_THREADS=count, OMP_NUM_THREADS=count,
-                 MKL_NUM_THREADS=count)
+def run_fresh(script, *args, env=None):
+    """Lines that `script` prints, run in a fresh interpreter with the
+    package sources as sys.argv[1] and args after them; it must exit 0. The
+    child runs at 1 BLAS and OpenMP thread; `env` sets further variables of
+    that child only, over those, and a variable it maps to None is unset."""
+    child = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                 MKL_NUM_THREADS="1")
     child.pop("PYTHONPATH", None)
     for name, value in (env or {}).items():
         if value is None:

@@ -129,7 +129,7 @@ def test_c3_laplacian_invariants():
     )
 
 
-def test_c4_solver_contract():
+def test_c4_coefficient_matrix():
     start = time.perf_counter()
     rng = np.random.default_rng(104)
     worst = 0.0

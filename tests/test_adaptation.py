@@ -447,11 +447,12 @@ def test_linear_kernel_drops_the_manifold_term_on_drawn_stacks(sp, mu):
         assert np.array_equal(build_projection(sp, K, M, Lap, 5.0, manifold).matrix, want)
 
 
-class TestAlpha:
-    """The coefficient matrix alpha = (mmd * M + manifold * Lap) @ K, of which
-    build_projection reads only the source-row, target-column block."""
+class TestCoefficientMatrix:
+    """build_projection through the coefficient matrix alpha = (mmd * M +
+    manifold * Lap) @ K, of which it forms only the source-row,
+    target-column block."""
 
-    def test_literal_identity_chain(self):
+    def test_identity_chain(self):
         # W_s = W_t = I and alpha[:n, n:] = Lap[:n, :n] = I
         n = 3
         sp = stacked(np.eye(2 * n), [0] * (2 * n), d_source=n)
@@ -459,7 +460,7 @@ class TestAlpha:
                                 mmd=0.0, manifold=1.0)
         np.testing.assert_array_equal(proj.matrix, np.eye(n))
 
-    def test_literal_matches_direct_evaluation(self):
+    def test_matches_direct_evaluation(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
             sp = random_stacked(rng, n_pivots=int(rng.integers(1, 6)), n_classes=2)
