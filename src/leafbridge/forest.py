@@ -19,15 +19,18 @@ the trees, in one CSR table per forest (`LeafTable`), and are not saved.
 
 Numeric split search is presorted. train_forest sorts every column once per
 call (`_presort`): the order of the records by value and its inverse, the
-rank of each record, both int32 (d, n) tables. A node sorts the integer
-ranks of its records for each sampled attribute, which orders the node's
-values without a float sort, and scores every boundary of every sampled
-attribute in class-major passes over cumulative sums of the integer
-bootstrap multiplicities, one pass per block of attributes of at most
-SPLIT_BLOCK_ELEMENTS cells. The chosen split, leaf numbering and
-random draws are those of scoring each attribute on its own with a stable
-float sort and growing the tree recursively; tests/test_forest.py keeps that
-search and that builder as the oracle.
+rank of each record as a flat position in the order table, both int32 (d, n)
+tables. A node sorts the integer ranks of its records for each sampled
+attribute, which orders the node's values without a float sort, and scores
+every boundary of every sampled attribute in class-major passes over
+cumulative sums of the integer bootstrap multiplicities, one pass per block
+of attributes of at most SPLIT_BLOCK_ELEMENTS cells. A block makes 18 numpy
+function and method calls, none through numpy's Python wrappers, and 17
+array operations, so a small node spends little on call overhead. The
+chosen split, leaf numbering and random draws are those of scoring each
+attribute on its own with a stable float sort and growing the tree
+recursively; tests/test_forest.py keeps that search and that builder as the
+oracle.
 
 A tree finds each record's leaf in one loop (`Tree.apply`): it partitions
 the records node by node, splitting each node's ascending row indices by
@@ -293,9 +296,26 @@ class Forest:
         return len(self.trees)
 
 
-def _gini(weighted_counts: np.ndarray) -> float:
-    p = weighted_counts / weighted_counts.sum()
-    return float(1.0 - (p * p).sum())
+def _gini(weighted_counts) -> float:
+    """1 - sum of p_c^2 over a sequence of class weights (a float64 array or
+    a list of numbers), rounded as numpy rounds it on a float64 array.
+
+    numpy adds fewer than 8 values in sequence, from the first (see
+    `_class_sums`), so below 8 classes the same divisions and additions run
+    on Python floats, without an array call each.
+    """
+    if len(weighted_counts) >= 8:
+        counts = np.asarray(weighted_counts, dtype=np.float64)
+        p = counts / np.add.reduce(counts)
+        return float(1.0 - np.add.reduce(p * p))
+    total = 0.0
+    for c in weighted_counts:
+        total += c
+    squares = 0.0
+    for c in weighted_counts:
+        p = c / total
+        squares += p * p
+    return 1.0 - squares
 
 
 def _class_sums(q: np.ndarray) -> np.ndarray:
@@ -304,13 +324,14 @@ def _class_sums(q: np.ndarray) -> np.ndarray:
 
     numpy adds fewer than 8 values in sequence and 8 or more pairwise. A
     reduction over axis 0 is always sequential, so it is exact only below 8
-    classes. There it is kept for speed: the row sums of a transposed copy
-    are about 20 times slower at 3 classes (2.1 GHz Xeon), which makes the
-    whole fit about 25% slower.
+    classes. There it is kept for speed: at 3 classes the row sums of a
+    transposed copy are about 3 times slower on 100 boundaries and 16 times
+    on 8000 (2.1 GHz Xeon), which makes growing the overlap benchmark's
+    source forest about 1.46 times as slow.
     """
     if q.shape[0] < 8:
-        return q.sum(axis=0)
-    return np.ascontiguousarray(q.T).sum(axis=1)
+        return np.add.reduce(q, axis=0)
+    return np.add.reduce(q.T.copy(), axis=1)
 
 
 def _best_numeric_splits(X, order, rank, class_weights, idx, attrs, min_leaf):
@@ -346,35 +367,42 @@ def _best_block_split(X, order, rank, class_weights, idx, attrs, min_leaf):
     """`_best_numeric_splits` over one block of attributes, in one pass.
 
     Class counts are cumulative sums of integer multiplicities, hence
-    exact, and the Gini arithmetic is that of one attribute scored on its
-    own (see `_class_sums`).
+    exact, and so is the node's total weight w, so w stands in for each
+    boundary's left plus right weight; the Gini arithmetic is that of one
+    attribute scored on its own (see `_class_sums`).
     """
     n_classes, n = class_weights.shape
     m = idx.shape[0]
     first = attrs[:, None] * n  # each attribute's first cell in the (d, n) tables and X.T
-    ranks = np.take(rank, first + idx)
+    ranks = rank.take(first + idx)
     ranks.sort(axis=1)  # ranks are unique: this sorts each attribute by value
-    rec = np.take(order, first + ranks).astype(np.intp)
-    values = np.take(X.T, first + rec)  # within one column of the column-major X
+    rec = order.take(ranks)  # ranks are flat positions in order
+    values = X.T.take(first + rec)  # within one column of the column-major X
     # boundary i lies after sorted row i and leaves i + 1 records on the left
     lo, hi = min_leaf - 1, m - min_leaf
     cuts = np.zeros((attrs.size, m), dtype=bool)
-    cuts[:, lo:hi] = values[:, lo:hi] < values[:, lo + 1:hi + 1]
-    flat = np.flatnonzero(cuts)
+    np.less(values[:, lo:hi], values[:, lo + 1:hi + 1], out=cuts[:, lo:hi])
+    flat = cuts.reshape(-1).nonzero()[0]
     if flat.size == 0:
         return None
-    counts = np.cumsum(np.take(class_weights, rec, axis=1), axis=2, dtype=np.int32)
-    total = counts[:, 0, -1].astype(np.float64)
-    lc = np.take(counts.reshape(n_classes, -1), flat, axis=1).astype(np.float64)
-    wl = lc.sum(axis=0)
-    rc = total[:, None] - lc
-    wr = total.sum() - wl
-    w = wl + wr
-    # in place: these (C, K) arrays span every boundary of the block
-    gini_l = 1.0 - _class_sums(np.square(np.divide(lc, wl, out=lc), out=lc))
-    gini_r = 1.0 - _class_sums(np.square(np.divide(rc, wr, out=rc), out=rc))
-    gains = _gini(total) - (wl * gini_l + wr * gini_r) / w
-    best = int(np.argmax(gains))
+    counts = class_weights.take(rec, axis=1)
+    counts.cumsum(axis=2, dtype=np.int32, out=counts)
+    total = counts[:, 0, -1:].astype(np.float64)  # (C, 1)
+    totals = total[:, 0].tolist()
+    w = sum(totals)
+    lc = counts.reshape(n_classes, -1).take(flat, axis=1).astype(np.float64)
+    wl = np.add.reduce(lc, axis=0)
+    rc = total - lc
+    wr = w - wl
+    # in place: these (C, K) and (K,) arrays span every boundary of the block
+    squares_l = _class_sums(np.square(np.divide(lc, wl, out=lc), out=lc))
+    squares_r = _class_sums(np.square(np.divide(rc, wr, out=rc), out=rc))
+    # gains = parent - (wl * gini_l + wr * gini_r) / w, gini = 1 - squares
+    gains = np.multiply(wl, np.subtract(1.0, squares_l, out=squares_l), out=squares_l)
+    gains += np.multiply(wr, np.subtract(1.0, squares_r, out=squares_r), out=squares_r)
+    gains /= w
+    np.subtract(_gini(totals), gains, out=gains)
+    best = int(gains.argmax())
     if gains[best] <= _GAIN_EPS:
         return None
     a, i = divmod(int(flat[best]), m)
@@ -395,20 +423,21 @@ def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column order of the records by value and its inverse, int32 (d, n).
 
     order[j] lists the records by ascending value of column j and rank[j][r]
-    is the position of record r in order[j], so sorting the ranks of any
-    record subset sorts the subset by value. Equal values may come in any
-    order: a split only sees the class counts of all records up to a value
-    and the values either side of a boundary, never the order of ties.
+    is the flat position j * n + p of record r in order, where p is its
+    position in order[j], so sorting the ranks of any record subset sorts
+    the subset by value, and the sorted ranks index order directly. Equal
+    values may come in any order: a split only sees the class counts of all
+    records up to a value and the values either side of a boundary, never
+    the order of ties.
     """
     n, d = X.shape
-    if n > np.iinfo(np.int32).max:
-        raise DataError(f"train_forest supports at most {np.iinfo(np.int32).max} records")
+    if n * d > np.iinfo(np.int32).max:
+        raise DataError(f"train_forest supports at most {np.iinfo(np.int32).max} cells")
     order = np.empty((d, n), dtype=np.int32)
     rank = np.empty((d, n), dtype=np.int32)
-    positions = np.arange(n, dtype=np.int32)
     for j in range(d):
         order[j] = np.argsort(X[:, j])
-        rank[j, order[j]] = positions
+        rank[j, order[j]] = np.arange(j * n, (j + 1) * n, dtype=np.int32)
     return order, rank
 
 
@@ -439,6 +468,7 @@ def _grow_tree(X, y, n_classes, min_leaf, presorted, class_weights, rng, idx):
     d = X.shape[1]
     n_sample = min(d, max(1, math.ceil(math.sqrt(d))))
     order, rank = presorted
+    columns = X.T
     feature, threshold, left, right = [], [], [], []
     counts, members = [], []
     stack = [(idx, None, 0)]  # records, child list of the parent, parent
@@ -446,8 +476,9 @@ def _grow_tree(X, y, n_classes, min_leaf, presorted, class_weights, rng, idx):
         idx, side, parent = stack.pop()
         labels = y[idx]
         split = None
-        if idx.shape[0] >= 2 * min_leaf and not np.all(labels == labels[0]):
-            sampled = np.sort(rng.choice(d, size=n_sample, replace=False))
+        if idx.shape[0] >= 2 * min_leaf and (labels != labels[0]).any():
+            sampled = rng.choice(d, size=n_sample, replace=False)
+            sampled.sort()
             split = _best_numeric_splits(X, order, rank, class_weights, idx, sampled, min_leaf)
         if split is None:
             node = ~len(counts)
@@ -460,7 +491,7 @@ def _grow_tree(X, y, n_classes, min_leaf, presorted, class_weights, rng, idx):
             threshold.append(cut)
             left.append(0)
             right.append(0)
-            goes_left = X[idx, attr] <= cut
+            goes_left = columns[attr].take(idx) <= cut
             stack.append((idx[~goes_left], right, node))
             stack.append((idx[goes_left], left, node))
         if side is not None:

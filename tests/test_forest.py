@@ -258,6 +258,38 @@ def assert_matches_oracle(forest, roots):
     assert_same_forest(replace(forest, leaves=None), oracle)
 
 
+@st.composite
+def forest_datasets(draw):
+    """A small drawn dataset, a minimum leaf size from 1 to n/2 and a seed.
+    Columns hold ties, signed zeros, constants and copies (`drawn_matrix`),
+    some are continuous; labels come from 1-12 classes (numpy sums 8 or more
+    values pairwise)."""
+    rng = drawn_rng(draw)
+    n, d = draw(st.integers(2, 80)), draw(st.integers(1, 6))
+    n_classes = draw(st.integers(1, 12))
+    X = drawn_matrix(draw, rng, n, d)
+    continuous = rng.random(d) < 0.3
+    X[:, continuous] = rng.normal(size=(n, int(continuous.sum())))
+    y = rng.integers(0, n_classes, n)
+    min_leaf = draw(st.integers(1, max(1, n // 2)))
+    return numeric_dataset(X, y, n_classes), min_leaf, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200)
+@given(case=forest_datasets())
+def test_forest_matches_oracle_builder_on_drawn_datasets(case):
+    # whole trees: the purity test, the partition into children and the
+    # order of the sampled attributes, which a single-node search never sees
+    ds, min_leaf, seed = case
+    forest = train_forest(ds, n_trees=3, min_leaf_size=min_leaf, seed=seed)
+    roots = oracle_forest(ds, 3, min_leaf, seed)
+    oracle = Forest([forest_module._as_tree(flatten(root)[0]) for root in roots],
+                    ds.schema, ds.class_names)
+    # JSON text tells -0.0 from 0.0
+    assert json.dumps(forest_to_dict(forest)) == json.dumps(forest_to_dict(oracle))
+    assert_matches_oracle(forest, roots)
+
+
 def two_class_dataset(n=200, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, 3))
@@ -555,6 +587,18 @@ class TestSplitSearch:
         sequential = q.sum(axis=0)
         assert not np.array_equal(sequential, np.ascontiguousarray(q.T).sum(axis=1))
 
+    @settings(max_examples=300)
+    @given(weights=st.lists(st.one_of(st.integers(0, 10**6), st.floats(0, 1e12)),
+                            min_size=1, max_size=12).filter(lambda w: sum(w) > 0))
+    def test_gini_rounds_as_numpy(self, weights):
+        # below 8 classes _gini runs on Python floats; the oracle search
+        # calls _gini too, so this pins it to numpy's own rounding
+        counts = np.array(weights, dtype=np.float64)
+        p = counts / counts.sum()
+        want = np.float64(1.0 - (p * p).sum()).tobytes()
+        assert np.float64(_gini(counts.tolist())).tobytes() == want
+        assert np.float64(_gini(counts)).tobytes() == want
+
     @staticmethod
     def random_data(rng, n, d, n_classes):
         """Columns with continuous values, heavy ties, 0/1 cells, one constant."""
@@ -682,7 +726,9 @@ class TestSplitSearch:
         assert order.dtype == rank.dtype == np.int32
         for j in range(2):
             assert (np.diff(X[order[j], j]) >= 0).all()
-            np.testing.assert_array_equal(order[j][rank[j]], np.arange(4))
+            # rank holds flat positions j * n + p into order
+            assert (rank[j] // 4 == j).all()
+            np.testing.assert_array_equal(order.take(rank[j]), np.arange(4))
 
     def test_tie_order_does_not_matter(self):
         # presort tables with ties by ascending and by descending record id
@@ -695,7 +741,7 @@ class TestSplitSearch:
                              dtype=np.int32)
             rank = np.empty_like(order)
             for j in range(d):
-                rank[j, order[j]] = np.arange(n, dtype=np.int32)
+                rank[j, order[j]] = np.arange(j * n, (j + 1) * n, dtype=np.int32)
             tables.append((order, rank))
         in_bag, counts = np.unique(draws, return_counts=True)
         class_weights = np.zeros((n_classes, n), dtype=np.int32)
