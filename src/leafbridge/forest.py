@@ -19,18 +19,17 @@ the trees, in one CSR table per forest (`LeafTable`), and are not saved.
 
 Numeric split search is presorted. train_forest sorts every column once per
 call (`_presort`): the order of the records by value and its inverse, the
-rank of each record as a flat position in the order table, both int32 (d, n)
-tables. A node sorts the integer ranks of its records for each sampled
-attribute, which orders the node's values without a float sort, and scores
-every boundary of every sampled attribute in class-major passes over
-cumulative sums of the integer bootstrap multiplicities, one pass per block
-of attributes of at most SPLIT_BLOCK_ELEMENTS cells. A block makes 18 numpy
-function and method calls, none through numpy's Python wrappers, and 17
-array operations, so a small node spends little on call overhead. The
-chosen split, leaf numbering and random draws are those of scoring each
-attribute on its own with a stable float sort and growing the tree
-recursively; tests/test_forest.py keeps that search and that builder as the
-oracle.
+rank of each record, both int32 (d, n) tables. A node sorts the integer
+ranks of its records for each sampled attribute, which orders the node's
+values without a float sort, and scores every boundary of every sampled
+attribute in class-major passes over cumulative sums of the integer
+bootstrap multiplicities, one pass per block of attributes of at most
+SPLIT_BLOCK_ELEMENTS cells. A block makes a fixed, small number of direct
+numpy calls, none through numpy's Python wrappers, so a small node spends
+little on call overhead. The chosen split, leaf numbering and random draws
+are those of scoring each attribute on its own with a stable float sort and
+growing the tree recursively; tests/test_forest.py keeps that search and
+that builder as the oracle.
 
 A tree finds each record's leaf in one loop (`Tree.apply`): it partitions
 the records node by node, splitting each node's ascending row indices by
@@ -296,26 +295,9 @@ class Forest:
         return len(self.trees)
 
 
-def _gini(weighted_counts) -> float:
-    """1 - sum of p_c^2 over a sequence of class weights (a float64 array or
-    a list of numbers), rounded as numpy rounds it on a float64 array.
-
-    numpy adds fewer than 8 values in sequence, from the first (see
-    `_class_sums`), so below 8 classes the same divisions and additions run
-    on Python floats, without an array call each.
-    """
-    if len(weighted_counts) >= 8:
-        counts = np.asarray(weighted_counts, dtype=np.float64)
-        p = counts / np.add.reduce(counts)
-        return float(1.0 - np.add.reduce(p * p))
-    total = 0.0
-    for c in weighted_counts:
-        total += c
-    squares = 0.0
-    for c in weighted_counts:
-        p = c / total
-        squares += p * p
-    return 1.0 - squares
+def _gini(weighted_counts: np.ndarray) -> float:
+    p = weighted_counts / np.add.reduce(weighted_counts)
+    return float(1.0 - np.add.reduce(p * p))
 
 
 def _class_sums(q: np.ndarray) -> np.ndarray:
@@ -376,7 +358,7 @@ def _best_block_split(X, order, rank, class_weights, idx, attrs, min_leaf):
     first = attrs[:, None] * n  # each attribute's first cell in the (d, n) tables and X.T
     ranks = rank.take(first + idx)
     ranks.sort(axis=1)  # ranks are unique: this sorts each attribute by value
-    rec = order.take(ranks)  # ranks are flat positions in order
+    rec = order.take(first + ranks)
     values = X.T.take(first + rec)  # within one column of the column-major X
     # boundary i lies after sorted row i and leaves i + 1 records on the left
     lo, hi = min_leaf - 1, m - min_leaf
@@ -388,8 +370,7 @@ def _best_block_split(X, order, rank, class_weights, idx, attrs, min_leaf):
     counts = class_weights.take(rec, axis=1)
     counts.cumsum(axis=2, dtype=np.int32, out=counts)
     total = counts[:, 0, -1:].astype(np.float64)  # (C, 1)
-    totals = total[:, 0].tolist()
-    w = sum(totals)
+    w = np.add.reduce(total[:, 0])
     lc = counts.reshape(n_classes, -1).take(flat, axis=1).astype(np.float64)
     wl = np.add.reduce(lc, axis=0)
     rc = total - lc
@@ -401,7 +382,7 @@ def _best_block_split(X, order, rank, class_weights, idx, attrs, min_leaf):
     gains = np.multiply(wl, np.subtract(1.0, squares_l, out=squares_l), out=squares_l)
     gains += np.multiply(wr, np.subtract(1.0, squares_r, out=squares_r), out=squares_r)
     gains /= w
-    np.subtract(_gini(totals), gains, out=gains)
+    np.subtract(_gini(total[:, 0]), gains, out=gains)
     best = int(gains.argmax())
     if gains[best] <= _GAIN_EPS:
         return None
@@ -423,21 +404,20 @@ def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column order of the records by value and its inverse, int32 (d, n).
 
     order[j] lists the records by ascending value of column j and rank[j][r]
-    is the flat position j * n + p of record r in order, where p is its
-    position in order[j], so sorting the ranks of any record subset sorts
-    the subset by value, and the sorted ranks index order directly. Equal
-    values may come in any order: a split only sees the class counts of all
-    records up to a value and the values either side of a boundary, never
-    the order of ties.
+    is the position of record r in order[j], so sorting the ranks of any
+    record subset sorts the subset by value. Equal values may come in any
+    order: a split only sees the class counts of all records up to a value
+    and the values either side of a boundary, never the order of ties.
     """
     n, d = X.shape
-    if n * d > np.iinfo(np.int32).max:
-        raise DataError(f"train_forest supports at most {np.iinfo(np.int32).max} cells")
+    if n > np.iinfo(np.int32).max:
+        raise DataError(f"train_forest supports at most {np.iinfo(np.int32).max} records")
     order = np.empty((d, n), dtype=np.int32)
     rank = np.empty((d, n), dtype=np.int32)
+    positions = np.arange(n, dtype=np.int32)
     for j in range(d):
         order[j] = np.argsort(X[:, j])
-        rank[j, order[j]] = np.arange(j * n, (j + 1) * n, dtype=np.int32)
+        rank[j, order[j]] = positions
     return order, rank
 
 

@@ -60,13 +60,6 @@ FORMAT_VERSION = 3
 #: chose between that alpha and one no longer offered.
 REMOVED_FIELDS = ("ridge", "alpha_mode")
 
-#: Source records `project_records` multiplies per einsum call. On a 2.1 GHz
-#: Xeon, 12 000 x 40 records by a 40 x 40 matrix took 9.2 ms in one call
-#: and 6.2 ms in blocks of 1024 rows (128 to 2048 rows all took 6.2-6.5
-#: ms); each cell of the product adds the same terms in the same order
-#: either way.
-PROJECT_BLOCK_ROWS = 1024
-
 
 @dataclass(frozen=True)
 class TransferConfig:
@@ -243,10 +236,9 @@ def project_records(ds: Dataset, projection: ProjectionMatrix,
     Labels are carried over by class name; records whose label does not
     exist in the target class set are dropped (counted in the log at INFO;
     the paper's partly shared label sets drop some on every fit). Returns
-    None when every record is dropped. The product is an einsum sum, not
-    BLAS, over blocks of PROJECT_BLOCK_ROWS records written into one new
-    column-major array, so its bytes do not depend on the BLAS library, its
-    kernel or its thread count.
+    None when every record is dropped. The product is one einsum sum, not
+    BLAS, written into a new column-major array, so its bytes do not depend
+    on the BLAS library, its kernel or its thread count.
     """
     if ds.d != projection.d_source:
         raise DataError(
@@ -265,11 +257,8 @@ def project_records(ds: Dataset, projection: ProjectionMatrix,
     if dropped:
         rows = np.flatnonzero(keep)
         records, new_labels = gather_rows(records, rows), new_labels[rows]
-    projected = np.empty((len(records), projection.d_target), order="F")
-    for start in range(0, len(records), PROJECT_BLOCK_ROWS):
-        block = slice(start, start + PROJECT_BLOCK_ROWS)
-        np.einsum("ij,jk->ik", records[block], projection.matrix, optimize=False,
-                  out=projected[block])
+    projected = np.einsum("ij,jk->ik", records, projection.matrix, optimize=False,
+                          out=np.empty((len(records), projection.d_target), order="F"))
     return Dataset(
         tuple(target_schema), read_only(projected),
         read_only(new_labels), tuple(target_class_names), "target",

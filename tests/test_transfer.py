@@ -175,30 +175,6 @@ class TestProjectRecords:
         assert flags.f_contiguous and flags.owndata and not flags.writeable
         assert not np.shares_memory(out.records, ds.records)
 
-    @settings(max_examples=300)
-    @given(block=st.integers(1, 40), n_blocks=st.integers(1, 5),
-           rest=st.one_of(st.sampled_from((0, 1)), st.integers(0, 39)),
-           d_s=st.integers(1, 60), d_t=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
-    @example(block=1, n_blocks=5, rest=0, d_s=7, d_t=3, seed=0)
-    @example(block=16, n_blocks=3, rest=0, d_s=12, d_t=40, seed=1)
-    @example(block=16, n_blocks=3, rest=1, d_s=40, d_t=12, seed=2)
-    def test_blocks_give_the_one_einsum_bytes(self, block, n_blocks, rest, d_s, d_t, seed):
-        # every cell of the blocked product adds its terms in the order of
-        # the one-call product, whatever block ends where
-        rng = np.random.default_rng(seed)
-        k = n_blocks * block + rest % block
-        records = rng.normal(size=(k, d_s)) * rng.choice([1e-3, 1.0, 1e3], size=d_s)
-        ds = numeric_dataset(records, np.zeros(k, dtype=int))
-        P = rng.normal(size=(d_s, d_t))
-        schema = tuple(AttributeSchema(f"t{j}", NUMERIC) for j in range(d_t))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(transfer_module, "PROJECT_BLOCK_ROWS", block)
-            out = project_records(ds, ProjectionMatrix(P), schema, ("c0",))
-        one = np.einsum("ij,jk->ik", ds.records, P, optimize=False,
-                        out=np.empty((k, d_t), order="F"))
-        assert out.records.tobytes(order="F") == one.tobytes(order="F")
-
-
 
 class TestSelectProjectMerge:
     """select_transferable -> project_records -> merge_datasets from a
